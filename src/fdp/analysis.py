@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .composition import component_predictions
 from .diffusion import forward_noise
 from .numerics import Rng
 from .policy import FactorizedPolicy, RolloutResult, rollout
@@ -101,7 +102,7 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     skipped = 0
     for obs, values, k in probes:
         emb = policy.encode_observation(obs)
-        preds = [c.predict(values, emb, k)[0] for c in policy.components]
+        preds, _ = component_predictions(policy.components, values, emb, k)
         norms = [float(np.linalg.norm(p)) for p in preds]
         if min(norms) == 0.0:
             skipped += 1

@@ -432,22 +432,13 @@ def sample_replay(dataset: EpisodeDataset, per_task: int, seed: int) -> EpisodeD
 
 def run_expert_episode(spec: EnvSpec, rng: Rng) -> Episode:
     """One scripted-expert rollout recorded as (observation, action) pairs."""
-    env = make_env(spec)
-    obs = env.reset(rng.child(0))
-    latch = expert_latch(spec, rng.child(1))
-    act_rng = rng.child(2)
-    obs_list, act_list = [], []
-    while env.steps < spec.max_steps and not env.success:
-        a = scripted_expert(spec, obs, act_rng, latch)
-        obs_list.append(obs)
-        act_list.append(a)
-        obs = env.step(a)
+    result = rollout(ExpertPolicy(), make_env(spec), spec.max_steps, rng)
     return Episode(
         task=spec.task,
         task_id=spec.task_index,
-        observations=np.asarray(obs_list),
-        actions=np.asarray(act_list),
-        success=env.success,
+        observations=np.asarray([obs for obs, _ in result.trajectory]),
+        actions=np.asarray([a for _, a in result.trajectory]),
+        success=result.success,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -92,28 +92,29 @@ def write_outputs(out_dir: Path, resolved: dict, files: dict) -> None:
             path.write_text(content)
 
 
+# The PolicyConfig fields the CLI exposes, in --help order; every default is
+# read from the dataclass. Two options are named apart from their field.
+POLICY_OPTIONS = (
+    "components", "diffusion_steps", "schedule", "obs_embed_dim", "denoiser_hidden",
+    "router_hidden", "router_temperature", "router_lr_scale", "t_pred", "t_exec",
+    "h_obs", "learning_rate",
+)
+CONFIG_FIELD = {"components": "n_components", "schedule": "schedule_kind"}
+HIDDEN_WIDTHS = ("denoiser_hidden", "router_hidden")  # comma-separated on the CLI
+
+
 def policy_config_options(fn):
-    opts = [
-        click.option("--components", type=int, default=4, show_default=True),
-        click.option("--diffusion-steps", type=int, default=100, show_default=True),
-        click.option(
-            "--schedule",
-            type=click.Choice(["cosine", "linear"]),
-            default="cosine",
-            show_default=True,
-        ),
-        click.option("--obs-embed-dim", type=int, default=64, show_default=True),
-        click.option("--denoiser-hidden", default="256,256", show_default=True),
-        click.option("--router-hidden", default="64", show_default=True),
-        click.option("--router-temperature", type=float, default=1.0, show_default=True),
-        click.option("--router-lr-scale", type=float, default=1.0, show_default=True),
-        click.option("--t-pred", type=int, default=16, show_default=True),
-        click.option("--t-exec", type=int, default=8, show_default=True),
-        click.option("--h-obs", type=int, default=2, show_default=True),
-        click.option("--learning-rate", type=float, default=1e-3, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
+    defaults = {f.name: f.default for f in fields(PolicyConfig)}
+    for name in reversed(POLICY_OPTIONS):
+        default = defaults[CONFIG_FIELD.get(name, name)]
+        if name in HIDDEN_WIDTHS:
+            kind, default = str, ",".join(str(w) for w in default)
+        elif name == "schedule":
+            kind = click.Choice(["cosine", "linear"])
+        else:
+            kind = type(default)
+        flag = "--" + name.replace("_", "-")
+        fn = click.option(flag, type=kind, default=default, show_default=True)(fn)
     return fn
 
 
@@ -124,18 +125,12 @@ def _widths(text: str) -> tuple:
 
 def build_policy_config(params: dict) -> PolicyConfig:
     return PolicyConfig(
-        n_components=params["components"],
-        diffusion_steps=params["diffusion_steps"],
-        schedule_kind=params["schedule"],
-        obs_embed_dim=params["obs_embed_dim"],
-        denoiser_hidden=_widths(params["denoiser_hidden"]),
-        router_hidden=_widths(params["router_hidden"]),
-        router_temperature=params["router_temperature"],
-        router_lr_scale=params["router_lr_scale"],
-        t_pred=params["t_pred"],
-        t_exec=params["t_exec"],
-        h_obs=params["h_obs"],
-        learning_rate=params["learning_rate"],
+        **{
+            CONFIG_FIELD.get(name, name): (
+                _widths(params[name]) if name in HIDDEN_WIDTHS else params[name]
+            )
+            for name in POLICY_OPTIONS
+        }
     )
 
 
@@ -226,6 +221,10 @@ def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     policy = FactorizedPolicy.load(checkpoint)
+    if top_k is not None and not 1 <= top_k <= policy.n_components:
+        raise click.BadParameter(
+            f"{top_k} outside [1, {policy.n_components}]", param_hint="'--top-k'"
+        )
     seed_list = _parse_seeds(seeds)
     table = evaluate(
         policy, specs, episodes_per_task=episodes, seeds=seed_list, top_k=top_k, jobs=jobs

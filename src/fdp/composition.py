@@ -8,6 +8,8 @@ as sum_i w_i eps_i; components are always reduced in index order so
 floating-point sums are reproducible. Training composes the same weighted sum
 inside the noise-prediction MSE, so gradients reach every component, the
 router, and the observation encoder in one pass with no hard selection.
+Every caller gets the per-component predictions from component_predictions
+and their sum from weighted_sum, so the composition is written once.
 """
 
 from __future__ import annotations
@@ -99,18 +101,12 @@ class ComposedScore:
     aggregate: np.ndarray
 
 
-def composed_score(
-    components, weights, values: np.ndarray, obs_embedding, k
-) -> ComposedScore:
-    """aggregate = sum_i w_i eps_i(values, obs, k), components kept for analysis."""
-    if len(components) != len(weights):
-        raise CompositionError(
-            f"{len(components)} components but {len(weights)} weights"
-        )
-    preds = []
-    agg = None
+def component_predictions(components, values, obs_embedding, k):
+    """Each component's noise prediction and backward cache, in index order;
+    a prediction not shaped like the window raises, naming the component."""
+    preds, caches = [], []
     for i, comp in enumerate(components):
-        eps_i, _ = comp.predict(values, obs_embedding, k)
+        eps_i, cache = comp.predict(values, obs_embedding, k)
         eps_i = np.asarray(eps_i, dtype=np.float64)
         if eps_i.shape != np.shape(values):
             raise CompositionError(
@@ -118,8 +114,30 @@ def composed_score(
                 f"{np.shape(values)}"
             )
         preds.append(eps_i)
-        agg = weights[i] * eps_i if agg is None else agg + weights[i] * eps_i
-    return ComposedScore(preds, np.asarray(weights, dtype=np.float64), agg)
+        caches.append(cache)
+    return preds, caches
+
+
+def weighted_sum(weights, preds) -> np.ndarray:
+    """sum_i w_i eps_i, reduced in index order; weights is (N,), or (B, N)
+    for one weight vector per batch row."""
+    w = np.asarray(weights, dtype=np.float64)
+    if len(preds) != w.shape[-1]:
+        raise CompositionError(f"{len(preds)} components but {w.shape[-1]} weights")
+    agg = None
+    for i, eps_i in enumerate(preds):
+        term = (w[i] if w.ndim == 1 else w[:, i : i + 1]) * eps_i
+        agg = term if agg is None else agg + term
+    return agg
+
+
+def composed_score(
+    components, weights, values: np.ndarray, obs_embedding, k
+) -> ComposedScore:
+    """aggregate = sum_i w_i eps_i(values, obs, k), components kept for analysis."""
+    preds, _ = component_predictions(components, values, obs_embedding, k)
+    w = np.asarray(weights, dtype=np.float64)
+    return ComposedScore(preds, w, weighted_sum(w, preds))
 
 
 def select_top_k(weights: np.ndarray, top_k: int):
@@ -214,6 +232,20 @@ class JointGrads:
     components: list = field(default_factory=list)
 
 
+def composed_residual(
+    components, router: Router, obs_encoder: FeedForwardNet, windows, obs, schedule, ks, eps
+) -> tuple[np.ndarray, tuple]:
+    """sum_i w_i eps_i - eps for clean windows corrupted at steps ks with noise
+    eps, where w = router(encoder(obs)) per row, plus the forward caches
+    (encoder, embedding, router, per-component predictions and caches)."""
+    emb, enc_cache = obs_encoder.forward(obs)
+    w, router_cache = router.route_with_cache(emb)
+    ab = schedule.alpha_bar[ks][:, None]
+    noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
+    preds, caches = component_predictions(components, noisy, emb, ks)
+    return weighted_sum(w, preds) - eps, (enc_cache, emb, router_cache, preds, caches)
+
+
 def joint_loss(
     components,
     router: Router,
@@ -235,38 +267,25 @@ def joint_loss(
     if windows.ndim != 2 or obs.ndim != 2 or windows.shape[0] != obs.shape[0]:
         raise ValueError("batch must be (B, window_dim) and (B, obs_dim)")
     b, dim = windows.shape
-    n = len(components)
-
-    emb, enc_cache = obs_encoder.forward(obs)
-    w, router_cache = router.route_with_cache(emb)
 
     ks = rng.integers(1, schedule.K + 1, b)
     eps = rng.gaussian(b * dim).reshape(b, dim)
-    ab = schedule.alpha_bar[ks][:, None]
-    noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
-
-    preds, caches = [], []
-    for comp in components:
-        p, c = comp.predict(noisy, emb, ks)
-        preds.append(p)
-        caches.append(c)
-    agg = np.zeros_like(eps)
-    for i in range(n):
-        agg += w[:, i : i + 1] * preds[i]
-
-    resid = agg - eps
+    resid, (enc_cache, emb, router_cache, preds, caches) = composed_residual(
+        components, router, obs_encoder, windows, obs, schedule, ks, eps
+    )
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
         raise ValueError("joint loss is non-finite")
 
+    w = router_cache.weights
     dagg = 2.0 * resid / resid.size
     demb = np.zeros_like(emb)
     comp_grads = []
-    for i in range(n):
-        pg, _, de = components[i].backward(caches[i], w[:, i : i + 1] * dagg)
+    for i, comp in enumerate(components):
+        pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg)
         comp_grads.append(pg)
         demb += de
-    dw = np.stack([np.sum(dagg * preds[i], axis=1) for i in range(n)], axis=1)
+    dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
     router_pg, demb_router = router.backward(router_cache, dw)
     demb += demb_router
     enc_pg, _ = obs_encoder.backward(enc_cache, demb)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .composition import Router, SampleInfo, check_simplex, sample_values
+from .composition import Router, SampleInfo, check_simplex, composed_residual, sample_values
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
 
@@ -145,18 +145,6 @@ class ActionNormalizer:
     @classmethod
     def from_json(cls, obj: dict) -> "ActionNormalizer":
         return cls(np.asarray(obj["lo"]), np.asarray(obj["hi"]))
-
-
-@dataclass
-class ActionWindow:
-    """Normalized predicted trajectory: (T_pred, action_dim) in [-1, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = as_f64(self.values, "action window")
-        if self.values.ndim != 2:
-            raise ValueError("action window must be (T_pred, action_dim)")
 
 
 @dataclass
@@ -337,10 +325,6 @@ class FactorizedPolicy:
             return self.components[int(group.split(":", 1)[1])].net
         raise KeyError(f"unknown parameter group '{group}'")
 
-    def param_groups(self, groups=None) -> dict[str, dict[str, np.ndarray]]:
-        groups = list(groups) if groups is not None else self.group_names()
-        return {g: self._group_net(g).params() for g in groups}
-
     def n_parameters(self, groups=None) -> int:
         return sum(
             self._group_net(g).param_count()
@@ -387,8 +371,9 @@ class FactorizedPolicy:
         rng: Rng,
         top_k: int | None = None,
         weights_override: np.ndarray | None = None,
-    ) -> tuple[ActionWindow, SampleInfo]:
-        """Compositional reverse sampling of one normalized action window.
+    ) -> tuple[np.ndarray, SampleInfo]:
+        """Compositional reverse sampling of one normalized action window,
+        shaped (t_pred, action_dim) with entries in [-1, 1] up to the clamp.
 
         The router runs once per call; with weights_override the router is
         bypassed entirely (solo-component analysis).
@@ -409,7 +394,7 @@ class FactorizedPolicy:
             x0_clip=NORMALIZED_CLAMP,
         )
         values = np.clip(values, -NORMALIZED_CLAMP, NORMALIZED_CLAMP)
-        return ActionWindow(values.reshape(self.config.t_pred, self.action_dim)), info
+        return values.reshape(self.config.t_pred, self.action_dim), info
 
     def act(
         self,
@@ -421,7 +406,7 @@ class FactorizedPolicy:
         """Sample and denormalize one action window for a stacked observation."""
         self._check_fitted()
         window, _ = self.sample_window(obs, rng, top_k, weights_override)
-        return self.normalizer.denormalize(window.values)
+        return self.normalizer.denormalize(window)
 
     # estimator alias
     predict = act
@@ -522,11 +507,13 @@ class FactorizedPolicy:
                 losses.append(loss)
                 self._apply_grads(opts, grads, groups)
             entry = {"epoch": epoch, "train_mse": float(np.mean(losses))}
-            entry["val_mse"] = (
-                self._mse_on(w_val, o_val, val_ks, val_eps_noise)
-                if n_val
-                else entry["train_mse"]
-            )
+            entry["val_mse"] = entry["train_mse"]
+            if n_val:
+                resid, _ = composed_residual(
+                    self.components, self.router, self.obs_encoder,
+                    w_val, o_val, self.schedule, val_ks, val_eps_noise,
+                )
+                entry["val_mse"] = float(np.mean(resid * resid))
             log.entries.append(entry)
         self.training_log_ = log
         return self
@@ -541,18 +528,6 @@ class FactorizedPolicy:
             else:
                 src = grads.components[int(g.split(":", 1)[1])]
             net.load_params(opts[g].step(net.params(), src))
-
-    def _mse_on(self, windows, obs, ks, eps) -> float:
-        """Composed noise-prediction MSE with frozen (k, eps) draws."""
-        emb = self.obs_encoder(obs)
-        w = self.router.route(emb)
-        ab = self.schedule.alpha_bar[ks][:, None]
-        noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
-        agg = np.zeros_like(eps)
-        for i, comp in enumerate(self.components):
-            agg += w[:, i : i + 1] * comp.predict(noisy, emb, ks)[0]
-        resid = agg - eps
-        return float(np.mean(resid * resid))
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -582,9 +557,10 @@ class FactorizedPolicy:
             raise ValueError(f"not a policy checkpoint: format={obj.get('format')!r}")
         if obj.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
-        cfg_json = dict(obj["config"])
-        cfg_json["n_components"] = max(1, len(obj["components"]))
-        cfg = PolicyConfig(**cfg_json)
+        n = len(obj["components"])
+        if n == 0:
+            raise ValueError("checkpoint field 'components' is empty")
+        cfg = PolicyConfig(**{**obj["config"], "n_components": n})
         policy = cls.__new__(cls)
         policy.obs_dim = int(obj["obs_dim"])
         policy.action_dim = int(obj["action_dim"])
@@ -594,6 +570,11 @@ class FactorizedPolicy:
         policy.schedule = NoiseSchedule.from_json(obj["schedule"])
         policy.obs_encoder = FeedForwardNet.from_json(obj["encoder"])
         policy.router = Router.from_json(obj["router"])
+        if policy.router.n_components != n:
+            raise ValueError(
+                f"checkpoint field 'router' has a head of width "
+                f"{policy.router.n_components} for {n} components"
+            )
         policy.components = [DenoiserComponent.from_json(c) for c in obj["components"]]
         policy.training_log_ = None
         return policy
@@ -635,7 +616,7 @@ class _PolicyController:
             window, info = self.policy.sample_window(
                 stacked, self.rng, self.top_k, self.weights_override
             )
-            denorm = self.policy.normalizer.denormalize(window.values)
+            denorm = self.policy.normalizer.denormalize(window)
             self.pending = [denorm[t] for t in range(self.policy.config.t_exec)]
         return self.pending.pop(0), info
 

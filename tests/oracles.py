@@ -1,8 +1,9 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the package's own gradient and sampling paths:
-analytic Gaussian scores, closed-form product-of-Gaussians moments, and a
-generic central-finite-difference gradient checker.
+analytic Gaussian scores, the per-component loop for the composed noise
+prediction, closed-form product-of-Gaussians moments, and a generic
+central-finite-difference gradient checker.
 """
 
 import numpy as np
@@ -58,6 +59,27 @@ class PointMassDenoiser:
     def predict(self, values, obs_embedding, k):
         ab = self.schedule.alpha_bar[k]
         return (values - np.sqrt(ab) * self.c) / np.sqrt(1.0 - ab), None
+
+
+def composed_prediction_loop(components, weights, values, obs_embedding, k):
+    """Reference composed noise prediction: sum_i w_i * eps_i, one component at
+    a time in index order. weights is (N,), or (B, N) for one row per sample."""
+    w = np.asarray(weights, dtype=np.float64)
+    total = 0.0
+    for i, comp in enumerate(components):
+        w_i = w[i] if w.ndim == 1 else w[:, i : i + 1]
+        total = total + w_i * comp.predict(values, obs_embedding, k)[0]
+    return total
+
+
+def composed_residual_loop(policy, windows, obs, ks, eps):
+    """Reference residual sum_i w_i eps_i - eps of a policy on clean windows
+    corrupted at steps ks with noise eps."""
+    emb = policy.obs_encoder(obs)
+    w = policy.router.route(emb)
+    ab = policy.schedule.alpha_bar[ks][:, None]
+    noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
+    return composed_prediction_loop(policy.components, w, noisy, emb, ks) - eps
 
 
 def product_of_gaussians(mus, variances, weights):

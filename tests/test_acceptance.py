@@ -3,11 +3,15 @@ single pass/fail line with the measured values.
 
 The heavyweight studies (multitask trend, component sweep, pruning,
 retention) are deterministic: demo seeds, training seeds, and evaluation
-streams are all frozen, so the reported numbers reproduce bit-for-bit.
+streams are all frozen, so the reported numbers reproduce bit-for-bit. Their
+independent runs go to two worker processes, which changes no number.
 """
 
+import copy
 import dataclasses
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,6 +37,17 @@ from .oracles import AnalyticGaussianDenoiser, central_diff, max_rel_err, produc
 def report(num: int, name: str, ok: bool, detail: str):
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def in_workers(run, jobs):
+    """[run(*job) for job in jobs], two jobs at a time in worker processes.
+
+    Every job is deterministic in its arguments and shares no state with the
+    others, so the results are exactly those of the serial loop.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        return list(pool.map(run, *zip(*jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,27 +89,44 @@ def train_multitask(n, hidden, seed, demos, epochs):
     return policy
 
 
+def multitask_run(n, hidden, seed, demos, specs):
+    """One run of the multitask study: (parameter count, success rate, seconds)."""
+    t0 = time.time()
+    policy = train_multitask(n, hidden, seed, demos, epochs=150)
+    rate = evaluate(policy, specs, EPISODES, seeds=(seed,)).average()
+    return policy.n_parameters(), rate, time.time() - t0
+
+
 @pytest.fixture(scope="module")
 def multitask_study(multitask_demos):
     """Criteria 4 and 5: N in {1 (width-matched), 2, 3, 4}, 5 seeds, 40
-    episodes per task at tolerance 0.10, 150 training epochs."""
+    episodes per task at tolerance 0.10, 150 training epochs. The study's
+    seconds are the sum of its runs' own times, as if run one after another."""
     specs = multitask_specs(0.10)
-    t0 = time.time()
-    study = {"params": {}, "rates": {}}
-    for label, n, hidden in (
+    labels = (
         ("N1", 1, (MATCHED_H1, MATCHED_H1)),
         ("N2", 2, (24, 24)),
         ("N3", 3, (24, 24)),
         ("N4", 4, (24, 24)),
-    ):
-        rates = []
-        for seed in SEEDS:
-            policy = train_multitask(n, hidden, seed, multitask_demos, epochs=150)
-            rates.append(evaluate(policy, specs, EPISODES, seeds=(seed,)).average())
-            study["params"][label] = policy.n_parameters()
-        study["rates"][label] = np.array(rates)
-    study["seconds"] = time.time() - t0
+    )
+    runs = in_workers(
+        multitask_run,
+        [(n, hidden, seed, multitask_demos, specs) for _, n, hidden in labels for seed in SEEDS],
+    )
+    study = {"params": {}, "rates": {}, "seconds": sum(r[2] for r in runs)}
+    for i, (label, _, _) in enumerate(labels):
+        per_seed = runs[i * len(SEEDS) : (i + 1) * len(SEEDS)]
+        study["params"][label] = per_seed[-1][0]
+        study["rates"][label] = np.array([r[1] for r in per_seed])
     return study
+
+
+def pruning_run(seed, demos, specs):
+    """One converged N=4 policy with its full and top-2 success rates."""
+    policy = train_multitask(4, (24, 24), seed, demos, epochs=900)
+    full = evaluate(policy, specs, EPISODES, seeds=(seed,)).average()
+    top2 = evaluate(policy, specs, EPISODES, seeds=(seed,), top_k=2).average()
+    return policy, full, top2
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +134,12 @@ def pruning_study(multitask_demos):
     """Criterion 8: converged N=4 policies (900 epochs); full versus top-2
     evaluation on the default-tolerance suite."""
     specs = make_suite("reach4") + make_suite("pick-side")
-    full, top2, policies = [], [], []
-    for seed in SEEDS:
-        policy = train_multitask(4, (24, 24), seed, multitask_demos, epochs=900)
-        policies.append(policy)
-        full.append(evaluate(policy, specs, EPISODES, seeds=(seed,)).average())
-        top2.append(
-            evaluate(policy, specs, EPISODES, seeds=(seed,), top_k=2).average()
-        )
-    return {"full": np.array(full), "top2": np.array(top2), "policies": policies}
+    runs = in_workers(pruning_run, [(seed, multitask_demos, specs) for seed in SEEDS])
+    return {
+        "full": np.array([r[1] for r in runs]),
+        "top2": np.array([r[2] for r in runs]),
+        "policies": [r[0] for r in runs],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +248,30 @@ def test_criterion_02_product_of_gaussians_sampling():
 # ---------------------------------------------------------------------------
 
 
+def mode_mass(demos, n_components, hidden, seed=0, samples=5000):
+    """Share of sampled windows from the bimodal start state that go left."""
+    start_obs = np.array([0.0, -0.6, 0.6, 0.0, -0.6, 0.6])
+    cfg = PolicyConfig(
+        n_components=n_components,
+        diffusion_steps=50,
+        obs_embed_dim=16,
+        denoiser_hidden=hidden,
+        router_hidden=(16,),
+    )
+    policy = FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg, seed=seed)
+    policy.fit(demos, epochs=200, batch_size=96, seed=seed)
+    rng = Rng(424242)
+    left = sum(
+        int(policy.act(start_obs, rng.child(i))[:8].sum() < 0)
+        for i in range(samples)
+    )
+    return left / samples
+
+
 def test_criterion_03_bimodal_mode_capture():
     demos = generate_demos("bimodal1d", 25, seed=DEMO_SEED)
-    start_obs = np.array([0.0, -0.6, 0.6, 0.0, -0.6, 0.6])
-
-    def mode_mass(n_components, hidden, seed=0, samples=5000):
-        cfg = PolicyConfig(
-            n_components=n_components,
-            diffusion_steps=50,
-            obs_embed_dim=16,
-            denoiser_hidden=hidden,
-            router_hidden=(16,),
-        )
-        policy = FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg, seed=seed)
-        policy.fit(demos, epochs=200, batch_size=96, seed=seed)
-        rng = Rng(424242)
-        left = sum(
-            int(policy.act(start_obs, rng.child(i))[:8].sum() < 0)
-            for i in range(samples)
-        )
-        return left / samples
-
-    left4 = mode_mass(4, (24, 24))
     h1 = matched_hidden_width(4, 24, 16 + 16 + 16, 16)
-    left1 = mode_mass(1, (h1, h1))
+    left4, left1 = in_workers(mode_mass, [(demos, 4, (24, 24)), (demos, 1, (h1, h1))])
     ok = 0.30 <= left4 <= 0.70
     report(
         3,
@@ -328,46 +357,47 @@ def test_criterion_06_freeze_bit_exactness():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_07_retention_with_replay():
-    import copy
+def retention_run(seed, reach_specs, pretrain_ds, new_ds):
+    """Success on the pretraining tasks before adaptation, after new_module
+    adaptation with 5-demo replay, and after it without replay."""
+    cfg = PolicyConfig(n_components=4, **MULTI_CFG)
+    policy = FactorizedPolicy(obs_dim=6, action_dim=2, config=cfg, seed=seed)
+    policy.fit(pretrain_ds, epochs=300, batch_size=96, seed=seed)
+    pre = evaluate(policy, reach_specs, EPISODES, seeds=(seed,)).average()
 
+    replayed = copy.deepcopy(policy)
+    adapt(
+        replayed,
+        AdaptationConfig(
+            strategy="new_module", replay_per_task=5, epochs=100, batch_size=64
+        ),
+        new_ds,
+        replay_dataset=pretrain_ds,
+        seed=seed,
+    )
+    with_buf = evaluate(replayed, reach_specs, EPISODES, seeds=(seed,)).average()
+
+    bare = copy.deepcopy(policy)
+    adapt(
+        bare,
+        AdaptationConfig(strategy="new_module", epochs=100, batch_size=64),
+        new_ds,
+        seed=seed,
+    )
+    without_buf = evaluate(bare, reach_specs, EPISODES, seeds=(seed,)).average()
+    return pre, with_buf, without_buf
+
+
+def test_criterion_07_retention_with_replay():
     reach_specs = make_suite("reach4")
     pick_spec = make_suite("pick-side")[0]
     pretrain_ds = generate_demos("reach4", 25, seed=DEMO_SEED)
     new_ds = generate_demos([pick_spec], 10, seed=200)
 
-    pre, with_buf, without_buf = [], [], []
-    for seed in SEEDS:
-        cfg = PolicyConfig(n_components=4, **MULTI_CFG)
-        policy = FactorizedPolicy(obs_dim=6, action_dim=2, config=cfg, seed=seed)
-        policy.fit(pretrain_ds, epochs=300, batch_size=96, seed=seed)
-        pre.append(evaluate(policy, reach_specs, EPISODES, seeds=(seed,)).average())
-
-        replayed = copy.deepcopy(policy)
-        adapt(
-            replayed,
-            AdaptationConfig(
-                strategy="new_module", replay_per_task=5, epochs=100, batch_size=64
-            ),
-            new_ds,
-            replay_dataset=pretrain_ds,
-            seed=seed,
-        )
-        with_buf.append(
-            evaluate(replayed, reach_specs, EPISODES, seeds=(seed,)).average()
-        )
-
-        bare = copy.deepcopy(policy)
-        adapt(
-            bare,
-            AdaptationConfig(strategy="new_module", epochs=100, batch_size=64),
-            new_ds,
-            seed=seed,
-        )
-        without_buf.append(
-            evaluate(bare, reach_specs, EPISODES, seeds=(seed,)).average()
-        )
-
+    runs = in_workers(
+        retention_run, [(seed, reach_specs, pretrain_ds, new_ds) for seed in SEEDS]
+    )
+    pre, with_buf, without_buf = zip(*runs)
     pre_m, with_m, wo_m = np.mean(pre), np.mean(with_buf), np.mean(without_buf)
     ok = with_m >= 0.85 * pre_m and with_m >= wo_m
     report(

@@ -128,6 +128,20 @@ def test_eval_top_k_equal_n_matches_plain(runner, trained_dir, tmp_path):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize("top_k", ["0", "3"])
+def test_eval_top_k_outside_components_is_usage_error(runner, trained_dir, tmp_path, top_k):
+    out = tmp_path / "o"
+    result = runner.invoke(
+        cli, ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"),
+              "--suite", "bimodal1d", "--episodes", "1", "--seeds", "0",
+              "--top-k", top_k, "--out-dir", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "--top-k" in result.output
+    assert f"{top_k} outside [1, 2]" in result.output
+    assert not out.exists()
+
+
 def test_missing_checkpoint_is_usage_error(runner, tmp_path):
     result = runner.invoke(
         cli, ["eval", "--checkpoint", str(tmp_path / "absent.json"),

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from fdp.analysis import build_probe_set, score_similarity
+from fdp.bench import generate_demos
 from fdp.composition import (
     CompositionError,
     JointGrads,
     Router,
+    composed_residual,
     composed_score,
     joint_loss,
     sample_values,
@@ -15,9 +18,16 @@ from fdp.composition import (
 )
 from fdp.diffusion import make_schedule
 from fdp.numerics import FeedForwardNet, Layer, Rng
-from fdp.policy import DenoiserComponent
+from fdp.policy import DenoiserComponent, FactorizedPolicy, PolicyConfig
 
-from .oracles import AnalyticGaussianDenoiser, central_diff, max_rel_err, product_of_gaussians
+from .oracles import (
+    AnalyticGaussianDenoiser,
+    central_diff,
+    composed_prediction_loop,
+    composed_residual_loop,
+    max_rel_err,
+    product_of_gaussians,
+)
 
 
 def constant_logit_router(logits, temperature=1.0):
@@ -295,3 +305,84 @@ def test_joint_loss_batch_shape_validation():
     sched, encoder, router, comps = _tiny_setup()
     with pytest.raises(ValueError):
         joint_loss(comps, router, encoder, (np.zeros((2, 6)), np.zeros((3, 4))), sched, Rng(0))
+
+
+# ---------------------------------------------------------------------------
+# every composed path against the per-component reference loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    ds = generate_demos("bimodal1d", per_task=5, seed=4)
+    cfg = PolicyConfig(
+        n_components=3, diffusion_steps=10, obs_embed_dim=8,
+        denoiser_hidden=(12,), router_hidden=(6,),
+    )
+    policy = FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg, seed=1)
+    return policy.fit(ds, epochs=3, batch_size=32, seed=2), ds
+
+
+def test_composed_score_matches_reference_loop(fitted):
+    policy, ds = fitted
+    _, obs = policy.build_training_arrays(ds.episodes[:1])
+    emb = policy.encode_observation(obs[3])
+    w = policy.router.route(emb)
+    values = Rng(1).gaussian(policy.window_dim)
+    for k in (1, 4, 10):
+        score = composed_score(policy.components, w, values, emb, k)
+        expected = composed_prediction_loop(policy.components, w, values, emb, k)
+        np.testing.assert_array_equal(score.aggregate, expected)
+
+
+def test_joint_loss_matches_reference_loop(fitted):
+    policy, ds = fitted
+    windows, obs = policy.build_training_arrays(ds.episodes[:2])
+    loss, _ = joint_loss(
+        policy.components, policy.router, policy.obs_encoder, (windows, obs),
+        policy.schedule, Rng(7),
+    )
+    rng = Rng(7)  # joint_loss draws the steps, then the noise
+    ks = rng.integers(1, policy.schedule.K + 1, len(windows))
+    eps = rng.gaussian(windows.size).reshape(windows.shape)
+    expected = composed_residual_loop(policy, windows, obs, ks, eps)
+    resid, _ = composed_residual(
+        policy.components, policy.router, policy.obs_encoder, windows, obs,
+        policy.schedule, ks, eps,
+    )
+    np.testing.assert_array_equal(resid, expected)
+    np.testing.assert_array_equal(loss, np.mean(expected * expected))
+
+
+def test_validation_mse_matches_reference_loop(fitted):
+    policy, ds = fitted
+    # fit's held-out split and frozen draws for seed 2
+    rng = Rng(2)
+    n_val = max(1, int(round(policy.config.validation_fraction * len(ds.episodes))))
+    order = rng.child(1).permutation(len(ds.episodes))
+    windows, obs = policy.build_training_arrays([ds.episodes[i] for i in order[:n_val]])
+    val_rng = rng.child(2)
+    ks = val_rng.integers(1, policy.schedule.K + 1, len(windows))
+    eps = val_rng.gaussian(windows.size).reshape(windows.shape)
+    expected = composed_residual_loop(policy, windows, obs, ks, eps)
+    np.testing.assert_array_equal(
+        policy.training_log_.entries[-1]["val_mse"], np.mean(expected * expected)
+    )
+
+
+def test_score_similarity_matches_reference_loop(fitted):
+    policy, ds = fitted
+    probes = build_probe_set(policy, ds, n=12, seed=5)
+    n = policy.n_components
+    acc = np.zeros((n, n))
+    for obs, values, k in probes:
+        emb = policy.encode_observation(obs)
+        preds = [comp.predict(values, emb, k)[0] for comp in policy.components]
+        norms = [float(np.linalg.norm(p)) for p in preds]
+        for i in range(n):
+            for j in range(i, n):
+                acc[i, j] += float(preds[i] @ preds[j]) / (norms[i] * norms[j])
+    expected = acc / len(probes)
+    expected = expected + np.triu(expected, 1).T
+    np.fill_diagonal(expected, 1.0)
+    np.testing.assert_array_equal(score_similarity(policy, probes).values, expected)

@@ -1,15 +1,20 @@
 """Policy aggregate: encoding, training, inference, rollout, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.numerics import DimensionMismatchError, FeedForwardNet, Rng
 from fdp.policy import (
     ActionNormalizer,
-    ActionWindow,
     FactorizedPolicy,
     PolicyConfig,
+    canonical_json,
     matched_hidden_width,
     sinusoidal_step_embedding,
 )
@@ -232,7 +237,7 @@ def test_weights_override_bypasses_router(trained_bimodal):
         obs, Rng(5), weights_override=np.array([1.0, 0.0])
     )
     np.testing.assert_array_equal(info.weights, [1.0, 0.0])
-    assert isinstance(win, ActionWindow)
+    assert win.shape == (trained_bimodal.config.t_pred, trained_bimodal.action_dim)
 
 
 def test_unfitted_policy_refuses_to_act():
@@ -274,11 +279,54 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path, trained_bimodal):
     assert back.schedule.K == trained_bimodal.schedule.K
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    upcycled=st.integers(0, 2),
+    steps=st.integers(2, 5),
+    schedule=st.sampled_from(["cosine", "linear"]),
+    t_pred=st.integers(1, 3),
+    action_dim=st.integers(1, 2),
+    hidden=st.lists(st.integers(1, 5), max_size=2),
+    seed=st.integers(0, 2**16),
+)
+def test_checkpoint_round_trip_property(
+    n, upcycled, steps, schedule, t_pred, action_dim, hidden, seed
+):
+    cfg = PolicyConfig(
+        n_components=n, diffusion_steps=steps, schedule_kind=schedule,
+        t_pred=t_pred, t_exec=1, obs_embed_dim=4, denoiser_hidden=hidden,
+        router_hidden=(3,), step_embed_dim=4,
+    )
+    norm = ActionNormalizer(-np.ones(action_dim), np.ones(action_dim))
+    policy = FactorizedPolicy(2, action_dim, cfg, normalizer=norm, seed=seed)
+    for i in range(upcycled):
+        upcycle_component(policy, source=i % policy.n_components)
+    text = canonical_json(policy.to_json())
+    back = FactorizedPolicy.from_json(json.loads(text))
+    assert canonical_json(back.to_json()) == text
+    obs = Rng(seed).gaussian(policy.stacked_obs_dim)
+    np.testing.assert_array_equal(back.act(obs, Rng(seed + 1)), policy.act(obs, Rng(seed + 1)))
+
+
 def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="format"):
         FactorizedPolicy.load(path)
+
+
+def test_checkpoint_rejects_empty_components(trained_bimodal):
+    obj = {**trained_bimodal.to_json(), "components": []}
+    with pytest.raises(ValueError, match="'components'"):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_checkpoint_rejects_router_head_width_mismatch(trained_bimodal):
+    obj = trained_bimodal.to_json()
+    for components in (obj["components"][:1], obj["components"] * 2):
+        with pytest.raises(ValueError, match="'router'.* width 2 for"):
+            FactorizedPolicy.from_json({**obj, "components": components})
 
 
 def test_matched_hidden_width_parameter_parity():
