@@ -8,8 +8,11 @@ as sum_i w_i eps_i; components are always reduced in index order so
 floating-point sums are reproducible. Training composes the same weighted sum
 inside the noise-prediction MSE, so gradients reach every component, the
 router, and the observation encoder in one pass with no hard selection.
-Every caller gets the per-component predictions from component_predictions
-and their sum from weighted_sum, so the composition is written once.
+Every caller sums the per-component predictions with weighted_sum, so the
+composition is written once. Cache-free predictions of policy components
+(sampling, similarity probes) come from a ComponentBank, one np.matmul per
+layer for all of them; predictions that need backward caches (training,
+validation) and any other component come from component_predictions.
 """
 
 from __future__ import annotations
@@ -179,12 +182,23 @@ def sample_values(
     With top_k set, only the top_k components by weight are evaluated and their
     weights are renormalized on the simplex.
 
+    Policy components (``DenoiserComponent``) are evaluated through one
+    ``ComponentBank`` stacked after the top-k selection, with the step features
+    tabulated once and the embedding validated once per call. Any other
+    component, such as an analytic Gaussian score, goes through
+    ``composed_score`` at each step. Both paths run the same update on the same
+    noise, all K draws taken at once, and the result is bit-identical to
+    evaluating the components one at a time.
+
     x0_clip bounds the implied clean-sample estimate each step before the
     posterior mean is formed; identical to the plain update whenever the
     estimate is already in range, and it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
     targets such as analytic Gaussian scores.
     """
+    # deferred: fdp.policy, which defines the denoisers, imports this module
+    from .policy import ComponentBank, DenoiserComponent
+
     w = check_simplex(weights)
     if len(components) != w.shape[-1]:
         raise CompositionError(
@@ -197,30 +211,43 @@ def sample_values(
         idx = np.arange(len(components))
         w_used = w
         active = list(components)
-    values = rng.gaussian(dim)
-    evals = 0
+
+    if all(isinstance(c, DenoiserComponent) for c in active):
+        bank = ComponentBank(active)
+        emb = as_f64(obs_embedding, "obs_embedding")
+        table = bank.step_features(schedule.step_ids)
+
+        def aggregate(values, k):
+            return weighted_sum(w_used, bank.predict(values, emb, table[k - 1]))
+
+    else:
+
+        def aggregate(values, k):
+            # condition on the schedule's step id (equals k for native
+            # schedules, the original training index for subsampled ones)
+            step = int(schedule.step_ids[k - 1])
+            return composed_score(active, w_used, values, obs_embedding, step).aggregate
+
+    # row 0 starts the chain; row K - k + 1 is the noise injected after step k
+    noise = rng.gaussian_rows(schedule.K, dim)
+    values = noise[0]
     for k in range(schedule.K, 0, -1):
-        # condition on the schedule's step id (equals k for native schedules,
-        # the original training index for stride-subsampled ones)
-        score = composed_score(
-            active, w_used, values, obs_embedding, int(schedule.step_ids[k - 1])
-        )
-        evals += len(active)
+        eps_hat = aggregate(values, k)
         if x0_clip is None:
-            values = reverse_mean(schedule, values, score.aggregate, k)
+            values = reverse_mean(schedule, values, eps_hat, k)
         else:
             ab_k = schedule.alpha_bar[k]
             ab_prev = schedule.alpha_bar[k - 1]
             beta = schedule.betas[k - 1]
-            x0 = (values - np.sqrt(1.0 - ab_k) * score.aggregate) / np.sqrt(ab_k)
+            x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
             x0 = np.clip(x0, -x0_clip, x0_clip)
             values = (
                 np.sqrt(ab_prev) * beta * x0
                 + np.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
             ) / (1.0 - ab_k)
         if k > 1:
-            values = values + schedule.sigma[k - 1] * rng.gaussian(dim)
-    return values, SampleInfo(w, idx, evals)
+            values = values + schedule.sigma[k - 1] * noise[schedule.K - k + 1]
+    return as_f64(values, "sampled window"), SampleInfo(w, idx, len(active) * schedule.K)
 
 
 @dataclass

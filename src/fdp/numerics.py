@@ -85,12 +85,17 @@ class Rng:
 
     def gaussian(self, n: int) -> np.ndarray:
         """n i.i.d. standard normal samples via Box-Muller (cos branch only)."""
-        if n < 1:
-            raise ValueError(f"gaussian sample count must be >= 1, got {n}")
-        raw = self._raw(2 * n)
+        return self.gaussian_rows(1, n)[0]
+
+    def gaussian_rows(self, rows: int, n: int) -> np.ndarray:
+        """(rows, n) standard normals; row r equals the r-th of ``rows``
+        successive ``gaussian(n)`` calls, and the counter advances the same."""
+        if rows < 1 or n < 1:
+            raise ValueError(f"gaussian sample count must be >= 1, got {rows} x {n}")
+        raw = self._raw(2 * n * rows).reshape(rows, 2 * n)
         # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-        u1 = ((raw[:n] >> np.uint64(11)).astype(np.float64) + 1.0) / _U53
-        u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) / _U53
+        u1 = ((raw[:, :n] >> np.uint64(11)).astype(np.float64) + 1.0) / _U53
+        u2 = (raw[:, n:] >> np.uint64(11)).astype(np.float64) / _U53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
     def integers(self, lo: int, hi: int, n: int = 1) -> np.ndarray:

@@ -17,9 +17,16 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .composition import Router, SampleInfo, check_simplex, composed_residual, sample_values
+from .composition import (
+    CompositionError,
+    Router,
+    SampleInfo,
+    check_simplex,
+    composed_residual,
+    sample_values,
+)
 from .diffusion import NoiseSchedule, make_schedule
-from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
+from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, _act_forward, as_f64
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -45,11 +52,11 @@ class DenoiserComponent:
     """One noise-prediction network over [noisy window | obs embedding | step features]."""
 
     def __init__(self, net: FeedForwardNet, window_dim: int, step_dim: int = 16):
-        expected = window_dim + (net.in_dim - window_dim - step_dim) + step_dim
-        if net.in_dim != expected or net.out_dim != window_dim:
+        if net.in_dim < window_dim + step_dim or net.out_dim != window_dim:
             raise DimensionMismatchError(
                 f"denoiser net must map window+emb+step -> window "
-                f"({net.in_dim} -> {net.out_dim}, window_dim={window_dim})"
+                f"({net.in_dim} -> {net.out_dim}, window_dim={window_dim}, "
+                f"step_dim={step_dim})"
             )
         self.net = net
         self.window_dim = window_dim
@@ -108,6 +115,65 @@ class DenoiserComponent:
             int(obj["window_dim"]),
             int(obj["step_dim"]),
         )
+
+
+class ComponentBank:
+    """DenoiserComponents of one architecture evaluated together.
+
+    Each layer's weights are stacked into an (N, fan_in, fan_out) slab and its
+    biases into (N, 1, fan_out), so one np.matmul per layer serves every
+    component. numpy runs a stacked matmul as one BLAS call per slab, so each
+    component's prediction is bit-identical to its own ``predict``. The slabs
+    are copies taken when the bank is built; build one per call, so parameter
+    writes (training, adaptation, loading) never leave a stale bank behind.
+    Inputs are not validated here: callers check them once, not per step.
+    """
+
+    def __init__(self, components):
+        components = list(components)
+        if not components:
+            raise CompositionError("a component bank needs at least one component")
+        for i, comp in enumerate(components):
+            if not isinstance(comp, DenoiserComponent):
+                raise CompositionError(f"component {i} is not a DenoiserComponent")
+            arch = (comp.net.widths, comp.net.activations, comp.window_dim, comp.step_dim)
+            if i == 0:
+                first_arch = arch
+            elif arch != first_arch:
+                raise CompositionError(
+                    f"component {i} (widths, activations, window_dim, step_dim) "
+                    f"{arch} differs from component 0's {first_arch}"
+                )
+        first = components[0]
+        self.in_dim = first.net.in_dim
+        self.step_dim = first.step_dim
+        self.activations = first.net.activations
+        self.weights = [
+            np.stack([c.net.layers[j].weight for c in components])
+            for j in range(len(self.activations))
+        ]
+        self.biases = [
+            np.stack([c.net.layers[j].bias for c in components])[:, None, :]
+            for j in range(len(self.activations))
+        ]
+
+    def step_features(self, k) -> np.ndarray:
+        """Step features of step k, or a table with one row per step."""
+        return sinusoidal_step_embedding(k, self.step_dim)
+
+    def predict(self, values, obs_embedding, step_features) -> np.ndarray:
+        """Every component's noise estimate, shaped (N, *values.shape), for a
+        window and its embedding and step features (or one row of each per
+        window of a batch)."""
+        x = np.concatenate([values, obs_embedding, step_features], axis=-1)
+        if x.shape[-1] != self.in_dim:
+            raise DimensionMismatchError(
+                f"layer 0 expects input width {self.in_dim}, got {x.shape[-1]}"
+            )
+        a = x.reshape(1, -1, self.in_dim)
+        for weight, bias, act in zip(self.weights, self.biases, self.activations):
+            a = _act_forward(act, np.matmul(a, weight) + bias)
+        return a.reshape(len(a), *values.shape)
 
 
 class ActionNormalizer:
@@ -176,6 +242,14 @@ class PolicyConfig:
             raise ValueError("t_exec must lie in [1, t_pred]")
         if self.h_obs < 1:
             raise ValueError("h_obs must be >= 1")
+        if self.step_embed_dim % 2:
+            raise ValueError(f"step_embed_dim must be even, got {self.step_embed_dim}")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError(
+                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
+            )
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
         self.denoiser_hidden = tuple(int(w) for w in self.denoiser_hidden)
         self.router_hidden = tuple(int(w) for w in self.router_hidden)
@@ -477,6 +551,15 @@ class FactorizedPolicy:
             val_rng = rng.child(2)
             val_ks = val_rng.integers(1, self.schedule.K + 1, len(w_val))
             val_eps_noise = val_rng.gaussian(w_val.size).reshape(w_val.shape)
+            # batch_size-row slices, so the forward caches of only one slice
+            # are alive at a time. No slice is a lone row (a trailing one
+            # joins the slice before it): numpy multiplies a single row by
+            # gemv, whose rounding differs from the gemm of the whole set.
+            slice_rows = max(batch_size, 2)
+            bounds = list(range(slice_rows, len(w_val) - 1, slice_rows))
+            val_slices = list(zip(*(
+                np.split(a, bounds) for a in (w_val, o_val, val_ks, val_eps_noise)
+            )))
 
         opts = {
             g: Adam(
@@ -509,10 +592,13 @@ class FactorizedPolicy:
             entry = {"epoch": epoch, "train_mse": float(np.mean(losses))}
             entry["val_mse"] = entry["train_mse"]
             if n_val:
-                resid, _ = composed_residual(
-                    self.components, self.router, self.obs_encoder,
-                    w_val, o_val, self.schedule, val_ks, val_eps_noise,
-                )
+                resid = np.concatenate([
+                    composed_residual(
+                        self.components, self.router, self.obs_encoder,
+                        w, o, self.schedule, ks, eps,
+                    )[0]
+                    for w, o, ks, eps in val_slices
+                ])
                 entry["val_mse"] = float(np.mean(resid * resid))
             log.entries.append(entry)
         self.training_log_ = log
@@ -575,7 +661,22 @@ class FactorizedPolicy:
                 f"checkpoint field 'router' has a head of width "
                 f"{policy.router.n_components} for {n} components"
             )
+        if policy.obs_encoder.in_dim != policy.stacked_obs_dim:
+            raise ValueError(
+                f"checkpoint field 'encoder' has input width {policy.obs_encoder.in_dim}, "
+                f"but the stacked observation is {policy.stacked_obs_dim} wide"
+            )
         policy.components = [DenoiserComponent.from_json(c) for c in obj["components"]]
+        for i, comp in enumerate(policy.components):
+            if comp.window_dim != policy.window_dim:
+                raise ValueError(
+                    f"checkpoint field 'components' has window_dim {comp.window_dim} "
+                    f"at component {i}, but t_pred x action_dim is {policy.window_dim}"
+                )
+        try:
+            ComponentBank(policy.components)
+        except CompositionError as exc:
+            raise ValueError(f"checkpoint field 'components': {exc}") from exc
         policy.training_log_ = None
         return policy
 

@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's own gradient and sampling paths:
 analytic Gaussian scores, the per-component loop for the composed noise
-prediction, closed-form product-of-Gaussians moments, and a generic
-central-finite-difference gradient checker.
+prediction and the per-step reverse sampler built on it, closed-form
+product-of-Gaussians moments, and a generic central-finite-difference
+gradient checker.
 """
 
 import numpy as np
+
+from fdp.diffusion import reverse_mean
 
 
 class AnalyticGaussianDenoiser:
@@ -70,6 +73,31 @@ def composed_prediction_loop(components, weights, values, obs_embedding, k):
         w_i = w[i] if w.ndim == 1 else w[:, i : i + 1]
         total = total + w_i * comp.predict(values, obs_embedding, k)[0]
     return total
+
+
+def sample_values_loop(components, weights, obs_embedding, schedule, dim, rng, x0_clip=None):
+    """Reference reverse sampler: one rng.gaussian(dim) per step and the
+    composed prediction one component at a time, with the x0-clipped update
+    (or the plain posterior mean when x0_clip is None). Components and weights
+    are the ones evaluated, after any top-k selection."""
+    values = rng.gaussian(dim)
+    for k in range(schedule.K, 0, -1):
+        step = int(schedule.step_ids[k - 1])
+        eps_hat = composed_prediction_loop(components, weights, values, obs_embedding, step)
+        ab_k, ab_prev = schedule.alpha_bar[k], schedule.alpha_bar[k - 1]
+        beta = schedule.betas[k - 1]
+        if x0_clip is None:
+            values = reverse_mean(schedule, values, eps_hat, k)
+        else:
+            x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
+            x0 = np.clip(x0, -x0_clip, x0_clip)
+            values = (
+                np.sqrt(ab_prev) * beta * x0
+                + np.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
+            ) / (1.0 - ab_k)
+        if k > 1:
+            values = values + schedule.sigma[k - 1] * rng.gaussian(dim)
+    return values
 
 
 def composed_residual_loop(policy, windows, obs, ks, eps):

@@ -1,14 +1,21 @@
 """Routing, weighted score aggregation, compositional sampling, joint loss."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fdp.policy
+from fdp.adaptation import upcycle_component
 from fdp.analysis import build_probe_set, score_similarity
 from fdp.bench import generate_demos
 from fdp.composition import (
     CompositionError,
     JointGrads,
     Router,
+    component_predictions,
     composed_residual,
     composed_score,
     joint_loss,
@@ -18,7 +25,13 @@ from fdp.composition import (
 )
 from fdp.diffusion import make_schedule
 from fdp.numerics import FeedForwardNet, Layer, Rng
-from fdp.policy import DenoiserComponent, FactorizedPolicy, PolicyConfig
+from fdp.policy import (
+    NORMALIZED_CLAMP,
+    ComponentBank,
+    DenoiserComponent,
+    FactorizedPolicy,
+    PolicyConfig,
+)
 
 from .oracles import (
     AnalyticGaussianDenoiser,
@@ -27,6 +40,7 @@ from .oracles import (
     composed_residual_loop,
     max_rel_err,
     product_of_gaussians,
+    sample_values_loop,
 )
 
 
@@ -354,8 +368,7 @@ def test_joint_loss_matches_reference_loop(fitted):
     np.testing.assert_array_equal(loss, np.mean(expected * expected))
 
 
-def test_validation_mse_matches_reference_loop(fitted):
-    policy, ds = fitted
+def _assert_val_mse_matches_reference_loop(policy, ds):
     # fit's held-out split and frozen draws for seed 2
     rng = Rng(2)
     n_val = max(1, int(round(policy.config.validation_fraction * len(ds.episodes))))
@@ -368,6 +381,31 @@ def test_validation_mse_matches_reference_loop(fitted):
     np.testing.assert_array_equal(
         policy.training_log_.entries[-1]["val_mse"], np.mean(expected * expected)
     )
+
+
+def test_validation_mse_matches_reference_loop(fitted):
+    _assert_val_mse_matches_reference_loop(*fitted)
+
+
+@pytest.mark.parametrize(
+    "batch_size, rows", [(32, [8]), (3, [3, 3, 2]), (7, [8]), (1, [2, 2, 2, 2])]
+)
+def test_validation_in_batch_slices_matches_reference_loop(
+    fitted, monkeypatch, batch_size, rows
+):
+    # 8 held-out windows; no slice is a lone row, which numpy would multiply
+    # by gemv and so round differently from the whole-set reference
+    policy, ds = fitted
+    seen = []
+
+    def recording(*args):
+        seen.append(len(args[3]))
+        return composed_residual(*args)
+
+    monkeypatch.setattr(fdp.policy, "composed_residual", recording)
+    policy = copy.deepcopy(policy).fit(ds, epochs=1, batch_size=batch_size, seed=2)
+    assert seen == rows
+    _assert_val_mse_matches_reference_loop(policy, ds)
 
 
 def test_score_similarity_matches_reference_loop(fitted):
@@ -386,3 +424,98 @@ def test_score_similarity_matches_reference_loop(fitted):
     expected = expected + np.triu(expected, 1).T
     np.fill_diagonal(expected, 1.0)
     np.testing.assert_array_equal(score_similarity(policy, probes).values, expected)
+
+
+# ---------------------------------------------------------------------------
+# the component bank against the per-component reference loop
+# ---------------------------------------------------------------------------
+
+
+def _sample_window_loop(policy, obs, rng, top_k=None, weights_override=None):
+    emb = policy.encode_observation(obs)
+    w = policy.router.route(emb) if weights_override is None else weights_override
+    comps = policy.components
+    if top_k is not None:
+        idx, w = select_top_k(w, top_k)
+        comps = [comps[i] for i in idx]
+    values = sample_values_loop(
+        comps, w, emb, policy.schedule, policy.window_dim, rng, x0_clip=NORMALIZED_CLAMP
+    )
+    values = np.clip(values, -NORMALIZED_CLAMP, NORMALIZED_CLAMP)
+    return values.reshape(policy.config.t_pred, policy.action_dim)
+
+
+@pytest.mark.parametrize("case", ["full", "top_k", "one_hot", "upcycled"])
+def test_sample_window_matches_reference_loop(fitted, case):
+    policy, ds = fitted
+    kwargs = {}
+    if case == "top_k":
+        kwargs = {"top_k": 2}
+    elif case == "one_hot":
+        kwargs = {"weights_override": np.array([0.0, 1.0, 0.0])}
+    elif case == "upcycled":
+        policy = copy.deepcopy(policy)
+        upcycle_component(policy, source=1)
+    _, obs = policy.build_training_arrays(ds.episodes[:1])
+    for row in (0, 5):
+        got, info = policy.sample_window(obs[row], Rng(row), **kwargs)
+        expected = _sample_window_loop(policy, obs[row], Rng(row), **kwargs)
+        np.testing.assert_array_equal(got, expected)
+        assert info.denoiser_evals == len(info.active) * policy.schedule.K
+
+
+def test_bank_matches_component_predictions(fitted):
+    policy, ds = fitted
+    bank = ComponentBank(policy.components)
+    windows, obs = policy.build_training_arrays(ds.episodes[:1])
+    emb = policy.encode_observation(obs)
+    ks = Rng(3).integers(1, policy.schedule.K + 1, len(windows))
+    # one row, then a batch with one embedding and step per row
+    for values, e, k in ((windows[2], emb[2], int(ks[2])), (windows, emb, ks)):
+        preds, _ = component_predictions(policy.components, values, e, k)
+        np.testing.assert_array_equal(bank.predict(values, e, bank.step_features(k)), preds)
+
+
+def test_bank_rejects_other_architectures_naming_the_component():
+    rng = Rng(4)
+    comps = [DenoiserComponent.init(6, 4, [7], rng.child(i), step_dim=4) for i in range(2)]
+    others = [
+        DenoiserComponent.init(6, 4, [8], rng.child(5), step_dim=4),
+        DenoiserComponent.init(6, 4, [7], rng.child(6), step_dim=4, activation="relu"),
+        DenoiserComponent.init(6, 2, [7], rng.child(7), step_dim=6),
+    ]
+    for other in others:
+        with pytest.raises(CompositionError, match="component 2 "):
+            ComponentBank([*comps, other])
+    sched = make_schedule(5)
+    with pytest.raises(CompositionError, match="component 1 is not"):
+        ComponentBank([comps[0], AnalyticGaussianDenoiser(sched, 0.0, 1.0)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    top_k=st.integers(1, 4),
+    clip=st.sampled_from([None, NORMALIZED_CLAMP]),
+    seed=st.integers(0, 2**16),
+)
+def test_bank_sampling_matches_loop_property(n, hidden, top_k, clip, seed):
+    rng = Rng(seed)
+    window_dim, emb_dim = 3, 2
+    comps = [
+        DenoiserComponent.init(window_dim, emb_dim, hidden, rng.child(i), step_dim=4)
+        for i in range(n)
+    ]
+    sched = make_schedule(6)
+    w = softmax(rng.child(10).gaussian(n))
+    emb = rng.child(11).gaussian(emb_dim)
+    top_k = min(top_k, n)
+    got, info = sample_values(comps, w, emb, sched, window_dim, Rng(seed), top_k, clip)
+    # top_k = n is the full composition, not a renormalized selection
+    idx, w_used = select_top_k(w, top_k) if top_k < n else (np.arange(n), w)
+    expected = sample_values_loop(
+        [comps[i] for i in idx], w_used, emb, sched, window_dim, Rng(seed), clip
+    )
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(info.active, idx)

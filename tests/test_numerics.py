@@ -254,6 +254,17 @@ def test_gaussian_requires_positive_count():
         Rng(0).gaussian(0)
 
 
+def test_gaussian_rows_match_successive_gaussian_calls():
+    rows, loop = Rng(7), Rng(7)
+    block = rows.gaussian_rows(5, 3)
+    np.testing.assert_array_equal(block, np.stack([loop.gaussian(3) for _ in range(5)]))
+    assert rows._counter == loop._counter
+    np.testing.assert_array_equal(rows.uniform(4), loop.uniform(4))
+    for bad in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            Rng(0).gaussian_rows(*bad)
+
+
 def test_same_seed_same_stream():
     a, b = Rng(99), Rng(99)
     np.testing.assert_array_equal(a.gaussian(64), b.gaussian(64))

@@ -12,6 +12,7 @@ from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.numerics import DimensionMismatchError, FeedForwardNet, Rng
 from fdp.policy import (
     ActionNormalizer,
+    DenoiserComponent,
     FactorizedPolicy,
     PolicyConfig,
     canonical_json,
@@ -329,6 +330,46 @@ def test_checkpoint_rejects_router_head_width_mismatch(trained_bimodal):
             FactorizedPolicy.from_json({**obj, "components": components})
 
 
+def test_checkpoint_rejects_component_window_width_mismatch(trained_bimodal):
+    # action_dim 1 -> 2 with a 2-wide normalizer: the components still
+    # predict t_pred x 1 windows
+    obj = trained_bimodal.to_json()
+    obj = {**obj, "action_dim": 2, "normalizer": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+    with pytest.raises(ValueError, match="'components'.*window_dim"):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_checkpoint_rejects_encoder_input_width_mismatch(trained_bimodal):
+    obj = {**trained_bimodal.to_json(), "obs_dim": 4}
+    with pytest.raises(ValueError, match="'encoder'.*input width 6.* 8 wide"):
+        FactorizedPolicy.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "change", [{"hidden": [24, 4]}, {"activation": "relu"}, {"step_dim": 14}]
+)
+def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, change):
+    obj = trained_bimodal.to_json()
+    cfg = trained_bimodal.config
+    arch = {"hidden": list(cfg.denoiser_hidden), "activation": "tanh",
+            "step_dim": cfg.step_embed_dim, **change}
+    # a step_dim change keeps the input width by moving the emb/step split
+    emb_dim = cfg.obs_embed_dim + cfg.step_embed_dim - arch["step_dim"]
+    other = DenoiserComponent.init(
+        trained_bimodal.window_dim, emb_dim, arch["hidden"], Rng(3),
+        arch["step_dim"], arch["activation"],
+    )
+    obj = {**obj, "components": [obj["components"][0], other.to_json()]}
+    with pytest.raises(ValueError, match="'components'.*component 1 "):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_denoiser_rejects_net_narrower_than_window_and_step():
+    net = FeedForwardNet.init([3, 4], ["identity"], Rng(0))
+    with pytest.raises(DimensionMismatchError, match="step_dim=16"):
+        DenoiserComponent(net, window_dim=4, step_dim=16)
+
+
 def test_matched_hidden_width_parameter_parity():
     in_dim, out_dim = 80, 32
     h1 = matched_hidden_width(4, 24, in_dim, out_dim)
@@ -346,6 +387,16 @@ def test_policy_config_validation():
         PolicyConfig(t_pred=8, t_exec=9)
     with pytest.raises(ValueError):
         PolicyConfig(h_obs=0)
+    for field, bad in (
+        ("step_embed_dim", 15),
+        ("validation_fraction", 1.5),
+        ("validation_fraction", 1.0),
+        ("validation_fraction", -0.1),
+        ("learning_rate", -1.0),
+        ("learning_rate", 0.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig(**{field: bad})
 
 
 def test_group_names_and_counts():
