@@ -3,7 +3,7 @@ through an observation-conditioned router into one product-of-experts policy,
 with modular adaptation and analysis tooling on synthetic benchmarks."""
 
 from .numerics import Adam, FeedForwardNet, Rng
-from .diffusion import NoiseSchedule, make_schedule, subsample_schedule
+from .diffusion import NoiseSchedule, make_schedule
 from .composition import Router, composed_score, joint_loss, sample_values
 from .policy import ActionNormalizer, FactorizedPolicy, PolicyConfig, rollout
 from .bench import (
@@ -44,6 +44,5 @@ __all__ = [
     "sample_values",
     "score_similarity",
     "solo_rollout",
-    "subsample_schedule",
     "upcycle_component",
 ]

@@ -170,6 +170,14 @@ def adapt(
         raise AdaptationError("replay_per_task > 0 requires a replay dataset")
     if config.replay_per_task == 0 and replay_dataset is not None:
         raise AdaptationError("replay dataset given but replay_per_task is 0")
+    widths = {"state_dim": policy.obs_dim, "action_dim": policy.action_dim}
+    for role, ds in (("adaptation", new_dataset), ("replay", replay_dataset)):
+        for name, width in widths.items():
+            if ds is not None and getattr(ds, name) != width:
+                raise AdaptationError(
+                    f"{role} dataset field '{name}' is {getattr(ds, name)}, "
+                    f"but the policy expects {width}"
+                )
 
     new_component = None
     source = None

@@ -90,7 +90,7 @@ def build_probe_set(
     for row, k in zip(rows, ks):
         eps = rng.gaussian(windows.shape[1])
         noisy = forward_noise(policy.schedule, windows[row], int(k), eps)
-        probes.append((obs[row], noisy.values, int(k)))
+        probes.append((obs[row], noisy, int(k)))
     return probes
 
 

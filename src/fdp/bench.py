@@ -377,6 +377,11 @@ class EpisodeDataset:
             header = json.loads(f.readline())
             if header.get("format") != DATASET_FORMAT:
                 raise ValueError(f"not an episode dataset: {path}")
+            if header.get("version") != DATASET_VERSION:
+                raise ValueError(
+                    f"dataset field 'version' is {header.get('version')!r}, "
+                    f"expected {DATASET_VERSION}: {path}"
+                )
             episodes = [
                 Episode(
                     task=rec["task"],
@@ -387,6 +392,14 @@ class EpisodeDataset:
                 )
                 for rec in map(json.loads, f)
             ]
+        for i, ep in enumerate(episodes):
+            for name, dim in (("observations", "state_dim"), ("actions", "action_dim")):
+                arr = getattr(ep, name)
+                if arr.ndim != 2 or arr.shape[1] != header[dim]:
+                    raise ValueError(
+                        f"dataset episode {i} field '{name}' has shape {arr.shape}, "
+                        f"but the header's '{dim}' is {header[dim]}: {path}"
+                    )
         return cls(
             suite=header["suite"],
             state_dim=header["state_dim"],

@@ -397,10 +397,12 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         "seed": seed,
     }
     did_anything = False
-    if demos:
-        if not checkpoint:
-            raise click.UsageError("--demos needs --checkpoint")
+    for flag, given in (("--demos", demos), ("--suite", suite)):
+        if given and not checkpoint:
+            raise click.UsageError(f"{flag} needs --checkpoint")
+    if demos or suite:
         policy = FactorizedPolicy.load(checkpoint)
+    if demos:
         dataset = EpisodeDataset.load(demos)
         probe_set = build_probe_set(policy, dataset, n=probes, seed=seed)
         sim = score_similarity(policy, probe_set)
@@ -408,9 +410,6 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         files["similarity.csv"] = sim.to_csv()
         did_anything = True
     if suite:
-        if not checkpoint:
-            raise click.UsageError("--suite needs --checkpoint")
-        policy = FactorizedPolicy.load(checkpoint)
         spec = make_suite(suite)[0]
         solo = []
         for i in range(policy.n_components):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, reverse_mean
+from .diffusion import NoiseSchedule, forward_noise, reverse_mean
 from .numerics import FeedForwardNet, Rng, as_f64
 
 SIMPLEX_TOL = 1e-6
@@ -188,11 +188,10 @@ def sample_values(
     component, such as an analytic Gaussian score, goes through
     ``composed_score`` at each step. Both paths run the same update on the same
     noise, all K draws taken at once, and the result is bit-identical to
-    evaluating the components one at a time.
+    evaluating the components one at a time. Each step is one
+    ``reverse_mean`` plus sigma_k-scaled noise (none after step 1).
 
-    x0_clip bounds the implied clean-sample estimate each step before the
-    posterior mean is formed; identical to the plain update whenever the
-    estimate is already in range, and it keeps learned models on the data
+    x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
     targets such as analytic Gaussian scores.
     """
@@ -215,7 +214,7 @@ def sample_values(
     if all(isinstance(c, DenoiserComponent) for c in active):
         bank = ComponentBank(active)
         emb = as_f64(obs_embedding, "obs_embedding")
-        table = bank.step_features(schedule.step_ids)
+        table = bank.step_features(np.arange(1, schedule.K + 1))
 
         def aggregate(values, k):
             return weighted_sum(w_used, bank.predict(values, emb, table[k - 1]))
@@ -223,28 +222,13 @@ def sample_values(
     else:
 
         def aggregate(values, k):
-            # condition on the schedule's step id (equals k for native
-            # schedules, the original training index for subsampled ones)
-            step = int(schedule.step_ids[k - 1])
-            return composed_score(active, w_used, values, obs_embedding, step).aggregate
+            return composed_score(active, w_used, values, obs_embedding, k).aggregate
 
     # row 0 starts the chain; row K - k + 1 is the noise injected after step k
     noise = rng.gaussian_rows(schedule.K, dim)
     values = noise[0]
     for k in range(schedule.K, 0, -1):
-        eps_hat = aggregate(values, k)
-        if x0_clip is None:
-            values = reverse_mean(schedule, values, eps_hat, k)
-        else:
-            ab_k = schedule.alpha_bar[k]
-            ab_prev = schedule.alpha_bar[k - 1]
-            beta = schedule.betas[k - 1]
-            x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
-            x0 = np.clip(x0, -x0_clip, x0_clip)
-            values = (
-                np.sqrt(ab_prev) * beta * x0
-                + np.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
-            ) / (1.0 - ab_k)
+        values = reverse_mean(schedule, values, aggregate(values, k), k, x0_clip)
         if k > 1:
             values = values + schedule.sigma[k - 1] * noise[schedule.K - k + 1]
     return as_f64(values, "sampled window"), SampleInfo(w, idx, len(active) * schedule.K)
@@ -267,8 +251,7 @@ def composed_residual(
     (encoder, embedding, router, per-component predictions and caches)."""
     emb, enc_cache = obs_encoder.forward(obs)
     w, router_cache = router.route_with_cache(emb)
-    ab = schedule.alpha_bar[ks][:, None]
-    noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
+    noisy = forward_noise(schedule, windows, ks, eps)
     preds, caches = component_predictions(components, noisy, emb, ks)
     return weighted_sum(w, preds) - eps, (enc_cache, emb, router_cache, preds, caches)
 

@@ -1,5 +1,6 @@
-"""Single-component denoising diffusion: noise schedule, forward corruption,
-the per-component noise-prediction loss, and the reverse update.
+"""Denoising diffusion math, written once: noise schedule, forward corruption,
+the per-component noise-prediction loss, and the reverse update (plain, or
+with the clean-sample estimate clipped).
 
 Conventions (variance-preserving, K discrete steps, step index k in 1..K):
 
@@ -32,10 +33,7 @@ class NoiseSchedule:
     """Diffusion step count and per-step coefficients.
 
     betas[k-1] is beta_k for k in 1..K; alpha_bar[k] is the cumulative signal
-    level abar_k for k in 0..K with abar_0 = 1 exactly. step_ids[k-1] is the
-    step index fed to the denoiser at position k: 1..K for a native schedule,
-    the original indices for a stride-subsampled one, so a trained model can
-    be re-sampled with a coarser loop without retraining.
+    level abar_k for k in 0..K with abar_0 = 1 exactly.
     """
 
     K: int
@@ -45,15 +43,10 @@ class NoiseSchedule:
     gamma: np.ndarray  # gamma[k-1] = beta_k / sqrt(1 - abar_k)
     sigma: np.ndarray  # sigma[k-1]; sigma[0] = 0 by convention
     recip_sqrt_alpha: np.ndarray  # 1 / sqrt(1 - beta_k)
-    step_ids: np.ndarray = None
 
     def __post_init__(self):
         if self.K < 2:
             raise ScheduleError(f"need at least 2 diffusion steps, got K={self.K}")
-        if self.step_ids is None:
-            object.__setattr__(self, "step_ids", np.arange(1, self.K + 1))
-        if self.step_ids.shape != (self.K,):
-            raise ScheduleError("step_ids must have length K")
         b = self.betas
         if b.shape != (self.K,):
             raise ScheduleError("betas must have length K")
@@ -82,32 +75,14 @@ class NoiseSchedule:
         return _from_betas(int(obj["K"]), str(obj["kind"]), np.asarray(obj["betas"]))
 
 
-def _from_betas(K: int, kind: str, betas: np.ndarray, step_ids=None) -> NoiseSchedule:
+def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
     betas = as_f64(betas, "betas")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     gamma = betas / np.sqrt(1.0 - alpha_bar[1:])
     sigma = np.sqrt(betas)
     sigma[0] = 0.0
     recip_sqrt_alpha = 1.0 / np.sqrt(1.0 - betas)
-    return NoiseSchedule(
-        K, kind, betas, alpha_bar, gamma, sigma, recip_sqrt_alpha, step_ids
-    )
-
-
-def subsample_schedule(schedule: NoiseSchedule, stride: int) -> NoiseSchedule:
-    """Coarser sampling loop over the same trained model: keep every stride-th
-    signal level (counting back from K) and recompute the per-step
-    coefficients from the alpha-bar ratios. step_ids keeps the original step
-    indices so denoisers are conditioned exactly as during training."""
-    if stride < 1:
-        raise ScheduleError("stride must be >= 1")
-    kept = np.array(sorted(range(schedule.K, 0, -stride)))
-    if len(kept) < 2:
-        raise ScheduleError(f"stride {stride} leaves fewer than 2 steps")
-    ab = schedule.alpha_bar[kept]
-    prev = np.concatenate([[1.0], ab[:-1]])
-    betas = 1.0 - ab / prev
-    return _from_betas(len(kept), f"{schedule.kind}/stride{stride}", betas, kept)
+    return NoiseSchedule(K, kind, betas, alpha_bar, gamma, sigma, recip_sqrt_alpha)
 
 
 def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
@@ -131,31 +106,20 @@ def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
     return _from_betas(K, kind, betas)
 
 
-@dataclass
-class NoisyAction:
-    """Flattened action window at diffusion step k (k = 0 means clean)."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = as_f64(self.values, "noisy action values")
-
-
-def forward_noise(
-    schedule: NoiseSchedule, a0: np.ndarray, k: int, eps: np.ndarray
-) -> NoisyAction:
-    """Corrupt a clean window to step k: sqrt(abar_k) a0 + sqrt(1-abar_k) eps."""
+def forward_noise(schedule: NoiseSchedule, a0, k, eps) -> np.ndarray:
+    """Corrupt clean windows to step k: sqrt(abar_k) a0 + sqrt(1-abar_k) eps;
+    k is one step, or an array of one step per row of a (B, dim) batch."""
     a0 = as_f64(a0, "a0")
     eps = as_f64(eps, "eps")
-    if not 0 <= k <= schedule.K:
-        raise ScheduleError(f"step k={k} outside [0, {schedule.K}]")
     if eps.shape != a0.shape:
         raise ValueError(f"eps shape {eps.shape} != a0 shape {a0.shape}")
-    if k == 0:
-        return NoisyAction(0, a0.copy())
-    ab = schedule.alpha_bar[k]
-    return NoisyAction(k, math.sqrt(ab) * a0 + math.sqrt(1.0 - ab) * eps)
+    ks = np.asarray(k)
+    if np.any(ks < 0) or np.any(ks > schedule.K):
+        raise ScheduleError(f"step k={k} outside [0, {schedule.K}]")
+    ab = schedule.alpha_bar[ks]
+    if ks.ndim:
+        ab = ab[:, None]
+    return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
 
 
 @dataclass
@@ -171,12 +135,11 @@ def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rn
     denoiser's prediction: loss = mean((eps - pred)^2). Returns the loss and
     gradients for the denoiser parameters and the observation embedding.
     """
-    a0 = as_f64(a0, "a0")
-    dim = a0.size
+    dim = np.size(a0)
     k = int(rng.integers(1, schedule.K + 1, 1)[0])
     eps = rng.gaussian(dim)
     noisy = forward_noise(schedule, a0, k, eps)
-    pred, cache = denoiser.predict(noisy.values, obs_embedding, k)
+    pred, cache = denoiser.predict(noisy, obs_embedding, k)
     resid = pred - eps
     loss = float(np.mean(resid * resid))
     if not math.isfinite(loss):
@@ -187,30 +150,21 @@ def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rn
 
 
 def reverse_mean(
-    schedule: NoiseSchedule, values: np.ndarray, eps_hat: np.ndarray, k: int
+    schedule: NoiseSchedule, values, eps_hat, k: int, x0_clip: float | None = None
 ) -> np.ndarray:
-    """Posterior mean of the reverse update at step k."""
-    return schedule.recip_sqrt_alpha[k - 1] * (values - schedule.gamma[k - 1] * eps_hat)
+    """Posterior mean of the reverse update from step k to k-1.
 
-
-def reverse_step(
-    schedule: NoiseSchedule,
-    denoiser,
-    ak: NoisyAction,
-    obs_embedding,
-    k: int,
-    rng: Rng,
-) -> NoisyAction:
-    """One reverse (denoising) update from step k to k-1.
-
-    Injects sigma_k-scaled Gaussian noise except at k = 1, which is noise-free.
+    With x0_clip set, the implied clean-sample estimate is clipped to
+    [-x0_clip, x0_clip] before the posterior mean is formed; this equals the
+    plain update whenever the estimate is already in range.
     """
-    if k != ak.k:
-        raise ScheduleError(f"step argument k={k} disagrees with ak.k={ak.k}")
-    if not 1 <= k <= schedule.K:
-        raise ScheduleError(f"reverse step k={k} outside [1, {schedule.K}]")
-    eps_hat, _ = denoiser.predict(ak.values, obs_embedding, k)
-    mean = reverse_mean(schedule, ak.values, eps_hat, k)
-    if k > 1:
-        mean = mean + schedule.sigma[k - 1] * rng.gaussian(ak.values.size)
-    return NoisyAction(k - 1, mean)
+    if x0_clip is None:
+        return schedule.recip_sqrt_alpha[k - 1] * (values - schedule.gamma[k - 1] * eps_hat)
+    ab_k = schedule.alpha_bar[k]
+    ab_prev = schedule.alpha_bar[k - 1]
+    beta = schedule.betas[k - 1]
+    x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
+    x0 = np.clip(x0, -x0_clip, x0_clip)
+    return (
+        np.sqrt(ab_prev) * beta * x0 + np.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
+    ) / (1.0 - ab_k)

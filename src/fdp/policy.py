@@ -279,12 +279,6 @@ class TrainingLog:
     n_val_windows: int = 0
     trainable: tuple = ()
 
-    def epochs(self) -> list[int]:
-        return [e["epoch"] for e in self.entries]
-
-    def val_mse(self) -> list[float]:
-        return [e["val_mse"] for e in self.entries]
-
     def to_json(self) -> dict:
         return {
             "entries": self.entries,
@@ -677,6 +671,16 @@ class FactorizedPolicy:
             ComponentBank(policy.components)
         except CompositionError as exc:
             raise ValueError(f"checkpoint field 'components': {exc}") from exc
+        emb_dim = policy.obs_encoder.out_dim
+        for name, width in (
+            ("router input", policy.router.net.in_dim),
+            ("component embedding", policy.components[0].emb_dim),
+        ):
+            if width != emb_dim:
+                raise ValueError(
+                    f"checkpoint field 'encoder' has output width {emb_dim}, "
+                    f"but the {name} is {width} wide"
+                )
         policy.training_log_ = None
         return policy
 
@@ -739,7 +743,7 @@ def rollout(
     while steps < max_steps and not env.success:
         action, info = controller.action(obs)
         if info is not None:
-            trace.append(info.weights if isinstance(info, SampleInfo) else info)
+            trace.append(info.weights)
         trajectory.append((obs, action))
         try:
             obs = env.step(action)

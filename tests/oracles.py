@@ -82,8 +82,7 @@ def sample_values_loop(components, weights, obs_embedding, schedule, dim, rng, x
     are the ones evaluated, after any top-k selection."""
     values = rng.gaussian(dim)
     for k in range(schedule.K, 0, -1):
-        step = int(schedule.step_ids[k - 1])
-        eps_hat = composed_prediction_loop(components, weights, values, obs_embedding, step)
+        eps_hat = composed_prediction_loop(components, weights, values, obs_embedding, k)
         ab_k, ab_prev = schedule.alpha_bar[k], schedule.alpha_bar[k - 1]
         beta = schedule.betas[k - 1]
         if x0_clip is None:

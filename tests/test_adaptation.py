@@ -1,5 +1,7 @@
 """Adaptation strategies: upcycling, freezing, replay, continual stages."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,31 @@ def test_extend_router_head_shapes():
 # ---------------------------------------------------------------------------
 # adapt
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("new", "adaptation dataset field 'state_dim' is 3"),
+        ("replay", "replay dataset field 'state_dim' is 3"),
+        ("action", "adaptation dataset field 'action_dim' is 1"),
+    ],
+)
+def test_adapt_rejects_demos_of_other_widths(reach_ds, case, message):
+    policy = small_policy(n=2)
+    policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
+    line = generate_demos("drawer-line", per_task=2, seed=5)  # 3-wide state, 1-wide action
+    new_ds, replay_ds = {
+        "new": (line, None),
+        "replay": (reach_ds, line),
+        "action": (dataclasses.replace(reach_ds, action_dim=1), None),
+    }[case]
+    config = AdaptationConfig(epochs=1, replay_per_task=int(replay_ds is not None))
+    before = policy.group_checksums()
+    with pytest.raises(AdaptationError, match=message):
+        adapt(policy, config, new_ds, replay_dataset=replay_ds)
+    assert policy.group_checksums() == before
+    assert policy.n_components == 2
 
 
 def test_new_module_freezes_original_components(reach_ds, pick_ds):

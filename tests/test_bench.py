@@ -1,5 +1,7 @@
 """Benchmark suite: envs, scripted experts, demo generation, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,32 @@ def test_dataset_round_trip(tmp_path):
     np.testing.assert_array_equal(
         back.episodes[0].actions, ds.episodes[0].actions
     )
+
+
+def _rewrite_dataset(path, header=None, episode=None):
+    """Rewrite a saved dataset, updating its header and every episode record."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[0].update(header or {})
+    for rec in lines[1:]:
+        for key, fn in (episode or {}).items():
+            rec[key] = fn(rec[key])
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+
+
+@pytest.mark.parametrize(
+    "header, episode, message",
+    [
+        ({"version": 99}, None, "'version' is 99"),
+        ({"state_dim": 3}, None, "'observations' has shape .*'state_dim' is 3"),
+        (None, {"actions": lambda a: [row + [0.0] for row in a]}, "'actions' has shape"),
+    ],
+)
+def test_dataset_load_rejects_header_mismatch(tmp_path, header, episode, message):
+    path = tmp_path / "demos.jsonl"
+    generate_demos("reach4", per_task=1, seed=1).save(path)
+    _rewrite_dataset(path, header, episode)
+    with pytest.raises(ValueError, match=message):
+        EpisodeDataset.load(path)
 
 
 def test_generate_demos_error_names_task():

@@ -182,6 +182,19 @@ def test_adapt_runtime_error_exit_3(runner, trained_dir, tmp_path, demo_file):
     assert "error:" in result.output
 
 
+def test_train_on_dataset_of_other_version_exit_3(runner, demo_file, tmp_path):
+    lines = demo_file.read_text().splitlines(keepends=True)
+    header = {**json.loads(lines[0]), "version": 99}
+    bad = tmp_path / "v99.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    result = runner.invoke(
+        cli, ["train", "--demos", str(bad), *FAST_NET, "--epochs", "1",
+              "--out-dir", str(tmp_path / "t")]
+    )
+    assert result.exit_code == 3
+    assert "'version' is 99" in result.output
+
+
 def test_continual_structure(runner, tmp_path):
     out = tmp_path / "cont"
     result = runner.invoke(
@@ -202,8 +215,18 @@ def test_continual_structure(runner, tmp_path):
     assert len(log["stages"][-1]["evaluation"]["tasks"]) == 12
 
 
-def test_analyze_similarity_and_convergence(runner, trained_dir, demo_file, tmp_path):
+def test_analyze_similarity_and_convergence(
+    runner, trained_dir, demo_file, tmp_path, monkeypatch
+):
     out = tmp_path / "an"
+    loads = []
+    load = FactorizedPolicy.load
+
+    def counting_load(cls, path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(FactorizedPolicy, "load", classmethod(counting_load))
     result = runner.invoke(
         cli, ["analyze", "--checkpoint", str(trained_dir / "checkpoint.json"),
               "--demos", str(demo_file), "--probes", "16",
@@ -218,6 +241,7 @@ def test_analyze_similarity_and_convergence(runner, trained_dir, demo_file, tmp_
     assert (out / "convergence.csv").exists()
     solo = json.loads((out / "solo_rollouts.json").read_text())
     assert [s["component"] for s in solo] == [0, 1]
+    assert len(loads) == 1  # --demos and --suite share one checkpoint load
 
 
 def test_analyze_requires_something(runner, tmp_path):

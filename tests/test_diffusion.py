@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from fdp.composition import sample_values
 from fdp.diffusion import (
-    NoisyAction,
     ScheduleError,
     component_loss,
     forward_noise,
     make_schedule,
-    reverse_step,
-    subsample_schedule,
+    reverse_mean,
 )
 from fdp.numerics import FeedForwardNet, Rng
 
@@ -97,8 +96,7 @@ def test_forward_noise_k0_returns_clean_window():
     sched = make_schedule(20)
     a0 = Rng(1).gaussian(8)
     out = forward_noise(sched, a0, 0, np.zeros(8))
-    np.testing.assert_array_equal(out.values, a0)
-    assert out.k == 0
+    np.testing.assert_array_equal(out, a0)
 
 
 def test_forward_noise_zero_signal_is_scaled_noise():
@@ -107,7 +105,7 @@ def test_forward_noise_zero_signal_is_scaled_noise():
     k = 7
     out = forward_noise(sched, np.zeros(6), k, eps)
     np.testing.assert_allclose(
-        out.values, math.sqrt(1.0 - sched.alpha_bar[k]) * eps, rtol=1e-15
+        out, math.sqrt(1.0 - sched.alpha_bar[k]) * eps, rtol=1e-15
     )
 
 
@@ -131,10 +129,22 @@ def test_forward_noise_marginal_moments_monte_carlo():
         draws[:, i] = math.sqrt(ab) * a0[i] + math.sqrt(1 - ab) * eps[:, i]
     expected_mean = math.sqrt(ab) * a0
     expected_var = (1.0 - ab) * np.ones(3)
-    single = forward_noise(sched, a0, k, eps[0]).values
+    single = forward_noise(sched, a0, k, eps[0])
     np.testing.assert_allclose(single, draws[0], rtol=1e-12)
     assert np.all(np.abs(draws.mean(axis=0) - expected_mean) < 0.02)
     assert np.all(np.abs(draws.var(axis=0) / expected_var - 1.0) < 0.02)
+
+
+def test_forward_noise_per_row_steps_match_scalar_calls():
+    sched = make_schedule(30)
+    rng = Rng(21)
+    a0 = rng.gaussian(5 * 4).reshape(5, 4)
+    eps = rng.gaussian(5 * 4).reshape(5, 4)
+    ks = np.array([0, 1, 7, 29, 30])
+    rows = np.stack([forward_noise(sched, a0[i], int(k), eps[i]) for i, k in enumerate(ks)])
+    np.testing.assert_array_equal(forward_noise(sched, a0, ks, eps), rows)
+    with pytest.raises(ScheduleError):
+        forward_noise(sched, a0, np.array([1, 2, 3, 4, 31]), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +230,7 @@ def test_component_loss_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# reverse_step
+# reverse_mean and the reverse chain (sample_values with one component)
 # ---------------------------------------------------------------------------
 
 
@@ -228,13 +238,10 @@ def test_reverse_with_analytic_standard_normal_score():
     # 10^4 independent 1-d chains run as one wide vector
     sched = make_schedule(100, "cosine")
     den = AnalyticGaussianDenoiser(sched, mu=0.0, var=1.0)
-    rng = Rng(404)
     n = 10**4
-    a = NoisyAction(sched.K, rng.gaussian(n))
-    for k in range(sched.K, 0, -1):
-        a = reverse_step(sched, den, a, None, k, rng)
-    assert abs(a.values.mean()) < 0.05
-    assert abs(a.values.var() - 1.0) < 0.03
+    a, _ = sample_values([den], np.array([1.0]), None, sched, n, Rng(404))
+    assert abs(a.mean()) < 0.05
+    assert abs(a.var() - 1.0) < 0.03
 
 
 def test_reverse_sigma_zero_point_mass_converges():
@@ -242,65 +249,46 @@ def test_reverse_sigma_zero_point_mass_converges():
     quiet = dataclasses.replace(sched, sigma=np.zeros(sched.K))
     c = 0.7
     den = PointMassDenoiser(quiet, c)
-    a = NoisyAction(quiet.K, Rng(12).gaussian(5))
-    for k in range(quiet.K, 0, -1):
-        a = reverse_step(quiet, den, a, None, k, Rng(0))
-    np.testing.assert_allclose(a.values, c, atol=1e-8)
+    a, _ = sample_values([den], np.array([1.0]), None, quiet, 5, Rng(12))
+    np.testing.assert_allclose(a, c, atol=1e-8)
 
 
 def test_last_reverse_step_is_noise_free():
     sched = make_schedule(10)
-    den = FixedOutputDenoiser(dim=4)
-    a1 = NoisyAction(1, np.array([0.5, -0.5, 1.0, 0.0]))
     rng = Rng(55)
-    out1 = reverse_step(sched, den, a1, None, 1, rng)
-    out2 = reverse_step(sched, den, a1, None, 1, rng)
-    np.testing.assert_array_equal(out1.values, out2.values)  # no rng consumed
-    expected = sched.recip_sqrt_alpha[0] * a1.values
-    np.testing.assert_allclose(out1.values, expected, rtol=1e-15)
-    assert out1.k == 0
+    sample_values([FixedOutputDenoiser(dim=4)], np.array([1.0]), None, sched, 4, rng)
+    # K rows: the initial draw plus one per step k > 1, none after step 1
+    ref = Rng(55)
+    ref.gaussian_rows(sched.K, 4)
+    np.testing.assert_array_equal(rng.gaussian(3), ref.gaussian(3))
+
+    values = np.array([0.5, -0.5, 1.0, 0.0])
+    eps_hat = np.array([0.1, 0.2, -0.3, 0.4])
+    expected = sched.recip_sqrt_alpha[0] * (values - sched.gamma[0] * eps_hat)
+    np.testing.assert_array_equal(reverse_mean(sched, values, eps_hat, 1), expected)
 
 
-def test_subsampled_schedule_matches_parent_levels():
-    sched = make_schedule(50, "cosine")
-    coarse = subsample_schedule(sched, 5)
-    assert coarse.K == 10
-    np.testing.assert_array_equal(coarse.step_ids, np.arange(5, 51, 5))
-    # signal levels at the kept steps are identical to the parent's
+def test_reverse_mean_x0_clip():
+    sched = make_schedule(20)
+    k = 8
+    ab = sched.alpha_bar[k]
+    x0 = np.array([0.3, -0.9, 0.0])
+    eps_hat = np.array([0.5, -1.2, 2.0])
+    values = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps_hat
+    plain = reverse_mean(sched, values, eps_hat, k)
+    # the clean estimate lies in [-1, 1]: clipping leaves the update unchanged
     np.testing.assert_allclose(
-        coarse.alpha_bar[1:], sched.alpha_bar[coarse.step_ids], rtol=1e-12
+        reverse_mean(sched, values, eps_hat, k, 1.0), plain, rtol=1e-12, atol=1e-14
     )
-    assert coarse.sigma[0] == 0.0
-    with pytest.raises(ScheduleError):
-        subsample_schedule(sched, 0)
-    with pytest.raises(ScheduleError):
-        subsample_schedule(sched, 50)
 
-
-def test_solver_exchange_leaves_model_unchanged():
-    # re-sample one checkpoint with the native loop and a stride-2 loop:
-    # only the sampling changes, the model does not
-    from fdp.composition import sample_values
-
-    sched = make_schedule(40, "cosine")
-    rng = Rng(88)
-    net = FeedForwardNet.init([8 + 3 + 1, 12, 8], ["tanh", "identity"], rng)
-    den = _NetDenoiser(net, sched.K)
-    before = net.checksum()
-    w = np.array([1.0])
-
-    full, info_full = sample_values([den], w, rng.gaussian(3), sched, 8, Rng(5))
-    coarse_sched = subsample_schedule(sched, 2)
-    coarse, info_coarse = sample_values([den], w, rng.gaussian(3), coarse_sched, 8, Rng(5))
-    assert net.checksum() == before
-    assert info_full.denoiser_evals == 40 and info_coarse.denoiser_evals == 20
-    assert np.all(np.isfinite(full)) and np.all(np.isfinite(coarse))
-
-
-def test_reverse_step_index_checks():
-    sched = make_schedule(10)
-    den = FixedOutputDenoiser(dim=2)
-    with pytest.raises(ScheduleError):
-        reverse_step(sched, den, NoisyAction(3, np.zeros(2)), None, 4, Rng(0))
-    with pytest.raises(ScheduleError):
-        reverse_step(sched, den, NoisyAction(0, np.zeros(2)), None, 0, Rng(0))
+    # out of range: the update is the posterior mean of the clipped estimate
+    far = np.array([3.0, -2.5, 0.2])
+    values = math.sqrt(ab) * far + math.sqrt(1.0 - ab) * eps_hat
+    clipped = np.clip(far, -1.0, 1.0)
+    ab_prev, beta = sched.alpha_bar[k - 1], sched.betas[k - 1]
+    expected = (
+        math.sqrt(ab_prev) * beta * clipped + math.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
+    ) / (1.0 - ab)
+    out = reverse_mean(sched, values, eps_hat, k, 1.0)
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    assert not np.allclose(out, reverse_mean(sched, values, eps_hat, k))

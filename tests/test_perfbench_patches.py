@@ -1,0 +1,64 @@
+"""The benchmark's instrumentation still fits the package.
+
+perfbench patches wrappers onto fdp's modules and classes by name. A renamed
+or deleted name would crash every benchmark run, so this installs both patch
+layers (without running anything) and checks that each one found its targets
+and that every patched attribute is restored afterwards.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _owners():
+    """Every fdp module and every class defined in one."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "fdp"]
+    classes = [
+        obj
+        for m in modules
+        for obj in vars(m).values()
+        if inspect.isclass(obj) and obj.__module__.startswith("fdp")
+    ]
+    return modules + classes
+
+
+def _snapshot():
+    return {id(owner): (owner, dict(vars(owner))) for owner in _owners()}
+
+
+def _changed(before):
+    """Names whose attribute was added, removed or replaced since before."""
+    out = []
+    for owner, attrs in before.values():
+        now = vars(owner)
+        for name in set(attrs) | set(now):
+            if name not in attrs or name not in now or now[name] is not attrs[name]:
+                out.append(f"{owner.__name__}.{name}")
+    return out
+
+
+@pytest.mark.parametrize("layer", ["probe", "tracer"])
+def test_instrumentation_installs_and_restores(layer):
+    instrument = _load("instrument")
+    if layer == "probe":
+        target = instrument.Probe(_load("speed").WallClock())
+    else:
+        target = instrument.Tracer()
+    before = _snapshot()
+    with instrument.installed(target.install):
+        patched = _changed(before)
+    assert patched, "no attribute was patched"
+    assert _changed(before) == []

@@ -345,6 +345,27 @@ def test_checkpoint_rejects_encoder_input_width_mismatch(trained_bimodal):
         FactorizedPolicy.from_json(obj)
 
 
+def test_checkpoint_rejects_encoder_output_width_other_than_router_input(trained_bimodal):
+    # a 6 -> 10 encoder in front of a router and components that read 12
+    obj = trained_bimodal.to_json()
+    obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
+    with pytest.raises(ValueError, match="'encoder'.*output width 10.*router input is 12"):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_checkpoint_rejects_encoder_output_width_other_than_component_embedding(
+    trained_bimodal,
+):
+    obj = trained_bimodal.to_json()
+    obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
+    router = FeedForwardNet.init([10, 8, 2], ["tanh", "identity"], Rng(1))
+    obj["router"] = {**obj["router"], "net": router.to_json()}
+    with pytest.raises(
+        ValueError, match="'encoder'.*output width 10.*component embedding is 12"
+    ):
+        FactorizedPolicy.from_json(obj)
+
+
 @pytest.mark.parametrize(
     "change", [{"hidden": [24, 4]}, {"activation": "relu"}, {"step_dim": 14}]
 )
