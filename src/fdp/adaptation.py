@@ -159,6 +159,8 @@ def adapt(
     seed: int = 0,
 ) -> AdaptationLog:
     """Adapt the policy in place to a new task under the configured strategy.
+    If upcycling or training raises, the policy is restored before the error
+    propagates.
 
     With replay_per_task > 0 a replay buffer is subsampled from replay_dataset
     and globally shuffled into the training stream, so the mix is proportional
@@ -179,30 +181,44 @@ def adapt(
                     f"but the policy expects {width}"
                 )
 
-    new_component = None
-    source = None
-    if config.strategy == "new_module":
-        source = upcycle_component(policy, config.upcycle_source, new_dataset)
-        new_component = policy.n_components - 1
+    # Upcycling swaps in a new router net and fit() replaces parameter arrays
+    # rather than writing into them, so references to the pre-adapt objects
+    # roll a failure back without copying any parameters.
+    components, router_net = list(policy.components), policy.router.net
+    params = {g: policy._group_net(g).params() for g in policy.group_names()}
+    normalizer, training_log = policy.normalizer, policy.training_log_
+    try:
+        new_component = None
+        source = None
+        if config.strategy == "new_module":
+            source = upcycle_component(policy, config.upcycle_source, new_dataset)
+            new_component = policy.n_components - 1
 
-    groups = trainable_groups_for(policy, config, new_component)
-    frozen = [g for g in policy.group_names() if g not in groups]
-    before = {g: policy._group_net(g).checksum() for g in frozen}
+        groups = trainable_groups_for(policy, config, new_component)
+        frozen = [g for g in policy.group_names() if g not in groups]
+        before = {g: policy._group_net(g).checksum() for g in frozen}
 
-    train_ds = new_dataset
-    replay_count = 0
-    if config.replay_per_task > 0:
-        buffer = sample_replay(replay_dataset, config.replay_per_task, seed)
-        replay_count = len(buffer.episodes)
-        train_ds = merge_datasets(new_dataset, buffer)
+        train_ds = new_dataset
+        replay_count = 0
+        if config.replay_per_task > 0:
+            buffer = sample_replay(replay_dataset, config.replay_per_task, seed)
+            replay_count = len(buffer.episodes)
+            train_ds = merge_datasets(new_dataset, buffer)
 
-    policy.fit(
-        train_ds,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        seed=seed,
-        trainable=groups,
-    )
+        policy.fit(
+            train_ds,
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            seed=seed,
+            trainable=groups,
+        )
+    except BaseException:
+        policy.components, policy.router.net = components, router_net
+        policy.config.n_components = len(components)
+        for g, group_params in params.items():
+            policy._group_net(g).load_params(group_params)
+        policy.normalizer, policy.training_log_ = normalizer, training_log
+        raise
     after = {g: policy._group_net(g).checksum() for g in frozen}
     return AdaptationLog(
         strategy=config.strategy,

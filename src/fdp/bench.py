@@ -382,6 +382,13 @@ class EpisodeDataset:
                     f"dataset field 'version' is {header.get('version')!r}, "
                     f"expected {DATASET_VERSION}: {path}"
                 )
+            for bound in ("lo", "hi"):
+                shape = np.shape(header["normalizer"][bound])
+                if shape != (header["action_dim"],):
+                    raise ValueError(
+                        f"dataset field 'normalizer' has '{bound}' of shape {shape}, "
+                        f"but the header's 'action_dim' is {header['action_dim']}: {path}"
+                    )
             episodes = [
                 Episode(
                     task=rec["task"],
@@ -575,8 +582,9 @@ def evaluate(
         for spec in specs
         for seed in seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(units))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rates = list(pool.map(_eval_unit, units))
     else:
         rates = [_eval_unit(u) for u in units]

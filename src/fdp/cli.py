@@ -1,26 +1,28 @@
 """Command-line pipeline: demo generation, training, evaluation, adaptation,
 continual runs, and analysis export.
 
-Every command resolves its settings as: explicit flags > --config JSON file >
-defaults, validates them, and writes the resolved configuration next to its
-outputs so any directory can be reproduced bit-for-bit by re-running with the
-embedded config and the same seed. Exit codes: 0 success, 2 usage error,
-3 runtime error. The FDP_SEED environment variable is the fallback for every
---seed flag.
+Each command's settings are declared once, in its click options: flag types
+and ranges validate them, and they resolve as explicit flags > --config JSON
+file > defaults. The resolved flags (all but --out-dir) are written as
+config.json next to the outputs, in the schema --config reads, so any output
+directory is reproduced bit-for-bit by re-running with
+--config <dir>/config.json. Exit codes: 0 success, 2 usage error, 3 runtime
+error. The FDP_SEED environment variable is the fallback for every --seed flag.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import click
 
-from .adaptation import AdaptationConfig, adapt, continual_adapt
+from .adaptation import STRATEGIES, AdaptationConfig, adapt, continual_adapt
 from .analysis import build_probe_set, convergence_report, score_similarity, solo_rollout
 from .bench import (
+    SUITES,
     EpisodeDataset,
     evaluate,
     generate_demos,
@@ -61,6 +63,9 @@ def load_config_defaults(ctx, param, value):
         data = json.load(f)
     if not isinstance(data, dict):
         raise click.BadParameter("config file must hold a JSON object")
+    unknown = sorted(set(data) - {p.name for p in ctx.command.params if p.expose_value})
+    if unknown:
+        raise click.BadParameter(f"keys that are not flags of this command: {unknown}")
     ctx.default_map = {**(ctx.default_map or {}), **data}
     return value
 
@@ -74,16 +79,23 @@ config_option = click.option(
     help="JSON file with default values for this command's flags (flags win).",
 )
 
+SUITE = click.Choice(SUITES)
+POSITIVE = click.IntRange(min=1)
+NON_NEGATIVE = click.IntRange(min=0)
+
 seed_option = click.option(
     "--seed", type=int, default=0, show_default=True, envvar="FDP_SEED",
     help="Master seed (falls back to FDP_SEED).",
 )
 
 
-def write_outputs(out_dir: Path, resolved: dict, files: dict) -> None:
-    """Write the resolved config plus artifact files under out_dir."""
+def write_outputs(out_dir: Path, files: dict) -> None:
+    """Write the command's resolved flags, all but --out-dir, as config.json
+    (the schema --config reads), plus the artifact files, under out_dir."""
+    params = click.get_current_context().params
+    config = {name: value for name, value in params.items() if name != "out_dir"}
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(canonical_json(resolved) + "\n")
+    (out_dir / "config.json").write_text(canonical_json(config) + "\n")
     for name, content in files.items():
         path = out_dir / name
         if isinstance(content, (dict, list)):
@@ -141,18 +153,14 @@ def cli():
 
 @cli.command("gen-demos")
 @config_option
-@click.option("--suite", required=True, help="Benchmark suite name.")
-@click.option("--per-task", type=int, default=25, show_default=True)
+@click.option("--suite", type=SUITE, required=True, help="Benchmark suite name.")
+@click.option("--per-task", type=POSITIVE, default=25, show_default=True)
 @seed_option
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @runtime_errors_exit_3
 def cmd_gen_demos(suite, per_task, seed, out):
     """Generate scripted-expert demonstrations into a dataset file."""
-    try:
-        specs = make_suite(suite)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    dataset = generate_demos(specs, per_task, seed)
+    dataset = generate_demos(make_suite(suite), per_task, seed)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     dataset.save(out)
     click.echo(f"wrote {len(dataset.episodes)} episodes to {out}")
@@ -162,8 +170,8 @@ def cmd_gen_demos(suite, per_task, seed, out):
 @config_option
 @click.option("--demos", type=click.Path(exists=True, dir_okay=False), required=True)
 @policy_config_options
-@click.option("--epochs", type=int, default=150, show_default=True)
-@click.option("--batch-size", type=int, default=96, show_default=True)
+@click.option("--epochs", type=POSITIVE, default=150, show_default=True)
+@click.option("--batch-size", type=POSITIVE, default=96, show_default=True)
 @seed_option
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @runtime_errors_exit_3
@@ -176,23 +184,11 @@ def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
     )
     policy.fit(dataset, epochs=epochs, batch_size=batch_size, seed=seed)
     out = Path(out_dir)
-    resolved = {
-        "command": "train",
-        "demos": str(demos),
-        "epochs": epochs,
-        "batch_size": batch_size,
-        "seed": seed,
-        "policy": asdict(cfg),
-    }
     log = policy.training_log_
     csv = "epoch,train_mse,val_mse\n" + "\n".join(
         f"{e['epoch']},{e['train_mse']!r},{e['val_mse']!r}" for e in log.entries
     ) + "\n"
-    write_outputs(
-        out,
-        resolved,
-        {"training_log.json": log.to_json(), "training_log.csv": csv},
-    )
+    write_outputs(out, {"training_log.json": log.to_json(), "training_log.csv": csv})
     policy.save(out / "checkpoint.json")
     click.echo(
         f"trained {cfg.n_components} components for {epochs} epochs; "
@@ -201,45 +197,45 @@ def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in str(text).split(",") if s != ""]
+    return [int(s) for s in text.split(",") if s != ""]
+
+
+def check_seeds(ctx, param, value: str) -> str:
+    """--seeds callback: at least one integer. The text is kept as given, so
+    config.json holds it in the form --config reads back."""
+    try:
+        if _parse_seeds(value):
+            return value
+    except ValueError:
+        pass
+    raise click.BadParameter(f"{value!r} is not a comma-separated list of integers")
 
 
 @cli.command("eval")
 @config_option
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--suite", required=True)
-@click.option("--episodes", type=int, default=40, show_default=True)
-@click.option("--seeds", default="0,1,2,3,4", show_default=True, help="Comma-separated.")
+@click.option("--suite", type=SUITE, required=True)
+@click.option("--episodes", type=POSITIVE, default=40, show_default=True)
+@click.option("--seeds", default="0,1,2,3,4", show_default=True, callback=check_seeds,
+              help="Comma-separated.")
 @click.option("--top-k", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=POSITIVE, default=1, show_default=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @runtime_errors_exit_3
 def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
     """Evaluate a checkpoint: success table over tasks x seeds."""
-    try:
-        specs = make_suite(suite)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    specs = make_suite(suite)
     policy = FactorizedPolicy.load(checkpoint)
     if top_k is not None and not 1 <= top_k <= policy.n_components:
         raise click.BadParameter(
             f"{top_k} outside [1, {policy.n_components}]", param_hint="'--top-k'"
         )
-    seed_list = _parse_seeds(seeds)
     table = evaluate(
-        policy, specs, episodes_per_task=episodes, seeds=seed_list, top_k=top_k, jobs=jobs
+        policy, specs, episodes_per_task=episodes, seeds=_parse_seeds(seeds),
+        top_k=top_k, jobs=jobs,
     )
-    resolved = {
-        "command": "eval",
-        "checkpoint": str(checkpoint),
-        "suite": suite,
-        "episodes": episodes,
-        "seeds": seed_list,
-        "top_k": top_k,
-    }
     write_outputs(
         Path(out_dir),
-        resolved,
         {"success_table.json": table.to_json(), "success_table.csv": table.to_csv()},
     )
     click.echo(f"average success {table.average():.3f} over {len(specs)} tasks")
@@ -250,15 +246,11 @@ def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--demos", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--replay-demos", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option(
-    "--strategy",
-    type=click.Choice(["full", "router", "router+encoder", "new_module"]),
-    default="new_module",
-    show_default=True,
-)
-@click.option("--replay-per-task", type=int, default=0, show_default=True)
-@click.option("--epochs", type=int, default=60, show_default=True)
-@click.option("--batch-size", type=int, default=64, show_default=True)
+@click.option("--strategy", type=click.Choice(STRATEGIES), default="new_module",
+              show_default=True)
+@click.option("--replay-per-task", type=NON_NEGATIVE, default=0, show_default=True)
+@click.option("--epochs", type=NON_NEGATIVE, default=60, show_default=True)
+@click.option("--batch-size", type=POSITIVE, default=64, show_default=True)
 @seed_option
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @runtime_errors_exit_3
@@ -277,15 +269,7 @@ def cmd_adapt(
     )
     log = adapt(policy, config, new_ds, replay_dataset=replay_ds, seed=seed)
     out = Path(out_dir)
-    resolved = {
-        "command": "adapt",
-        "checkpoint": str(checkpoint),
-        "demos": str(demos),
-        "replay_demos": str(replay_demos) if replay_demos else None,
-        "seed": seed,
-        "adaptation": config.to_json(),
-    }
-    write_outputs(out, resolved, {"adaptation_log.json": log.to_json()})
+    write_outputs(out, {"adaptation_log.json": log.to_json()})
     policy.save(out / "checkpoint.json")
     click.echo(
         f"adapted with strategy={strategy}; components now {policy.n_components}; "
@@ -295,15 +279,15 @@ def cmd_adapt(
 
 @cli.command("continual")
 @config_option
-@click.option("--suite", default="continual12", show_default=True)
+@click.option("--suite", type=SUITE, default="continual12", show_default=True)
 @click.option("--pretrain-tasks", type=int, default=4, show_default=True)
-@click.option("--demos-per-task", type=int, default=25, show_default=True)
-@click.option("--adapt-demos-per-task", type=int, default=10, show_default=True)
+@click.option("--demos-per-task", type=POSITIVE, default=25, show_default=True)
+@click.option("--adapt-demos-per-task", type=POSITIVE, default=10, show_default=True)
 @policy_config_options
-@click.option("--epochs", type=int, default=150, show_default=True)
-@click.option("--adapt-epochs", type=int, default=60, show_default=True)
-@click.option("--batch-size", type=int, default=96, show_default=True)
-@click.option("--eval-episodes", type=int, default=10, show_default=True)
+@click.option("--epochs", type=NON_NEGATIVE, default=150, show_default=True)
+@click.option("--adapt-epochs", type=NON_NEGATIVE, default=60, show_default=True)
+@click.option("--batch-size", type=POSITIVE, default=96, show_default=True)
+@click.option("--eval-episodes", type=POSITIVE, default=10, show_default=True)
 @seed_option
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @runtime_errors_exit_3
@@ -322,10 +306,7 @@ def cmd_continual(
 ):
     """Pretrain on the first tasks of a suite, then add one component per
     remaining task, evaluating on everything seen after each stage."""
-    try:
-        specs = make_suite(suite)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    specs = make_suite(suite)
     if not 1 <= pretrain_tasks < len(specs):
         raise click.UsageError(
             f"--pretrain-tasks must lie in [1, {len(specs) - 1}] for suite '{suite}'"
@@ -351,20 +332,7 @@ def cmd_continual(
 
     log = continual_adapt(policy, pre_specs, stages, adapt_cfg, seed=seed, evaluate_fn=eval_fn)
     out = Path(out_dir)
-    resolved = {
-        "command": "continual",
-        "suite": suite,
-        "pretrain_tasks": pretrain_tasks,
-        "demos_per_task": demos_per_task,
-        "adapt_demos_per_task": adapt_demos_per_task,
-        "epochs": epochs,
-        "adapt_epochs": adapt_epochs,
-        "eval_episodes": eval_episodes,
-        "seed": seed,
-        "policy": asdict(cfg),
-        "adaptation": adapt_cfg.to_json(),
-    }
-    write_outputs(out, resolved, {"continual_log.json": log.to_json()})
+    write_outputs(out, {"continual_log.json": log.to_json()})
     policy.save(out / "checkpoint.json")
     click.echo(
         f"continual run over {len(specs)} tasks finished with "
@@ -377,8 +345,9 @@ def cmd_continual(
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--demos", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Probe episodes for the similarity matrix.")
-@click.option("--probes", type=int, default=256, show_default=True)
-@click.option("--suite", default=None, help="Run per-component solo rollouts on task 0.")
+@click.option("--probes", type=POSITIVE, default=256, show_default=True)
+@click.option("--suite", type=SUITE, default=None,
+              help="Run per-component solo rollouts on task 0.")
 @click.option("--logs", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="training_log.json files for a convergence table (repeatable).")
 @seed_option
@@ -387,15 +356,6 @@ def cmd_continual(
 def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
     """Export similarity matrices, solo-rollout traces, and convergence tables."""
     files: dict = {}
-    resolved = {
-        "command": "analyze",
-        "checkpoint": str(checkpoint) if checkpoint else None,
-        "demos": str(demos) if demos else None,
-        "probes": probes,
-        "suite": suite,
-        "logs": [str(p) for p in logs],
-        "seed": seed,
-    }
     did_anything = False
     for flag, given in (("--demos", demos), ("--suite", suite)):
         if given and not checkpoint:
@@ -440,7 +400,7 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         did_anything = True
     if not did_anything:
         raise click.UsageError("nothing to analyze: give --demos, --suite, or --logs")
-    write_outputs(Path(out_dir), resolved, files)
+    write_outputs(Path(out_dir), files)
     click.echo(f"wrote {', '.join(sorted(files))} to {out_dir}")
 
 

@@ -647,6 +647,11 @@ class FactorizedPolicy:
         policy.config = cfg
         policy.seed = int(obj["seed"])
         policy.normalizer = ActionNormalizer.from_json(obj["normalizer"])
+        if policy.normalizer.lo.shape != (policy.action_dim,):
+            raise ValueError(
+                f"checkpoint field 'normalizer' has shape {policy.normalizer.lo.shape}, "
+                f"but 'action_dim' is {policy.action_dim}"
+            )
         policy.schedule = NoiseSchedule.from_json(obj["schedule"])
         policy.obs_encoder = FeedForwardNet.from_json(obj["encoder"])
         policy.router = Router.from_json(obj["router"])

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fdp.adaptation
 from fdp.adaptation import (
     AdaptationConfig,
     AdaptationError,
@@ -148,6 +149,38 @@ def test_adapt_rejects_demos_of_other_widths(reach_ds, case, message):
         adapt(policy, config, new_ds, replay_dataset=replay_ds)
     assert policy.group_checksums() == before
     assert policy.n_components == 2
+
+
+@pytest.mark.parametrize(
+    "strategy, fail_in",
+    [("new_module", "upcycle"), ("new_module", "fit"), ("full", "fit")],
+)
+def test_adapt_failure_restores_the_policy(reach_ds, pick_ds, monkeypatch, strategy, fail_in):
+    policy = small_policy(n=2)
+    policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
+    checksums, log = policy.group_checksums(), policy.training_log_
+
+    if fail_in == "upcycle":  # after the component is appended, before the router grows
+        def extend_router_head(net):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(fdp.adaptation, "extend_router_head", extend_router_head)
+    else:  # after one optimizer step has replaced the trainable parameters
+        apply_grads = FactorizedPolicy._apply_grads
+
+        def apply_once_then_fail(self, *args):
+            apply_grads(self, *args)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(FactorizedPolicy, "_apply_grads", apply_once_then_fail)
+    with pytest.raises(RuntimeError, match="injected"):
+        adapt(policy, AdaptationConfig(strategy=strategy, epochs=2, batch_size=32), pick_ds)
+
+    assert policy.group_checksums() == checksums
+    assert policy.n_components == 2
+    assert policy.router.n_components == 2
+    assert policy.config.n_components == 2
+    assert policy.training_log_ is log
 
 
 def test_new_module_freezes_original_components(reach_ds, pick_ds):

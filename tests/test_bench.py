@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import fdp.bench
 from fdp.bench import (
     DemoGenerationError,
     EpisodeDataset,
@@ -205,6 +206,11 @@ def _rewrite_dataset(path, header=None, episode=None):
         ({"version": 99}, None, "'version' is 99"),
         ({"state_dim": 3}, None, "'observations' has shape .*'state_dim' is 3"),
         (None, {"actions": lambda a: [row + [0.0] for row in a]}, "'actions' has shape"),
+        (
+            {"normalizer": {"lo": [-1.0] * 3, "hi": [1.0] * 3}},
+            None,
+            r"'normalizer' has 'lo' of shape \(3,\).*'action_dim' is 2",
+        ),
     ],
 )
 def test_dataset_load_rejects_header_mismatch(tmp_path, header, episode, message):
@@ -344,6 +350,28 @@ def test_evaluate_parallel_jobs_match_serial():
         ExpertPolicy(), "drawer-line", episodes_per_task=4, seeds=(0, 1), jobs=2
     )
     assert table1.to_json() == table2.to_json()
+
+
+def test_evaluate_starts_at_most_one_worker_per_unit(monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(fdp.bench, "ProcessPoolExecutor", RecordingPool)
+    for seeds in ((0,), (0, 1)):
+        evaluate(ExpertPolicy(), "bimodal1d", episodes_per_task=1, seeds=seeds, jobs=8)
+    assert workers == [2]  # one unit runs in process; two units get two workers
 
 
 def test_success_table_serialization():

@@ -267,6 +267,17 @@ def test_config_file_defaults_and_flag_precedence(runner, tmp_path):
     assert "5 episodes" in result.output
 
 
+def test_config_file_with_keys_that_are_not_flags_is_usage_error(runner, demo_file, tmp_path):
+    # the nested layout older config.json files used; click would ignore it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"demos": str(demo_file), "policy": {"n_components": 2}}))
+    out = tmp_path / "t"
+    result = runner.invoke(cli, ["train", "--config", str(cfg), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "not flags of this command: ['policy']" in result.output
+    assert not out.exists()
+
+
 def test_fdp_seed_env_fallback(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("FDP_SEED", "7")
     a = tmp_path / "env.jsonl"
@@ -280,3 +291,101 @@ def test_fdp_seed_env_fallback(runner, tmp_path, monkeypatch):
               "--out", str(b)]
     ).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# config.json: the resolved flags, read back by --config
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["train", "eval", "adapt", "continual", "analyze"])
+def first_run(request, tmp_path_factory, runner, demo_file, trained_dir):
+    """One run of a command with non-default flags: (command, out dir)."""
+    command = request.param
+    ckpt = str(trained_dir / "checkpoint.json")
+    args = {
+        "train": ["--demos", str(demo_file), *FAST_NET, "--epochs", "2",
+                  "--batch-size", "32", "--seed", "1"],
+        "eval": ["--checkpoint", ckpt, "--suite", "bimodal1d", "--episodes", "2",
+                 "--seeds", "0,1", "--top-k", "1"],
+        "adapt": ["--checkpoint", ckpt, "--demos", str(demo_file), "--epochs", "1",
+                  "--batch-size", "32", "--seed", "2"],
+        "continual": ["--pretrain-tasks", "10", "--demos-per-task", "1",
+                      "--adapt-demos-per-task", "1", *FAST_NET, "--epochs", "1",
+                      "--adapt-epochs", "1", "--batch-size", "32", "--eval-episodes", "1"],
+        "analyze": ["--checkpoint", ckpt, "--demos", str(demo_file), "--probes", "8",
+                    "--suite", "bimodal1d", "--logs", str(trained_dir / "training_log.json"),
+                    "--seed", "3"],
+    }[command]
+    out = tmp_path_factory.mktemp("first") / command
+    result = runner.invoke(cli, [command, *args, "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    return command, out
+
+
+def test_config_json_holds_exactly_the_flags_but_out_dir(first_run):
+    command, out = first_run
+    declared = {p.name for p in cli.commands[command].params if p.expose_value}
+    config = json.loads((out / "config.json").read_text())
+    assert set(config) == declared - {"out_dir"}
+
+
+def test_rerun_from_config_json_reproduces_every_artifact(first_run, runner, tmp_path):
+    command, out = first_run
+    again = tmp_path / "again"
+    result = runner.invoke(
+        cli, [command, "--config", str(out / "config.json"), "--out-dir", str(again)]
+    )
+    assert result.exit_code == 0, result.output
+    names = sorted(p.name for p in out.iterdir())
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# flag values rejected by their click types
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("train", "--epochs", "0"),
+        ("train", "--batch-size", "0"),
+        ("adapt", "--batch-size", "0"),
+        ("continual", "--batch-size", "0"),
+        ("eval", "--episodes", "0"),
+        ("eval", "--jobs", "0"),
+        ("eval", "--seeds", ""),
+        ("eval", "--seeds", "0,x"),
+        ("gen-demos", "--per-task", "0"),
+        ("analyze", "--probes", "0"),
+        ("adapt", "--replay-per-task", "-1"),
+        ("adapt", "--epochs", "-1"),
+        ("continual", "--epochs", "-1"),
+        ("continual", "--adapt-epochs", "-1"),
+        ("adapt", "--strategy", "nope"),
+        ("eval", "--suite", "nope"),
+        ("continual", "--suite", "nope"),
+        ("analyze", "--suite", "nope"),
+    ],
+)
+def test_bad_flag_value_is_usage_error_naming_the_flag(
+    runner, demo_file, trained_dir, tmp_path, command, flag, value
+):
+    ckpt = str(trained_dir / "checkpoint.json")
+    required = {
+        "train": ["--demos", str(demo_file)],
+        "adapt": ["--checkpoint", ckpt, "--demos", str(demo_file)],
+        "continual": [],
+        "eval": ["--checkpoint", ckpt, "--suite", "bimodal1d"],
+        "gen-demos": ["--suite", "bimodal1d"],
+        "analyze": ["--checkpoint", ckpt, "--demos", str(demo_file)],
+    }[command]
+    out = tmp_path / "o"
+    dest = ["--out", str(out)] if command == "gen-demos" else ["--out-dir", str(out)]
+    result = runner.invoke(cli, [command, *required, flag, value, *dest])
+    assert result.exit_code == 2, result.output
+    assert f"'{flag}'" in result.output
+    assert not out.exists()

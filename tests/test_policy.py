@@ -339,6 +339,12 @@ def test_checkpoint_rejects_component_window_width_mismatch(trained_bimodal):
         FactorizedPolicy.from_json(obj)
 
 
+def test_checkpoint_rejects_normalizer_width_mismatch(trained_bimodal):
+    obj = {**trained_bimodal.to_json(), "normalizer": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+    with pytest.raises(ValueError, match=r"'normalizer' has shape \(2,\).*'action_dim' is 1"):
+        FactorizedPolicy.from_json(obj)
+
+
 def test_checkpoint_rejects_encoder_input_width_mismatch(trained_bimodal):
     obj = {**trained_bimodal.to_json(), "obs_dim": 4}
     with pytest.raises(ValueError, match="'encoder'.*input width 6.* 8 wide"):
