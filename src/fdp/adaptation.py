@@ -45,6 +45,10 @@ class AdaptationConfig:
             )
         if self.replay_per_task < 0:
             raise AdaptationError("replay_per_task must be >= 0")
+        if self.epochs < 0:
+            raise AdaptationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise AdaptationError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -83,12 +87,10 @@ def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
     The new component starts with logit 0, i.e. the uniform share under the
     softmax of the existing logits plus one; existing weights are untouched.
     """
-    layers = [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in net.layers]
-    last = layers[-1]
+    *body, last = net.layers
     w = np.concatenate([last.weight, np.zeros((last.weight.shape[0], 1))], axis=1)
     b = np.concatenate([last.bias, [0.0]])
-    layers[-1] = Layer(w, b, last.activation)
-    return FeedForwardNet(layers)
+    return FeedForwardNet([*body, Layer(w, b, last.activation)])
 
 
 def upcycle_component(
@@ -181,12 +183,14 @@ def adapt(
                     f"but the policy expects {width}"
                 )
 
-    # Upcycling swaps in a new router net and fit() replaces parameter arrays
-    # rather than writing into them, so references to the pre-adapt objects
-    # roll a failure back without copying any parameters.
+    # Upcycling adds a new component and swaps in a new router net, so
+    # references to the pre-adapt objects undo it. fit() writes the trainable
+    # nets in place, so the vectors of the pre-existing ones among them are
+    # copied first; frozen nets are never written.
     components, router_net = list(policy.components), policy.router.net
-    params = {g: policy._group_net(g).params() for g in policy.group_names()}
+    old_nets = [policy._group_net(g) for g in policy.group_names()]
     normalizer, training_log = policy.normalizer, policy.training_log_
+    saved = {}
     try:
         new_component = None
         source = None
@@ -195,6 +199,10 @@ def adapt(
             new_component = policy.n_components - 1
 
         groups = trainable_groups_for(policy, config, new_component)
+        for g in groups:
+            net = policy._group_net(g)
+            if net in old_nets:
+                saved[net] = net.vector.copy()
         frozen = [g for g in policy.group_names() if g not in groups]
         before = {g: policy._group_net(g).checksum() for g in frozen}
 
@@ -215,8 +223,9 @@ def adapt(
     except BaseException:
         policy.components, policy.router.net = components, router_net
         policy.config.n_components = len(components)
-        for g, group_params in params.items():
-            policy._group_net(g).load_params(group_params)
+        for net, vector in saved.items():
+            net.vector[...] = vector
+            net._version += 1
         policy.normalizer, policy.training_log_ = normalizer, training_log
         raise
     after = {g: policy._group_net(g).checksum() for g in frozen}

@@ -7,13 +7,15 @@ file > defaults. The resolved flags (all but --out-dir) are written as
 config.json next to the outputs, in the schema --config reads, so any output
 directory is reproduced bit-for-bit by re-running with
 --config <dir>/config.json. Exit codes: 0 success, 2 usage error, 3 runtime
-error. The FDP_SEED environment variable is the fallback for every --seed flag.
+error. The FDP_SEED environment variable is the default of every --seed flag,
+so an explicit --seed and a --config entry both beat it.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -83,9 +85,12 @@ SUITE = click.Choice(SUITES)
 POSITIVE = click.IntRange(min=1)
 NON_NEGATIVE = click.IntRange(min=0)
 
+# FDP_SEED is read as the default, not as click's envvar, which would beat
+# the --config entries (click ranks an option's envvar above the default map).
 seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, envvar="FDP_SEED",
-    help="Master seed (falls back to FDP_SEED).",
+    "--seed", type=int, default=lambda: os.environ.get("FDP_SEED") or 0,
+    show_default="FDP_SEED, else 0",
+    help="Master seed (falls back to --config, then FDP_SEED).",
 )
 
 

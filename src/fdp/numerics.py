@@ -2,8 +2,10 @@
 an Adam optimizer, and a counter-based RNG whose streams are portable.
 
 Everything here is deliberately boring: plain numpy arrays, explicit shapes,
-no autodiff graph. Networks are immutable during inference; parameter writes
-go through ``load_params`` so stale backward caches can be detected.
+no autodiff graph. Each network owns one contiguous float64 parameter vector,
+and every layer's weight and bias are views into it. Parameter writes go
+through ``load_params`` or an ``Adam`` step, which update the vector in place
+and bump the net's version so stale backward caches can be detected.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,9 +189,13 @@ class ForwardCache:
 class FeedForwardNet:
     """Dense MLP over float64 with per-layer activations and exact gradients.
 
-    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). Parameter
-    updates must go through ``load_params``, which bumps an internal version;
-    ``backward`` refuses caches recorded under an older version.
+    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). The net
+    owns one contiguous float64 ``vector`` holding every parameter, layer by
+    layer, weight (row-major) then bias; each layer's ``weight`` and ``bias``
+    are C-contiguous views into it, copied from the given layers. Parameter
+    updates go through ``load_params`` or ``Adam.step``, which write the
+    vector in place and bump an internal version; ``backward`` refuses caches
+    recorded under an older version.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -201,7 +207,17 @@ class FeedForwardNet:
                     f"layer {i} fan_in {layers[i].weight.shape[0]} != "
                     f"layer {i - 1} fan_out {layers[i - 1].weight.shape[1]}"
                 )
-        self.layers = layers
+        self.vector = np.concatenate(
+            [a.ravel() for l in layers for a in (l.weight, l.bias)]
+        )
+        self.layers = []
+        offset = 0
+        for l in layers:
+            views = []
+            for a in (l.weight, l.bias):
+                views.append(self.vector[offset : offset + a.size].reshape(a.shape))
+                offset += a.size
+            self.layers.append(Layer(*views, l.activation))
         self._version = 0
 
     # -- construction -------------------------------------------------------
@@ -258,44 +274,64 @@ class FeedForwardNet:
         return self.layers[-1].weight.shape[1]
 
     def param_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.vector.size
 
     def params(self) -> dict[str, np.ndarray]:
-        """Live parameter views keyed 'layer{i}.weight' / 'layer{i}.bias'."""
+        """Live parameter views keyed 'layer{i}.weight' / 'layer{i}.bias', in
+        the order of ``vector``."""
         out = {}
         for i, l in enumerate(self.layers):
             out[f"layer{i}.weight"] = l.weight
             out[f"layer{i}.bias"] = l.bias
         return out
 
+    def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Concatenate arrays keyed like ``params()`` (e.g. gradients) into
+        one vector laid out like ``vector``; a shape mismatch names the path."""
+        parts = []
+        for path, p in self.params().items():
+            g = grads[path]
+            if g.shape != p.shape:
+                raise DimensionMismatchError(
+                    f"gradient shape {g.shape} != parameter shape {p.shape} at '{path}'"
+                )
+            parts.append(g.ravel())
+        return np.concatenate(parts)
+
     def load_params(self, new: dict[str, np.ndarray]) -> None:
-        """Replace parameters (shape-checked) and invalidate outstanding caches."""
-        for i, l in enumerate(self.layers):
-            for attr in ("weight", "bias"):
-                key = f"layer{i}.{attr}"
-                if key not in new:
-                    continue
-                arr = as_f64(new[key], key)
-                if arr.shape != getattr(l, attr).shape:
-                    raise DimensionMismatchError(
-                        f"{key}: expected shape {getattr(l, attr).shape}, got {arr.shape}"
-                    )
-                setattr(l, attr, arr.copy())
+        """Copy parameters into the net's vector and invalidate outstanding
+        caches. Every given array is shape- and finiteness-checked before any
+        is written; paths not given keep their values."""
+        current = self.params()
+        checked = {}
+        for key, arr in new.items():
+            if key not in current:
+                continue
+            arr = as_f64(arr, key)
+            if arr.shape != current[key].shape:
+                raise DimensionMismatchError(
+                    f"{key}: expected shape {current[key].shape}, got {arr.shape}"
+                )
+            checked[key] = arr
+        for key, arr in checked.items():
+            current[key][...] = arr
         self._version += 1
 
     def copy(self) -> "FeedForwardNet":
-        net = FeedForwardNet(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-        return net
+        return FeedForwardNet(self.layers)
+
+    def __reduce__(self):
+        # Deep copies and pickles rebuild the vector from the layers, so the
+        # layers of the copy are views into its vector. (numpy would copy each
+        # view into an array of its own, and writes to the copy's vector
+        # would not reach its layers.)
+        return FeedForwardNet, (self.layers,), {"_version": self._version}
 
     def checksum(self) -> str:
         """SHA-256 over the little-endian float64 bytes of all parameters."""
-        h = hashlib.sha256()
-        for l in self.layers:
-            h.update(np.ascontiguousarray(l.weight, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(l.bias, dtype="<f8").tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(
+            np.ascontiguousarray(self.vector, dtype="<f8").tobytes()
+        ).hexdigest()
 
     # -- forward / backward -------------------------------------------------
 
@@ -399,10 +435,13 @@ def decode_f64(s: str) -> np.ndarray:
 
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer over a dict of named parameter arrays.
+    """Adaptive-moment optimizer over one net's parameter vector.
 
-    lr 1e-3, decays (0.9, 0.999), eps 1e-8 by default. ``step`` returns new
-    arrays rather than writing in place, so callers control when nets mutate.
+    lr 1e-3, decays (0.9, 0.999), eps 1e-8 by default. ``step`` updates the
+    net's ``vector`` in place from a gradient laid out the same way (see
+    ``FeedForwardNet.flatten``) and bumps the net's version. The moments are
+    flat vectors too. Every operation is elementwise, so each parameter gets
+    the same bits as the textbook per-array recurrence.
     """
 
     lr: float = 1e-3
@@ -410,28 +449,37 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
-    def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
+    def step(self, net: FeedForwardNet, grad: np.ndarray) -> None:
+        p = net.vector
+        if grad.shape != p.shape:
+            raise DimensionMismatchError(
+                f"gradient shape {grad.shape} != parameter vector shape {p.shape}"
+            )
+        if not np.all(np.isfinite(grad)):
+            offset = 0
+            for path, arr in net.params().items():
+                if not np.all(np.isfinite(grad[offset : offset + arr.size])):
+                    raise NonFiniteError(f"non-finite gradient at '{path}'")
+                offset += arr.size
         self.t += 1
-        out = {}
-        for path, p in params.items():
-            g = grads[path]
-            if g.shape != p.shape:
-                raise DimensionMismatchError(
-                    f"gradient shape {g.shape} != parameter shape {p.shape} at '{path}'"
-                )
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError(f"non-finite gradient at '{path}'")
-            if path not in self.m:
-                self.m[path] = np.zeros_like(p)
-                self.v[path] = np.zeros_like(p)
-            self.m[path] = self.beta1 * self.m[path] + (1.0 - self.beta1) * g
-            self.v[path] = self.beta2 * self.v[path] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[path] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[path] / (1.0 - self.beta2**self.t)
-            out[path] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return out
+        if self.m is None:
+            self.m = np.zeros_like(p)
+            self.v = np.zeros_like(p)
+        # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        g2 = (1.0 - self.beta2) * grad
+        g2 *= grad
+        self.v *= self.beta2
+        self.v += g2
+        # p -= lr * m_hat / (sqrt(v_hat) + eps)
+        step = self.m / (1.0 - self.beta1**self.t)
+        step *= self.lr
+        denom = np.sqrt(self.v / (1.0 - self.beta2**self.t))
+        denom += self.eps
+        step /= denom
+        p -= step
+        net._version += 1

@@ -2,11 +2,11 @@
 components + router + encoder, compositional inference, receding-horizon
 rollout, and checkpoint I/O.
 
-The policy follows the estimator convention: construct with hyperparameters,
-``fit(dataset)`` trains in place and returns self (log under
-``training_log_``), ``predict``/``act`` sample an action window for one
-observation. A single-component policy with its (constant) softmax weight of
-1.0 is exactly the monolithic diffusion-policy baseline.
+The policy is constructed with hyperparameters; ``fit(dataset)`` trains in
+place and returns self (log under ``training_log_``), and ``predict``/``act``
+sample an action window for one observation. A single-component policy with
+its (constant) softmax weight of 1.0 is exactly the monolithic
+diffusion-policy baseline.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ class ActionNormalizer:
 
 @dataclass
 class PolicyConfig:
-    """Hyperparameters of the factorized policy (estimator params)."""
+    """Hyperparameters of the factorized policy."""
 
     n_components: int = 4
     diffusion_steps: int = 100
@@ -359,26 +359,6 @@ class FactorizedPolicy:
     def n_components(self) -> int:
         return len(self.components)
 
-    # -- estimator surface -------------------------------------------------
-
-    def get_params(self, deep: bool = True) -> dict:
-        out = asdict(self.config)
-        out["seed"] = self.seed
-        return out
-
-    def set_params(self, **params) -> "FactorizedPolicy":
-        """Update hyperparameters and re-initialize networks (pre-fit use)."""
-        if "seed" in params:
-            self.seed = int(params.pop("seed"))
-        cfg = asdict(self.config)
-        for key, val in params.items():
-            if key not in cfg:
-                raise ValueError(f"unknown parameter '{key}'")
-            cfg[key] = val
-        self.config = PolicyConfig(**cfg)
-        self._build()
-        return self
-
     # -- parameter bookkeeping ----------------------------------------------
 
     def group_names(self) -> list[str]:
@@ -476,7 +456,6 @@ class FactorizedPolicy:
         window, _ = self.sample_window(obs, rng, top_k, weights_override)
         return self.normalizer.denormalize(window)
 
-    # estimator alias
     predict = act
 
     def episode_controller(self, env, rng: Rng, top_k=None, weights_override=None):
@@ -520,6 +499,10 @@ class FactorizedPolicy:
         """
         from .composition import joint_loss
 
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {epochs}")
         episodes = list(dataset.episodes)
         if not episodes:
             raise ValueError("dataset has no episodes")
@@ -607,7 +590,7 @@ class FactorizedPolicy:
                 src = grads.router
             else:
                 src = grads.components[int(g.split(":", 1)[1])]
-            net.load_params(opts[g].step(net.params(), src))
+            opts[g].step(net, net.flatten(src))
 
     # -- checkpointing -----------------------------------------------------------
 

@@ -1,15 +1,19 @@
 """Independent oracles shared across test modules.
 
-These deliberately avoid the package's own gradient and sampling paths:
-analytic Gaussian scores, the per-component loop for the composed noise
-prediction and the per-step reverse sampler built on it, closed-form
-product-of-Gaussians moments, and a generic central-finite-difference
-gradient checker.
+These deliberately avoid the package's own gradient, sampling and
+optimizer paths: analytic Gaussian scores, the per-component loop for the
+composed noise prediction and the per-step reverse sampler built on it,
+closed-form product-of-Gaussians moments, the per-array Adam, a generic
+central-finite-difference gradient checker, and the layout check of a net's
+parameter vector.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from fdp.diffusion import reverse_mean
+from fdp.numerics import DimensionMismatchError, NonFiniteError
 
 
 class AnalyticGaussianDenoiser:
@@ -137,3 +141,50 @@ def central_diff(f, arr, h=1e-5):
 
 def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1e-8, np.abs(a) + np.abs(b))))
+
+
+@dataclass
+class DictAdam:
+    """Reference Adam over a dict of named parameter arrays, one array at a
+    time. ``step`` returns new arrays and leaves its inputs untouched."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def step(self, params, grads):
+        self.t += 1
+        out = {}
+        for path, p in params.items():
+            g = grads[path]
+            if g.shape != p.shape:
+                raise DimensionMismatchError(
+                    f"gradient shape {g.shape} != parameter shape {p.shape} at '{path}'"
+                )
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteError(f"non-finite gradient at '{path}'")
+            if path not in self.m:
+                self.m[path] = np.zeros_like(p)
+                self.v[path] = np.zeros_like(p)
+            self.m[path] = self.beta1 * self.m[path] + (1.0 - self.beta1) * g
+            self.v[path] = self.beta2 * self.v[path] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[path] / (1.0 - self.beta1**self.t)
+            v_hat = self.v[path] / (1.0 - self.beta2**self.t)
+            out[path] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return out
+
+
+def assert_layers_view_vector(net):
+    """Every layer's weight and bias is a C-contiguous view into net.vector,
+    laid out weight then bias, layer by layer."""
+    offset = 0
+    for p in net.params().values():
+        assert p.flags.c_contiguous and p.base is net.vector
+        assert np.shares_memory(p, net.vector)
+        np.testing.assert_array_equal(p.ravel(), net.vector[offset : offset + p.size])
+        offset += p.size
+    assert offset == net.vector.size == net.param_count()

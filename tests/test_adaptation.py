@@ -20,6 +20,8 @@ from fdp.bench import evaluate, generate_demos, make_suite
 from fdp.numerics import Rng
 from fdp.policy import FactorizedPolicy, PolicyConfig
 
+from .oracles import assert_layers_view_vector
+
 
 SMALL = dict(
     diffusion_steps=10,
@@ -121,6 +123,16 @@ def test_extend_router_head_shapes():
     assert wide.in_dim == net.in_dim
 
 
+def test_upcycled_component_and_widened_router_own_their_vectors():
+    policy = small_policy(n=2)
+    source_net, old_router = policy.components[1].net, policy.router.net
+    upcycle_component(policy, source=1)
+    for net in (policy.components[2].net, policy.router.net):
+        assert_layers_view_vector(net)
+    assert not np.shares_memory(policy.components[2].net.vector, source_net.vector)
+    assert not np.shares_memory(policy.router.net.vector, old_router.vector)
+
+
 # ---------------------------------------------------------------------------
 # adapt
 # ---------------------------------------------------------------------------
@@ -152,20 +164,30 @@ def test_adapt_rejects_demos_of_other_widths(reach_ds, case, message):
 
 
 @pytest.mark.parametrize(
-    "strategy, fail_in",
-    [("new_module", "upcycle"), ("new_module", "fit"), ("full", "fit")],
+    "strategy, fail_in, unfreeze_encoder",
+    [
+        pytest.param("new_module", "upcycle", False, id="new_module-upcycle"),
+        pytest.param("new_module", "fit", False, id="new_module-fit"),
+        pytest.param("full", "fit", False, id="full-fit"),
+        pytest.param("router", "fit", False, id="router-fit"),
+        pytest.param("router+encoder", "fit", False, id="router+encoder-fit"),
+        pytest.param("new_module", "fit", True, id="new_module-unfreeze_encoder-fit"),
+    ],
 )
-def test_adapt_failure_restores_the_policy(reach_ds, pick_ds, monkeypatch, strategy, fail_in):
+def test_adapt_failure_restores_the_policy(
+    reach_ds, pick_ds, monkeypatch, strategy, fail_in, unfreeze_encoder
+):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
     checksums, log = policy.group_checksums(), policy.training_log_
+    nets = [policy._group_net(g) for g in policy.group_names()]
 
     if fail_in == "upcycle":  # after the component is appended, before the router grows
         def extend_router_head(net):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(fdp.adaptation, "extend_router_head", extend_router_head)
-    else:  # after one optimizer step has replaced the trainable parameters
+    else:  # after one optimizer step has written the trainable nets in place
         apply_grads = FactorizedPolicy._apply_grads
 
         def apply_once_then_fail(self, *args):
@@ -173,10 +195,14 @@ def test_adapt_failure_restores_the_policy(reach_ds, pick_ds, monkeypatch, strat
             raise RuntimeError("injected")
 
         monkeypatch.setattr(FactorizedPolicy, "_apply_grads", apply_once_then_fail)
+    config = AdaptationConfig(
+        strategy=strategy, epochs=2, batch_size=32, unfreeze_encoder=unfreeze_encoder
+    )
     with pytest.raises(RuntimeError, match="injected"):
-        adapt(policy, AdaptationConfig(strategy=strategy, epochs=2, batch_size=32), pick_ds)
+        adapt(policy, config, pick_ds)
 
     assert policy.group_checksums() == checksums
+    assert [policy._group_net(g) for g in policy.group_names()] == nets
     assert policy.n_components == 2
     assert policy.router.n_components == 2
     assert policy.config.n_components == 2
@@ -378,3 +404,9 @@ def test_config_validation():
         AdaptationConfig(strategy="distill")
     with pytest.raises(AdaptationError):
         AdaptationConfig(replay_per_task=-1)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+def test_config_rejects_bad_batch_size_and_epochs(field, value):
+    with pytest.raises(AdaptationError, match=field):
+        AdaptationConfig(**{field: value})

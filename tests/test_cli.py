@@ -293,6 +293,23 @@ def test_fdp_seed_env_fallback(runner, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_config_seed_beats_fdp_seed(runner, tmp_path, monkeypatch):
+    explicit = tmp_path / "explicit.jsonl"
+    assert runner.invoke(
+        cli, ["gen-demos", "--suite", "bimodal1d", "--per-task", "2", "--seed", "1",
+              "--out", str(explicit)]
+    ).exit_code == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": "bimodal1d", "per_task": 2, "seed": 1}))
+    monkeypatch.setenv("FDP_SEED", "5")
+    from_config = tmp_path / "config.jsonl"
+    result = runner.invoke(
+        cli, ["gen-demos", "--config", str(config), "--out", str(from_config)]
+    )
+    assert result.exit_code == 0, result.output
+    assert from_config.read_bytes() == explicit.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config.json: the resolved flags, read back by --config
 # ---------------------------------------------------------------------------

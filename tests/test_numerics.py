@@ -1,9 +1,13 @@
 """Core numerics: nets, explicit gradients, Adam, counter-based RNG."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from fdp.numerics import (
+    ACTIVATIONS,
     Adam,
     DimensionMismatchError,
     FeedForwardNet,
@@ -12,6 +16,8 @@ from fdp.numerics import (
     Rng,
     StaleCacheError,
 )
+
+from .oracles import DictAdam, assert_layers_view_vector
 
 
 def finite_diff_param_grads(net, x, grad_out, h=1e-5):
@@ -171,23 +177,22 @@ def test_stale_cache_rejected_after_param_update():
 
 
 def test_adam_zero_gradient_keeps_params():
-    rng = Rng(41)
-    p = {"w": rng.gaussian(6).reshape(2, 3)}
+    net = FeedForwardNet([Layer(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
+    before = net.vector.copy()
     opt = Adam()
-    out = opt.step(p, {"w": np.zeros((2, 3))})
-    np.testing.assert_array_equal(out["w"], p["w"])
+    opt.step(net, np.zeros(net.param_count()))
+    np.testing.assert_array_equal(net.vector, before)
     assert opt.t == 1
 
 
 def test_adam_first_step_is_lr_times_sign():
     # from zero moments, bias correction makes |update| = lr exactly
-    p = {"w": np.array([1.0, -2.0])}
-    g = {"w": np.array([0.3, -7.0])}
+    net = FeedForwardNet([Layer(np.array([[1.0]]), np.array([-2.0]), "identity")])
+    p = net.vector.copy()
+    g = np.array([0.3, -7.0])
     opt = Adam(lr=1e-3)
-    out = opt.step(p, g)
-    np.testing.assert_allclose(
-        out["w"], p["w"] - 1e-3 * np.sign(g["w"]), rtol=0, atol=1e-9
-    )
+    opt.step(net, g)
+    np.testing.assert_allclose(net.vector, p - 1e-3 * np.sign(g), rtol=0, atol=1e-9)
 
 
 def test_adam_constant_gradient_matches_scalar_simulation():
@@ -201,27 +206,132 @@ def test_adam_constant_gradient_matches_scalar_simulation():
         v = b2 * v + (1 - b2) * g * g
         x_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
-    p = {"w": np.array([1.5])}
+    net = FeedForwardNet([Layer(np.array([[1.5]]), np.array([1.5]), "identity")])
     opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(50):
-        p = opt.step(p, {"w": np.array([g])})
-    np.testing.assert_allclose(p["w"][0], x_ref, rtol=1e-12)
+        opt.step(net, np.array([g, g]))
+    np.testing.assert_allclose(net.vector, [x_ref, x_ref], rtol=1e-12)
     # per-step movement approaches lr * sign(g)
-    before = p["w"][0]
-    p = opt.step(p, {"w": np.array([g])})
-    assert abs((before - p["w"][0]) - lr) < 1e-5
+    before = net.vector[0]
+    opt.step(net, np.array([g, g]))
+    assert abs((before - net.vector[0]) - lr) < 1e-5
 
 
 def test_adam_nonfinite_gradient_names_path():
+    net = FeedForwardNet.init([2, 2, 2, 2, 2], "tanh", Rng(0))
+    before = net.vector.copy()
+    g = np.zeros(net.param_count())
+    g[-1] = np.nan  # last entry of layer3.bias
     opt = Adam()
     with pytest.raises(NonFiniteError, match="layer3.bias"):
-        opt.step({"layer3.bias": np.zeros(2)}, {"layer3.bias": np.array([1.0, np.nan])})
+        opt.step(net, g)
+    np.testing.assert_array_equal(net.vector, before)
 
 
 def test_adam_shape_mismatch_rejected():
+    net = FeedForwardNet.init([1, 3], "tanh", Rng(0))
     opt = Adam()
     with pytest.raises(DimensionMismatchError):
-        opt.step({"w": np.zeros(3)}, {"w": np.zeros(4)})
+        opt.step(net, np.zeros(net.param_count() + 1))
+    grads = {k: np.zeros(v.shape) for k, v in net.params().items()}
+    grads["layer0.bias"] = np.zeros(4)
+    with pytest.raises(DimensionMismatchError, match="layer0.bias"):
+        net.flatten(grads)
+
+
+def random_net(rng):
+    """A net of 1-3 layers with random widths in [1, 6] and activations."""
+    n_layers = int(rng.integers(1, 4)[0])
+    widths = [int(w) for w in rng.integers(1, 7, n_layers + 1)]
+    acts = [ACTIVATIONS[int(a)] for a in rng.integers(0, len(ACTIVATIONS), n_layers)]
+    return FeedForwardNet.init(widths, acts, rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flat_adam_matches_per_array_oracle(seed):
+    rng = Rng(100 + seed)
+    net = random_net(rng)
+    params = {k: v.copy() for k, v in net.params().items()}
+    lr = float(rng.uniform(1)[0]) * 0.1
+    opt, oracle = Adam(lr=lr), DictAdam(lr=lr)
+    for _ in range(5):
+        grads = {k: rng.gaussian(v.size).reshape(v.shape) for k, v in params.items()}
+        opt.step(net, net.flatten(grads))
+        params = oracle.step(params, grads)
+        for path, p in net.params().items():
+            np.testing.assert_array_equal(p, params[path])
+    assert opt.t == oracle.t == 5
+    np.testing.assert_array_equal(opt.m, net.flatten(oracle.m))
+    np.testing.assert_array_equal(opt.v, net.flatten(oracle.v))
+
+
+def test_stale_cache_rejected_after_adam_step():
+    rng = Rng(34)
+    net = FeedForwardNet.init([3, 4, 2], "tanh", rng)
+    _, cache = net.forward(rng.gaussian(3))
+    Adam().step(net, rng.gaussian(net.param_count()))
+    with pytest.raises(StaleCacheError):
+        net.backward(cache, np.ones(2))
+
+
+def test_layers_share_memory_with_vector():
+    net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], Rng(7))
+    copy = net.copy()
+    clone = FeedForwardNet.from_json(net.to_json())
+    for n in (net, copy, clone, FeedForwardNet.identity(3)):
+        assert_layers_view_vector(n)
+    assert not np.shares_memory(copy.vector, net.vector)
+    assert not np.shares_memory(clone.vector, net.vector)
+    # a write through a layer view is a write to the vector, and vice versa
+    net.layers[1].bias[0] = 9.0
+    assert net.vector[-3] == 9.0
+    net.vector[0] = -9.0
+    assert net.layers[0].weight[0, 0] == -9.0
+    assert copy.vector[0] != -9.0
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, pickle_round_trip])
+def test_copied_and_pickled_nets_keep_layers_as_vector_views(clone):
+    rng = Rng(9)
+    net = FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], rng)
+    net.load_params(net.params())
+    twin = clone(net)
+    assert_layers_view_vector(twin)
+    assert not np.shares_memory(twin.vector, net.vector)
+    assert twin.version == net.version == 1
+    assert twin.checksum() == net.checksum()
+    x = rng.gaussian(6).reshape(2, 3)
+    y, cache = twin.forward(x)
+    np.testing.assert_array_equal(y, net(x))
+    before = (net.checksum(), net.to_json())
+    Adam(lr=0.1).step(twin, rng.gaussian(twin.param_count()))
+    # the step reaches forward, to_json and checksum together, on the copy only
+    assert_layers_view_vector(twin)
+    assert not np.array_equal(twin(x), y)
+    assert twin.checksum() != before[0]
+    assert FeedForwardNet.from_json(twin.to_json()).checksum() == twin.checksum()
+    assert (net.checksum(), net.to_json()) == before
+    with pytest.raises(StaleCacheError):
+        twin.backward(cache, np.ones((2, 2)))
+
+
+def test_load_params_copies_into_the_vector_and_checks_all_before_writing():
+    net = FeedForwardNet.init([3, 2], "tanh", Rng(8))
+    vector, before = net.vector, net.vector.copy()
+    new = {"layer0.weight": np.ones((3, 2)), "layer0.bias": np.array([1.0, np.inf])}
+    with pytest.raises(NonFiniteError, match="layer0.bias"):
+        net.load_params(new)
+    np.testing.assert_array_equal(net.vector, before)
+    new["layer0.bias"] = np.array([2.0, 3.0])
+    net.load_params(new)
+    assert net.vector is vector
+    np.testing.assert_array_equal(net.vector, [1, 1, 1, 1, 1, 1, 2, 3])
+    new["layer0.bias"][0] = 5.0  # the net holds a copy
+    assert net.vector[-2] == 2.0
 
 
 # ---------------------------------------------------------------------------

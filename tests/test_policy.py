@@ -1,6 +1,8 @@
 """Policy aggregate: encoding, training, inference, rollout, checkpoints."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from fdp.policy import (
     matched_hidden_width,
     sinusoidal_step_embedding,
 )
+
+from .oracles import DictAdam, assert_layers_view_vector
 
 
 SMALL = dict(
@@ -179,6 +183,74 @@ def test_fit_requires_episodes():
         policy.fit(empty, epochs=1, batch_size=8, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+def test_fit_rejects_bad_batch_size_and_epochs(field, value):
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy()
+    before = policy.group_checksums()
+    kwargs = {"epochs": 1, "batch_size": 8, field: value}
+    with pytest.raises(ValueError, match=field):
+        policy.fit(ds, seed=0, **kwargs)
+    assert policy.group_checksums() == before
+    assert policy.normalizer is None
+
+
+@pytest.mark.parametrize("trainable", [None, ["router", "component:1"]])
+def test_fit_matches_per_array_adam_and_load_params(monkeypatch, trainable):
+    # the flat in-place optimizer against the reference: a per-array DictAdam
+    # per group, its new arrays written back through load_params
+    ds = generate_demos("bimodal1d", per_task=4, seed=1)
+
+    def fit_bytes():
+        policy = small_policy(seed=5)
+        policy.fit(ds, epochs=3, batch_size=16, seed=11, trainable=trainable)
+        return (
+            canonical_json(policy.to_json()),
+            canonical_json(policy.training_log_.to_json()),
+        )
+
+    flat = fit_bytes()
+    oracles = {}
+
+    def apply_grads(self, opts, grads, groups):
+        for g in groups:
+            if g in ("encoder", "router"):
+                src = getattr(grads, g)
+            else:
+                src = grads.components[int(g.split(":", 1)[1])]
+            oracle = oracles.setdefault(g, DictAdam(lr=opts[g].lr))
+            net = self._group_net(g)
+            net.load_params(oracle.step(net.params(), src))
+
+    monkeypatch.setattr(FactorizedPolicy, "_apply_grads", apply_grads)
+    reference = fit_bytes()
+    assert set(oracles) == set(trainable or small_policy().group_names())
+    n_train = json.loads(reference[1])["n_train_windows"]
+    assert {o.t for o in oracles.values()} == {3 * -(-n_train // 16)}
+    assert flat == reference
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_and_pickled_policies_train_like_the_original(clone):
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy(seed=3)
+    untrained = policy.group_checksums()
+    twin = clone(policy)
+    for g in twin.group_names():
+        assert_layers_view_vector(twin._group_net(g))
+    twin.fit(ds, epochs=1, batch_size=16, seed=4)
+    assert policy.group_checksums() == untrained
+    policy.fit(ds, epochs=1, batch_size=16, seed=4)
+    trained = twin.group_checksums()
+    assert all(trained[g] != untrained[g] for g in trained)
+    assert trained == policy.group_checksums()
+    assert canonical_json(twin.to_json()) == canonical_json(policy.to_json())
+    assert FactorizedPolicy.from_json(twin.to_json()).group_checksums() == trained
+
+
 def test_fit_rejects_unknown_group():
     ds = generate_demos("bimodal1d", per_task=3, seed=1)
     policy = small_policy()
@@ -248,19 +320,8 @@ def test_unfitted_policy_refuses_to_act():
 
 
 # ---------------------------------------------------------------------------
-# estimator surface and checkpointing
+# checkpointing
 # ---------------------------------------------------------------------------
-
-
-def test_get_set_params_round_trip():
-    policy = small_policy()
-    params = policy.get_params()
-    assert params["n_components"] == 2
-    policy.set_params(n_components=3, obs_embed_dim=10)
-    assert policy.n_components == 3
-    assert policy.obs_encoder.out_dim == 10
-    with pytest.raises(ValueError):
-        policy.set_params(hidden_layers=4)
 
 
 def test_predict_is_act_alias(trained_bimodal):
