@@ -69,16 +69,17 @@ class Router:
         w = softmax(logits, self.temperature)
         return w, RouterCache(net_cache, w)
 
-    def backward(self, cache: RouterCache, grad_weights: np.ndarray):
+    def backward(self, cache: RouterCache, grad_weights: np.ndarray, param_grads: bool = True):
         """Gradients through softmax and the routing net.
 
-        Returns (param grads, gradient wrt the observation embedding).
+        Returns (param grads or None without param_grads, gradient wrt the
+        observation embedding).
         """
         w = cache.weights
         g = as_f64(grad_weights, "grad_weights")
         inner = (g * w).sum(axis=-1, keepdims=True)
         dlogits = w * (g - inner) / self.temperature
-        return self.net.backward(cache.net_cache, dlogits)
+        return self.net.backward(cache.net_cache, dlogits, param_grads)
 
     def to_json(self) -> dict:
         return {"temperature": self.temperature, "net": self.net.to_json()}
@@ -180,7 +181,8 @@ def sample_values(
 
     The weights are fixed for the whole call (router runs once per inference).
     With top_k set, only the top_k components by weight are evaluated and their
-    weights are renormalized on the simplex.
+    weights are renormalized on the simplex. Components whose weight is
+    exactly zero (one-hot solo weights) are not evaluated at all.
 
     Policy components (``DenoiserComponent``) are evaluated through one
     ``ComponentBank`` stacked after the top-k selection, with the step features
@@ -205,11 +207,12 @@ def sample_values(
         )
     if top_k is not None and top_k != len(components):
         idx, w_used = select_top_k(w, top_k)
-        active = [components[i] for i in idx]
     else:
-        idx = np.arange(len(components))
-        w_used = w
-        active = list(components)
+        idx, w_used = np.arange(len(components)), w
+    # a zero-weight term adds an exact zero; skipping it changes no nonzero bit
+    nonzero = w_used != 0.0
+    idx, w_used = idx[nonzero], w_used[nonzero]
+    active = [components[i] for i in idx]
 
     if all(isinstance(c, DenoiserComponent) for c in active):
         bank = ComponentBank(active)
@@ -236,11 +239,12 @@ def sample_values(
 
 @dataclass
 class JointGrads:
-    """Gradients from one joint loss evaluation, keyed by parameter group."""
+    """Gradients from one joint loss evaluation, keyed by parameter group.
+    A group outside the loss's trainable set gets None, not a gradient."""
 
-    encoder: dict[str, np.ndarray]
-    router: dict[str, np.ndarray]
-    components: list = field(default_factory=list)
+    encoder: dict[str, np.ndarray] | None
+    router: dict[str, np.ndarray] | None
+    components: list = field(default_factory=list)  # one dict or None each
 
 
 def composed_residual(
@@ -263,6 +267,7 @@ def joint_loss(
     batch: tuple[np.ndarray, np.ndarray],
     schedule: NoiseSchedule,
     rng: Rng,
+    trainable=None,
 ) -> tuple[float, JointGrads]:
     """Composed noise-prediction MSE over a batch of (clean window, obs) pairs.
 
@@ -270,6 +275,12 @@ def joint_loss(
     and penalize || eps - sum_i w_i eps_i ||^2 with w = router(encoder(obs)).
     The loss is the mean over batch and coordinates; gradients flow through the
     weighted sum into every component, the router, and the encoder at once.
+
+    trainable names the groups to differentiate ('encoder', 'router',
+    'component:i'; None means all); the others get None. A frozen net runs no
+    backward when the encoder is frozen too, and only its input gradient (no
+    dW/db) when the encoder trains. Gradients match an all-trainable call bit
+    for bit.
     """
     windows, obs = batch
     windows = as_f64(windows, "windows")
@@ -287,16 +298,27 @@ def joint_loss(
     if not np.isfinite(loss):
         raise ValueError("joint loss is non-finite")
 
+    def trains(group):
+        return trainable is None or group in trainable
+
+    train_encoder = trains("encoder")
     w = router_cache.weights
     dagg = 2.0 * resid / resid.size
-    demb = np.zeros_like(emb)
+    demb = np.zeros_like(emb) if train_encoder else None
     comp_grads = []
     for i, comp in enumerate(components):
-        pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg)
+        pg = None
+        train_i = trains(f"component:{i}")
+        if train_i or train_encoder:
+            pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg, param_grads=train_i)
+            if train_encoder:
+                demb += de
         comp_grads.append(pg)
-        demb += de
-    dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
-    router_pg, demb_router = router.backward(router_cache, dw)
-    demb += demb_router
-    enc_pg, _ = obs_encoder.backward(enc_cache, demb)
+    router_pg = enc_pg = None
+    if trains("router") or train_encoder:
+        dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
+        router_pg, demb_router = router.backward(router_cache, dw, trains("router"))
+        if train_encoder:
+            demb += demb_router
+            enc_pg, _ = obs_encoder.backward(enc_cache, demb)
     return loss, JointGrads(enc_pg, router_pg, comp_grads)

@@ -361,12 +361,13 @@ class FeedForwardNet:
         return self.forward(x)[0]
 
     def backward(
-        self, cache: ForwardCache, grad_out: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        self, cache: ForwardCache, grad_out: np.ndarray, param_grads: bool = True
+    ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
         """Exact gradients for the recorded forward pass.
 
         Returns (param_grads keyed like params(), gradient wrt the input).
-        Gradients are summed over the batch dimension.
+        Gradients are summed over the batch dimension. With param_grads False
+        the dW/db products are skipped and None stands for param_grads.
         """
         if cache.version != self._version:
             raise StaleCacheError(
@@ -379,12 +380,13 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"grad_out shape {g.shape} != output shape {cache.outputs[-1].shape}"
             )
-        grads: dict[str, np.ndarray] = {}
+        grads: dict[str, np.ndarray] | None = {} if param_grads else None
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             dz = g * _act_grad(l.activation, cache.pre_acts[i], cache.outputs[i])
-            grads[f"layer{i}.weight"] = cache.inputs[i].T @ dz
-            grads[f"layer{i}.bias"] = dz.sum(axis=0)
+            if param_grads:
+                grads[f"layer{i}.weight"] = cache.inputs[i].T @ dz
+                grads[f"layer{i}.bias"] = dz.sum(axis=0)
             g = dz @ l.weight.T
         return grads, (g[0] if cache.squeeze else g)
 
@@ -425,7 +427,8 @@ def encode_f64(arr: np.ndarray) -> str:
 
 
 def decode_f64(s: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8").copy()
+    # a read-only view: FeedForwardNet copies it into its vector, once
+    return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8")
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,9 @@ class DenoiserComponent:
         x = np.concatenate([values, emb, step], axis=-1)
         return self.net.forward(x)
 
-    def backward(self, cache, grad_out):
-        """(param grads, grad wrt window values, grad wrt obs embedding)."""
-        grads, gx = self.net.backward(cache, grad_out)
+    def backward(self, cache, grad_out, param_grads: bool = True):
+        """(param grads or None, grad wrt window values, grad wrt obs embedding)."""
+        grads, gx = self.net.backward(cache, grad_out, param_grads)
         d, e = self.window_dim, self.emb_dim
         return grads, gx[..., :d], gx[..., d : d + e]
 
@@ -493,9 +493,10 @@ class FactorizedPolicy:
     ) -> "FactorizedPolicy":
         """Joint imitation training; see TrainingLog for the per-epoch record.
 
-        trainable selects parameter groups ('encoder', 'router', 'component:i');
-        None means all groups. Deterministic given the seed: data order, drawn
-        steps, and noise all come from child streams of it.
+        trainable selects parameter groups ('encoder', 'router', 'component:i'),
+        each at most once; None means all groups, and only these get gradients.
+        Deterministic given the seed: data order, drawn steps, and noise all
+        come from child streams of it.
         """
         from .composition import joint_loss
 
@@ -503,14 +504,16 @@ class FactorizedPolicy:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
+        groups = self.group_names() if trainable is None else sorted(trainable)
+        for i, g in enumerate(groups):
+            self._group_net(g)  # validates names early
+            if i and g == groups[i - 1]:
+                raise ValueError(f"trainable group '{g}' is listed more than once")
         episodes = list(dataset.episodes)
         if not episodes:
             raise ValueError("dataset has no episodes")
         if self.normalizer is None:
             self.normalizer = ActionNormalizer.from_json(dataset.normalizer_json())
-        groups = self.group_names() if trainable is None else sorted(trainable)
-        for g in groups:
-            self._group_net(g)  # validates names early
 
         rng = Rng(seed)
         n_val = (
@@ -563,6 +566,7 @@ class FactorizedPolicy:
                     (w_train[sel], o_train[sel]),
                     self.schedule,
                     epoch_rng,
+                    groups,
                 )
                 losses.append(loss)
                 self._apply_grads(opts, grads, groups)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdp.composition
 import fdp.policy
 from fdp.adaptation import upcycle_component
 from fdp.analysis import build_probe_set, score_similarity
@@ -31,6 +32,7 @@ from fdp.policy import (
     DenoiserComponent,
     FactorizedPolicy,
     PolicyConfig,
+    canonical_json,
 )
 
 from .oracles import (
@@ -226,12 +228,26 @@ def test_top_k_prunes_evaluations_and_renormalizes():
     np.testing.assert_array_equal(info.weights, w)
 
 
+@pytest.mark.parametrize("top_k", [None, 2])
+def test_zero_weight_components_are_not_evaluated(top_k):
+    sched = make_schedule(30)
+    comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0, 1, 2)]
+    w = np.array([0.0, 0.0, 1.0, 0.0])
+    got, info = sample_values(comps, w, None, sched, 4, Rng(5), top_k=top_k)
+    np.testing.assert_array_equal(info.active, [2])
+    assert info.denoiser_evals == sched.K
+    # the reference evaluates every component, the zero-weight ones included
+    idx, w_used = select_top_k(w, top_k) if top_k else (np.arange(4), w)
+    expected = sample_values_loop([comps[i] for i in idx], w_used, None, sched, 4, Rng(5))
+    np.testing.assert_array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # joint_loss
 # ---------------------------------------------------------------------------
 
 
-def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0):
+def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidden=(7,)):
     rng = Rng(seed)
     sched = make_schedule(8)
     encoder = FeedForwardNet.init([obs_dim, emb_dim], ["tanh"], rng.child(1))
@@ -239,7 +255,7 @@ def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0):
         FeedForwardNet.init([emb_dim, 5, n_components], ["tanh", "identity"], rng.child(2))
     )
     comps = [
-        DenoiserComponent.init(window_dim, emb_dim, [7], rng.child(10 + i), step_dim=4)
+        DenoiserComponent.init(window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4)
         for i in range(n_components)
     ]
     return sched, encoder, router, comps
@@ -269,7 +285,7 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
             ab = sched.alpha_bar[np.asarray(ks)]
             return values / np.sqrt(1.0 - ab)[:, None], (values.shape, emb.shape)
 
-        def backward(self, cache, grad):
+        def backward(self, cache, grad, param_grads=True):
             vshape, eshape = cache
             return {}, np.zeros(vshape), np.zeros(eshape)
 
@@ -313,6 +329,145 @@ def test_gradient_liveness_every_component_active():
         norm = sum(float(np.sum(g * g)) for g in grads.components[i].values())
         assert norm > 0.0, f"component {i} got no gradient"
     assert isinstance(grads, JointGrads)
+
+
+# trainable masks over n components, as fit() and the adaptation strategies pass them
+MASKS = {
+    "full": lambda n: ["encoder", "router", *(f"component:{i}" for i in range(n))],
+    "router": lambda n: ["router"],
+    "router+encoder": lambda n: ["router", "encoder"],
+    "new_module": lambda n: ["router", f"component:{n - 1}"],
+    "new_module+encoder": lambda n: ["encoder", "router", f"component:{n - 1}"],
+    "component_only": lambda n: ["component:1"],
+    "empty": lambda n: [],
+}
+
+
+def _grads_by_group(grads):
+    return {
+        "encoder": grads.encoder,
+        "router": grads.router,
+        **{f"component:{i}": g for i, g in enumerate(grads.components)},
+    }
+
+
+def _assert_masked_grads_match(full, masked, groups):
+    """The groups in the mask get the all-trainable call's gradients bit for
+    bit; every other group gets None."""
+    full, masked = _grads_by_group(full), _grads_by_group(masked)
+    assert masked.keys() == full.keys()
+    for group, grads in masked.items():
+        if group not in groups:
+            assert grads is None, group
+            continue
+        assert grads.keys() == full[group].keys(), group
+        for path, g in grads.items():
+            np.testing.assert_array_equal(g, full[group][path], err_msg=f"{group} {path}")
+
+
+def _batch(rng, b=8, window_dim=6, obs_dim=4):
+    windows = rng.gaussian(b * window_dim).reshape(b, window_dim)
+    return windows, rng.gaussian(b * obs_dim).reshape(b, obs_dim)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_masked_joint_loss_matches_the_all_trainable_gradients(mask):
+    sched, encoder, router, comps = _tiny_setup(n_components=4, seed=3)
+    batch = _batch(Rng(21))
+    loss, full = joint_loss(comps, router, encoder, batch, sched, Rng(5))
+    groups = MASKS[mask](4)
+    masked_loss, masked = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+    assert masked_loss == loss
+    _assert_masked_grads_match(full, masked, groups)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 6), max_size=2),
+    emb_dim=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_joint_loss_matches_the_all_trainable_gradients_property(
+    n, hidden, emb_dim, data, seed
+):
+    sched, encoder, router, comps = _tiny_setup(
+        n_components=n, window_dim=3, emb_dim=emb_dim, obs_dim=2, seed=seed, hidden=hidden
+    )
+    names = MASKS["full"](n)
+    groups = data.draw(st.lists(st.sampled_from(names), unique=True))
+    batch = _batch(Rng(seed).child(1), b=5, window_dim=3, obs_dim=2)
+    _, full = joint_loss(comps, router, encoder, batch, sched, Rng(seed))
+    _, masked = joint_loss(comps, router, encoder, batch, sched, Rng(seed), groups)
+    _assert_masked_grads_match(full, masked, groups)
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
+    sched, encoder, router, comps = _tiny_setup(n_components=4, seed=3)
+    batch = _batch(Rng(21))
+    nets = {"encoder": encoder, "router": router.net}
+    nets.update({f"component:{i}": c.net for i, c in enumerate(comps)})
+    real = FeedForwardNet.backward
+    calls = []
+
+    def spy(self, cache, grad_out, param_grads=True):
+        out = real(self, cache, grad_out, param_grads)
+        calls.append((self, param_grads, out))
+        return out
+
+    monkeypatch.setattr(FeedForwardNet, "backward", spy)
+    joint_loss(comps, router, encoder, batch, sched, Rng(5))
+    input_grads = {id(net): gx for net, _, (_, gx) in calls}
+    assert len(calls) == len(nets)
+    calls.clear()
+    groups = MASKS[mask](4)
+    joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+
+    for group, net in nets.items():
+        mine = [(flag, out) for who, flag, out in calls if who is net]
+        if group in groups:
+            assert [flag for flag, _ in mine] == [True], group
+        elif "encoder" in groups:
+            # only the input gradient, the same as before, no dW/db
+            [(flag, (grads, gx))] = mine
+            assert flag is False and grads is None, group
+            np.testing.assert_array_equal(gx, input_grads[id(net)])
+        else:
+            assert mine == [], group
+    assert len(calls) == (len(nets) if "encoder" in groups else len(groups))
+
+
+@pytest.mark.parametrize("mask", MASKS)
+def test_masked_fit_matches_a_fit_that_computes_every_gradient(monkeypatch, mask):
+    ds = generate_demos("bimodal1d", per_task=3, seed=4)
+    cfg = PolicyConfig(
+        n_components=3, diffusion_steps=10, obs_embed_dim=8,
+        denoiser_hidden=(12,), router_hidden=(6,),
+    )
+    groups = MASKS[mask](3)
+
+    def fit_bytes():
+        policy = FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg, seed=1)
+        policy.fit(ds, epochs=2, batch_size=16, seed=2, trainable=groups)
+        return (
+            canonical_json(policy.to_json()),
+            canonical_json(policy.training_log_.to_json()),
+        )
+
+    masked = fit_bytes()
+    real, passed = fdp.composition.joint_loss, []
+
+    def every_gradient(*args):
+        # the reference ignores the trainable set and computes every gradient
+        *args, trainable = args
+        passed.append(trainable)
+        return real(*args)
+
+    monkeypatch.setattr(fdp.composition, "joint_loss", every_gradient)
+    assert fit_bytes() == masked
+    assert passed and all(t == sorted(groups) for t in passed)
 
 
 def test_joint_loss_batch_shape_validation():

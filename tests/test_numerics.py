@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fdp.numerics import (
     ACTIVATIONS,
@@ -17,14 +19,14 @@ from fdp.numerics import (
     StaleCacheError,
 )
 
-from .oracles import DictAdam, assert_layers_view_vector
+from .oracles import DictAdam, assert_layers_view_vector, central_diff
 
 
 def finite_diff_param_grads(net, x, grad_out, h=1e-5):
-    """Central-difference gradients of loss = net(x) . grad_out."""
+    """Central-difference gradients of loss = sum(net(x) * grad_out)."""
 
     def loss():
-        return float(net(x) @ grad_out)
+        return float(np.sum(net(x) * grad_out))
 
     out = {}
     for path, p in net.params().items():
@@ -140,6 +142,49 @@ def test_backward_matches_finite_differences(widths, acts):
     numeric = finite_diff_param_grads(net, x, g)
     for path in grads:
         assert rel_err(grads[path], numeric[path]) <= 1e-4, path
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    data=st.data(),
+    rows=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_backward_matches_finite_differences_property(widths, data, rows, seed):
+    acts = data.draw(st.lists(
+        st.sampled_from(ACTIVATIONS), min_size=len(widths) - 1, max_size=len(widths) - 1
+    ))
+    rng = Rng(seed)
+    net = FeedForwardNet.init(widths, acts, rng)
+    x = rng.gaussian(rows * widths[0]).reshape(rows, widths[0])
+    g = rng.gaussian(rows * widths[-1]).reshape(rows, widths[-1])
+    _, cache = net.forward(x)
+    # central differences are exact only away from a relu kink
+    assume(all(
+        np.abs(z).min() > 1e-3 for z, a in zip(cache.pre_acts, acts) if a == "relu"
+    ))
+    grads, gx = net.backward(cache, g)
+    numeric = finite_diff_param_grads(net, x, g)
+    assert grads.keys() == numeric.keys()
+    for path in grads:
+        np.testing.assert_allclose(grads[path], numeric[path], rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(
+        gx, central_diff(lambda: float(np.sum(net(x) * g)), x), rtol=1e-5, atol=1e-7
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_backward_without_param_grads_gives_the_same_input_gradient(seed):
+    rng = Rng(200 + seed)
+    net = random_net(rng)
+    x = rng.gaussian(3 * net.in_dim).reshape(3, net.in_dim)
+    g = rng.gaussian(3 * net.out_dim).reshape(3, net.out_dim)
+    _, cache = net.forward(x)
+    _, gx = net.backward(cache, g)
+    grads, gx_only = net.backward(cache, g, param_grads=False)
+    assert grads is None
+    np.testing.assert_array_equal(gx_only, gx)
 
 
 def test_zero_upstream_gradient_gives_zero_param_gradients():
@@ -280,6 +325,7 @@ def test_layers_share_memory_with_vector():
     clone = FeedForwardNet.from_json(net.to_json())
     for n in (net, copy, clone, FeedForwardNet.identity(3)):
         assert_layers_view_vector(n)
+        assert n.vector.flags.writeable
     assert not np.shares_memory(copy.vector, net.vector)
     assert not np.shares_memory(clone.vector, net.vector)
     # a write through a layer view is a write to the vector, and vice versa

@@ -107,6 +107,30 @@ def test_normalization_round_trip_exact():
     assert inside.min() >= -1.0 - 1e-12 and inside.max() <= 1.0 + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    degenerate=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_normalizer_round_trip_property(dims, rows, degenerate, seed):
+    rng = Rng(seed)
+    lo = rng.gaussian(dims) * 3.0
+    span = np.where(degenerate[:dims], 0.0, np.exp(rng.gaussian(dims)))
+    actions = lo + span * rng.uniform(rows * dims).reshape(rows, dims)
+    norm = ActionNormalizer.from_actions(actions)
+    z = norm.normalize(actions)
+    assert z.min() >= -1.0 - 1e-12 and z.max() <= 1.0 + 1e-12
+    np.testing.assert_array_equal(z[:, norm.span == 0.0], 0.0)
+    tol = 1e-12 * (1.0 + np.abs(actions).max())
+    np.testing.assert_allclose(norm.denormalize(z), actions, rtol=0, atol=tol)
+    # the checkpoint form round-trips bit for bit
+    clone = ActionNormalizer.from_json(json.loads(json.dumps(norm.to_json())))
+    np.testing.assert_array_equal(clone.normalize(actions), z)
+    np.testing.assert_array_equal(clone.denormalize(z), norm.denormalize(z))
+
+
 def test_degenerate_dimension_maps_to_zero():
     actions = np.column_stack([np.linspace(-1, 1, 10), np.full(10, 0.4)])
     norm = ActionNormalizer.from_actions(actions)
@@ -256,6 +280,16 @@ def test_fit_rejects_unknown_group():
     policy = small_policy()
     with pytest.raises(KeyError):
         policy.fit(ds, epochs=1, batch_size=8, seed=0, trainable=["backbone"])
+
+
+def test_fit_rejects_a_group_listed_twice():
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy()
+    before = policy.group_checksums()
+    with pytest.raises(ValueError, match="'router' is listed more than once"):
+        policy.fit(ds, epochs=1, batch_size=8, seed=0, trainable=["router", "encoder", "router"])
+    assert policy.group_checksums() == before
+    assert policy.normalizer is None and policy.training_log_ is None
 
 
 # ---------------------------------------------------------------------------
