@@ -69,17 +69,16 @@ class Router:
         w = softmax(logits, self.temperature)
         return w, RouterCache(net_cache, w)
 
-    def backward(self, cache: RouterCache, grad_weights: np.ndarray, param_grads: bool = True):
+    def backward(self, cache: RouterCache, grad_weights: np.ndarray):
         """Gradients through softmax and the routing net.
 
-        Returns (param grads or None without param_grads, gradient wrt the
-        observation embedding).
+        Returns (param grads, gradient wrt the observation embedding).
         """
         w = cache.weights
         g = as_f64(grad_weights, "grad_weights")
         inner = (g * w).sum(axis=-1, keepdims=True)
         dlogits = w * (g - inner) / self.temperature
-        return self.net.backward(cache.net_cache, dlogits, param_grads)
+        return self.net.backward(cache.net_cache, dlogits)
 
     def to_json(self) -> dict:
         return {"temperature": self.temperature, "net": self.net.to_json()}
@@ -278,9 +277,9 @@ def joint_loss(
 
     trainable names the groups to differentiate ('encoder', 'router',
     'component:i'; None means all); the others get None. A frozen net runs no
-    backward when the encoder is frozen too, and only its input gradient (no
-    dW/db) when the encoder trains. Gradients match an all-trainable call bit
-    for bit.
+    backward when the encoder is frozen too; when the encoder trains it runs
+    the ordinary backward for its input gradient and its parameter gradients
+    are dropped. Gradients match an all-trainable call bit for bit.
     """
     windows, obs = batch
     windows = as_f64(windows, "windows")
@@ -310,15 +309,16 @@ def joint_loss(
         pg = None
         train_i = trains(f"component:{i}")
         if train_i or train_encoder:
-            pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg, param_grads=train_i)
+            pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg)
             if train_encoder:
                 demb += de
-        comp_grads.append(pg)
+        comp_grads.append(pg if train_i else None)
     router_pg = enc_pg = None
-    if trains("router") or train_encoder:
+    train_router = trains("router")
+    if train_router or train_encoder:
         dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
-        router_pg, demb_router = router.backward(router_cache, dw, trains("router"))
+        router_pg, demb_router = router.backward(router_cache, dw)
         if train_encoder:
             demb += demb_router
             enc_pg, _ = obs_encoder.backward(enc_cache, demb)
-    return loss, JointGrads(enc_pg, router_pg, comp_grads)
+    return loss, JointGrads(enc_pg, router_pg if train_router else None, comp_grads)

@@ -361,13 +361,12 @@ class FeedForwardNet:
         return self.forward(x)[0]
 
     def backward(
-        self, cache: ForwardCache, grad_out: np.ndarray, param_grads: bool = True
-    ) -> tuple[dict[str, np.ndarray] | None, np.ndarray]:
+        self, cache: ForwardCache, grad_out: np.ndarray
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Exact gradients for the recorded forward pass.
 
         Returns (param_grads keyed like params(), gradient wrt the input).
-        Gradients are summed over the batch dimension. With param_grads False
-        the dW/db products are skipped and None stands for param_grads.
+        Gradients are summed over the batch dimension.
         """
         if cache.version != self._version:
             raise StaleCacheError(
@@ -380,13 +379,12 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"grad_out shape {g.shape} != output shape {cache.outputs[-1].shape}"
             )
-        grads: dict[str, np.ndarray] | None = {} if param_grads else None
+        grads: dict[str, np.ndarray] = {}
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             dz = g * _act_grad(l.activation, cache.pre_acts[i], cache.outputs[i])
-            if param_grads:
-                grads[f"layer{i}.weight"] = cache.inputs[i].T @ dz
-                grads[f"layer{i}.bias"] = dz.sum(axis=0)
+            grads[f"layer{i}.weight"] = cache.inputs[i].T @ dz
+            grads[f"layer{i}.bias"] = dz.sum(axis=0)
             g = dz @ l.weight.T
         return grads, (g[0] if cache.squeeze else g)
 

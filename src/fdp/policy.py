@@ -89,9 +89,9 @@ class DenoiserComponent:
         x = np.concatenate([values, emb, step], axis=-1)
         return self.net.forward(x)
 
-    def backward(self, cache, grad_out, param_grads: bool = True):
-        """(param grads or None, grad wrt window values, grad wrt obs embedding)."""
-        grads, gx = self.net.backward(cache, grad_out, param_grads)
+    def backward(self, cache, grad_out):
+        """(param grads, grad wrt window values, grad wrt obs embedding)."""
+        grads, gx = self.net.backward(cache, grad_out)
         d, e = self.window_dim, self.emb_dim
         return grads, gx[..., :d], gx[..., d : d + e]
 
@@ -365,13 +365,15 @@ class FactorizedPolicy:
         return ["encoder", "router"] + [f"component:{i}" for i in range(self.n_components)]
 
     def _group_net(self, group: str) -> FeedForwardNet:
+        # only the canonical names: 'component:01' or 'component:-1' would
+        # alias a net that a mask test by name then misses
+        if group not in self.group_names():
+            raise KeyError(f"unknown parameter group '{group}'")
         if group == "encoder":
             return self.obs_encoder
         if group == "router":
             return self.router.net
-        if group.startswith("component:"):
-            return self.components[int(group.split(":", 1)[1])].net
-        raise KeyError(f"unknown parameter group '{group}'")
+        return self.components[int(group.split(":", 1)[1])].net
 
     def n_parameters(self, groups=None) -> int:
         return sum(

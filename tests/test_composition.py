@@ -285,7 +285,7 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
             ab = sched.alpha_bar[np.asarray(ks)]
             return values / np.sqrt(1.0 - ab)[:, None], (values.shape, emb.shape)
 
-        def backward(self, cache, grad, param_grads=True):
+        def backward(self, cache, grad):
             vshape, eshape = cache
             return {}, np.zeros(vshape), np.zeros(eshape)
 
@@ -412,30 +412,30 @@ def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
     real = FeedForwardNet.backward
     calls = []
 
-    def spy(self, cache, grad_out, param_grads=True):
-        out = real(self, cache, grad_out, param_grads)
-        calls.append((self, param_grads, out))
+    def spy(self, cache, grad_out):
+        out = real(self, cache, grad_out)
+        calls.append((self, out))
         return out
 
     monkeypatch.setattr(FeedForwardNet, "backward", spy)
     joint_loss(comps, router, encoder, batch, sched, Rng(5))
-    input_grads = {id(net): gx for net, _, (_, gx) in calls}
+    input_grads = {id(net): gx for net, (_, gx) in calls}
     assert len(calls) == len(nets)
     calls.clear()
     groups = MASKS[mask](4)
-    joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+    _, grads = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+    returned = {"encoder": grads.encoder, "router": grads.router}
+    returned.update({f"component:{i}": pg for i, pg in enumerate(grads.components)})
 
     for group, net in nets.items():
-        mine = [(flag, out) for who, flag, out in calls if who is net]
-        if group in groups:
-            assert [flag for flag, _ in mine] == [True], group
-        elif "encoder" in groups:
-            # only the input gradient, the same as before, no dW/db
-            [(flag, (grads, gx))] = mine
-            assert flag is False and grads is None, group
-            np.testing.assert_array_equal(gx, input_grads[id(net)])
+        mine = [gx for who, (_, gx) in calls if who is net]
+        if group in groups or "encoder" in groups:
+            # a frozen net still passes the same input gradient to the encoder
+            assert len(mine) == 1, group
+            np.testing.assert_array_equal(mine[0], input_grads[id(net)])
         else:
             assert mine == [], group
+        assert (returned[group] is None) == (group not in groups), group
     assert len(calls) == (len(nets) if "encoder" in groups else len(groups))
 
 

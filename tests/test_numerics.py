@@ -174,19 +174,6 @@ def test_backward_matches_finite_differences_property(widths, data, rows, seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_backward_without_param_grads_gives_the_same_input_gradient(seed):
-    rng = Rng(200 + seed)
-    net = random_net(rng)
-    x = rng.gaussian(3 * net.in_dim).reshape(3, net.in_dim)
-    g = rng.gaussian(3 * net.out_dim).reshape(3, net.out_dim)
-    _, cache = net.forward(x)
-    _, gx = net.backward(cache, g)
-    grads, gx_only = net.backward(cache, g, param_grads=False)
-    assert grads is None
-    np.testing.assert_array_equal(gx_only, gx)
-
-
 def test_zero_upstream_gradient_gives_zero_param_gradients():
     rng = Rng(31)
     net = FeedForwardNet.init([4, 6, 2], "tanh", rng)

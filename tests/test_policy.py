@@ -282,6 +282,17 @@ def test_fit_rejects_unknown_group():
         policy.fit(ds, epochs=1, batch_size=8, seed=0, trainable=["backbone"])
 
 
+@pytest.mark.parametrize("groups", [["component:-1"], ["component:01"], ["component:1", "component:01"]])
+def test_fit_rejects_a_group_name_that_is_not_canonical(groups):
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy()
+    before = policy.group_checksums()
+    with pytest.raises(KeyError, match="unknown parameter group 'component:"):
+        policy.fit(ds, epochs=1, batch_size=8, seed=0, trainable=groups)
+    assert policy.group_checksums() == before
+    assert policy.normalizer is None and policy.training_log_ is None
+
+
 def test_fit_rejects_a_group_listed_twice():
     ds = generate_demos("bimodal1d", per_task=3, seed=1)
     policy = small_policy()
