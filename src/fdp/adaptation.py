@@ -224,8 +224,7 @@ def adapt(
         policy.components, policy.router.net = components, router_net
         policy.config.n_components = len(components)
         for net, vector in saved.items():
-            net.vector[...] = vector
-            net._version += 1
+            net.assign(vector)
         policy.normalizer, policy.training_log_ = normalizer, training_log
         raise
     after = {g: policy._group_net(g).checksum() for g in frozen}

@@ -17,7 +17,7 @@ validation) and any other component come from component_predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class Router:
     def backward(self, cache: RouterCache, grad_weights: np.ndarray):
         """Gradients through softmax and the routing net.
 
-        Returns (param grads, gradient wrt the observation embedding).
+        Returns (parameter gradient vector, gradient wrt the observation
+        embedding).
         """
         w = cache.weights
         g = as_f64(grad_weights, "grad_weights")
@@ -236,16 +237,6 @@ def sample_values(
     return as_f64(values, "sampled window"), SampleInfo(w, idx, len(active) * schedule.K)
 
 
-@dataclass
-class JointGrads:
-    """Gradients from one joint loss evaluation, keyed by parameter group.
-    A group outside the loss's trainable set gets None, not a gradient."""
-
-    encoder: dict[str, np.ndarray] | None
-    router: dict[str, np.ndarray] | None
-    components: list = field(default_factory=list)  # one dict or None each
-
-
 def composed_residual(
     components, router: Router, obs_encoder: FeedForwardNet, windows, obs, schedule, ks, eps
 ) -> tuple[np.ndarray, tuple]:
@@ -267,7 +258,7 @@ def joint_loss(
     schedule: NoiseSchedule,
     rng: Rng,
     trainable=None,
-) -> tuple[float, JointGrads]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Composed noise-prediction MSE over a batch of (clean window, obs) pairs.
 
     Per sample: draw k uniform on [1, K] and eps ~ N(0, I), corrupt the window,
@@ -276,10 +267,11 @@ def joint_loss(
     weighted sum into every component, the router, and the encoder at once.
 
     trainable names the groups to differentiate ('encoder', 'router',
-    'component:i'; None means all); the others get None. A frozen net runs no
-    backward when the encoder is frozen too; when the encoder trains it runs
-    the ordinary backward for its input gradient and its parameter gradients
-    are dropped. Gradients match an all-trainable call bit for bit.
+    'component:i'; None means all), and the returned gradients hold exactly
+    these keys, each a vector laid out like its net's ``vector``. A frozen net
+    runs no backward when the encoder is frozen too; when the encoder trains
+    it runs the ordinary backward for its input gradient and its parameter
+    gradient is dropped. Gradients match an all-trainable call bit for bit.
     """
     windows, obs = batch
     windows = as_f64(windows, "windows")
@@ -297,28 +289,27 @@ def joint_loss(
     if not np.isfinite(loss):
         raise ValueError("joint loss is non-finite")
 
-    def trains(group):
-        return trainable is None or group in trainable
-
-    train_encoder = trains("encoder")
+    if trainable is None:
+        trainable = ["encoder", "router", *(f"component:{i}" for i in range(len(components)))]
+    train_encoder = "encoder" in trainable
     w = router_cache.weights
     dagg = 2.0 * resid / resid.size
     demb = np.zeros_like(emb) if train_encoder else None
-    comp_grads = []
+    grads = {}
     for i, comp in enumerate(components):
-        pg = None
-        train_i = trains(f"component:{i}")
-        if train_i or train_encoder:
+        group = f"component:{i}"
+        if group in trainable or train_encoder:
             pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg)
+            if group in trainable:
+                grads[group] = pg
             if train_encoder:
                 demb += de
-        comp_grads.append(pg if train_i else None)
-    router_pg = enc_pg = None
-    train_router = trains("router")
-    if train_router or train_encoder:
+    if "router" in trainable or train_encoder:
         dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
-        router_pg, demb_router = router.backward(router_cache, dw)
+        pg, demb_router = router.backward(router_cache, dw)
+        if "router" in trainable:
+            grads["router"] = pg
         if train_encoder:
             demb += demb_router
-            enc_pg, _ = obs_encoder.backward(enc_cache, demb)
-    return loss, JointGrads(enc_pg, router_pg if train_router else None, comp_grads)
+            grads["encoder"], _ = obs_encoder.backward(enc_cache, demb)
+    return loss, grads

@@ -124,7 +124,7 @@ def forward_noise(schedule: NoiseSchedule, a0, k, eps) -> np.ndarray:
 
 @dataclass
 class ComponentLossGrads:
-    denoiser: dict[str, np.ndarray]
+    denoiser: np.ndarray  # laid out like the denoiser net's vector
     obs_embedding: np.ndarray
 
 
@@ -145,8 +145,8 @@ def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rn
     if not math.isfinite(loss):
         raise ValueError("component loss is non-finite")
     dpred = 2.0 * resid / dim
-    param_grads, _, demb = denoiser.backward(cache, dpred)
-    return loss, ComponentLossGrads(param_grads, demb)
+    grad, _, demb = denoiser.backward(cache, dpred)
+    return loss, ComponentLossGrads(grad, demb)
 
 
 def reverse_mean(

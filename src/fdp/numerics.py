@@ -3,9 +3,10 @@ an Adam optimizer, and a counter-based RNG whose streams are portable.
 
 Everything here is deliberately boring: plain numpy arrays, explicit shapes,
 no autodiff graph. Each network owns one contiguous float64 parameter vector,
-and every layer's weight and bias are views into it. Parameter writes go
-through ``load_params`` or an ``Adam`` step, which update the vector in place
-and bump the net's version so stale backward caches can be detected.
+and every layer's weight and bias are views into it. Gradients are vectors
+laid out the same way. Parameter writes go through ``assign`` or an ``Adam``
+step, which update the vector in place and bump the net's version so stale
+backward caches can be detected.
 """
 
 from __future__ import annotations
@@ -192,10 +193,11 @@ class FeedForwardNet:
     Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). The net
     owns one contiguous float64 ``vector`` holding every parameter, layer by
     layer, weight (row-major) then bias; each layer's ``weight`` and ``bias``
-    are C-contiguous views into it, copied from the given layers. Parameter
-    updates go through ``load_params`` or ``Adam.step``, which write the
-    vector in place and bump an internal version; ``backward`` refuses caches
-    recorded under an older version.
+    are C-contiguous views into it, copied from the given layers. ``layout``
+    gives the same views into any vector laid out like it, such as the
+    gradient ``backward`` returns. Parameter updates go through ``assign`` or
+    ``Adam.step``, which write the vector in place and bump an internal
+    version; ``backward`` refuses caches recorded under an older version.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -207,17 +209,14 @@ class FeedForwardNet:
                     f"layer {i} fan_in {layers[i].weight.shape[0]} != "
                     f"layer {i - 1} fan_out {layers[i - 1].weight.shape[1]}"
                 )
+        self.layers = layers  # layout() reads only the shapes
         self.vector = np.concatenate(
             [a.ravel() for l in layers for a in (l.weight, l.bias)]
         )
-        self.layers = []
-        offset = 0
-        for l in layers:
-            views = []
-            for a in (l.weight, l.bias):
-                views.append(self.vector[offset : offset + a.size].reshape(a.shape))
-                offset += a.size
-            self.layers.append(Layer(*views, l.activation))
+        views = list(self.layout(self.vector).values())
+        self.layers = [
+            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], layers)
+        ]
         self._version = 0
 
     # -- construction -------------------------------------------------------
@@ -276,45 +275,39 @@ class FeedForwardNet:
     def param_count(self) -> int:
         return self.vector.size
 
-    def params(self) -> dict[str, np.ndarray]:
-        """Live parameter views keyed 'layer{i}.weight' / 'layer{i}.bias', in
-        the order of ``vector``."""
-        out = {}
+    def layout(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views into ``flat``, a vector laid out like ``vector``, keyed
+        'layer{i}.weight' / 'layer{i}.bias' in vector order."""
+        out, offset = {}, 0
         for i, l in enumerate(self.layers):
-            out[f"layer{i}.weight"] = l.weight
-            out[f"layer{i}.bias"] = l.bias
+            for name, p in (("weight", l.weight), ("bias", l.bias)):
+                out[f"layer{i}.{name}"] = flat[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
         return out
 
-    def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Concatenate arrays keyed like ``params()`` (e.g. gradients) into
-        one vector laid out like ``vector``; a shape mismatch names the path."""
-        parts = []
-        for path, p in self.params().items():
-            g = grads[path]
-            if g.shape != p.shape:
-                raise DimensionMismatchError(
-                    f"gradient shape {g.shape} != parameter shape {p.shape} at '{path}'"
-                )
-            parts.append(g.ravel())
-        return np.concatenate(parts)
+    def params(self) -> dict[str, np.ndarray]:
+        """Live parameter views, ``layout(vector)``."""
+        return self.layout(self.vector)
 
-    def load_params(self, new: dict[str, np.ndarray]) -> None:
-        """Copy parameters into the net's vector and invalidate outstanding
-        caches. Every given array is shape- and finiteness-checked before any
-        is written; paths not given keep their values."""
-        current = self.params()
-        checked = {}
-        for key, arr in new.items():
-            if key not in current:
-                continue
-            arr = as_f64(arr, key)
-            if arr.shape != current[key].shape:
-                raise DimensionMismatchError(
-                    f"{key}: expected shape {current[key].shape}, got {arr.shape}"
-                )
-            checked[key] = arr
-        for key, arr in checked.items():
-            current[key][...] = arr
+    def _check_finite_blocks(self, flat: np.ndarray, what: str) -> None:
+        """Raise NonFiniteError naming the first block of ``flat`` (laid out
+        like ``vector``) that holds a NaN or inf."""
+        if not np.all(np.isfinite(flat)):
+            for path, block in self.layout(flat).items():
+                if not np.all(np.isfinite(block)):
+                    raise NonFiniteError(f"non-finite {what} at '{path}'")
+
+    def assign(self, values) -> None:
+        """Copy a vector laid out like ``vector`` into it and invalidate
+        outstanding caches. Shape and finiteness are checked before anything
+        is written."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.vector.shape:
+            raise DimensionMismatchError(
+                f"parameter vector shape {values.shape} != {self.vector.shape}"
+            )
+        self._check_finite_blocks(values, "parameter")
+        self.vector[...] = values
         self._version += 1
 
     def copy(self) -> "FeedForwardNet":
@@ -362,11 +355,11 @@ class FeedForwardNet:
 
     def backward(
         self, cache: ForwardCache, grad_out: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients for the recorded forward pass.
 
-        Returns (param_grads keyed like params(), gradient wrt the input).
-        Gradients are summed over the batch dimension.
+        Returns (parameter gradient, a fresh vector laid out like ``vector``;
+        gradient wrt the input). Gradients are summed over the batch dimension.
         """
         if cache.version != self._version:
             raise StaleCacheError(
@@ -379,14 +372,15 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"grad_out shape {g.shape} != output shape {cache.outputs[-1].shape}"
             )
-        grads: dict[str, np.ndarray] = {}
+        grad = np.empty_like(self.vector)
+        views = list(self.layout(grad).values())
         for i in range(len(self.layers) - 1, -1, -1):
             l = self.layers[i]
             dz = g * _act_grad(l.activation, cache.pre_acts[i], cache.outputs[i])
-            grads[f"layer{i}.weight"] = cache.inputs[i].T @ dz
-            grads[f"layer{i}.bias"] = dz.sum(axis=0)
+            np.matmul(cache.inputs[i].T, dz, out=views[2 * i])
+            dz.sum(axis=0, out=views[2 * i + 1])
             g = dz @ l.weight.T
-        return grads, (g[0] if cache.squeeze else g)
+        return grad, (g[0] if cache.squeeze else g)
 
     # -- serialization ------------------------------------------------------
 
@@ -409,12 +403,28 @@ class FeedForwardNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeedForwardNet":
+        """Inverse of ``to_json``; a field that disagrees with 'widths'
+        raises ValueError naming it."""
         widths = obj["widths"]
+        for name in ("layers", "activations"):
+            if len(obj[name]) != len(widths) - 1:
+                raise ValueError(
+                    f"field '{name}' has {len(obj[name])} entries, but 'widths' "
+                    f"{widths} implies {len(widths) - 1}"
+                )
         layers = []
         for i, (rec, act) in enumerate(zip(obj["layers"], obj["activations"])):
-            w = decode_f64(rec["weight"]).reshape(widths[i], widths[i + 1])
-            b = decode_f64(rec["bias"])
-            layers.append(Layer(w, b, act))
+            arrays = []
+            fan_in, fan_out = widths[i], widths[i + 1]
+            for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
+                arr = decode_f64(rec[name])
+                if arr.size != math.prod(shape):
+                    raise ValueError(
+                        f"field 'layers[{i}].{name}' holds {arr.size} values, but "
+                        f"'widths' implies shape {shape}"
+                    )
+                arrays.append(arr.reshape(shape))
+            layers.append(Layer(*arrays, act))
         return cls(layers)
 
 
@@ -439,8 +449,8 @@ class Adam:
     """Adaptive-moment optimizer over one net's parameter vector.
 
     lr 1e-3, decays (0.9, 0.999), eps 1e-8 by default. ``step`` updates the
-    net's ``vector`` in place from a gradient laid out the same way (see
-    ``FeedForwardNet.flatten``) and bumps the net's version. The moments are
+    net's ``vector`` in place from a gradient laid out the same way (as
+    ``FeedForwardNet.backward`` returns it) and bumps the net's version. The moments are
     flat vectors too. Every operation is elementwise, so each parameter gets
     the same bits as the textbook per-array recurrence.
     """
@@ -459,12 +469,7 @@ class Adam:
             raise DimensionMismatchError(
                 f"gradient shape {grad.shape} != parameter vector shape {p.shape}"
             )
-        if not np.all(np.isfinite(grad)):
-            offset = 0
-            for path, arr in net.params().items():
-                if not np.all(np.isfinite(grad[offset : offset + arr.size])):
-                    raise NonFiniteError(f"non-finite gradient at '{path}'")
-                offset += arr.size
+        net._check_finite_blocks(grad, "gradient")
         self.t += 1
         if self.m is None:
             self.m = np.zeros_like(p)

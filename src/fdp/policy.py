@@ -90,10 +90,11 @@ class DenoiserComponent:
         return self.net.forward(x)
 
     def backward(self, cache, grad_out):
-        """(param grads, grad wrt window values, grad wrt obs embedding)."""
-        grads, gx = self.net.backward(cache, grad_out)
+        """(parameter gradient vector, grad wrt window values, grad wrt obs
+        embedding)."""
+        grad, gx = self.net.backward(cache, grad_out)
         d, e = self.window_dim, self.emb_dim
-        return grads, gx[..., :d], gx[..., d : d + e]
+        return grad, gx[..., :d], gx[..., d : d + e]
 
     def copy(self) -> "DenoiserComponent":
         return DenoiserComponent(self.net.copy(), self.window_dim, self.step_dim)
@@ -248,11 +249,17 @@ class PolicyConfig:
             raise ValueError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
             )
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
-        self.denoiser_hidden = tuple(int(w) for w in self.denoiser_hidden)
-        self.router_hidden = tuple(int(w) for w in self.router_hidden)
+        for name in ("learning_rate", "router_lr_scale"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {rate}")
+        if self.obs_embed_dim < 1:
+            raise ValueError(f"obs_embed_dim must be >= 1, got {self.obs_embed_dim}")
+        for name in ("encoder_hidden", "denoiser_hidden", "router_hidden"):
+            widths = tuple(int(w) for w in getattr(self, name))
+            if any(w < 1 for w in widths):
+                raise ValueError(f"{name} widths must be >= 1, got {widths}")
+            setattr(self, name, widths)
 
 
 def matched_hidden_width(
@@ -514,15 +521,17 @@ class FactorizedPolicy:
         episodes = list(dataset.episodes)
         if not episodes:
             raise ValueError("dataset has no episodes")
+        fraction = self.config.validation_fraction
+        n_val = max(1, int(round(fraction * len(episodes)))) if len(episodes) > 1 else 0
+        if n_val == len(episodes):
+            raise ValueError(
+                f"validation_fraction {fraction} holds out all {n_val} episodes, "
+                f"leaving none to train on"
+            )
         if self.normalizer is None:
             self.normalizer = ActionNormalizer.from_json(dataset.normalizer_json())
 
         rng = Rng(seed)
-        n_val = (
-            max(1, int(round(self.config.validation_fraction * len(episodes))))
-            if len(episodes) > 1
-            else 0
-        )
         order = rng.child(1).permutation(len(episodes))
         val_eps = [episodes[i] for i in order[:n_val]]
         train_eps = [episodes[i] for i in order[n_val:]]
@@ -571,7 +580,8 @@ class FactorizedPolicy:
                     groups,
                 )
                 losses.append(loss)
-                self._apply_grads(opts, grads, groups)
+                for g in groups:
+                    opts[g].step(self._group_net(g), grads[g])
             entry = {"epoch": epoch, "train_mse": float(np.mean(losses))}
             entry["val_mse"] = entry["train_mse"]
             if n_val:
@@ -586,17 +596,6 @@ class FactorizedPolicy:
             log.entries.append(entry)
         self.training_log_ = log
         return self
-
-    def _apply_grads(self, opts: dict, grads, groups):
-        for g in groups:
-            net = self._group_net(g)
-            if g == "encoder":
-                src = grads.encoder
-            elif g == "router":
-                src = grads.router
-            else:
-                src = grads.components[int(g.split(":", 1)[1])]
-            opts[g].step(net, net.flatten(src))
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -642,8 +641,8 @@ class FactorizedPolicy:
                 f"but 'action_dim' is {policy.action_dim}"
             )
         policy.schedule = NoiseSchedule.from_json(obj["schedule"])
-        policy.obs_encoder = FeedForwardNet.from_json(obj["encoder"])
-        policy.router = Router.from_json(obj["router"])
+        policy.obs_encoder = _load_field("encoder", FeedForwardNet.from_json, obj["encoder"])
+        policy.router = _load_field("router", Router.from_json, obj["router"])
         if policy.router.n_components != n:
             raise ValueError(
                 f"checkpoint field 'router' has a head of width "
@@ -654,7 +653,10 @@ class FactorizedPolicy:
                 f"checkpoint field 'encoder' has input width {policy.obs_encoder.in_dim}, "
                 f"but the stacked observation is {policy.stacked_obs_dim} wide"
             )
-        policy.components = [DenoiserComponent.from_json(c) for c in obj["components"]]
+        policy.components = [
+            _load_field(f"components[{i}]", DenoiserComponent.from_json, c)
+            for i, c in enumerate(obj["components"])
+        ]
         for i, comp in enumerate(policy.components):
             if comp.window_dim != policy.window_dim:
                 raise ValueError(
@@ -682,6 +684,14 @@ class FactorizedPolicy:
     def load(cls, path) -> "FactorizedPolicy":
         with open(path) as f:
             return cls.from_json(json.load(f))
+
+
+def _load_field(name: str, load, obj):
+    """load(obj); a ValueError is re-raised naming the checkpoint field."""
+    try:
+        return load(obj)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint field '{name}': {exc}") from exc
 
 
 def canonical_json(obj) -> str:

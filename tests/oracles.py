@@ -178,13 +178,18 @@ class DictAdam:
         return out
 
 
-def assert_layers_view_vector(net):
-    """Every layer's weight and bias is a C-contiguous view into net.vector,
-    laid out weight then bias, layer by layer."""
+def assert_layers_view_vector(net, flat=None):
+    """The layers' weights and biases (or, given flat, the blocks of
+    net.layout(flat)) are C-contiguous views into net.vector (or flat), laid
+    out weight then bias, layer by layer, in params() order."""
+    if flat is None:
+        flat, blocks = net.vector, [a for l in net.layers for a in (l.weight, l.bias)]
+    else:
+        blocks = list(net.layout(flat).values())
     offset = 0
-    for p in net.params().values():
-        assert p.flags.c_contiguous and p.base is net.vector
-        assert np.shares_memory(p, net.vector)
-        np.testing.assert_array_equal(p.ravel(), net.vector[offset : offset + p.size])
-        offset += p.size
-    assert offset == net.vector.size == net.param_count()
+    for p, block in zip(net.params().values(), blocks, strict=True):
+        assert block.shape == p.shape
+        assert block.flags.c_contiguous and block.base is flat
+        np.testing.assert_array_equal(block.ravel(), flat[offset : offset + block.size])
+        offset += block.size
+    assert offset == flat.size == net.param_count()

@@ -181,17 +181,12 @@ def test_criterion_01_gradient_oracle():
                 comps, router, encoder, (windows, obs), sched, Rng(loss_seed)
             )[0]
 
-        for path, p in encoder.params().items():
-            worst = max(worst, max_rel_err(grads.encoder[path], central_diff(loss_fn, p)))
-            checked += 1
-        for path, p in router.net.params().items():
-            worst = max(worst, max_rel_err(grads.router[path], central_diff(loss_fn, p)))
-            checked += 1
-        for i, comp in enumerate(comps):
-            for path, p in comp.net.params().items():
-                worst = max(
-                    worst, max_rel_err(grads.components[i][path], central_diff(loss_fn, p))
-                )
+        nets = {"encoder": encoder, "router": router.net}
+        nets.update({f"component:{i}": comp.net for i, comp in enumerate(comps)})
+        for group, net in nets.items():
+            views = net.layout(grads[group])
+            for path, p in net.params().items():
+                worst = max(worst, max_rel_err(views[path], central_diff(loss_fn, p)))
                 checked += 1
 
         # per-component loss gradients (single-component objective)
@@ -202,8 +197,9 @@ def test_criterion_01_gradient_oracle():
         def closs_fn():
             return component_loss(comps[0], sched, a0, emb, Rng(loss_seed))[0]
 
+        views = comps[0].net.layout(cgrads.denoiser)
         for path, p in comps[0].net.params().items():
-            worst = max(worst, max_rel_err(cgrads.denoiser[path], central_diff(closs_fn, p)))
+            worst = max(worst, max_rel_err(views[path], central_diff(closs_fn, p)))
             checked += 1
         worst = max(worst, max_rel_err(cgrads.obs_embedding, central_diff(closs_fn, emb)))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fdp.adaptation
+import fdp.composition
 from fdp.adaptation import (
     AdaptationConfig,
     AdaptationError,
@@ -188,19 +189,24 @@ def test_adapt_failure_restores_the_policy(
 
         monkeypatch.setattr(fdp.adaptation, "extend_router_head", extend_router_head)
     else:  # after one optimizer step has written the trainable nets in place
-        apply_grads = FactorizedPolicy._apply_grads
+        joint_loss, calls = fdp.composition.joint_loss, []
 
-        def apply_once_then_fail(self, *args):
-            apply_grads(self, *args)
-            raise RuntimeError("injected")
+        def fail_on_second_batch(*args):
+            calls.append([net.checksum() for net in nets])
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return joint_loss(*args)
 
-        monkeypatch.setattr(FactorizedPolicy, "_apply_grads", apply_once_then_fail)
+        monkeypatch.setattr(fdp.composition, "joint_loss", fail_on_second_batch)
     config = AdaptationConfig(
         strategy=strategy, epochs=2, batch_size=32, unfreeze_encoder=unfreeze_encoder
     )
     with pytest.raises(RuntimeError, match="injected"):
         adapt(policy, config, pick_ds)
 
+    if fail_in == "fit" and (strategy != "new_module" or unfreeze_encoder):
+        # the first step wrote some of the pre-existing nets before the failure
+        assert calls[1] != [checksums[g] for g in policy.group_names()]
     assert policy.group_checksums() == checksums
     assert [policy._group_net(g) for g in policy.group_names()] == nets
     assert policy.n_components == 2

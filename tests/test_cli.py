@@ -195,6 +195,23 @@ def test_train_on_dataset_of_other_version_exit_3(runner, demo_file, tmp_path):
     assert "'version' is 99" in result.output
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--denoiser-hidden", "0", "denoiser_hidden"), ("--router-lr-scale", "-2", "router_lr_scale")],
+)
+def test_train_rejects_bad_policy_widths_and_rates_exit_3(
+    runner, demo_file, tmp_path, flag, value, field
+):
+    out = tmp_path / "t"
+    result = runner.invoke(
+        cli, ["train", "--demos", str(demo_file), *FAST_NET, flag, value, "--epochs", "1",
+              "--out-dir", str(out)]
+    )
+    assert result.exit_code == 3, result.output
+    assert f"{field} " in result.output
+    assert not out.exists()
+
+
 def test_continual_structure(runner, tmp_path):
     out = tmp_path / "cont"
     result = runner.invoke(

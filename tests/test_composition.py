@@ -14,7 +14,6 @@ from fdp.analysis import build_probe_set, score_similarity
 from fdp.bench import generate_demos
 from fdp.composition import (
     CompositionError,
-    JointGrads,
     Router,
     component_predictions,
     composed_residual,
@@ -100,10 +99,11 @@ def test_router_backward_matches_finite_differences():
         return float(router.route(emb) @ target)
 
     w, cache = router.route_with_cache(emb)
-    grads, demb = router.backward(cache, target)
+    grad, demb = router.backward(cache, target)
+    views = net.layout(grad)
     for path, p in net.params().items():
         numeric = central_diff(scalar_loss, p)
-        assert max_rel_err(grads[path], numeric) <= 1e-4, path
+        assert max_rel_err(views[path], numeric) <= 1e-4, path
     assert max_rel_err(demb, central_diff(scalar_loss, emb)) <= 1e-4
 
 
@@ -287,7 +287,7 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
 
         def backward(self, cache, grad):
             vshape, eshape = cache
-            return {}, np.zeros(vshape), np.zeros(eshape)
+            return np.zeros(0), np.zeros(vshape), np.zeros(eshape)
 
     encoder = FeedForwardNet.identity(3)
     router = Router(FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(1)))
@@ -308,15 +308,13 @@ def test_joint_loss_gradients_match_finite_differences():
     def loss_fn():
         return joint_loss(comps, router, encoder, (windows, obs), sched, Rng(123))[0]
 
-    for path, p in router.net.params().items():
-        assert max_rel_err(grads.router[path], central_diff(loss_fn, p)) <= 1e-4, path
-    for path, p in encoder.params().items():
-        assert max_rel_err(grads.encoder[path], central_diff(loss_fn, p)) <= 1e-4, path
-    for i, comp in enumerate(comps):
-        for path, p in comp.net.params().items():
-            assert (
-                max_rel_err(grads.components[i][path], central_diff(loss_fn, p)) <= 1e-4
-            ), f"component {i} {path}"
+    nets = {"router": router.net, "encoder": encoder}
+    nets.update({f"component:{i}": comp.net for i, comp in enumerate(comps)})
+    assert grads.keys() == nets.keys()
+    for group, net in nets.items():
+        views = net.layout(grads[group])
+        for path, p in net.params().items():
+            assert max_rel_err(views[path], central_diff(loss_fn, p)) <= 1e-4, f"{group} {path}"
 
 
 def test_gradient_liveness_every_component_active():
@@ -326,9 +324,8 @@ def test_gradient_liveness_every_component_active():
     obs = rng.gaussian(8 * 4).reshape(8, 4)
     _, grads = joint_loss(comps, router, encoder, (windows, obs), sched, Rng(15))
     for i in range(4):
-        norm = sum(float(np.sum(g * g)) for g in grads.components[i].values())
-        assert norm > 0.0, f"component {i} got no gradient"
-    assert isinstance(grads, JointGrads)
+        g = grads[f"component:{i}"]
+        assert float(np.sum(g * g)) > 0.0, f"component {i} got no gradient"
 
 
 # trainable masks over n components, as fit() and the adaptation strategies pass them
@@ -343,26 +340,20 @@ MASKS = {
 }
 
 
-def _grads_by_group(grads):
-    return {
-        "encoder": grads.encoder,
-        "router": grads.router,
-        **{f"component:{i}": g for i, g in enumerate(grads.components)},
-    }
+def _assert_masked_grads_match(full, masked, groups, nets):
+    """The masked call returns exactly the groups in the mask, each the
+    all-trainable call's gradient vector bit for bit."""
+    assert full.keys() == nets.keys()
+    assert masked.keys() == set(groups)
+    for group in groups:
+        assert masked[group].shape == nets[group].vector.shape, group
+        np.testing.assert_array_equal(masked[group], full[group], err_msg=group)
 
 
-def _assert_masked_grads_match(full, masked, groups):
-    """The groups in the mask get the all-trainable call's gradients bit for
-    bit; every other group gets None."""
-    full, masked = _grads_by_group(full), _grads_by_group(masked)
-    assert masked.keys() == full.keys()
-    for group, grads in masked.items():
-        if group not in groups:
-            assert grads is None, group
-            continue
-        assert grads.keys() == full[group].keys(), group
-        for path, g in grads.items():
-            np.testing.assert_array_equal(g, full[group][path], err_msg=f"{group} {path}")
+def _group_nets(encoder, router, comps):
+    nets = {"encoder": encoder, "router": router.net}
+    nets.update({f"component:{i}": c.net for i, c in enumerate(comps)})
+    return nets
 
 
 def _batch(rng, b=8, window_dim=6, obs_dim=4):
@@ -378,7 +369,7 @@ def test_masked_joint_loss_matches_the_all_trainable_gradients(mask):
     groups = MASKS[mask](4)
     masked_loss, masked = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
     assert masked_loss == loss
-    _assert_masked_grads_match(full, masked, groups)
+    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, comps))
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,15 +391,14 @@ def test_masked_joint_loss_matches_the_all_trainable_gradients_property(
     batch = _batch(Rng(seed).child(1), b=5, window_dim=3, obs_dim=2)
     _, full = joint_loss(comps, router, encoder, batch, sched, Rng(seed))
     _, masked = joint_loss(comps, router, encoder, batch, sched, Rng(seed), groups)
-    _assert_masked_grads_match(full, masked, groups)
+    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, comps))
 
 
 @pytest.mark.parametrize("mask", MASKS)
 def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
     sched, encoder, router, comps = _tiny_setup(n_components=4, seed=3)
     batch = _batch(Rng(21))
-    nets = {"encoder": encoder, "router": router.net}
-    nets.update({f"component:{i}": c.net for i, c in enumerate(comps)})
+    nets = _group_nets(encoder, router, comps)
     real = FeedForwardNet.backward
     calls = []
 
@@ -424,8 +414,6 @@ def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
     calls.clear()
     groups = MASKS[mask](4)
     _, grads = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
-    returned = {"encoder": grads.encoder, "router": grads.router}
-    returned.update({f"component:{i}": pg for i, pg in enumerate(grads.components)})
 
     for group, net in nets.items():
         mine = [gx for who, (_, gx) in calls if who is net]
@@ -435,7 +423,7 @@ def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
             np.testing.assert_array_equal(mine[0], input_grads[id(net)])
         else:
             assert mine == [], group
-        assert (returned[group] is None) == (group not in groups), group
+        assert (group in grads) == (group in groups), group
     assert len(calls) == (len(nets) if "encoder" in groups else len(groups))
 
 

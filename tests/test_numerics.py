@@ -117,7 +117,8 @@ def test_linear_net_gradient_closed_form():
     x = rng.gaussian(4)
     g = rng.gaussian(3)
     _, cache = net.forward(x)
-    grads, gx = net.backward(cache, g)
+    grad, gx = net.backward(cache, g)
+    grads = net.layout(grad)
     np.testing.assert_allclose(grads["layer0.weight"], np.outer(x, g), rtol=1e-12)
     np.testing.assert_allclose(grads["layer0.bias"], g, rtol=1e-12)
     np.testing.assert_allclose(gx, w @ g, rtol=1e-12)
@@ -138,7 +139,7 @@ def test_backward_matches_finite_differences(widths, acts):
     x = rng.gaussian(widths[0]) * 0.5
     g = rng.gaussian(widths[-1])
     _, cache = net.forward(x)
-    grads, _ = net.backward(cache, g)
+    grads = net.layout(net.backward(cache, g)[0])
     numeric = finite_diff_param_grads(net, x, g)
     for path in grads:
         assert rel_err(grads[path], numeric[path]) <= 1e-4, path
@@ -164,7 +165,8 @@ def test_backward_matches_finite_differences_property(widths, data, rows, seed):
     assume(all(
         np.abs(z).min() > 1e-3 for z, a in zip(cache.pre_acts, acts) if a == "relu"
     ))
-    grads, gx = net.backward(cache, g)
+    grad, gx = net.backward(cache, g)
+    grads = net.layout(grad)
     numeric = finite_diff_param_grads(net, x, g)
     assert grads.keys() == numeric.keys()
     for path in grads:
@@ -178,9 +180,9 @@ def test_zero_upstream_gradient_gives_zero_param_gradients():
     rng = Rng(31)
     net = FeedForwardNet.init([4, 6, 2], "tanh", rng)
     _, cache = net.forward(rng.gaussian(4))
-    grads, gx = net.backward(cache, np.zeros(2))
-    for arr in grads.values():
-        assert not arr.any()
+    grad, gx = net.backward(cache, np.zeros(2))
+    assert grad.shape == net.vector.shape
+    assert not grad.any()
     assert not gx.any()
 
 
@@ -188,7 +190,8 @@ def test_backward_shapes_match_parameters():
     rng = Rng(32)
     net = FeedForwardNet.init([7, 3, 5], "relu", rng)
     _, cache = net.forward(rng.gaussian(7))
-    grads, _ = net.backward(cache, rng.gaussian(5))
+    grad, _ = net.backward(cache, rng.gaussian(5))
+    grads = net.layout(grad)
     for path, p in net.params().items():
         assert grads[path].shape == p.shape
 
@@ -197,8 +200,7 @@ def test_stale_cache_rejected_after_param_update():
     rng = Rng(33)
     net = FeedForwardNet.init([3, 3], "tanh", rng)
     _, cache = net.forward(rng.gaussian(3))
-    params = net.params()
-    net.load_params({k: v * 1.01 for k, v in params.items()})
+    net.assign(net.vector * 1.01)
     with pytest.raises(StaleCacheError):
         net.backward(cache, np.ones(3))
 
@@ -265,10 +267,6 @@ def test_adam_shape_mismatch_rejected():
     opt = Adam()
     with pytest.raises(DimensionMismatchError):
         opt.step(net, np.zeros(net.param_count() + 1))
-    grads = {k: np.zeros(v.shape) for k, v in net.params().items()}
-    grads["layer0.bias"] = np.zeros(4)
-    with pytest.raises(DimensionMismatchError, match="layer0.bias"):
-        net.flatten(grads)
 
 
 def random_net(rng):
@@ -287,14 +285,15 @@ def test_flat_adam_matches_per_array_oracle(seed):
     lr = float(rng.uniform(1)[0]) * 0.1
     opt, oracle = Adam(lr=lr), DictAdam(lr=lr)
     for _ in range(5):
-        grads = {k: rng.gaussian(v.size).reshape(v.shape) for k, v in params.items()}
-        opt.step(net, net.flatten(grads))
-        params = oracle.step(params, grads)
+        grad = rng.gaussian(net.param_count())
+        opt.step(net, grad)
+        params = oracle.step(params, net.layout(grad))
         for path, p in net.params().items():
             np.testing.assert_array_equal(p, params[path])
     assert opt.t == oracle.t == 5
-    np.testing.assert_array_equal(opt.m, net.flatten(oracle.m))
-    np.testing.assert_array_equal(opt.v, net.flatten(oracle.v))
+    for flat, ref in ((opt.m, oracle.m), (opt.v, oracle.v)):
+        for path, block in net.layout(flat).items():
+            np.testing.assert_array_equal(block, ref[path])
 
 
 def test_stale_cache_rejected_after_adam_step():
@@ -331,7 +330,7 @@ def pickle_round_trip(obj):
 def test_copied_and_pickled_nets_keep_layers_as_vector_views(clone):
     rng = Rng(9)
     net = FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], rng)
-    net.load_params(net.params())
+    net.assign(net.vector)
     twin = clone(net)
     assert_layers_view_vector(twin)
     assert not np.shares_memory(twin.vector, net.vector)
@@ -352,19 +351,56 @@ def test_copied_and_pickled_nets_keep_layers_as_vector_views(clone):
         twin.backward(cache, np.ones((2, 2)))
 
 
-def test_load_params_copies_into_the_vector_and_checks_all_before_writing():
-    net = FeedForwardNet.init([3, 2], "tanh", Rng(8))
+def test_assign_copies_into_the_vector_and_checks_before_writing():
+    rng = Rng(8)
+    net = FeedForwardNet.init([3, 2], "tanh", rng)
+    x = rng.gaussian(3)
+    _, cache = net.forward(x)
     vector, before = net.vector, net.vector.copy()
-    new = {"layer0.weight": np.ones((3, 2)), "layer0.bias": np.array([1.0, np.inf])}
+    new = np.array([1.0, 1, 1, 1, 1, 1, 1, np.inf])
     with pytest.raises(NonFiniteError, match="layer0.bias"):
-        net.load_params(new)
+        net.assign(new)
+    with pytest.raises(DimensionMismatchError, match=r"\(7,\) != \(8,\)"):
+        net.assign(new[:-1])
+    # a rejected write changes nothing, the version included
     np.testing.assert_array_equal(net.vector, before)
-    new["layer0.bias"] = np.array([2.0, 3.0])
-    net.load_params(new)
+    assert net.version == 0
+    net.backward(cache, np.ones(2))
+    new[-2:] = [2.0, 3.0]
+    net.assign(new)
     assert net.vector is vector
+    assert_layers_view_vector(net)
     np.testing.assert_array_equal(net.vector, [1, 1, 1, 1, 1, 1, 2, 3])
-    new["layer0.bias"][0] = 5.0  # the net holds a copy
+    np.testing.assert_array_equal(net(x), np.tanh(np.full(2, x.sum()) + [2, 3]))
+    new[-2] = 5.0  # the net holds a copy
     assert net.vector[-2] == 2.0
+    with pytest.raises(StaleCacheError):
+        net.backward(cache, np.ones(2))
+
+
+def test_backward_returns_a_fresh_vector_laid_out_like_the_parameters():
+    rng = Rng(35)
+    net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], rng)
+    x, g = rng.gaussian(8).reshape(2, 4), rng.gaussian(6).reshape(2, 3)
+    _, cache = net.forward(x)
+    grad, _ = net.backward(cache, g)
+    again, _ = net.backward(cache, g)
+    assert grad.shape == net.vector.shape and grad.flags.c_contiguous
+    assert not np.shares_memory(grad, net.vector)
+    assert not np.shares_memory(grad, again)
+    np.testing.assert_array_equal(grad, again)
+    assert_layers_view_vector(net, grad)
+    # each block is the textbook product of its layer, in params() order
+    z0 = x @ net.layers[0].weight + net.layers[0].bias
+    dz0 = (g @ net.layers[1].weight.T) * (1.0 - np.tanh(z0) ** 2)
+    expected = {
+        "layer0.weight": x.T @ dz0, "layer0.bias": dz0.sum(axis=0),
+        "layer1.weight": np.tanh(z0).T @ g, "layer1.bias": g.sum(axis=0),
+    }
+    views = net.layout(grad)
+    assert list(views) == list(net.params()) == list(expected)
+    for path, block in views.items():
+        np.testing.assert_allclose(block, expected[path], rtol=1e-12, err_msg=path)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +490,7 @@ def test_net_json_round_trip_bit_exact():
 def test_checksum_changes_with_params():
     net = FeedForwardNet.init([3, 3], "tanh", Rng(1))
     before = net.checksum()
-    params = net.params()
-    params["layer0.bias"] = params["layer0.bias"] + 1e-9
-    net.load_params(params)
+    new = net.vector.copy()
+    new[-1] += 1e-9
+    net.assign(new)
     assert net.checksum() != before

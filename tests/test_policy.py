@@ -3,15 +3,17 @@
 import copy
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdp.policy
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
-from fdp.numerics import DimensionMismatchError, FeedForwardNet, Rng
+from fdp.numerics import DimensionMismatchError, FeedForwardNet, Rng, decode_f64, encode_f64
 from fdp.policy import (
     ActionNormalizer,
     DenoiserComponent,
@@ -220,35 +222,37 @@ def test_fit_rejects_bad_batch_size_and_epochs(field, value):
 
 
 @pytest.mark.parametrize("trainable", [None, ["router", "component:1"]])
-def test_fit_matches_per_array_adam_and_load_params(monkeypatch, trainable):
+def test_fit_matches_per_array_adam_and_assign(monkeypatch, trainable):
     # the flat in-place optimizer against the reference: a per-array DictAdam
-    # per group, its new arrays written back through load_params
+    # per group over the layout views of its gradient, the new arrays written
+    # back through assign
     ds = generate_demos("bimodal1d", per_task=4, seed=1)
 
     def fit_bytes():
         policy = small_policy(seed=5)
         policy.fit(ds, epochs=3, batch_size=16, seed=11, trainable=trainable)
-        return (
+        return policy, (
             canonical_json(policy.to_json()),
             canonical_json(policy.training_log_.to_json()),
         )
 
-    flat = fit_bytes()
-    oracles = {}
+    _, flat = fit_bytes()
+    oracles = {}  # id(net) -> DictAdam
 
-    def apply_grads(self, opts, grads, groups):
-        for g in groups:
-            if g in ("encoder", "router"):
-                src = getattr(grads, g)
-            else:
-                src = grads.components[int(g.split(":", 1)[1])]
-            oracle = oracles.setdefault(g, DictAdam(lr=opts[g].lr))
-            net = self._group_net(g)
-            net.load_params(oracle.step(net.params(), src))
+    class OracleAdam:
+        def __init__(self, lr):
+            self.lr = lr
 
-    monkeypatch.setattr(FactorizedPolicy, "_apply_grads", apply_grads)
-    reference = fit_bytes()
-    assert set(oracles) == set(trainable or small_policy().group_names())
+        def step(self, net, grad):
+            oracle = oracles.setdefault(id(net), DictAdam(lr=self.lr))
+            new = oracle.step(net.params(), net.layout(grad))
+            net.assign(np.concatenate([a.ravel() for a in new.values()]))
+
+    monkeypatch.setattr(fdp.policy, "Adam", OracleAdam)
+    policy, reference = fit_bytes()
+    stepped = {g for g in policy.group_names() if id(policy._group_net(g)) in oracles}
+    assert len(oracles) == len(stepped)
+    assert stepped == set(trainable or policy.group_names())
     n_train = json.loads(reference[1])["n_train_windows"]
     assert {o.t for o in oracles.values()} == {3 * -(-n_train // 16)}
     assert flat == reference
@@ -289,6 +293,19 @@ def test_fit_rejects_a_group_name_that_is_not_canonical(groups):
     before = policy.group_checksums()
     with pytest.raises(KeyError, match="unknown parameter group 'component:"):
         policy.fit(ds, epochs=1, batch_size=8, seed=0, trainable=groups)
+    assert policy.group_checksums() == before
+    assert policy.normalizer is None and policy.training_log_ is None
+
+
+def test_fit_rejects_a_split_with_no_training_episodes():
+    # 4 episodes at fraction 0.9: round(3.6) = 4 held out, none left to train on
+    ds = generate_demos("reach4", per_task=1, seed=1)
+    assert len(ds.episodes) == 4
+    policy = small_policy(obs_dim=ds.state_dim, action_dim=ds.action_dim,
+                          validation_fraction=0.9)
+    before = policy.group_checksums()
+    with pytest.raises(ValueError, match="validation_fraction 0.9 holds out all 4 episodes"):
+        policy.fit(ds, epochs=1, batch_size=8, seed=0)
     assert policy.group_checksums() == before
     assert policy.normalizer is None and policy.training_log_ is None
 
@@ -497,6 +514,45 @@ def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, c
         FactorizedPolicy.from_json(obj)
 
 
+def _corrupt_net(net_json, case):
+    """A copy of a net's checkpoint fragment broken in one way."""
+    net = copy.deepcopy(net_json)
+    if case == "extra activation":
+        net["activations"].append("tanh")
+    elif case == "short widths":
+        net["widths"].pop()
+    elif case == "wrong width":
+        net["widths"][1] += 1
+    else:  # a bias one value short
+        net["layers"][-1]["bias"] = encode_f64(decode_f64(net["layers"][-1]["bias"])[:-1])
+    return net
+
+
+NET_CORRUPTIONS = {
+    "extra activation": r"field 'activations' has 3 entries, but 'widths' \[.*\] implies 2",
+    "short widths": r"field 'layers' has 2 entries, but 'widths' \[.*\] implies 1",
+    "wrong width": r"field 'layers\[0\].weight' holds \d+ values, but 'widths' implies",
+    "short bias": r"field 'layers\[1\].bias' holds \d+ values, but 'widths' implies shape \(",
+}
+
+
+@pytest.mark.parametrize("case", NET_CORRUPTIONS)
+@pytest.mark.parametrize("net", ["encoder", "router", "components[1]"])
+def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal, net, case):
+    obj = trained_bimodal.to_json()
+    if net == "encoder":  # the bimodal policy's encoder has one layer: give it two
+        obj["encoder"] = FeedForwardNet.init([6, 5, 12], "tanh", Rng(0)).to_json()
+        FactorizedPolicy.from_json(obj)  # the two-layer encoder itself loads
+        obj["encoder"] = _corrupt_net(obj["encoder"], case)
+    elif net == "router":
+        obj["router"]["net"] = _corrupt_net(obj["router"]["net"], case)
+    else:
+        obj["components"][1]["net"] = _corrupt_net(obj["components"][1]["net"], case)
+    field = re.escape(f"checkpoint field '{net}': ")
+    with pytest.raises(ValueError, match=field + NET_CORRUPTIONS[case]):
+        FactorizedPolicy.from_json(obj)
+
+
 def test_denoiser_rejects_net_narrower_than_window_and_step():
     net = FeedForwardNet.init([3, 4], ["identity"], Rng(0))
     with pytest.raises(DimensionMismatchError, match="step_dim=16"):
@@ -520,16 +576,32 @@ def test_policy_config_validation():
         PolicyConfig(t_pred=8, t_exec=9)
     with pytest.raises(ValueError):
         PolicyConfig(h_obs=0)
-    for field, bad in (
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
         ("step_embed_dim", 15),
         ("validation_fraction", 1.5),
         ("validation_fraction", 1.0),
         ("validation_fraction", -0.1),
         ("learning_rate", -1.0),
         ("learning_rate", 0.0),
-    ):
-        with pytest.raises(ValueError, match=field):
-            PolicyConfig(**{field: bad})
+        ("obs_embed_dim", 0),
+        ("encoder_hidden", (0,)),
+        ("denoiser_hidden", (0,)),
+        ("denoiser_hidden", (16, -1)),
+        ("router_hidden", (-3,)),
+        ("learning_rate", float("inf")),
+        ("learning_rate", float("nan")),
+        ("router_lr_scale", -1.0),
+        ("router_lr_scale", 0.0),
+        ("router_lr_scale", float("inf")),
+    ],
+)
+def test_policy_config_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        PolicyConfig(**{field: value})
 
 
 def test_group_names_and_counts():
