@@ -12,7 +12,7 @@ and restoring the cached router reproduces the old policy exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class AdaptationConfig:
     replay_per_task: int = 0  # episodes kept per pretrain task; 0 disables replay
     epochs: int = 60
     batch_size: int = 64
-    unfreeze_encoder: bool = False  # only honored by new_module
+    unfreeze_encoder: bool = False  # new_module only
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -49,9 +49,11 @@ class AdaptationConfig:
             raise AdaptationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise AdaptationError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
+        if self.unfreeze_encoder and self.strategy != "new_module":
+            raise AdaptationError(
+                f"unfreeze_encoder applies only to the new_module strategy, "
+                f"not '{self.strategy}'"
+            )
 
 
 def mean_routing_weights(policy: FactorizedPolicy, dataset: EpisodeDataset) -> np.ndarray:

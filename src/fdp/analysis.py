@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import component_predictions
 from .diffusion import forward_noise
 from .numerics import Rng, as_f64
 from .policy import (
     ComponentBank,
-    DenoiserComponent,
     FactorizedPolicy,
     RolloutResult,
     rollout,
@@ -97,8 +95,7 @@ def build_probe_set(
 def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     """Mean cosine similarity of per-component predictions over the probes.
 
-    A policy of DenoiserComponents is evaluated through one ComponentBank for
-    the whole probe set; other components go through component_predictions.
+    Every probe is evaluated through one ComponentBank built for the set.
 
     Probes where any component predicts a zero-norm vector are skipped and
     counted (a warning summarizes the count).
@@ -106,20 +103,15 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     if not probes:
         raise ValueError("probe set is empty")
     n = policy.n_components
-    comps = policy.components
-    bank = None
-    if all(isinstance(c, DenoiserComponent) for c in comps):
-        bank = ComponentBank(comps)
+    bank = ComponentBank(policy.components, policy.schedule.K)
     acc = np.zeros((n, n))
     used = 0
     skipped = 0
     for obs, values, k in probes:
+        if not 1 <= k <= policy.schedule.K:
+            raise ValueError(f"probe step {k} outside [1, {policy.schedule.K}]")
         emb = policy.encode_observation(obs)
-        if bank is None:
-            preds, _ = component_predictions(comps, values, emb, k)
-        else:
-            values = as_f64(values, "probe values")
-            preds = bank.predict(values, emb, bank.step_features(k))
+        preds = bank.predict(as_f64(values, "probe values"), emb, k)
         norms = [float(np.linalg.norm(p)) for p in preds]
         if min(norms) == 0.0:
             skipped += 1

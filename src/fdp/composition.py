@@ -9,10 +9,11 @@ floating-point sums are reproducible. Training composes the same weighted sum
 inside the noise-prediction MSE, so gradients reach every component, the
 router, and the observation encoder in one pass with no hard selection.
 Every caller sums the per-component predictions with weighted_sum, so the
-composition is written once. Cache-free predictions of policy components
-(sampling, similarity probes) come from a ComponentBank, one np.matmul per
-layer for all of them; predictions that need backward caches (training,
-validation) and any other component come from component_predictions.
+composition is written once. Cache-free predictions (sampling, similarity
+probes) come from a ComponentBank, which stacks policy components into one
+np.matmul per layer and evaluates any other list one component at a time;
+predictions that need backward caches (training, validation) come from
+component_predictions.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class Router:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError("router temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(
+                f"router temperature must be finite and positive, got {self.temperature}"
+            )
 
     @property
     def n_components(self) -> int:
@@ -184,21 +187,17 @@ def sample_values(
     weights are renormalized on the simplex. Components whose weight is
     exactly zero (one-hot solo weights) are not evaluated at all.
 
-    Policy components (``DenoiserComponent``) are evaluated through one
-    ``ComponentBank`` stacked after the top-k selection, with the step features
-    tabulated once and the embedding validated once per call. Any other
-    component, such as an analytic Gaussian score, goes through
-    ``composed_score`` at each step. Both paths run the same update on the same
-    noise, all K draws taken at once, and the result is bit-identical to
-    evaluating the components one at a time. Each step is one
-    ``reverse_mean`` plus sigma_k-scaled noise (none after step 1).
+    The active components are evaluated through one ``ComponentBank``, built
+    after the top-k selection; all K noise draws are taken at once. Each step
+    is one ``reverse_mean`` plus sigma_k-scaled noise (none after step 1), and
+    the result is bit-identical to evaluating the components one at a time.
 
     x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
     targets such as analytic Gaussian scores.
     """
     # deferred: fdp.policy, which defines the denoisers, imports this module
-    from .policy import ComponentBank, DenoiserComponent
+    from .policy import ComponentBank
 
     w = check_simplex(weights)
     if len(components) != w.shape[-1]:
@@ -212,29 +211,18 @@ def sample_values(
     # a zero-weight term adds an exact zero; skipping it changes no nonzero bit
     nonzero = w_used != 0.0
     idx, w_used = idx[nonzero], w_used[nonzero]
-    active = [components[i] for i in idx]
-
-    if all(isinstance(c, DenoiserComponent) for c in active):
-        bank = ComponentBank(active)
-        emb = as_f64(obs_embedding, "obs_embedding")
-        table = bank.step_features(np.arange(1, schedule.K + 1))
-
-        def aggregate(values, k):
-            return weighted_sum(w_used, bank.predict(values, emb, table[k - 1]))
-
-    else:
-
-        def aggregate(values, k):
-            return composed_score(active, w_used, values, obs_embedding, k).aggregate
+    bank = ComponentBank([components[i] for i in idx], schedule.K)
+    emb = obs_embedding if obs_embedding is None else as_f64(obs_embedding, "obs_embedding")
 
     # row 0 starts the chain; row K - k + 1 is the noise injected after step k
     noise = rng.gaussian_rows(schedule.K, dim)
     values = noise[0]
     for k in range(schedule.K, 0, -1):
-        values = reverse_mean(schedule, values, aggregate(values, k), k, x0_clip)
+        eps_hat = weighted_sum(w_used, bank.predict(values, emb, k))
+        values = reverse_mean(schedule, values, eps_hat, k, x0_clip)
         if k > 1:
             values = values + schedule.sigma[k - 1] * noise[schedule.K - k + 1]
-    return as_f64(values, "sampled window"), SampleInfo(w, idx, len(active) * schedule.K)
+    return as_f64(values, "sampled window"), SampleInfo(w, idx, len(idx) * schedule.K)
 
 
 def composed_residual(

@@ -72,9 +72,9 @@ class Rng:
     portable across machines.
     """
 
-    def __init__(self, seed: int, _counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._counter = int(_counter)
+        self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
@@ -227,9 +227,8 @@ class FeedForwardNet:
         widths: list[int],
         activations: list[str] | str,
         rng: Rng,
-        weight_scale: float = 1.0,
     ) -> "FeedForwardNet":
-        """Random init: W ~ N(0, scale^2/fan_in), b = 0. widths = [in, h1, ..., out]."""
+        """Random init: W ~ N(0, 1/fan_in), b = 0. widths = [in, h1, ..., out]."""
         if len(widths) < 2:
             raise ValueError("widths must list at least input and output sizes")
         if isinstance(activations, str):
@@ -240,7 +239,7 @@ class FeedForwardNet:
         for i, act in enumerate(activations):
             fan_in, fan_out = widths[i], widths[i + 1]
             w = rng.gaussian(fan_in * fan_out).reshape(fan_in, fan_out)
-            w *= weight_scale / math.sqrt(fan_in)
+            w *= 1.0 / math.sqrt(fan_in)
             layers.append(Layer(w, np.zeros(fan_out), act))
         return cls(layers)
 

@@ -22,6 +22,7 @@ from .composition import (
     Router,
     SampleInfo,
     check_simplex,
+    component_predictions,
     composed_residual,
     sample_values,
 )
@@ -119,24 +120,28 @@ class DenoiserComponent:
 
 
 class ComponentBank:
-    """DenoiserComponents of one architecture evaluated together.
+    """Cache-free predictions of a component list at diffusion steps 1..K.
 
-    Each layer's weights are stacked into an (N, fan_in, fan_out) slab and its
-    biases into (N, 1, fan_out), so one np.matmul per layer serves every
-    component. numpy runs a stacked matmul as one BLAS call per slab, so each
-    component's prediction is bit-identical to its own ``predict``. The slabs
-    are copies taken when the bank is built; build one per call, so parameter
-    writes (training, adaptation, loading) never leave a stale bank behind.
-    Inputs are not validated here: callers check them once, not per step.
+    DenoiserComponents of one architecture are stacked: each layer's weights
+    into an (N, fan_in, fan_out) slab and its biases into (N, 1, fan_out), so
+    one np.matmul per layer serves every component, and the step features are
+    tabulated once. numpy runs a stacked matmul as one BLAS call per slab, so
+    each prediction is bit-identical to the component's own ``predict``.
+    DenoiserComponents of differing architectures raise, naming the
+    component; any other list is evaluated one component at a time through
+    ``component_predictions``. The slabs are copies; build one bank per call,
+    so parameter writes never leave a stale bank behind. Stacked inputs are
+    not validated here: callers check them once, not per step.
     """
 
-    def __init__(self, components):
-        components = list(components)
-        if not components:
+    def __init__(self, components, steps: int):
+        self.components = list(components)
+        if not self.components:
             raise CompositionError("a component bank needs at least one component")
-        for i, comp in enumerate(components):
-            if not isinstance(comp, DenoiserComponent):
-                raise CompositionError(f"component {i} is not a DenoiserComponent")
+        self.weights = None
+        if not all(isinstance(c, DenoiserComponent) for c in self.components):
+            return
+        for i, comp in enumerate(self.components):
             arch = (comp.net.widths, comp.net.activations, comp.window_dim, comp.step_dim)
             if i == 0:
                 first_arch = arch
@@ -145,28 +150,27 @@ class ComponentBank:
                     f"component {i} (widths, activations, window_dim, step_dim) "
                     f"{arch} differs from component 0's {first_arch}"
                 )
-        first = components[0]
+        first = self.components[0]
         self.in_dim = first.net.in_dim
-        self.step_dim = first.step_dim
         self.activations = first.net.activations
         self.weights = [
-            np.stack([c.net.layers[j].weight for c in components])
+            np.stack([c.net.layers[j].weight for c in self.components])
             for j in range(len(self.activations))
         ]
         self.biases = [
-            np.stack([c.net.layers[j].bias for c in components])[:, None, :]
+            np.stack([c.net.layers[j].bias for c in self.components])[:, None, :]
             for j in range(len(self.activations))
         ]
+        self.step_table = sinusoidal_step_embedding(np.arange(1, steps + 1), first.step_dim)
 
-    def step_features(self, k) -> np.ndarray:
-        """Step features of step k, or a table with one row per step."""
-        return sinusoidal_step_embedding(k, self.step_dim)
-
-    def predict(self, values, obs_embedding, step_features) -> np.ndarray:
+    def predict(self, values, obs_embedding, k) -> np.ndarray:
         """Every component's noise estimate, shaped (N, *values.shape), for a
-        window and its embedding and step features (or one row of each per
-        window of a batch)."""
-        x = np.concatenate([values, obs_embedding, step_features], axis=-1)
+        window and its embedding at step k (or one row of each and one step
+        per window of a batch)."""
+        if self.weights is None:
+            preds, _ = component_predictions(self.components, values, obs_embedding, k)
+            return np.stack(preds)
+        x = np.concatenate([values, obs_embedding, self.step_table[k - 1]], axis=-1)
         if x.shape[-1] != self.in_dim:
             raise DimensionMismatchError(
                 f"layer 0 expects input width {self.in_dim}, got {x.shape[-1]}"
@@ -249,7 +253,7 @@ class PolicyConfig:
             raise ValueError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
             )
-        for name in ("learning_rate", "router_lr_scale"):
+        for name in ("learning_rate", "router_lr_scale", "router_temperature"):
             rate = getattr(self, name)
             if not (math.isfinite(rate) and rate > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {rate}")
@@ -513,6 +517,12 @@ class FactorizedPolicy:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
+        for name, width in (("state_dim", self.obs_dim), ("action_dim", self.action_dim)):
+            if getattr(dataset, name) != width:
+                raise ValueError(
+                    f"dataset field '{name}' is {getattr(dataset, name)}, "
+                    f"but the policy expects {width}"
+                )
         groups = self.group_names() if trainable is None else sorted(trainable)
         for i, g in enumerate(groups):
             self._group_net(g)  # validates names early
@@ -522,7 +532,9 @@ class FactorizedPolicy:
         if not episodes:
             raise ValueError("dataset has no episodes")
         fraction = self.config.validation_fraction
-        n_val = max(1, int(round(fraction * len(episodes)))) if len(episodes) > 1 else 0
+        n_val = 0
+        if fraction > 0.0 and len(episodes) > 1:
+            n_val = max(1, int(round(fraction * len(episodes))))
         if n_val == len(episodes):
             raise ValueError(
                 f"validation_fraction {fraction} holds out all {n_val} episodes, "
@@ -664,7 +676,7 @@ class FactorizedPolicy:
                     f"at component {i}, but t_pred x action_dim is {policy.window_dim}"
                 )
         try:
-            ComponentBank(policy.components)
+            ComponentBank(policy.components, policy.schedule.K)
         except CompositionError as exc:
             raise ValueError(f"checkpoint field 'components': {exc}") from exc
         emb_dim = policy.obs_encoder.out_dim

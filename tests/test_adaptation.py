@@ -1,6 +1,7 @@
 """Adaptation strategies: upcycling, freezing, replay, continual stages."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -416,3 +417,9 @@ def test_config_validation():
 def test_config_rejects_bad_batch_size_and_epochs(field, value):
     with pytest.raises(AdaptationError, match=field):
         AdaptationConfig(**{field: value})
+
+
+@pytest.mark.parametrize("strategy", ["full", "router", "router+encoder"])
+def test_config_rejects_unfreeze_encoder_outside_new_module(strategy):
+    with pytest.raises(AdaptationError, match=f"unfreeze_encoder .*not '{re.escape(strategy)}'"):
+        AdaptationConfig(strategy=strategy, unfreeze_encoder=True)

@@ -138,6 +138,14 @@ def test_similarity_invariants_on_trained_policy(trained_pick):
     assert sim.n_probes == 64 and sim.skipped == 0
 
 
+@pytest.mark.parametrize("k", [0, 11])
+def test_probe_step_outside_the_schedule_is_rejected(trained_pick, k):
+    policy, ds = trained_pick
+    obs, values, _ = build_probe_set(policy, ds, n=1, seed=0)[0]
+    with pytest.raises(ValueError, match=rf"probe step {k} outside \[1, 10\]"):
+        score_similarity(policy, [(obs, values, k)])
+
+
 def test_zero_norm_probes_skipped_with_warning(trained_pick):
     policy, ds = trained_pick
 

@@ -197,7 +197,11 @@ def test_train_on_dataset_of_other_version_exit_3(runner, demo_file, tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--denoiser-hidden", "0", "denoiser_hidden"), ("--router-lr-scale", "-2", "router_lr_scale")],
+    [
+        ("--denoiser-hidden", "0", "denoiser_hidden"),
+        ("--router-lr-scale", "-2", "router_lr_scale"),
+        ("--router-temperature", "inf", "router_temperature"),
+    ],
 )
 def test_train_rejects_bad_policy_widths_and_rates_exit_3(
     runner, demo_file, tmp_path, flag, value, field

@@ -609,14 +609,18 @@ def test_sample_window_matches_reference_loop(fitted, case):
 
 def test_bank_matches_component_predictions(fitted):
     policy, ds = fitted
-    bank = ComponentBank(policy.components)
+    bank = ComponentBank(policy.components, policy.schedule.K)
     windows, obs = policy.build_training_arrays(ds.episodes[:1])
     emb = policy.encode_observation(obs)
     ks = Rng(3).integers(1, policy.schedule.K + 1, len(windows))
     # one row, then a batch with one embedding and step per row
     for values, e, k in ((windows[2], emb[2], int(ks[2])), (windows, emb, ks)):
         preds, _ = component_predictions(policy.components, values, e, k)
-        np.testing.assert_array_equal(bank.predict(values, e, bank.step_features(k)), preds)
+        np.testing.assert_array_equal(bank.predict(values, e, k), preds)
+    # both ends of the step table
+    for k in (1, policy.schedule.K):
+        preds, _ = component_predictions(policy.components, windows[0], emb[0], k)
+        np.testing.assert_array_equal(bank.predict(windows[0], emb[0], k), preds)
 
 
 def test_bank_rejects_other_architectures_naming_the_component():
@@ -629,10 +633,15 @@ def test_bank_rejects_other_architectures_naming_the_component():
     ]
     for other in others:
         with pytest.raises(CompositionError, match="component 2 "):
-            ComponentBank([*comps, other])
+            ComponentBank([*comps, other], 5)
+    # a mixed list is evaluated one component at a time
     sched = make_schedule(5)
-    with pytest.raises(CompositionError, match="component 1 is not"):
-        ComponentBank([comps[0], AnalyticGaussianDenoiser(sched, 0.0, 1.0)])
+    mixed = [comps[0], AnalyticGaussianDenoiser(sched, 0.0, 1.0)]
+    bank = ComponentBank(mixed, sched.K)
+    values, emb = rng.child(8).gaussian(6), rng.child(9).gaussian(4)
+    for k in range(1, sched.K + 1):
+        preds, _ = component_predictions(mixed, values, emb, k)
+        np.testing.assert_array_equal(bank.predict(values, emb, k), preds)
 
 
 @settings(max_examples=30, deadline=None)

@@ -297,6 +297,28 @@ def test_fit_rejects_a_group_name_that_is_not_canonical(groups):
     assert policy.normalizer is None and policy.training_log_ is None
 
 
+@pytest.mark.parametrize(
+    "obs_dim, action_dim, field", [(6, 1, "state_dim"), (3, 2, "action_dim")]
+)
+def test_fit_rejects_a_dataset_of_other_widths(obs_dim, action_dim, field):
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)  # state 3, action 1
+    policy = small_policy(obs_dim=obs_dim, action_dim=action_dim)
+    before = policy.group_checksums()
+    with pytest.raises(ValueError, match=f"dataset field '{field}' is"):
+        policy.fit(ds, epochs=1, batch_size=8, seed=0)
+    assert policy.group_checksums() == before
+    assert policy.normalizer is None and policy.training_log_ is None
+
+
+def test_fit_with_validation_fraction_zero_holds_out_nothing():
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy(validation_fraction=0.0).fit(ds, epochs=2, batch_size=8, seed=0)
+    log = policy.training_log_
+    assert log.n_val_windows == 0
+    assert log.n_train_windows == sum(len(ep.actions) for ep in ds.episodes)
+    assert all(e["val_mse"] == e["train_mse"] for e in log.entries)
+
+
 def test_fit_rejects_a_split_with_no_training_episodes():
     # 4 episodes at fraction 0.9: round(3.6) = 4 held out, none left to train on
     ds = generate_demos("reach4", per_task=1, seed=1)
@@ -514,6 +536,18 @@ def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, c
         FactorizedPolicy.from_json(obj)
 
 
+@pytest.mark.parametrize("temperature", [float("inf"), float("nan"), 0.0])
+def test_checkpoint_rejects_a_router_temperature_that_is_not_finite_and_positive(
+    tmp_path, trained_bimodal, temperature
+):
+    obj = trained_bimodal.to_json()
+    obj["router"]["temperature"] = temperature
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(obj))  # inf and nan as JSON's Infinity and NaN
+    with pytest.raises(ValueError, match="'router'.*temperature must be finite and positive"):
+        FactorizedPolicy.load(path)
+
+
 def _corrupt_net(net_json, case):
     """A copy of a net's checkpoint fragment broken in one way."""
     net = copy.deepcopy(net_json)
@@ -597,6 +631,10 @@ def test_policy_config_validation():
         ("router_lr_scale", -1.0),
         ("router_lr_scale", 0.0),
         ("router_lr_scale", float("inf")),
+        ("router_temperature", 0.0),
+        ("router_temperature", -1.0),
+        ("router_temperature", float("inf")),
+        ("router_temperature", float("nan")),
     ],
 )
 def test_policy_config_names_the_bad_field(field, value):
