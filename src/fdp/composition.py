@@ -127,15 +127,22 @@ def component_predictions(components, values, obs_embedding, k):
 
 def weighted_sum(weights, preds) -> np.ndarray:
     """sum_i w_i eps_i, reduced in index order; weights is (N,), or (B, N)
-    for one weight vector per batch row."""
+    for one weight vector per batch row, and preds holds the N predictions,
+    as a list or stacked on a leading axis."""
     w = np.asarray(weights, dtype=np.float64)
-    if len(preds) != w.shape[-1]:
-        raise CompositionError(f"{len(preds)} components but {w.shape[-1]} weights")
-    agg = None
-    for i, eps_i in enumerate(preds):
-        term = (w[i] if w.ndim == 1 else w[:, i : i + 1]) * eps_i
-        agg = term if agg is None else agg + term
-    return agg
+    n = w.shape[-1]
+    if len(preds) != n:
+        raise CompositionError(f"{len(preds)} components but {n} weights")
+    stack = np.asarray(preds, dtype=np.float64)
+    w_col = w.T  # component axis first, then one axis per window axis
+    while w_col.ndim < stack.ndim:
+        w_col = w_col[..., None]
+    terms = stack * w_col
+    if terms.size == n:
+        # numpy sums a contiguous run of 8 or more pairwise; keep index order
+        return sum(terms[1:], terms[0])
+    # the -0.0 start adds exactly nothing, so this is terms[0] + terms[1] + ...
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def composed_score(
@@ -188,9 +195,11 @@ def sample_values(
     exactly zero (one-hot solo weights) are not evaluated at all.
 
     The active components are evaluated through one ``ComponentBank``, built
-    after the top-k selection; all K noise draws are taken at once. Each step
-    is one ``reverse_mean`` plus sigma_k-scaled noise (none after step 1), and
-    the result is bit-identical to evaluating the components one at a time.
+    after the top-k selection; all K noise draws are taken, and scaled by
+    their sigma_k, at once. Each step is one bank prediction, one
+    ``weighted_sum``, one ``reverse_mean`` and one noise row added (none after
+    step 1), and the result is bit-identical to evaluating the components one
+    at a time.
 
     x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
@@ -214,14 +223,16 @@ def sample_values(
     bank = ComponentBank([components[i] for i in idx], schedule.K)
     emb = obs_embedding if obs_embedding is None else as_f64(obs_embedding, "obs_embedding")
 
-    # row 0 starts the chain; row K - k + 1 is the noise injected after step k
+    # row 0 starts the chain; row K - k + 1 is the noise injected after step
+    # k, scaled by sigma_k here in one multiply
     noise = rng.gaussian_rows(schedule.K, dim)
+    noise[1:] *= schedule.sigma[:0:-1, None]
     values = noise[0]
     for k in range(schedule.K, 0, -1):
         eps_hat = weighted_sum(w_used, bank.predict(values, emb, k))
         values = reverse_mean(schedule, values, eps_hat, k, x0_clip)
         if k > 1:
-            values = values + schedule.sigma[k - 1] * noise[schedule.K - k + 1]
+            values += noise[schedule.K - k + 1]
     return as_f64(values, "sampled window"), SampleInfo(w, idx, len(idx) * schedule.K)
 
 

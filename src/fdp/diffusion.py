@@ -43,6 +43,12 @@ class NoiseSchedule:
     gamma: np.ndarray  # gamma[k-1] = beta_k / sqrt(1 - abar_k)
     sigma: np.ndarray  # sigma[k-1]; sigma[0] = 0 by convention
     recip_sqrt_alpha: np.ndarray  # 1 / sqrt(1 - beta_k)
+    # the x0-clipped reverse update's coefficients, entry k-1 for step k
+    sqrt_one_minus_ab: np.ndarray  # sqrt(1 - abar_k)
+    sqrt_ab: np.ndarray  # sqrt(abar_k)
+    x0_coef: np.ndarray  # sqrt(abar_{k-1}) beta_k
+    values_coef: np.ndarray  # sqrt(1 - beta_k) (1 - abar_{k-1})
+    one_minus_ab: np.ndarray  # 1 - abar_k
 
     def __post_init__(self):
         if self.K < 2:
@@ -82,7 +88,21 @@ def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
     sigma = np.sqrt(betas)
     sigma[0] = 0.0
     recip_sqrt_alpha = 1.0 / np.sqrt(1.0 - betas)
-    return NoiseSchedule(K, kind, betas, alpha_bar, gamma, sigma, recip_sqrt_alpha)
+    ab, ab_prev = alpha_bar[1:], alpha_bar[:-1]
+    return NoiseSchedule(
+        K,
+        kind,
+        betas,
+        alpha_bar,
+        gamma,
+        sigma,
+        recip_sqrt_alpha,
+        sqrt_one_minus_ab=np.sqrt(1.0 - ab),
+        sqrt_ab=np.sqrt(ab),
+        x0_coef=np.sqrt(ab_prev) * betas,
+        values_coef=np.sqrt(1.0 - betas) * (1.0 - ab_prev),
+        one_minus_ab=1.0 - ab,
+    )
 
 
 def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
@@ -156,15 +176,21 @@ def reverse_mean(
 
     With x0_clip set, the implied clean-sample estimate is clipped to
     [-x0_clip, x0_clip] before the posterior mean is formed; this equals the
-    plain update whenever the estimate is already in range.
+    plain update whenever the estimate is already in range. The coefficients
+    come from the schedule's tables, so the only per-step work is on arrays.
     """
+    if not 1 <= k <= schedule.K:
+        raise ScheduleError(f"step k={k} outside [1, {schedule.K}]")
+    i = k - 1
     if x0_clip is None:
-        return schedule.recip_sqrt_alpha[k - 1] * (values - schedule.gamma[k - 1] * eps_hat)
-    ab_k = schedule.alpha_bar[k]
-    ab_prev = schedule.alpha_bar[k - 1]
-    beta = schedule.betas[k - 1]
-    x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
-    x0 = np.clip(x0, -x0_clip, x0_clip)
-    return (
-        np.sqrt(ab_prev) * beta * x0 + np.sqrt(1.0 - beta) * (1.0 - ab_prev) * values
-    ) / (1.0 - ab_k)
+        mean = values - schedule.gamma[i] * eps_hat
+        mean *= schedule.recip_sqrt_alpha[i]
+        return mean
+    x0 = values - schedule.sqrt_one_minus_ab[i] * eps_hat
+    x0 /= schedule.sqrt_ab[i]
+    np.maximum(x0, -x0_clip, out=x0)
+    np.minimum(x0, x0_clip, out=x0)
+    x0 *= schedule.x0_coef[i]
+    x0 += schedule.values_coef[i] * values
+    x0 /= schedule.one_minus_ab[i]
+    return x0

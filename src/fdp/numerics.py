@@ -136,11 +136,12 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-def _act_forward(name: str, z: np.ndarray) -> np.ndarray:
+def _act_forward(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    # out=z applies the activation in place
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation '{name}' (expected one of {ACTIVATIONS})")

@@ -126,7 +126,9 @@ class ComponentBank:
     into an (N, fan_in, fan_out) slab and its biases into (N, 1, fan_out), so
     one np.matmul per layer serves every component, and the step features are
     tabulated once. numpy runs a stacked matmul as one BLAS call per slab, so
-    each prediction is bit-identical to the component's own ``predict``.
+    each prediction is bit-identical to the component's own ``predict``. Each
+    layer adds its biases and applies its activation in place, in a fresh
+    array per ``predict``, so a returned prediction is never overwritten.
     DenoiserComponents of differing architectures raise, naming the
     component; any other list is evaluated one component at a time through
     ``component_predictions``. The slabs are copies; build one bank per call,
@@ -177,7 +179,9 @@ class ComponentBank:
             )
         a = x.reshape(1, -1, self.in_dim)
         for weight, bias, act in zip(self.weights, self.biases, self.activations):
-            a = _act_forward(act, np.matmul(a, weight) + bias)
+            a = np.matmul(a, weight)
+            a += bias
+            _act_forward(act, a, out=a)
         return a.reshape(len(a), *values.shape)
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fdp.diffusion import reverse_mean
 from fdp.numerics import DimensionMismatchError, NonFiniteError
 
 
@@ -82,15 +81,20 @@ def composed_prediction_loop(components, weights, values, obs_embedding, k):
 def sample_values_loop(components, weights, obs_embedding, schedule, dim, rng, x0_clip=None):
     """Reference reverse sampler: one rng.gaussian(dim) per step and the
     composed prediction one component at a time, with the x0-clipped update
-    (or the plain posterior mean when x0_clip is None). Components and weights
-    are the ones evaluated, after any top-k selection."""
+    (or the plain posterior mean when x0_clip is None), each written out from
+    abar and beta with scalar coefficients. Components and weights are the
+    ones evaluated, after any top-k selection."""
     values = rng.gaussian(dim)
     for k in range(schedule.K, 0, -1):
         eps_hat = composed_prediction_loop(components, weights, values, obs_embedding, k)
         ab_k, ab_prev = schedule.alpha_bar[k], schedule.alpha_bar[k - 1]
         beta = schedule.betas[k - 1]
         if x0_clip is None:
-            values = reverse_mean(schedule, values, eps_hat, k)
+            # (a - beta / sqrt(1 - abar_k) eps) / sqrt(1 - beta), the division
+            # taken as a product with the reciprocal, as the schedule rounds it
+            values = (1.0 / np.sqrt(1.0 - beta)) * (
+                values - beta / np.sqrt(1.0 - ab_k) * eps_hat
+            )
         else:
             x0 = (values - np.sqrt(1.0 - ab_k) * eps_hat) / np.sqrt(ab_k)
             x0 = np.clip(x0, -x0_clip, x0_clip)

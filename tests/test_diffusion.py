@@ -293,3 +293,35 @@ def test_reverse_mean_x0_clip():
     out = reverse_mean(sched, values, eps_hat, k, 1.0)
     np.testing.assert_allclose(out, expected, rtol=1e-12)
     assert not np.allclose(out, reverse_mean(sched, values, eps_hat, k))
+
+
+@pytest.mark.parametrize("clip", [None, 1.0])
+@pytest.mark.parametrize("k", [-1, 0, 11])
+def test_reverse_mean_rejects_steps_outside_the_schedule(k, clip):
+    sched = make_schedule(10)
+    values = np.array([0.5, -0.5])
+    with pytest.raises(ScheduleError, match=f"k={k}"):
+        reverse_mean(sched, values, np.zeros(2), k, clip)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "linear"])
+def test_reverse_coefficient_tables_equal_the_scalar_expressions(kind):
+    sched = make_schedule(30, kind)
+    for k in range(1, sched.K + 1):
+        ab_k, ab_prev, beta = sched.alpha_bar[k], sched.alpha_bar[k - 1], sched.betas[k - 1]
+        assert sched.sqrt_one_minus_ab[k - 1] == np.sqrt(1.0 - ab_k)
+        assert sched.sqrt_ab[k - 1] == np.sqrt(ab_k)
+        assert sched.x0_coef[k - 1] == np.sqrt(ab_prev) * beta
+        assert sched.values_coef[k - 1] == np.sqrt(1.0 - beta) * (1.0 - ab_prev)
+        assert sched.one_minus_ab[k - 1] == 1.0 - ab_k
+
+
+def test_reverse_mean_leaves_its_inputs_untouched():
+    sched = make_schedule(10)
+    values, eps_hat = np.array([3.0, -0.2, 0.7]), np.array([0.1, -2.0, 0.4])
+    kept = values.copy(), eps_hat.copy()
+    for clip in (None, 1.0):
+        out = reverse_mean(sched, values, eps_hat, 5, clip)
+        assert not np.shares_memory(out, values) and not np.shares_memory(out, eps_hat)
+        np.testing.assert_array_equal(values, kept[0])
+        np.testing.assert_array_equal(eps_hat, kept[1])
