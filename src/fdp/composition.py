@@ -139,7 +139,8 @@ def weighted_sum(weights, preds) -> np.ndarray:
         w_col = w_col[..., None]
     terms = stack * w_col
     if terms.size == n:
-        # numpy sums a contiguous run of 8 or more pairwise; keep index order
+        # one value per prediction: numpy would reduce the stack as one
+        # contiguous run, pairwise from 8 terms on; keep the index order
         return sum(terms[1:], terms[0])
     # the -0.0 start adds exactly nothing, so this is terms[0] + terms[1] + ...
     return np.add.reduce(terms, axis=0, initial=-0.0)

@@ -178,6 +178,7 @@ def reverse_mean(
     [-x0_clip, x0_clip] before the posterior mean is formed; this equals the
     plain update whenever the estimate is already in range. The coefficients
     come from the schedule's tables, so the only per-step work is on arrays.
+    The result is a fresh array; values and eps_hat are left untouched.
     """
     if not 1 <= k <= schedule.K:
         raise ScheduleError(f"step k={k} outside [1, {schedule.K}]")
