@@ -15,12 +15,7 @@ import numpy as np
 
 from .diffusion import forward_noise
 from .numerics import Rng, as_f64
-from .policy import (
-    ComponentBank,
-    FactorizedPolicy,
-    RolloutResult,
-    rollout,
-)
+from .policy import FactorizedPolicy, RolloutResult, rollout
 
 
 @dataclass
@@ -95,7 +90,8 @@ def build_probe_set(
 def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     """Mean cosine similarity of per-component predictions over the probes.
 
-    Every probe is evaluated through one ComponentBank built for the set.
+    Every probe is evaluated through contiguous copies of the policy's
+    ComponentBank rows, as sampling does.
 
     Probes where any component predicts a zero-norm vector are skipped and
     counted (a warning summarizes the count).
@@ -103,7 +99,7 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     if not probes:
         raise ValueError("probe set is empty")
     n = policy.n_components
-    bank = ComponentBank(policy.components, policy.schedule.K)
+    bank = policy.bank.select(range(n))
     acc = np.zeros((n, n))
     used = 0
     skipped = 0

@@ -9,11 +9,10 @@ floating-point sums are reproducible. Training composes the same weighted sum
 inside the noise-prediction MSE, so gradients reach every component, the
 router, and the observation encoder in one pass with no hard selection.
 Every caller sums the per-component predictions with weighted_sum, so the
-composition is written once. Cache-free predictions (sampling, similarity
-probes) come from a ComponentBank, which stacks policy components into one
-np.matmul per layer and evaluates any other list one component at a time;
-predictions that need backward caches (training, validation) come from
-component_predictions.
+composition is written once. Sampling, the joint loss and validation take
+the components as a ComponentBank (one np.matmul per layer for all
+denoisers, forward and backward), which the policy keeps bound to its
+parameters.
 """
 
 from __future__ import annotations
@@ -195,8 +194,8 @@ def sample_values(
     weights are renormalized on the simplex. Components whose weight is
     exactly zero (one-hot solo weights) are not evaluated at all.
 
-    The active components are evaluated through one ``ComponentBank``, built
-    after the top-k selection; all K noise draws are taken, and scaled by
+    components is a ComponentBank; the active components run on one
+    ``select``ed copy of their rows; all K noise draws are taken, scaled by
     their sigma_k, at once. Each step is one bank prediction, one
     ``weighted_sum``, one ``reverse_mean`` and one noise row added (none after
     step 1), and the result is bit-identical to evaluating the components one
@@ -206,9 +205,6 @@ def sample_values(
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
     targets such as analytic Gaussian scores.
     """
-    # deferred: fdp.policy, which defines the denoisers, imports this module
-    from .policy import ComponentBank
-
     w = check_simplex(weights)
     if len(components) != w.shape[-1]:
         raise CompositionError(
@@ -221,7 +217,7 @@ def sample_values(
     # a zero-weight term adds an exact zero; skipping it changes no nonzero bit
     nonzero = w_used != 0.0
     idx, w_used = idx[nonzero], w_used[nonzero]
-    bank = ComponentBank([components[i] for i in idx], schedule.K)
+    bank = components.select(idx)
     emb = obs_embedding if obs_embedding is None else as_f64(obs_embedding, "obs_embedding")
 
     # row 0 starts the chain; row K - k + 1 is the noise injected after step
@@ -241,13 +237,14 @@ def composed_residual(
     components, router: Router, obs_encoder: FeedForwardNet, windows, obs, schedule, ks, eps
 ) -> tuple[np.ndarray, tuple]:
     """sum_i w_i eps_i - eps for clean windows corrupted at steps ks with noise
-    eps, where w = router(encoder(obs)) per row, plus the forward caches
-    (encoder, embedding, router, per-component predictions and caches)."""
+    eps, where w = router(encoder(obs)) per row and components is a
+    ComponentBank, plus the forward caches (encoder, embedding, router,
+    (N, B, window_dim) predictions, bank)."""
     emb, enc_cache = obs_encoder.forward(obs)
     w, router_cache = router.route_with_cache(emb)
     noisy = forward_noise(schedule, windows, ks, eps)
-    preds, caches = component_predictions(components, noisy, emb, ks)
-    return weighted_sum(w, preds) - eps, (enc_cache, emb, router_cache, preds, caches)
+    preds, cache = components.forward(noisy, emb, ks)
+    return weighted_sum(w, preds) - eps, (enc_cache, emb, router_cache, preds, cache)
 
 
 def joint_loss(
@@ -266,12 +263,13 @@ def joint_loss(
     The loss is the mean over batch and coordinates; gradients flow through the
     weighted sum into every component, the router, and the encoder at once.
 
-    trainable names the groups to differentiate ('encoder', 'router',
-    'component:i'; None means all), and the returned gradients hold exactly
-    these keys, each a vector laid out like its net's ``vector``. A frozen net
-    runs no backward when the encoder is frozen too; when the encoder trains
-    it runs the ordinary backward for its input gradient and its parameter
-    gradient is dropped. Gradients match an all-trainable call bit for bit.
+    components is a ComponentBank. trainable names the groups to
+    differentiate ('encoder', 'router', 'component:i'; None means all), and
+    the returned gradients hold exactly these keys, each a vector laid out
+    like its net's ``vector``. One stacked backward covers every component
+    when the encoder trains, and only the trainable ones, with no embedding
+    gradient, when it is frozen; a frozen router runs a backward only for
+    the encoder. Gradients match an all-trainable call bit for bit.
     """
     windows, obs = batch
     windows = as_f64(windows, "windows")
@@ -282,28 +280,24 @@ def joint_loss(
 
     ks = rng.integers(1, schedule.K + 1, b)
     eps = rng.gaussian(b * dim).reshape(b, dim)
-    resid, (enc_cache, emb, router_cache, preds, caches) = composed_residual(
+    resid, (enc_cache, emb, router_cache, preds, cache) = composed_residual(
         components, router, obs_encoder, windows, obs, schedule, ks, eps
     )
     loss = float(np.mean(resid * resid))
     if not np.isfinite(loss):
         raise ValueError("joint loss is non-finite")
 
+    names = [f"component:{i}" for i in range(len(components))]
     if trainable is None:
-        trainable = ["encoder", "router", *(f"component:{i}" for i in range(len(components)))]
+        trainable = ["encoder", "router", *names]
     train_encoder = "encoder" in trainable
     w = router_cache.weights
     dagg = 2.0 * resid / resid.size
     demb = np.zeros_like(emb) if train_encoder else None
-    grads = {}
-    for i, comp in enumerate(components):
-        group = f"component:{i}"
-        if group in trainable or train_encoder:
-            pg, _, de = comp.backward(caches[i], w[:, i : i + 1] * dagg)
-            if group in trainable:
-                grads[group] = pg
-            if train_encoder:
-                demb += de
+    rows = [i for i, g in enumerate(names) if train_encoder or g in trainable]
+    # component i's output gradient is w[:, i] * dagg
+    pgs = components.backward(cache, w.T[rows, :, None] * dagg, rows, demb) if rows else []
+    grads = {names[i]: pg for i, pg in zip(rows, pgs) if names[i] in trainable}
     if "router" in trainable or train_encoder:
         dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
         pg, demb_router = router.backward(router_cache, dw)

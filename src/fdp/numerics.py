@@ -2,11 +2,11 @@
 an Adam optimizer, and a counter-based RNG whose streams are portable.
 
 Everything here is deliberately boring: plain numpy arrays, explicit shapes,
-no autodiff graph. Each network owns one contiguous float64 parameter vector,
-and every layer's weight and bias are views into it. Gradients are vectors
-laid out the same way. Parameter writes go through ``assign`` or an ``Adam``
-step, which update the vector in place and bump the net's version so stale
-backward caches can be detected.
+no autodiff graph. Each network has one contiguous float64 parameter vector
+(its own, or a row of a matrix it is bound to), and every layer's weight and
+bias are views into it. Gradients are vectors laid out the same way. Writes
+go through ``assign`` or an ``Adam`` step, which update the vector in place
+and bump the net's version so stale backward caches can be detected.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class NonFiniteError(ValueError):
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in '{name}'")
     return arr
 
@@ -111,14 +111,14 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n) driven by this stream."""
-        out = np.arange(n)
         if n < 2:
-            return out
-        draws = self.uniform(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = min(int(draws[n - 1 - i] * (i + 1)), i)
+            return np.arange(n)
+        top = np.arange(n - 1, 0, -1)  # swap i = n-1..1 with js, one draw each
+        js = np.minimum((self.uniform(n - 1) * (top + 1)).astype(np.int64), top)
+        out = list(range(n))
+        for i, j in zip(top.tolist(), js.tolist()):
             out[i], out[j] = out[j], out[i]
-        return out
+        return np.array(out)
 
     def child(self, *stream_ids: int) -> "Rng":
         """Derive an independent stream from (seed, stream ids), deterministically."""
@@ -191,10 +191,11 @@ class ForwardCache:
 class FeedForwardNet:
     """Dense MLP over float64 with per-layer activations and exact gradients.
 
-    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). The net
-    owns one contiguous float64 ``vector`` holding every parameter, layer by
-    layer, weight (row-major) then bias; each layer's ``weight`` and ``bias``
-    are C-contiguous views into it, copied from the given layers. ``layout``
+    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). One
+    contiguous float64 ``vector`` holds every parameter, layer by layer,
+    weight (row-major) then bias; each layer's ``weight`` and ``bias`` are
+    C-contiguous views into it, copied from the given layers. ``bind`` moves
+    it into a row of a shared matrix, such as a component store. ``layout``
     gives the same views into any vector laid out like it, such as the
     gradient ``backward`` returns. Parameter updates go through ``assign`` or
     ``Adam.step``, which write the vector in place and bump an internal
@@ -214,10 +215,7 @@ class FeedForwardNet:
         self.vector = np.concatenate(
             [a.ravel() for l in layers for a in (l.weight, l.bias)]
         )
-        views = list(self.layout(self.vector).values())
-        self.layers = [
-            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], layers)
-        ]
+        self.bind(self.vector)
         self._version = 0
 
     # -- construction -------------------------------------------------------
@@ -276,12 +274,13 @@ class FeedForwardNet:
         return self.vector.size
 
     def layout(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Views into ``flat``, a vector laid out like ``vector``, keyed
-        'layer{i}.weight' / 'layer{i}.bias' in vector order."""
+        """Views into ``flat``, a vector laid out like ``vector`` or a matrix
+        of such rows, keyed 'layer{i}.weight' / 'layer{i}.bias' in order."""
         out, offset = {}, 0
         for i, l in enumerate(self.layers):
             for name, p in (("weight", l.weight), ("bias", l.bias)):
-                out[f"layer{i}.{name}"] = flat[offset : offset + p.size].reshape(p.shape)
+                block = flat[..., offset : offset + p.size]
+                out[f"layer{i}.{name}"] = block.reshape(*flat.shape[:-1], *p.shape)
                 offset += p.size
         return out
 
@@ -292,10 +291,20 @@ class FeedForwardNet:
     def _check_finite_blocks(self, flat: np.ndarray, what: str) -> None:
         """Raise NonFiniteError naming the first block of ``flat`` (laid out
         like ``vector``) that holds a NaN or inf."""
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             for path, block in self.layout(flat).items():
-                if not np.all(np.isfinite(block)):
+                if not np.isfinite(block).all():
                     raise NonFiniteError(f"non-finite {what} at '{path}'")
+
+    def bind(self, vector: np.ndarray) -> None:
+        """Move the parameters into ``vector`` (a writable float64 vector of
+        ``param_count()`` entries, such as a row of a component store) and
+        make the layers views into it; values and version stay."""
+        vector[...] = self.vector
+        views = list(self.layout(vector).values())
+        self.vector, self.layers = vector, [
+            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], self.layers)
+        ]
 
     def assign(self, values) -> None:
         """Copy a vector laid out like ``vector`` into it and invalidate

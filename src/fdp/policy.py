@@ -11,6 +11,7 @@ diffusion-policy baseline.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -27,7 +28,8 @@ from .composition import (
     sample_values,
 )
 from .diffusion import NoiseSchedule, make_schedule
-from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, _act_forward, as_f64
+from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
+from .numerics import _act_forward, _act_grad
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -120,27 +122,24 @@ class DenoiserComponent:
 
 
 class ComponentBank:
-    """Cache-free predictions of a component list at diffusion steps 1..K.
+    """Predictions and gradients of a component list at diffusion steps 1..K.
 
-    DenoiserComponents of one architecture are stacked: each layer's weights
-    into an (N, fan_in, fan_out) slab and its biases into (N, 1, fan_out), so
-    one np.matmul per layer serves every component, and the step features are
-    tabulated once. numpy runs a stacked matmul as one BLAS call per slab, so
-    each prediction is bit-identical to the component's own ``predict``. Each
-    layer adds its biases and applies its activation in place, in a fresh
-    array per ``predict``, so a returned prediction is never overwritten.
-    DenoiserComponents of differing architectures raise, naming the
-    component; any other list is evaluated one component at a time through
-    ``component_predictions``. The slabs are copies; build one bank per call,
-    so parameter writes never leave a stale bank behind. Stacked inputs are
-    not validated here: callers check them once, not per step.
+    DenoiserComponents of one architecture are bound to the rows of one
+    (N, P) ``store`` (``FeedForwardNet.bind``), whose (N, fan_in, fan_out)
+    weight and (N, 1, fan_out) bias views make each layer one np.matmul for
+    every component; the step features are tabulated once. In-place writes
+    to the nets (Adam steps) show in the next prediction, until a newer bank
+    binds the same nets (``serves`` then turns False). numpy runs a stacked
+    matmul as one BLAS call per slab, so results are bit-identical to each
+    component's own ``predict`` and ``backward``. Differing architectures
+    raise, naming the component; any other list goes one at a time.
     """
 
     def __init__(self, components, steps: int):
         self.components = list(components)
         if not self.components:
             raise CompositionError("a component bank needs at least one component")
-        self.weights = None
+        self.layers = None
         if not all(isinstance(c, DenoiserComponent) for c in self.components):
             return
         for i, comp in enumerate(self.components):
@@ -153,36 +152,93 @@ class ComponentBank:
                     f"{arch} differs from component 0's {first_arch}"
                 )
         first = self.components[0]
-        self.in_dim = first.net.in_dim
-        self.activations = first.net.activations
-        self.weights = [
-            np.stack([c.net.layers[j].weight for c in self.components])
-            for j in range(len(self.activations))
-        ]
-        self.biases = [
-            np.stack([c.net.layers[j].bias for c in self.components])[:, None, :]
-            for j in range(len(self.activations))
-        ]
+        self.layout = first.net.layout
+        self.emb_cols = slice(first.window_dim, first.window_dim + first.emb_dim)
+        self.store = np.stack([c.net.vector for c in self.components])
+        for comp, row in zip(self.components, self.store):
+            comp.net.bind(row)
+        slabs = list(self.layout(self.store).values())  # weight, bias, weight, ...
+        biases = [b[:, None] for b in slabs[1::2]]
+        self.layers = list(zip(slabs[::2], biases, first.net.activations))
         self.step_table = sinusoidal_step_embedding(np.arange(1, steps + 1), first.step_dim)
 
+    def __len__(self) -> int:
+        return len(self.components)
+
+    def serves(self, components) -> bool:
+        """True while components is this list, bound to this store."""
+        return self.components == components and (
+            self.layers is None or all(c.net.vector.base is self.store for c in components)
+        )
+
+    def select(self, idx) -> "ComponentBank":
+        """A bank over components idx (ascending) with C-contiguous copies of
+        their slab rows, which a sampler's per-step ufuncs run faster on."""
+        sub = copy.copy(self)
+        sub.components = [self.components[i] for i in idx]
+        if self.layers is not None:
+            sub.layers = [(w[idx], b[idx], act) for w, b, act in self.layers]
+        return sub
+
     def predict(self, values, obs_embedding, k) -> np.ndarray:
-        """Every component's noise estimate, shaped (N, *values.shape), for a
-        window and its embedding at step k (or one row of each and one step
-        per window of a batch)."""
-        if self.weights is None:
-            preds, _ = component_predictions(self.components, values, obs_embedding, k)
-            return np.stack(preds)
+        """Every component's noise estimate, a fresh (N, *values.shape) array,
+        for a window and its embedding at step k (or one row of each and one
+        step per window of a batch). Unchecked: samplers check once."""
+        return self.forward(values, obs_embedding, k, check=False)[0]
+
+    def forward(self, values, obs_embedding, k, check=True):
+        """``predict`` after a finiteness check of the stacked input, and the
+        cache ``backward`` takes: the nets' versions, every layer's input,
+        then the output."""
+        if self.layers is None:
+            preds, caches = component_predictions(self.components, values, obs_embedding, k)
+            return np.stack(preds), caches
         x = np.concatenate([values, obs_embedding, self.step_table[k - 1]], axis=-1)
-        if x.shape[-1] != self.in_dim:
-            raise DimensionMismatchError(
-                f"layer 0 expects input width {self.in_dim}, got {x.shape[-1]}"
-            )
-        a = x.reshape(1, -1, self.in_dim)
-        for weight, bias, act in zip(self.weights, self.biases, self.activations):
-            a = np.matmul(a, weight)
+        width = self.layers[0][0].shape[1]
+        if x.shape[-1] != width:
+            raise DimensionMismatchError(f"layer 0 expects input width {width}, got {x.shape[-1]}")
+        if check:
+            as_f64(x, "input")
+        versions = [c.net.version for c in self.components] if check else None
+        acts = [x.reshape(1, -1, x.shape[-1])]
+        for weight, bias, act in self.layers:
+            a = np.matmul(acts[-1], weight)
             a += bias
-            _act_forward(act, a, out=a)
-        return a.reshape(len(a), *values.shape)
+            acts.append(_act_forward(act, a, out=a))  # relu's gradient reads a > 0 as z > 0
+        return acts[-1].reshape(-1, *values.shape), (versions, acts)
+
+    def backward(self, cache, grad_out, rows, demb=None) -> list:
+        """Parameter gradients of components ``rows`` (ascending), one vector
+        per row laid out like its net's ``vector``, from a ``forward`` cache
+        and one (B, window_dim) output gradient per row. Each row's gradient
+        wrt the embedding is added into demb in index order; with demb None,
+        layer 0 computes no input gradient. A cache recorded before any of
+        the nets was written raises StaleCacheError."""
+        if self.layers is None:
+            outs = [self.components[i].backward(cache[i], g) for i, g in zip(rows, grad_out)]
+            for _, _, de in outs if demb is not None else ():
+                demb += de
+            return [pg for pg, _, _ in outs]
+        versions, cache = cache
+        if versions != [c.net.version for c in self.components]:
+            raise StaleCacheError("forward cache is stale: a component changed since it was made")
+        sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
+        grad = np.empty((len(rows), self.store.shape[1]))
+        views, g = list(self.layout(grad).values()), grad_out
+        for j in range(len(self.layers) - 1, -1, -1):
+            weight, _, act = self.layers[j]
+            if act != "identity":  # identity's gradient is a product with ones
+                out = cache[j + 1][sel]
+                g = g * _act_grad(act, out, out)
+            x = cache[j] if j == 0 else cache[j][sel]
+            np.matmul(x.transpose(0, 2, 1), g, out=views[2 * j])
+            g.sum(axis=1, out=views[2 * j + 1])
+            if j or demb is not None:
+                g = np.matmul(g, weight[sel].transpose(0, 2, 1))
+        if demb is not None:
+            for de in g[:, :, self.emb_cols]:
+                demb += de
+        return list(grad)
 
 
 class ActionNormalizer:
@@ -399,6 +455,19 @@ class FactorizedPolicy:
     def group_checksums(self) -> dict[str, str]:
         return {g: self._group_net(g).checksum() for g in self.group_names()}
 
+    @property
+    def bank(self) -> ComponentBank:
+        """The ComponentBank bound to ``components``, built anew (never
+        patched) once the list or a component's vector was replaced."""
+        bank = self.__dict__.get("_bank")
+        if bank is None or not bank.serves(self.components):
+            bank = self._bank = ComponentBank(self.components, self.schedule.K)
+        return bank
+
+    def __getstate__(self):
+        # a copy or unpickled policy binds its own nets on first use
+        return {**self.__dict__, "_bank": None}
+
     # -- inference -----------------------------------------------------------
 
     def _check_fitted(self):
@@ -449,7 +518,7 @@ class FactorizedPolicy:
         else:
             w = self.router.route(emb)
         values, info = sample_values(
-            self.components,
+            self.bank,
             w,
             emb,
             self.schedule,
@@ -587,13 +656,8 @@ class FactorizedPolicy:
             for start in range(0, len(perm), batch_size):
                 sel = perm[start : start + batch_size]
                 loss, grads = joint_loss(
-                    self.components,
-                    self.router,
-                    self.obs_encoder,
-                    (w_train[sel], o_train[sel]),
-                    self.schedule,
-                    epoch_rng,
-                    groups,
+                    self.bank, self.router, self.obs_encoder,
+                    (w_train[sel], o_train[sel]), self.schedule, epoch_rng, groups,
                 )
                 losses.append(loss)
                 for g in groups:
@@ -603,7 +667,7 @@ class FactorizedPolicy:
             if n_val:
                 resid = np.concatenate([
                     composed_residual(
-                        self.components, self.router, self.obs_encoder,
+                        self.bank, self.router, self.obs_encoder,
                         w, o, self.schedule, ks, eps,
                     )[0]
                     for w, o, ks, eps in val_slices
@@ -680,7 +744,7 @@ class FactorizedPolicy:
                     f"at component {i}, but t_pred x action_dim is {policy.window_dim}"
                 )
         try:
-            ComponentBank(policy.components, policy.schedule.K)
+            policy.bank
         except CompositionError as exc:
             raise ValueError(f"checkpoint field 'components': {exc}") from exc
         emb_dim = policy.obs_encoder.out_dim

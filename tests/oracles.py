@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own gradient, sampling and
 optimizer paths: analytic Gaussian scores, the per-component loop for the
-composed noise prediction and the per-step reverse sampler built on it,
-closed-form product-of-Gaussians moments, the per-array Adam, a generic
+composed noise prediction and the per-step reverse sampler built on it, the
+per-component joint loss and its gradients, closed-form product-of-Gaussians
+moments, the per-array Adam, the textbook Fisher-Yates shuffle, a generic
 central-finite-difference gradient checker, and the layout check of a net's
 parameter vector.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fdp.numerics import DimensionMismatchError, NonFiniteError
+from fdp.numerics import DimensionMismatchError, NonFiniteError, Rng
 
 
 class AnalyticGaussianDenoiser:
@@ -107,14 +108,68 @@ def sample_values_loop(components, weights, obs_embedding, schedule, dim, rng, x
     return values
 
 
-def composed_residual_loop(policy, windows, obs, ks, eps):
-    """Reference residual sum_i w_i eps_i - eps of a policy on clean windows
-    corrupted at steps ks with noise eps."""
-    emb = policy.obs_encoder(obs)
-    w = policy.router.route(emb)
-    ab = policy.schedule.alpha_bar[ks][:, None]
+def residual_loop(components, router, obs_encoder, windows, obs, schedule, ks, eps):
+    """Reference residual sum_i w_i eps_i - eps on clean windows corrupted at
+    steps ks with noise eps, w = router(encoder(obs)) per row; takes the
+    arguments of ``composed_residual``."""
+    emb = obs_encoder(obs)
+    w = router.route(emb)
+    ab = schedule.alpha_bar[ks][:, None]
     noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
-    return composed_prediction_loop(policy.components, w, noisy, emb, ks) - eps
+    return composed_prediction_loop(components, w, noisy, emb, ks) - eps
+
+
+def composed_residual_loop(policy, windows, obs, ks, eps):
+    """``residual_loop`` of a policy's own components, router and encoder."""
+    return residual_loop(
+        policy.components, policy.router, policy.obs_encoder, windows, obs,
+        policy.schedule, ks, eps,
+    )
+
+
+def joint_loss_loop(components, router, obs_encoder, batch, schedule, rng, trainable=None):
+    """Reference joint loss, one component at a time: each component's own
+    predict and backward, every gradient computed, and the groups in
+    trainable (None: all) returned. Takes the arguments of ``joint_loss``
+    and draws the same steps and noise from rng."""
+    windows, obs = batch
+    b, dim = windows.shape
+    ks = rng.integers(1, schedule.K + 1, b)
+    eps = rng.gaussian(b * dim).reshape(b, dim)
+    emb, enc_cache = obs_encoder.forward(obs)
+    w, router_cache = router.route_with_cache(emb)
+    ab = schedule.alpha_bar[ks][:, None]
+    noisy = np.sqrt(ab) * windows + np.sqrt(1.0 - ab) * eps
+    outs = [comp.predict(noisy, emb, ks) for comp in components]
+    total = 0.0
+    for i, (pred, _) in enumerate(outs):
+        total = total + w[:, i : i + 1] * pred
+    resid = total - eps
+    dagg = 2.0 * resid / resid.size
+    grads, demb = {}, np.zeros_like(emb)
+    for i, (comp, (_, cache)) in enumerate(zip(components, outs)):
+        grads[f"component:{i}"], _, de = comp.backward(cache, w[:, i : i + 1] * dagg)
+        demb += de
+    dw = np.stack([np.sum(dagg * pred, axis=1) for pred, _ in outs], axis=1)
+    grads["router"], demb_router = router.backward(router_cache, dw)
+    demb += demb_router
+    grads["encoder"], _ = obs_encoder.backward(enc_cache, demb)
+    if trainable is not None:
+        grads = {g: grads[g] for g in trainable}
+    return float(np.mean(resid * resid)), grads
+
+
+def permutation_loop(rng, n):
+    """Textbook Fisher-Yates over arange(n): for i = n-1..1, swap i with
+    j = min(floor(u * (i + 1)), i), one uniform draw u per i in that order."""
+    out = np.arange(n)
+    if n < 2:
+        return out
+    draws = rng.uniform(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = min(int(draws[n - 1 - i] * (i + 1)), i)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def product_of_gaussians(mus, variances, weights):
@@ -182,18 +237,44 @@ class DictAdam:
         return out
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
 def assert_layers_view_vector(net, flat=None):
     """The layers' weights and biases (or, given flat, the blocks of
     net.layout(flat)) are C-contiguous views into net.vector (or flat), laid
-    out weight then bias, layer by layer, in params() order."""
+    out weight then bias, layer by layer, in params() order. flat may itself
+    be a view, such as a row of a component store: each block must start at
+    its own offset into flat's memory."""
     if flat is None:
         flat, blocks = net.vector, [a for l in net.layers for a in (l.weight, l.bias)]
     else:
         blocks = list(net.layout(flat).values())
+    assert flat.ndim == 1 and flat.flags.c_contiguous
     offset = 0
     for p, block in zip(net.params().values(), blocks, strict=True):
         assert block.shape == p.shape
-        assert block.flags.c_contiguous and block.base is flat
+        assert block.flags.c_contiguous and np.shares_memory(block, flat)
+        assert _address(block) == _address(flat) + offset * flat.itemsize
         np.testing.assert_array_equal(block.ravel(), flat[offset : offset + block.size])
         offset += block.size
     assert offset == flat.size == net.param_count()
+
+
+def assert_bank_serves(policy):
+    """The policy's bank is bound to its current components: the same list,
+    one store row per component net, in order, and each prediction equal to
+    the component's own."""
+    bank = policy.bank
+    assert bank.components == policy.components and len(bank) == policy.n_components
+    for comp, row in zip(policy.components, bank.store, strict=True):
+        assert comp.net.vector.base is bank.store
+        assert _address(comp.net.vector) == _address(row)
+        assert_layers_view_vector(comp.net)
+    rng = Rng(0)
+    values = rng.gaussian(policy.window_dim)
+    emb = rng.gaussian(policy.config.obs_embed_dim)
+    for k in (1, policy.schedule.K):
+        expected = [comp.predict(values, emb, k)[0] for comp in policy.components]
+        np.testing.assert_array_equal(bank.predict(values, emb, k), expected)

@@ -25,6 +25,7 @@ from fdp.composition import Router, joint_loss, sample_values
 from fdp.diffusion import component_loss, make_schedule
 from fdp.numerics import FeedForwardNet, Rng
 from fdp.policy import (
+    ComponentBank,
     DenoiserComponent,
     FactorizedPolicy,
     PolicyConfig,
@@ -174,11 +175,12 @@ def test_criterion_01_gradient_oracle():
         obs = trial_rng.child(51).gaussian(b * obs_dim).reshape(b, obs_dim)
         loss_seed = 1000 + trial
 
-        _, grads = joint_loss(comps, router, encoder, (windows, obs), sched, Rng(loss_seed))
+        bank = ComponentBank(comps, sched.K)  # binds the nets before params() views them
+        _, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(loss_seed))
 
         def loss_fn():
             return joint_loss(
-                comps, router, encoder, (windows, obs), sched, Rng(loss_seed)
+                bank, router, encoder, (windows, obs), sched, Rng(loss_seed)
             )[0]
 
         nets = {"encoder": encoder, "router": router.net}
@@ -226,7 +228,8 @@ def test_criterion_02_product_of_gaussians_sampling():
         AnalyticGaussianDenoiser(sched, 1.0, 0.25),
     ]
     n = 10**4
-    values, _ = sample_values(comps, np.array([0.5, 0.5]), None, sched, n, Rng(314159))
+    bank = ComponentBank(comps, sched.K)
+    values, _ = sample_values(bank, np.array([0.5, 0.5]), None, sched, n, Rng(314159))
     mean, var = float(values.mean()), float(values.var())
     elapsed = time.time() - t0
     ok = abs(mean - mean_ref) < 0.05 and abs(var / var_ref - 1.0) < 0.05 and elapsed < 60

@@ -22,7 +22,7 @@ from fdp.bench import evaluate, generate_demos, make_suite
 from fdp.numerics import Rng
 from fdp.policy import FactorizedPolicy, PolicyConfig
 
-from .oracles import assert_layers_view_vector
+from .oracles import assert_bank_serves, assert_layers_view_vector
 
 
 SMALL = dict(
@@ -133,6 +133,31 @@ def test_upcycled_component_and_widened_router_own_their_vectors():
         assert_layers_view_vector(net)
     assert not np.shares_memory(policy.components[2].net.vector, source_net.vector)
     assert not np.shares_memory(policy.router.net.vector, old_router.vector)
+
+
+def test_upcycling_and_a_rolled_back_adapt_rebuild_the_store(reach_ds, pick_ds, monkeypatch):
+    policy = small_policy(n=2)
+    policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
+    bank = policy.bank
+    upcycle_component(policy, source=1)
+    assert policy.bank is not bank and len(policy.bank) == 3
+    assert_bank_serves(policy)
+    frozen = {i: policy.components[i].checksum() for i in range(3)}
+
+    joint_loss, calls = fdp.composition.joint_loss, []
+
+    def fail_on_second_batch(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return joint_loss(*args)
+
+    monkeypatch.setattr(fdp.composition, "joint_loss", fail_on_second_batch)
+    with pytest.raises(RuntimeError, match="injected"):
+        adapt(policy, AdaptationConfig(strategy="new_module", epochs=2, batch_size=32), pick_ds)
+    assert policy.n_components == 3
+    assert {i: policy.components[i].checksum() for i in range(3)} == frozen
+    assert_bank_serves(policy)
 
 
 # ---------------------------------------------------------------------------

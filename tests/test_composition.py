@@ -40,8 +40,10 @@ from .oracles import (
     central_diff,
     composed_prediction_loop,
     composed_residual_loop,
+    joint_loss_loop,
     max_rel_err,
     product_of_gaussians,
+    residual_loop,
     sample_values_loop,
 )
 
@@ -155,7 +157,7 @@ def test_product_of_equal_variance_gaussians_sampler_moments():
     rng = Rng(2024)
     n = 10**4
     values, info = sample_values(
-        comps, np.array([0.5, 0.5]), None, sched, n, rng
+        ComponentBank(comps, sched.K), np.array([0.5, 0.5]), None, sched, n, rng
     )
     assert abs(values.mean() - mean) < 0.05
     assert abs(values.var() / var - 1.0) < 0.05
@@ -194,8 +196,9 @@ def test_top_k_equal_to_n_is_bitwise_identical():
     sched = make_schedule(50)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1.0, 0.0, 1.0)]
     w = np.array([0.2, 0.5, 0.3])
-    a, info_a = sample_values(comps, w, None, sched, 8, Rng(77))
-    b, info_b = sample_values(comps, w, None, sched, 8, Rng(77), top_k=3)
+    bank = ComponentBank(comps, sched.K)
+    a, info_a = sample_values(bank, w, None, sched, 8, Rng(77))
+    b, info_b = sample_values(bank, w, None, sched, 8, Rng(77), top_k=3)
     np.testing.assert_array_equal(a, b)
     assert info_a.denoiser_evals == info_b.denoiser_evals == 3 * sched.K
 
@@ -207,7 +210,7 @@ def test_single_component_sampling_is_plain_ddpm_loop():
 
     sched = make_schedule(25)
     den = AnalyticGaussianDenoiser(sched, 0.4, 0.8)
-    got, _ = sample_values([den], np.array([1.0]), None, sched, 6, Rng(9))
+    got, _ = sample_values(ComponentBank([den], sched.K), np.array([1.0]), None, sched, 6, Rng(9))
 
     rng = Rng(9)
     values = rng.gaussian(6)
@@ -223,7 +226,7 @@ def test_top_k_prunes_evaluations_and_renormalizes():
     sched = make_schedule(30)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0, 1, 2)]
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    _, info = sample_values(comps, w, None, sched, 4, Rng(5), top_k=2)
+    _, info = sample_values(ComponentBank(comps, sched.K), w, None, sched, 4, Rng(5), top_k=2)
     np.testing.assert_array_equal(info.active, [0, 1])
     assert info.denoiser_evals == 2 * sched.K
     np.testing.assert_array_equal(info.weights, w)
@@ -234,7 +237,8 @@ def test_zero_weight_components_are_not_evaluated(top_k):
     sched = make_schedule(30)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0, 1, 2)]
     w = np.array([0.0, 0.0, 1.0, 0.0])
-    got, info = sample_values(comps, w, None, sched, 4, Rng(5), top_k=top_k)
+    bank = ComponentBank(comps, sched.K)
+    got, info = sample_values(bank, w, None, sched, 4, Rng(5), top_k=top_k)
     np.testing.assert_array_equal(info.active, [2])
     assert info.denoiser_evals == sched.K
     # the reference evaluates every component, the zero-weight ones included
@@ -248,7 +252,9 @@ def test_zero_weight_components_are_not_evaluated(top_k):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidden=(7,)):
+def _tiny_setup(
+    n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidden=(7,), activation="tanh"
+):
     rng = Rng(seed)
     sched = make_schedule(8)
     encoder = FeedForwardNet.init([obs_dim, emb_dim], ["tanh"], rng.child(1))
@@ -256,25 +262,28 @@ def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidd
         FeedForwardNet.init([emb_dim, 5, n_components], ["tanh", "identity"], rng.child(2))
     )
     comps = [
-        DenoiserComponent.init(window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4)
+        DenoiserComponent.init(
+            window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4,
+            activation=activation,
+        )
         for i in range(n_components)
     ]
-    return sched, encoder, router, comps
+    return sched, encoder, router, ComponentBank(comps, sched.K)
 
 
 def test_single_component_joint_loss_reduces_to_component_loss():
     from fdp.diffusion import component_loss
 
-    sched, _, _, comps = _tiny_setup(n_components=1)
+    sched, _, _, bank = _tiny_setup(n_components=1)
     encoder = FeedForwardNet.identity(4)
     router = Router(FeedForwardNet.init([4, 1], ["identity"], Rng(3)))
     obs = Rng(4).gaussian(4)
     window = Rng(5).gaussian(6) * 0.3
 
     loss_joint, _ = joint_loss(
-        comps[0:1], router, encoder, (window[None, :], obs[None, :]), sched, Rng(99)
+        bank, router, encoder, (window[None, :], obs[None, :]), sched, Rng(99)
     )
-    loss_single, _ = component_loss(comps[0], sched, window, obs, Rng(99))
+    loss_single, _ = component_loss(bank.components[0], sched, window, obs, Rng(99))
     assert loss_joint == pytest.approx(loss_single, rel=1e-12)
 
 
@@ -294,23 +303,24 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
     router = Router(FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(1)))
     windows = np.zeros((5, 6))  # a0 = 0 makes the echo exact
     obs = Rng(2).gaussian(15).reshape(5, 3)
-    loss, _ = joint_loss([EchoBatch(), EchoBatch()], router, encoder, (windows, obs), sched, Rng(3))
+    bank = ComponentBank([EchoBatch(), EchoBatch()], sched.K)
+    loss, _ = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(3))
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
 def test_joint_loss_gradients_match_finite_differences():
-    sched, encoder, router, comps = _tiny_setup()
+    sched, encoder, router, bank = _tiny_setup()
     rng = Rng(8)
     windows = rng.gaussian(2 * 6).reshape(2, 6) * 0.4
     obs = rng.gaussian(2 * 4).reshape(2, 4)
 
-    loss, grads = joint_loss(comps, router, encoder, (windows, obs), sched, Rng(123))
+    loss, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(123))
 
     def loss_fn():
-        return joint_loss(comps, router, encoder, (windows, obs), sched, Rng(123))[0]
+        return joint_loss(bank, router, encoder, (windows, obs), sched, Rng(123))[0]
 
     nets = {"router": router.net, "encoder": encoder}
-    nets.update({f"component:{i}": comp.net for i, comp in enumerate(comps)})
+    nets.update({f"component:{i}": comp.net for i, comp in enumerate(bank.components)})
     assert grads.keys() == nets.keys()
     for group, net in nets.items():
         views = net.layout(grads[group])
@@ -319,11 +329,11 @@ def test_joint_loss_gradients_match_finite_differences():
 
 
 def test_gradient_liveness_every_component_active():
-    sched, encoder, router, comps = _tiny_setup(n_components=4, seed=6)
+    sched, encoder, router, bank = _tiny_setup(n_components=4, seed=6)
     rng = Rng(14)
     windows = rng.gaussian(8 * 6).reshape(8, 6)
     obs = rng.gaussian(8 * 4).reshape(8, 4)
-    _, grads = joint_loss(comps, router, encoder, (windows, obs), sched, Rng(15))
+    _, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(15))
     for i in range(4):
         g = grads[f"component:{i}"]
         assert float(np.sum(g * g)) > 0.0, f"component {i} got no gradient"
@@ -351,9 +361,9 @@ def _assert_masked_grads_match(full, masked, groups, nets):
         np.testing.assert_array_equal(masked[group], full[group], err_msg=group)
 
 
-def _group_nets(encoder, router, comps):
+def _group_nets(encoder, router, bank):
     nets = {"encoder": encoder, "router": router.net}
-    nets.update({f"component:{i}": c.net for i, c in enumerate(comps)})
+    nets.update({f"component:{i}": c.net for i, c in enumerate(bank.components)})
     return nets
 
 
@@ -364,13 +374,13 @@ def _batch(rng, b=8, window_dim=6, obs_dim=4):
 
 @pytest.mark.parametrize("mask", MASKS)
 def test_masked_joint_loss_matches_the_all_trainable_gradients(mask):
-    sched, encoder, router, comps = _tiny_setup(n_components=4, seed=3)
+    sched, encoder, router, bank = _tiny_setup(n_components=4, seed=3)
     batch = _batch(Rng(21))
-    loss, full = joint_loss(comps, router, encoder, batch, sched, Rng(5))
+    loss, full = joint_loss(bank, router, encoder, batch, sched, Rng(5))
     groups = MASKS[mask](4)
-    masked_loss, masked = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+    masked_loss, masked = joint_loss(bank, router, encoder, batch, sched, Rng(5), groups)
     assert masked_loss == loss
-    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, comps))
+    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, bank))
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,48 +394,57 @@ def test_masked_joint_loss_matches_the_all_trainable_gradients(mask):
 def test_masked_joint_loss_matches_the_all_trainable_gradients_property(
     n, hidden, emb_dim, data, seed
 ):
-    sched, encoder, router, comps = _tiny_setup(
+    sched, encoder, router, bank = _tiny_setup(
         n_components=n, window_dim=3, emb_dim=emb_dim, obs_dim=2, seed=seed, hidden=hidden
     )
     names = MASKS["full"](n)
     groups = data.draw(st.lists(st.sampled_from(names), unique=True))
     batch = _batch(Rng(seed).child(1), b=5, window_dim=3, obs_dim=2)
-    _, full = joint_loss(comps, router, encoder, batch, sched, Rng(seed))
-    _, masked = joint_loss(comps, router, encoder, batch, sched, Rng(seed), groups)
-    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, comps))
+    _, full = joint_loss(bank, router, encoder, batch, sched, Rng(seed))
+    _, masked = joint_loss(bank, router, encoder, batch, sched, Rng(seed), groups)
+    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, bank))
 
 
 @pytest.mark.parametrize("mask", MASKS)
 def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
-    sched, encoder, router, comps = _tiny_setup(n_components=4, seed=3)
+    # the router and encoder run FeedForwardNet.backward; the components run
+    # one stacked bank backward over the rows that need one
+    sched, encoder, router, bank = _tiny_setup(n_components=4, seed=3)
     batch = _batch(Rng(21))
-    nets = _group_nets(encoder, router, comps)
-    real = FeedForwardNet.backward
-    calls = []
+    real_net, real_bank = FeedForwardNet.backward, ComponentBank.backward
+    calls, bank_calls = [], []
 
     def spy(self, cache, grad_out):
-        out = real(self, cache, grad_out)
+        out = real_net(self, cache, grad_out)
         calls.append((self, out))
         return out
 
-    monkeypatch.setattr(FeedForwardNet, "backward", spy)
-    joint_loss(comps, router, encoder, batch, sched, Rng(5))
-    input_grads = {id(net): gx for net, (_, gx) in calls}
-    assert len(calls) == len(nets)
-    calls.clear()
-    groups = MASKS[mask](4)
-    _, grads = joint_loss(comps, router, encoder, batch, sched, Rng(5), groups)
+    def bank_spy(self, cache, grad_out, rows, demb=None):
+        bank_calls.append((list(rows), demb is not None))
+        return real_bank(self, cache, grad_out, rows, demb)
 
-    for group, net in nets.items():
-        mine = [gx for who, (_, gx) in calls if who is net]
-        if group in groups or "encoder" in groups:
-            # a frozen net still passes the same input gradient to the encoder
-            assert len(mine) == 1, group
-            np.testing.assert_array_equal(mine[0], input_grads[id(net)])
-        else:
-            assert mine == [], group
-        assert (group in grads) == (group in groups), group
-    assert len(calls) == (len(nets) if "encoder" in groups else len(groups))
+    monkeypatch.setattr(FeedForwardNet, "backward", spy)
+    monkeypatch.setattr(ComponentBank, "backward", bank_spy)
+    joint_loss(bank, router, encoder, batch, sched, Rng(5))
+    assert [net for net, _ in calls] == [router.net, encoder]
+    router_gx = calls[0][1][1]
+    assert bank_calls == [([0, 1, 2, 3], True)]
+    calls.clear()
+    bank_calls.clear()
+    groups = MASKS[mask](4)
+    _, grads = joint_loss(bank, router, encoder, batch, sched, Rng(5), groups)
+
+    train_encoder = "encoder" in groups
+    if train_encoder or "router" in groups:
+        # a frozen router still passes the same input gradient to the encoder
+        assert calls[0][0] is router.net
+        np.testing.assert_array_equal(calls[0][1][1], router_gx)
+    expected_nets = [router.net] if train_encoder or "router" in groups else []
+    assert [net for net, _ in calls] == expected_nets + ([encoder] if train_encoder else [])
+    rows = [i for i in range(4) if train_encoder or f"component:{i}" in groups]
+    # no rows, no backward; with the encoder frozen, no embedding gradient
+    assert bank_calls == ([(rows, train_encoder)] if rows else [])
+    assert set(grads) == set(groups)
 
 
 @pytest.mark.parametrize("mask", MASKS)
@@ -459,10 +478,75 @@ def test_masked_fit_matches_a_fit_that_computes_every_gradient(monkeypatch, mask
     assert passed and all(t == sorted(groups) for t in passed)
 
 
+# the stacked bank against the per-component loop, under the masks fit()
+# and adapt() pass: component:0 and component:2 are two rows that are not
+# a contiguous run
+ORACLE_MASKS = {
+    "all": MASKS["full"],
+    "router": MASKS["router"],
+    "new_module": MASKS["new_module"],
+    "encoder+component": lambda n: ["encoder", "component:0"],
+    "components_0_2": lambda n: ["component:0", "component:2"],
+}
+ORACLE_SHAPES = {
+    "tanh": {},
+    "relu": {"activation": "relu"},
+    "N=1": {"n_components": 1},
+    "2 rows": {"rows": 2},
+}
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("mask", ORACLE_MASKS)
+def test_stacked_joint_loss_matches_the_per_component_loop(mask, shape):
+    opts = dict(ORACLE_SHAPES[shape])
+    rows = opts.pop("rows", 8)
+    sched, encoder, router, bank = _tiny_setup(seed=7, hidden=(7, 5), **opts)
+    names = MASKS["full"](len(bank))
+    groups = [g for g in ORACLE_MASKS[mask](len(bank)) if g in names]
+    batch = _batch(Rng(22), b=rows)
+    loss, grads = joint_loss_loop(bank.components, router, encoder, batch, sched, Rng(9), groups)
+    got_loss, got = joint_loss(bank, router, encoder, batch, sched, Rng(9), groups)
+    assert got_loss == loss
+    assert got.keys() == grads.keys()
+    for g in groups:
+        np.testing.assert_array_equal(got[g], grads[g], err_msg=g)
+
+
+@pytest.mark.parametrize("mask", ORACLE_MASKS)
+def test_fit_matches_the_per_component_loop(monkeypatch, mask):
+    # loss, gradients (through every Adam step) and validation MSE, bit for bit
+    ds = generate_demos("bimodal1d", per_task=4, seed=4)
+    cfg = PolicyConfig(
+        n_components=3, diffusion_steps=10, obs_embed_dim=8,
+        denoiser_hidden=(12, 6), router_hidden=(6,),
+    )
+    groups = ORACLE_MASKS[mask](3)
+
+    def fit_bytes():
+        policy = FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg, seed=1)
+        policy.fit(ds, epochs=2, batch_size=16, seed=2, trainable=groups)
+        assert policy.training_log_.n_val_windows > 0
+        return (
+            canonical_json(policy.to_json()),
+            canonical_json(policy.training_log_.to_json()),
+        )
+
+    stacked = fit_bytes()
+    monkeypatch.setattr(
+        fdp.composition, "joint_loss", lambda bank, *args: joint_loss_loop(bank.components, *args)
+    )
+    monkeypatch.setattr(
+        fdp.policy, "composed_residual",
+        lambda bank, *args: (residual_loop(bank.components, *args), None),
+    )
+    assert fit_bytes() == stacked
+
+
 def test_joint_loss_batch_shape_validation():
-    sched, encoder, router, comps = _tiny_setup()
+    sched, encoder, router, bank = _tiny_setup()
     with pytest.raises(ValueError):
-        joint_loss(comps, router, encoder, (np.zeros((2, 6)), np.zeros((3, 4))), sched, Rng(0))
+        joint_loss(bank, router, encoder, (np.zeros((2, 6)), np.zeros((3, 4))), sched, Rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +581,7 @@ def test_joint_loss_matches_reference_loop(fitted):
     policy, ds = fitted
     windows, obs = policy.build_training_arrays(ds.episodes[:2])
     loss, _ = joint_loss(
-        policy.components, policy.router, policy.obs_encoder, (windows, obs),
+        policy.bank, policy.router, policy.obs_encoder, (windows, obs),
         policy.schedule, Rng(7),
     )
     rng = Rng(7)  # joint_loss draws the steps, then the noise
@@ -505,7 +589,7 @@ def test_joint_loss_matches_reference_loop(fitted):
     eps = rng.gaussian(windows.size).reshape(windows.shape)
     expected = composed_residual_loop(policy, windows, obs, ks, eps)
     resid, _ = composed_residual(
-        policy.components, policy.router, policy.obs_encoder, windows, obs,
+        policy.bank, policy.router, policy.obs_encoder, windows, obs,
         policy.schedule, ks, eps,
     )
     np.testing.assert_array_equal(resid, expected)
@@ -610,7 +694,7 @@ def test_sample_window_matches_reference_loop(fitted, case):
 
 def test_bank_matches_component_predictions(fitted):
     policy, ds = fitted
-    bank = ComponentBank(policy.components, policy.schedule.K)
+    bank = policy.bank
     windows, obs = policy.build_training_arrays(ds.episodes[:1])
     emb = policy.encode_observation(obs)
     ks = Rng(3).integers(1, policy.schedule.K + 1, len(windows))
@@ -670,7 +754,8 @@ def test_bank_sampling_matches_loop_property(
     w = softmax(rng.child(10).gaussian(n))
     emb = rng.child(11).gaussian(emb_dim)
     top_k = min(top_k, n)
-    got, info = sample_values(comps, w, emb, sched, window_dim, Rng(seed), top_k, clip)
+    bank = ComponentBank(comps, sched.K)
+    got, info = sample_values(bank, w, emb, sched, window_dim, Rng(seed), top_k, clip)
     # top_k = n is the full composition, not a renormalized selection
     idx, w_used = select_top_k(w, top_k) if top_k < n else (np.arange(n), w)
     expected = sample_values_loop(
@@ -736,7 +821,7 @@ def test_one_inference_makes_one_reverse_update_and_one_bank_call_per_step(
 
 def test_bank_prediction_survives_later_predictions(fitted):
     policy, ds = fitted
-    bank = ComponentBank(policy.components, policy.schedule.K)
+    bank = policy.bank
     windows, obs = policy.build_training_arrays(ds.episodes[:1])
     emb = policy.encode_observation(obs)
     first = bank.predict(windows[0], emb[0], 3)

@@ -19,7 +19,7 @@ from fdp.numerics import (
     StaleCacheError,
 )
 
-from .oracles import DictAdam, assert_layers_view_vector, central_diff
+from .oracles import DictAdam, assert_layers_view_vector, central_diff, permutation_loop
 
 
 def finite_diff_param_grads(net, x, grad_out, h=1e-5):
@@ -322,6 +322,24 @@ def test_layers_share_memory_with_vector():
     assert copy.vector[0] != -9.0
 
 
+def test_bind_moves_the_parameters_into_a_row_of_a_matrix():
+    net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], Rng(8))
+    before, version = net.vector.copy(), net.version
+    store = np.zeros((3, net.param_count()))
+    net.bind(store[1])
+    assert net.vector.base is store and net.version == version
+    np.testing.assert_array_equal(store[1], before)
+    assert not store[0].any() and not store[2].any()
+    assert_layers_view_vector(net)
+    net.assign(before * 2.0)  # writes land in the row
+    np.testing.assert_array_equal(store[1], before * 2.0)
+    # layout of a matrix stacks each block over the rows
+    for path, block in net.layout(store).items():
+        assert block.shape == (3, *net.params()[path].shape)
+        assert np.shares_memory(block, store)
+        np.testing.assert_array_equal(block[1], net.params()[path])
+
+
 def pickle_round_trip(obj):
     return pickle.loads(pickle.dumps(obj))
 
@@ -471,6 +489,16 @@ def test_permutation_is_a_permutation():
     for n in (1, 2, 7, 31):
         p = Rng(n).permutation(n)
         assert sorted(p.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 1490, 5000])
+def test_permutation_matches_the_textbook_loop(n):
+    for seed in range(20):
+        rng, ref = Rng(seed), Rng(seed)
+        got = rng.permutation(n)
+        np.testing.assert_array_equal(got, permutation_loop(ref, n))
+        assert got.dtype == np.arange(n).dtype
+        assert rng.uniform(1) == ref.uniform(1)  # the same draws were taken
 
 
 # ---------------------------------------------------------------------------

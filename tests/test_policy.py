@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import fdp.policy
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
-from fdp.numerics import DimensionMismatchError, FeedForwardNet, Rng, decode_f64, encode_f64
+from fdp.numerics import (
+    Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, decode_f64, encode_f64,
+)
 from fdp.policy import (
     ActionNormalizer,
     DenoiserComponent,
@@ -24,7 +26,7 @@ from fdp.policy import (
     sinusoidal_step_embedding,
 )
 
-from .oracles import DictAdam, assert_layers_view_vector
+from .oracles import DictAdam, assert_bank_serves, assert_layers_view_vector
 
 
 SMALL = dict(
@@ -277,6 +279,95 @@ def test_copied_and_pickled_policies_train_like_the_original(clone):
     assert trained == policy.group_checksums()
     assert canonical_json(twin.to_json()) == canonical_json(policy.to_json())
     assert FactorizedPolicy.from_json(twin.to_json()).group_checksums() == trained
+
+
+# ---------------------------------------------------------------------------
+# the component store: one bank for as long as the component list
+# ---------------------------------------------------------------------------
+
+
+def test_an_adam_step_shows_in_the_next_bank_prediction():
+    policy = small_policy(n=3)
+    bank = policy.bank
+    assert_bank_serves(policy)
+    rng = Rng(2)
+    values, emb = rng.gaussian(policy.window_dim), rng.gaussian(12)
+    before = bank.predict(values, emb, 4)
+    net = policy.components[1].net
+    Adam(lr=1e-2).step(net, rng.gaussian(net.param_count()))
+    assert policy.bank is bank  # no rebuild
+    after = bank.predict(values, emb, 4)
+    np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
+    assert not np.array_equal(after[1], before[1])
+    assert_bank_serves(policy)
+
+
+def test_a_bank_cache_is_stale_once_any_component_is_written():
+    policy = small_policy(n=3)
+    bank, rng = policy.bank, Rng(3)
+    values = rng.gaussian(4 * policy.window_dim).reshape(4, policy.window_dim)
+    emb = rng.gaussian(4 * 12).reshape(4, 12)
+    _, cache = bank.forward(values, emb, np.array([1, 2, 3, 1]))
+    grad_out = rng.gaussian(3 * values.size).reshape(3, *values.shape)
+    fresh = bank.backward(cache, grad_out, [0, 1, 2])
+    net = policy.components[2].net
+    Adam(lr=1e-2).step(net, fresh[2])
+    assert policy.bank is bank
+    with pytest.raises(StaleCacheError):
+        bank.backward(cache, grad_out, [0, 1, 2])
+    with pytest.raises(StaleCacheError):  # rows the step left alone are refused too
+        bank.backward(cache, grad_out[:1], [0])
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_and_pickled_policies_bind_a_store_of_their_own(clone):
+    policy = small_policy(n=3, seed=2)
+    bank = policy.bank
+    twin = clone(policy)
+    assert_bank_serves(twin)
+    assert not np.shares_memory(twin.bank.store, bank.store)
+    assert policy.bank is bank
+    checksums = policy.group_checksums()
+    net = twin.components[0].net
+    net.assign(net.vector + 1.0)
+    assert policy.group_checksums() == checksums
+    assert_bank_serves(twin)
+    assert_bank_serves(policy)
+
+
+def test_a_loaded_checkpoint_binds_a_fresh_store(trained_bimodal):
+    loaded = FactorizedPolicy.from_json(trained_bimodal.to_json())
+    assert_bank_serves(loaded)
+    assert not np.shares_memory(loaded.bank.store, trained_bimodal.bank.store)
+
+
+def test_a_replaced_component_list_or_vector_gets_a_new_bank():
+    policy = small_policy(n=3)
+    bank = policy.bank
+    policy.components = policy.components[:2]
+    assert policy.bank is not bank
+    assert_bank_serves(policy)
+    bank = policy.bank
+    policy.components[1].net = policy.components[1].net.copy()
+    assert policy.bank is not bank
+    assert_bank_serves(policy)
+
+
+def test_a_fit_keeps_the_bank_and_never_writes_frozen_rows():
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy(n=3)
+    bank = policy.bank
+    frozen = {i: bank.store[i].tobytes() for i in (0, 2)}
+    checksums = policy.group_checksums()
+    policy.fit(ds, epochs=2, batch_size=16, seed=4, trainable=["router", "component:1"])
+    assert policy.bank is bank
+    assert {i: bank.store[i].tobytes() for i in (0, 2)} == frozen
+    after = policy.group_checksums()
+    assert [g for g in after if after[g] != checksums[g]] == ["router", "component:1"]
+    assert_bank_serves(policy)
 
 
 def test_fit_rejects_unknown_group():
