@@ -206,7 +206,7 @@ def adapt(
             if net in old_nets:
                 saved[net] = net.vector.copy()
         frozen = [g for g in policy.group_names() if g not in groups]
-        before = {g: policy._group_net(g).checksum() for g in frozen}
+        before = policy.group_checksums(frozen)
 
         train_ds = new_dataset
         replay_count = 0
@@ -229,7 +229,7 @@ def adapt(
             net.assign(vector)
         policy.normalizer, policy.training_log_ = normalizer, training_log
         raise
-    after = {g: policy._group_net(g).checksum() for g in frozen}
+    after = policy.group_checksums(frozen)
     return AdaptationLog(
         strategy=config.strategy,
         trainable_groups=tuple(groups),

@@ -125,18 +125,17 @@ def component_predictions(components, values, obs_embedding, k):
 
 
 def weighted_sum(weights, preds) -> np.ndarray:
-    """sum_i w_i eps_i, reduced in index order; weights is (N,), or (B, N)
-    for one weight vector per batch row, and preds holds the N predictions,
-    as a list or stacked on a leading axis."""
+    """sum_i w_i eps_i, reduced in index order; preds holds the N predictions,
+    as a list or stacked on a leading axis, and weights is (N,), or (N, B) for
+    one weight vector per batch row, padded with unit axes unless already."""
     w = np.asarray(weights, dtype=np.float64)
-    n = w.shape[-1]
+    n = w.shape[0]
     if len(preds) != n:
         raise CompositionError(f"{len(preds)} components but {n} weights")
     stack = np.asarray(preds, dtype=np.float64)
-    w_col = w.T  # component axis first, then one axis per window axis
-    while w_col.ndim < stack.ndim:
-        w_col = w_col[..., None]
-    terms = stack * w_col
+    if w.ndim < stack.ndim:
+        w = w.reshape(w.shape + (1,) * (stack.ndim - w.ndim))
+    terms = stack * w
     if terms.size == n:
         # one value per prediction: numpy would reduce the stack as one
         # contiguous run, pairwise from 8 terms on; keep the index order
@@ -195,9 +194,10 @@ def sample_values(
     exactly zero (one-hot solo weights) are not evaluated at all.
 
     components is a ComponentBank; the active components run on one
-    ``select``ed copy of their rows; all K noise draws are taken, scaled by
-    their sigma_k, at once. Each step is one bank prediction, one
-    ``weighted_sum``, one ``reverse_mean`` and one noise row added (none after
+    ``select``ed copy of their rows, which holds the chain's input buffer;
+    all K noise draws are taken, scaled by their sigma_k, at once. Each step
+    is one bank prediction on its row, one ``weighted_sum``, one
+    ``reverse_mean`` into the next row and one noise row added (none after
     step 1), and the result is bit-identical to evaluating the components one
     at a time.
 
@@ -220,17 +220,18 @@ def sample_values(
     bank = components.select(idx)
     emb = obs_embedding if obs_embedding is None else as_f64(obs_embedding, "obs_embedding")
 
-    # row 0 starts the chain; row K - k + 1 is the noise injected after step
-    # k, scaled by sigma_k here in one multiply
+    # row 0 starts the chain; row i > 0 is the noise injected after step
+    # K - i + 1, scaled by its sigma here in one multiply
     noise = rng.gaussian_rows(schedule.K, dim)
     noise[1:] *= schedule.sigma[:0:-1, None]
-    values = noise[0]
-    for k in range(schedule.K, 0, -1):
-        eps_hat = weighted_sum(w_used, bank.predict(values, emb, k))
-        values = reverse_mean(schedule, values, eps_hat, k, x0_clip)
+    values = bank.start_chain(noise[0], emb, schedule.K)
+    w_col = w_used[:, None]
+    for i, k in enumerate(range(schedule.K, 0, -1)):
+        eps_hat = weighted_sum(w_col, bank.predict_row(i))
+        reverse_mean(schedule, values[i], eps_hat, k, x0_clip, out=values[i + 1])
         if k > 1:
-            values += noise[schedule.K - k + 1]
-    return as_f64(values, "sampled window"), SampleInfo(w, idx, len(idx) * schedule.K)
+            values[i + 1] += noise[i + 1]
+    return as_f64(values[-1].copy(), "sampled window"), SampleInfo(w, idx, len(idx) * schedule.K)
 
 
 def composed_residual(
@@ -244,7 +245,7 @@ def composed_residual(
     w, router_cache = router.route_with_cache(emb)
     noisy = forward_noise(schedule, windows, ks, eps)
     preds, cache = components.forward(noisy, emb, ks)
-    return weighted_sum(w, preds) - eps, (enc_cache, emb, router_cache, preds, cache)
+    return weighted_sum(w.T, preds) - eps, (enc_cache, emb, router_cache, preds, cache)
 
 
 def joint_loss(
@@ -299,7 +300,7 @@ def joint_loss(
     pgs = components.backward(cache, w.T[rows, :, None] * dagg, rows, demb) if rows else []
     grads = {names[i]: pg for i, pg in zip(rows, pgs) if names[i] in trainable}
     if "router" in trainable or train_encoder:
-        dw = np.stack([np.sum(dagg * p, axis=1) for p in preds], axis=1)
+        dw = np.ascontiguousarray(np.sum(dagg * preds, axis=2).T)
         pg, demb_router = router.backward(router_cache, dw)
         if "router" in trainable:
             grads["router"] = pg

@@ -40,15 +40,16 @@ class NoiseSchedule:
     kind: str
     betas: np.ndarray
     alpha_bar: np.ndarray
-    gamma: np.ndarray  # gamma[k-1] = beta_k / sqrt(1 - abar_k)
     sigma: np.ndarray  # sigma[k-1]; sigma[0] = 0 by convention
-    recip_sqrt_alpha: np.ndarray  # 1 / sqrt(1 - beta_k)
-    # the x0-clipped reverse update's coefficients, entry k-1 for step k
-    sqrt_one_minus_ab: np.ndarray  # sqrt(1 - abar_k)
-    sqrt_ab: np.ndarray  # sqrt(abar_k)
-    x0_coef: np.ndarray  # sqrt(abar_{k-1}) beta_k
-    values_coef: np.ndarray  # sqrt(1 - beta_k) (1 - abar_{k-1})
-    one_minus_ab: np.ndarray  # 1 - abar_k
+    # the reverse update's coefficients as plain floats, entry k-1 for step k
+    gamma: tuple  # beta_k / sqrt(1 - abar_k)
+    recip_sqrt_alpha: tuple  # 1 / sqrt(1 - beta_k)
+    # and the x0-clipped update's
+    sqrt_one_minus_ab: tuple  # sqrt(1 - abar_k)
+    sqrt_ab: tuple  # sqrt(abar_k)
+    x0_coef: tuple  # sqrt(abar_{k-1}) beta_k
+    values_coef: tuple  # sqrt(1 - beta_k) (1 - abar_{k-1})
+    one_minus_ab: tuple  # 1 - abar_k
 
     def __post_init__(self):
         if self.K < 2:
@@ -84,24 +85,20 @@ class NoiseSchedule:
 def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
     betas = as_f64(betas, "betas")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    gamma = betas / np.sqrt(1.0 - alpha_bar[1:])
     sigma = np.sqrt(betas)
     sigma[0] = 0.0
-    recip_sqrt_alpha = 1.0 / np.sqrt(1.0 - betas)
     ab, ab_prev = alpha_bar[1:], alpha_bar[:-1]
+    tables = {
+        "gamma": betas / np.sqrt(1.0 - ab),
+        "recip_sqrt_alpha": 1.0 / np.sqrt(1.0 - betas),
+        "sqrt_one_minus_ab": np.sqrt(1.0 - ab),
+        "sqrt_ab": np.sqrt(ab),
+        "x0_coef": np.sqrt(ab_prev) * betas,
+        "values_coef": np.sqrt(1.0 - betas) * (1.0 - ab_prev),
+        "one_minus_ab": 1.0 - ab,
+    }
     return NoiseSchedule(
-        K,
-        kind,
-        betas,
-        alpha_bar,
-        gamma,
-        sigma,
-        recip_sqrt_alpha,
-        sqrt_one_minus_ab=np.sqrt(1.0 - ab),
-        sqrt_ab=np.sqrt(ab),
-        x0_coef=np.sqrt(ab_prev) * betas,
-        values_coef=np.sqrt(1.0 - betas) * (1.0 - ab_prev),
-        one_minus_ab=1.0 - ab,
+        K, kind, betas, alpha_bar, sigma, **{n: tuple(t.tolist()) for n, t in tables.items()}
     )
 
 
@@ -170,7 +167,7 @@ def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rn
 
 
 def reverse_mean(
-    schedule: NoiseSchedule, values, eps_hat, k: int, x0_clip: float | None = None
+    schedule: NoiseSchedule, values, eps_hat, k: int, x0_clip: float | None = None, out=None
 ) -> np.ndarray:
     """Posterior mean of the reverse update from step k to k-1.
 
@@ -178,20 +175,22 @@ def reverse_mean(
     [-x0_clip, x0_clip] before the posterior mean is formed; this equals the
     plain update whenever the estimate is already in range. The coefficients
     come from the schedule's tables, so the only per-step work is on arrays.
-    The result is a fresh array; values and eps_hat are left untouched.
+    The result is written into out and returned (a fresh array when out is
+    None); values and eps_hat are left untouched unless out is one of them.
     """
     if not 1 <= k <= schedule.K:
         raise ScheduleError(f"step k={k} outside [1, {schedule.K}]")
     i = k - 1
     if x0_clip is None:
-        mean = values - schedule.gamma[i] * eps_hat
+        mean = np.subtract(values, np.multiply(eps_hat, schedule.gamma[i]), out=out)
         mean *= schedule.recip_sqrt_alpha[i]
         return mean
-    x0 = values - schedule.sqrt_one_minus_ab[i] * eps_hat
+    x0 = np.multiply(eps_hat, schedule.sqrt_one_minus_ab[i])
+    np.subtract(values, x0, out=x0)
     x0 /= schedule.sqrt_ab[i]
-    np.maximum(x0, -x0_clip, out=x0)
-    np.minimum(x0, x0_clip, out=x0)
+    x0.clip(-x0_clip, x0_clip, out=x0)  # ndarray.clip skips np.clip's dispatch
     x0 *= schedule.x0_coef[i]
-    x0 += schedule.values_coef[i] * values
-    x0 /= schedule.one_minus_ab[i]
-    return x0
+    mean = np.multiply(values, schedule.values_coef[i], out=out)
+    mean += x0
+    mean /= schedule.one_minus_ab[i]
+    return mean

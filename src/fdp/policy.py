@@ -180,10 +180,39 @@ class ComponentBank:
             sub.layers = [(w[idx], b[idx], act) for w, b, act in self.layers]
         return sub
 
+    def start_chain(self, values, obs_embedding, steps: int) -> np.ndarray:
+        """Hold the (K + 1, 1, width) input buffer of one reverse chain over
+        steps K = steps..1, row i feeding step K - i, with its embedding and
+        step columns (none in a bank of other components) written once; return
+        the view of its values columns, row 0 set to values."""
+        dim, self.chain_emb = len(values), obs_embedding
+        width = dim if self.layers is None else self.layers[0][0].shape[1]
+        self.inputs = np.empty((steps + 1, 1, width))
+        if self.layers is not None:
+            got = dim + np.shape(obs_embedding)[-1] + self.step_table.shape[1]
+            if got != width:
+                raise DimensionMismatchError(f"layer 0 expects input width {width}, got {got}")
+            self.inputs[:, 0, self.emb_cols] = obs_embedding
+            self.inputs[:steps, 0, self.emb_cols.stop :] = self.step_table[steps - 1 :: -1]
+        self.inputs[0, 0, :dim] = values
+        return self.inputs[:, 0, :dim]
+
+    def predict_row(self, i: int) -> np.ndarray:
+        """``predict`` on row i of the ``start_chain`` buffer, at step K - i:
+        a fresh (N, dim) array, unchecked, as the chain was checked."""
+        if self.layers is None:
+            return self.predict(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)
+        a = self.inputs[i]
+        for weight, bias, act in self.layers:
+            a = np.matmul(a, weight)
+            a += bias
+            _act_forward(act, a, out=a)
+        return a[:, 0]
+
     def predict(self, values, obs_embedding, k) -> np.ndarray:
         """Every component's noise estimate, a fresh (N, *values.shape) array,
         for a window and its embedding at step k (or one row of each and one
-        step per window of a batch). Unchecked: samplers check once."""
+        step per window of a batch). Unchecked: callers check once."""
         return self.forward(values, obs_embedding, k, check=False)[0]
 
     def forward(self, values, obs_embedding, k, check=True):
@@ -417,6 +446,7 @@ class FactorizedPolicy:
             FeedForwardNet.init(router_widths, router_acts, rng.child(1)),
             cfg.router_temperature,
         )
+        self.bank  # binds the components, so views taken from now on are live
 
     @property
     def window_dim(self) -> int:
@@ -452,21 +482,28 @@ class FactorizedPolicy:
             for g in (groups if groups is not None else self.group_names())
         )
 
-    def group_checksums(self) -> dict[str, str]:
-        return {g: self._group_net(g).checksum() for g in self.group_names()}
+    def group_checksums(self, groups=None) -> dict[str, str]:
+        """SHA-256 of each group's parameters (every group by default)."""
+        names = self.group_names() if groups is None else groups
+        return {g: self._group_net(g).checksum() for g in names}
 
     @property
     def bank(self) -> ComponentBank:
         """The ComponentBank bound to ``components``, built anew (never
-        patched) once the list or a component's vector was replaced."""
+        patched) once the list or a component's vector was replaced. It is
+        built on construction, ``from_json``, deepcopy and unpickling, so
+        parameter views taken after them stay live until the list changes."""
         bank = self.__dict__.get("_bank")
         if bank is None or not bank.serves(self.components):
             bank = self._bank = ComponentBank(self.components, self.schedule.K)
         return bank
 
     def __getstate__(self):
-        # a copy or unpickled policy binds its own nets on first use
         return {**self.__dict__, "_bank": None}
+
+    def __setstate__(self, state):  # a copy binds a store of its own
+        self.__dict__.update(state)
+        self.bank
 
     # -- inference -----------------------------------------------------------
 

@@ -6,13 +6,16 @@ composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
 moments, the per-array Adam, the textbook Fisher-Yates shuffle, a generic
 central-finite-difference gradient checker, and the layout check of a net's
-parameter vector.
+parameter vector. The one exception is ``sample_loop``: the reverse chain as
+a loop over fresh arrays, the reference for the sampler's in-place buffer.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from fdp.composition import check_simplex, select_top_k, weighted_sum
+from fdp.diffusion import reverse_mean
 from fdp.numerics import DimensionMismatchError, NonFiniteError, Rng
 
 
@@ -106,6 +109,30 @@ def sample_values_loop(components, weights, obs_embedding, schedule, dim, rng, x
         if k > 1:
             values = values + schedule.sigma[k - 1] * rng.gaussian(dim)
     return values
+
+
+def sample_loop(bank, weights, obs_embedding, schedule, dim, rng, top_k=None, x0_clip=None):
+    """``sample_values`` as one loop over fresh arrays: each step rebuilds the
+    [values | embedding | step] input in ``bank.predict``, sums with
+    ``weighted_sum`` on (N,) weights, takes a fresh ``reverse_mean`` and adds
+    the scaled noise row. Returns the window and the evaluated indices."""
+    w = check_simplex(weights)
+    if top_k is not None and top_k != len(bank):
+        idx, w_used = select_top_k(w, top_k)
+    else:
+        idx, w_used = np.arange(len(bank)), w
+    nonzero = w_used != 0.0
+    idx, w_used = idx[nonzero], w_used[nonzero]
+    sub = bank.select(idx)
+    noise = rng.gaussian_rows(schedule.K, dim)
+    noise[1:] *= schedule.sigma[:0:-1, None]
+    values = noise[0]
+    for k in range(schedule.K, 0, -1):
+        eps_hat = weighted_sum(w_used, sub.predict(values, obs_embedding, k))
+        values = reverse_mean(schedule, values, eps_hat, k, x0_clip)
+        if k > 1:
+            values += noise[schedule.K - k + 1]
+    return values, idx
 
 
 def residual_loop(components, router, obs_encoder, windows, obs, schedule, ks, eps):

@@ -44,6 +44,7 @@ from .oracles import (
     max_rel_err,
     product_of_gaussians,
     residual_loop,
+    sample_loop,
     sample_values_loop,
 )
 
@@ -765,6 +766,32 @@ def test_bank_sampling_matches_loop_property(
     np.testing.assert_array_equal(info.active, idx)
 
 
+@pytest.mark.parametrize(
+    "case", ["full", "top_k", "one_hot", "n1", "relu", "no_clip", "analytic"]
+)
+def test_sample_values_matches_the_fresh_array_loop(case):
+    rng, sched = Rng(21), make_schedule(12)
+    n = 1 if case == "n1" else 4
+    if case == "analytic":  # a bank of other components: values-only buffer
+        comps, emb = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0.5, 2, 0)], None
+    else:
+        act = "relu" if case == "relu" else "tanh"
+        comps = [
+            DenoiserComponent.init(6, 5, [9, 7], rng.child(i), step_dim=4, activation=act)
+            for i in range(n)
+        ]
+        emb = rng.child(9).gaussian(5)
+    w = np.eye(n)[2] if case == "one_hot" else softmax(rng.child(10).gaussian(n))
+    top_k = 2 if case == "top_k" else None
+    clip = None if case in ("no_clip", "analytic") else NORMALIZED_CLAMP
+    bank = ComponentBank(comps, sched.K)
+    for seed in (0, 1):
+        got, info = sample_values(bank, w, emb, sched, 6, Rng(seed), top_k, clip)
+        expected, idx = sample_loop(bank, w, emb, sched, 6, Rng(seed), top_k, clip)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(info.active, idx)
+
+
 class FixedPrediction:
     def __init__(self, pred):
         self.pred = pred
@@ -787,7 +814,8 @@ def test_weighted_sum_adds_in_index_order(n, shape):
     for w in weights:
         expected = composed_prediction_loop(comps, w, None, None, None)
         for stacked in (preds, np.stack(preds)):
-            np.testing.assert_array_equal(weighted_sum(w, stacked), expected)
+            # component axis first: (B, N) weights go in as (N, B)
+            np.testing.assert_array_equal(weighted_sum(w.T, stacked), expected)
 
 
 @pytest.mark.parametrize("shape", [(1,), (4,)])
@@ -801,22 +829,22 @@ def test_one_inference_makes_one_reverse_update_and_one_bank_call_per_step(
 ):
     # perfbench's tracer counts these calls through the same module-level names
     policy, ds = fitted
-    calls = {"reverse_mean": 0, "predict": 0}
-    reverse_mean, predict = fdp.composition.reverse_mean, ComponentBank.predict
+    calls = {"reverse_mean": 0, "predict_row": 0}
+    reverse_mean, predict_row = fdp.composition.reverse_mean, ComponentBank.predict_row
 
     def counted_reverse_mean(*args, **kwargs):
         calls["reverse_mean"] += 1
         return reverse_mean(*args, **kwargs)
 
-    def counted_predict(self, *args, **kwargs):
-        calls["predict"] += 1
-        return predict(self, *args, **kwargs)
+    def counted_predict_row(self, *args, **kwargs):
+        calls["predict_row"] += 1
+        return predict_row(self, *args, **kwargs)
 
     monkeypatch.setattr(fdp.composition, "reverse_mean", counted_reverse_mean)
-    monkeypatch.setattr(ComponentBank, "predict", counted_predict)
+    monkeypatch.setattr(ComponentBank, "predict_row", counted_predict_row)
     _, obs = policy.build_training_arrays(ds.episodes[:1])
     policy.sample_window(obs[0], Rng(0))
-    assert calls == {"reverse_mean": policy.schedule.K, "predict": policy.schedule.K}
+    assert calls == {"reverse_mean": policy.schedule.K, "predict_row": policy.schedule.K}
 
 
 def test_bank_prediction_survives_later_predictions(fitted):

@@ -327,3 +327,20 @@ def test_reverse_mean_leaves_its_inputs_untouched():
         assert not np.shares_memory(out, values) and not np.shares_memory(out, eps_hat)
         np.testing.assert_array_equal(values, kept[0])
         np.testing.assert_array_equal(eps_hat, kept[1])
+
+
+@pytest.mark.parametrize("clip", [None, 1.0])
+def test_reverse_mean_writes_into_out(clip):
+    sched = make_schedule(10)
+    values, eps_hat = np.array([3.0, -0.2, 0.7]), np.array([0.1, -2.0, 0.4])
+    kept = values.copy(), eps_hat.copy()
+    buffer = np.full((2, 1, 5), 7.0)  # a row of a chain's input buffer, as sampling passes it
+    out = buffer[1, 0, :3]
+    assert reverse_mean(sched, values, eps_hat, 5, clip, out=out) is out
+    np.testing.assert_array_equal(out, reverse_mean(sched, values, eps_hat, 5, clip))
+    assert np.all(buffer[0] == 7.0) and np.all(buffer[1, 0, 3:] == 7.0)
+    np.testing.assert_array_equal(values, kept[0])
+    np.testing.assert_array_equal(eps_hat, kept[1])
+    for k in (0, 11):
+        with pytest.raises(ScheduleError, match=f"k={k}"):
+            reverse_mean(sched, values, eps_hat, k, clip, out=np.zeros(3))

@@ -319,6 +319,27 @@ def test_a_bank_cache_is_stale_once_any_component_is_written():
         bank.backward(cache, grad_out[:1], [0])
 
 
+@pytest.mark.parametrize("entry", ["init", "from_json", "deepcopy", "pickle"])
+def test_a_view_taken_after_each_entry_point_stays_live(entry):
+    policy = small_policy(n=3, seed=4)
+    if entry == "from_json":
+        policy.normalizer = ActionNormalizer([-1.0], [1.0])
+        policy = FactorizedPolicy.from_json(json.loads(canonical_json(policy.to_json())))
+    elif entry == "deepcopy":
+        policy = copy.deepcopy(policy)
+    elif entry == "pickle":
+        policy = pickle.loads(pickle.dumps(policy))
+    view = policy.components[1].net.params()["layer0.weight"]
+    rng = Rng(5)
+    values, emb = rng.gaussian(policy.window_dim), rng.gaussian(12)
+    before = policy.bank.predict(values, emb, 4)
+    view += 0.5
+    after = policy.bank.predict(values, emb, 4)
+    np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
+    assert not np.array_equal(after[1], before[1])
+    assert_bank_serves(policy)
+
+
 @pytest.mark.parametrize(
     "clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
     ids=["deepcopy", "pickle"],
