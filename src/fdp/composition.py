@@ -127,7 +127,7 @@ def component_predictions(components, values, obs_embedding, k):
 def weighted_sum(weights, preds) -> np.ndarray:
     """sum_i w_i eps_i, reduced in index order; preds holds the N predictions,
     as a list or stacked on a leading axis, and weights is (N,), or (N, B) for
-    one weight vector per batch row, padded with unit axes unless already."""
+    one per batch row, which gets trailing unit axes unless it has them."""
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
     if len(preds) != n:
