@@ -338,13 +338,6 @@ class EpisodeDataset:
             out.setdefault(ep.task, []).append(ep)
         return out
 
-    def task_names(self) -> list[str]:
-        seen = []
-        for ep in self.episodes:
-            if ep.task not in seen:
-                seen.append(ep.task)
-        return seen
-
     def normalizer_json(self) -> dict:
         return {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()}
 

@@ -135,13 +135,20 @@ def weighted_sum(weights, preds) -> np.ndarray:
     stack = np.asarray(preds, dtype=np.float64)
     if w.ndim < stack.ndim:
         w = w.reshape(w.shape + (1,) * (stack.ndim - w.ndim))
-    terms = stack * w
-    if terms.size == n:
+    return _weigh_and_sum(w, stack)
+
+
+def _weigh_and_sum(w, stack, terms=None, out=None) -> np.ndarray:
+    """``weighted_sum`` on weights shaped to broadcast: one product (into terms
+    if given), one index-order sum over the component axis (into out if given)."""
+    terms = np.multiply(stack, w, out=terms)
+    if terms.size == len(terms):
         # one value per prediction: numpy would reduce the stack as one
         # contiguous run, pairwise from 8 terms on; keep the index order
-        return sum(terms[1:], terms[0])
+        # (np.positive copies the sum exactly, -0.0 included)
+        return np.positive(sum(terms[1:], terms[0]), out=out)
     # the -0.0 start adds exactly nothing, so this is terms[0] + terms[1] + ...
-    return np.add.reduce(terms, axis=0, initial=-0.0)
+    return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
 
 
 def composed_score(
@@ -177,14 +184,8 @@ class SampleInfo:
 
 
 def sample_values(
-    components,
-    weights: np.ndarray,
-    obs_embedding,
-    schedule: NoiseSchedule,
-    dim: int,
-    rng: Rng,
-    top_k: int | None = None,
-    x0_clip: float | None = None,
+    components, weights: np.ndarray, obs_embedding, schedule: NoiseSchedule, dim: int, rng: Rng,
+    top_k: int | None = None, x0_clip: float | None = None,
 ) -> tuple[np.ndarray, SampleInfo]:
     """Reverse-sample one flattened action window under the composed score.
 
@@ -193,13 +194,14 @@ def sample_values(
     weights are renormalized on the simplex. Components whose weight is
     exactly zero (one-hot solo weights) are not evaluated at all.
 
-    components is a ComponentBank; the active components run on one
-    ``select``ed copy of their rows, which holds the chain's input buffer;
-    all K noise draws are taken, scaled by their sigma_k, at once. Each step
-    is one bank prediction on its row, one ``weighted_sum``, one
+    components is a ComponentBank built for at least the schedule's K steps;
+    the active components run on one ``select``ed sub-bank, which holds the
+    chain's buffers (``start_chain``); all K noise draws are taken, scaled by
+    their sigma_k, at once. Each step is one bank prediction on its row,
+    ``weighted_sum``'s product and sum into the sub-bank's buffers, one
     ``reverse_mean`` into the next row and one noise row added (none after
-    step 1), and the result is bit-identical to evaluating the components one
-    at a time.
+    step 1): with DenoiserComponents and dim > 1 no step allocates, and the
+    result is bit-identical to evaluating the components one at a time.
 
     x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
@@ -210,6 +212,8 @@ def sample_values(
         raise CompositionError(
             f"{len(components)} components but {w.shape[-1]} weights"
         )
+    if components.steps < schedule.K:
+        raise CompositionError(f"bank tabulates {components.steps} steps, schedule K={schedule.K}")
     if top_k is not None and top_k != len(components):
         idx, w_used = select_top_k(w, top_k)
     else:
@@ -225,12 +229,13 @@ def sample_values(
     noise = rng.gaussian_rows(schedule.K, dim)
     noise[1:] *= schedule.sigma[:0:-1, None]
     values = bank.start_chain(noise[0], emb, schedule.K)
-    w_col = w_used[:, None]
+    terms, eps_hat, x0 = bank.terms, bank.eps_hat, bank.x0
+    rows, w_col = list(values), w_used[:, None]  # every row's view, taken once
     for i, k in enumerate(range(schedule.K, 0, -1)):
-        eps_hat = weighted_sum(w_col, bank.predict_row(i))
-        reverse_mean(schedule, values[i], eps_hat, k, x0_clip, out=values[i + 1])
+        _weigh_and_sum(w_col, bank.predict_row(i), terms, eps_hat)
+        reverse_mean(schedule, rows[i], eps_hat, k, x0_clip, out=rows[i + 1], scratch=x0)
         if k > 1:
-            values[i + 1] += noise[i + 1]
+            rows[i + 1] += noise[i + 1]
     return as_f64(values[-1].copy(), "sampled window"), SampleInfo(w, idx, len(idx) * schedule.K)
 
 
@@ -249,13 +254,8 @@ def composed_residual(
 
 
 def joint_loss(
-    components,
-    router: Router,
-    obs_encoder: FeedForwardNet,
-    batch: tuple[np.ndarray, np.ndarray],
-    schedule: NoiseSchedule,
-    rng: Rng,
-    trainable=None,
+    components, router: Router, obs_encoder: FeedForwardNet, batch: tuple[np.ndarray, np.ndarray],
+    schedule: NoiseSchedule, rng: Rng, trainable=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Composed noise-prediction MSE over a batch of (clean window, obs) pairs.
 

@@ -41,7 +41,7 @@ class NoiseSchedule:
     betas: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray  # sigma[k-1]; sigma[0] = 0 by convention
-    # the reverse update's coefficients as plain floats, entry k-1 for step k
+    # reverse-update coefficients, entry k-1 for step k, as read-only 0-d arrays
     gamma: tuple  # beta_k / sqrt(1 - abar_k)
     recip_sqrt_alpha: tuple  # 1 / sqrt(1 - beta_k)
     # and the x0-clipped update's
@@ -97,9 +97,10 @@ def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
         "values_coef": np.sqrt(1.0 - betas) * (1.0 - ab_prev),
         "one_minus_ab": 1.0 - ab,
     }
-    return NoiseSchedule(
-        K, kind, betas, alpha_bar, sigma, **{n: tuple(t.tolist()) for n, t in tables.items()}
-    )
+    for t in tables.values():
+        t.flags.writeable = False  # and so is each 0-d view, a faster operand than a float
+    scalars = {n: tuple(t[i, ...] for i in range(K)) for n, t in tables.items()}
+    return NoiseSchedule(K, kind, betas, alpha_bar, sigma, **scalars)
 
 
 def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
@@ -167,7 +168,8 @@ def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rn
 
 
 def reverse_mean(
-    schedule: NoiseSchedule, values, eps_hat, k: int, x0_clip: float | None = None, out=None
+    schedule: NoiseSchedule, values, eps_hat, k: int, x0_clip: float | None = None,
+    out=None, scratch=None,
 ) -> np.ndarray:
     """Posterior mean of the reverse update from step k to k-1.
 
@@ -177,15 +179,18 @@ def reverse_mean(
     come from the schedule's tables, so the only per-step work is on arrays.
     The result is written into out and returned (a fresh array when out is
     None); values and eps_hat are left untouched unless out is one of them.
+    The x0 estimate (gamma_k eps_hat in the plain update) goes into scratch
+    when given, an array like values that is none of the other three.
     """
     if not 1 <= k <= schedule.K:
         raise ScheduleError(f"step k={k} outside [1, {schedule.K}]")
     i = k - 1
     if x0_clip is None:
-        mean = np.subtract(values, np.multiply(eps_hat, schedule.gamma[i]), out=out)
+        scaled = np.multiply(eps_hat, schedule.gamma[i], out=scratch)
+        mean = np.subtract(values, scaled, out=out)
         mean *= schedule.recip_sqrt_alpha[i]
         return mean
-    x0 = np.multiply(eps_hat, schedule.sqrt_one_minus_ab[i])
+    x0 = np.multiply(eps_hat, schedule.sqrt_one_minus_ab[i], out=scratch)
     np.subtract(values, x0, out=x0)
     x0 /= schedule.sqrt_ab[i]
     x0.clip(-x0_clip, x0_clip, out=x0)  # ndarray.clip skips np.clip's dispatch

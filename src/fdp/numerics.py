@@ -136,15 +136,18 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
+# every activation but identity as (ufunc, operands after z): ufunc(z, *operands)
+ACT_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,))}
+
+
 def _act_forward(name: str, z: np.ndarray, out=None) -> np.ndarray:
     # out=z applies the activation in place
-    if name == "tanh":
-        return np.tanh(z, out=out)
-    if name == "relu":
-        return np.maximum(z, 0.0, out=out)
     if name == "identity":
         return z
-    raise ValueError(f"unknown activation '{name}' (expected one of {ACTIVATIONS})")
+    if name not in ACT_UFUNCS:
+        raise ValueError(f"unknown activation '{name}' (expected one of {ACTIVATIONS})")
+    ufunc, operands = ACT_UFUNCS[name]
+    return ufunc(z, *operands, out=out)
 
 
 def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -241,10 +244,6 @@ class FeedForwardNet:
             w *= 1.0 / math.sqrt(fan_in)
             layers.append(Layer(w, np.zeros(fan_out), act))
         return cls(layers)
-
-    @classmethod
-    def identity(cls, dim: int) -> "FeedForwardNet":
-        return cls([Layer(np.eye(dim), np.zeros(dim), "identity")])
 
     # -- introspection ------------------------------------------------------
 

@@ -19,17 +19,12 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .composition import (
-    CompositionError,
-    Router,
-    SampleInfo,
-    check_simplex,
-    component_predictions,
-    composed_residual,
-    sample_values,
+    CompositionError, Router, SampleInfo, check_simplex, component_predictions,
+    composed_residual, sample_values,
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
-from .numerics import _act_forward, _act_grad
+from .numerics import ACT_UFUNCS, _act_forward, _act_grad
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -68,12 +63,7 @@ class DenoiserComponent:
 
     @classmethod
     def init(
-        cls,
-        window_dim: int,
-        emb_dim: int,
-        hidden: list[int],
-        rng: Rng,
-        step_dim: int = 16,
+        cls, window_dim: int, emb_dim: int, hidden: list[int], rng: Rng, step_dim: int = 16,
         activation: str = "tanh",
     ) -> "DenoiserComponent":
         widths = [window_dim + emb_dim + step_dim, *hidden, window_dim]
@@ -136,7 +126,7 @@ class ComponentBank:
     """
 
     def __init__(self, components, steps: int):
-        self.components = list(components)
+        self.components, self.steps = list(components), steps
         if not self.components:
             raise CompositionError("a component bank needs at least one component")
         self.layers = None
@@ -172,42 +162,55 @@ class ComponentBank:
         )
 
     def select(self, idx) -> "ComponentBank":
-        """A bank over components idx (ascending) with C-contiguous copies of
-        their slab rows, which a sampler's per-step ufuncs run faster on."""
+        """A bank over components idx (ascending) for one inference call, which
+        holds its chain (``start_chain``): weight slabs are views of the store
+        for a contiguous range of idx (full composition), else copies, and
+        biases are copies, on which the per-step add runs twice as fast."""
         sub = copy.copy(self)
         sub.components = [self.components[i] for i in idx]
         if self.layers is not None:
-            sub.layers = [(w[idx], b[idx], act) for w, b, act in self.layers]
+            rows = _as_slice(idx)
+            sub.layers = [(w[rows], b[idx], act) for w, b, act in self.layers]
         return sub
 
     def start_chain(self, values, obs_embedding, steps: int) -> np.ndarray:
-        """Hold the (K + 1, 1, width) input buffer of one reverse chain over
-        steps K = steps..1, row i feeding step K - i, with its embedding and
-        step columns (none in a bank of other components) written once; return
-        the view of its values columns, row 0 set to values."""
-        dim, self.chain_emb = len(values), obs_embedding
+        """Hold one reverse chain's buffers over steps K = steps..1; return the
+        values columns of its (K + 1, 1, width) input, row 0 set to values, row
+        i feeding step K - i, its embedding and step columns (none in a bank of
+        other components) written once; also one (N, 1, fan_out) activation per
+        layer, and the sampler's (N, dim) ``terms``, ``eps_hat`` and ``x0``."""
+        n, dim, self.chain_emb = len(self), len(values), obs_embedding
         width = dim if self.layers is None else self.layers[0][0].shape[1]
         self.inputs = np.empty((steps + 1, 1, width))
+        self.terms, self.eps_hat, self.x0 = np.empty((n, dim)), np.empty(dim), np.empty(dim)
         if self.layers is not None:
             got = dim + np.shape(obs_embedding)[-1] + self.step_table.shape[1]
             if got != width:
                 raise DimensionMismatchError(f"layer 0 expects input width {width}, got {got}")
             self.inputs[:, 0, self.emb_cols] = obs_embedding
             self.inputs[:steps, 0, self.emb_cols.stop :] = self.step_table[steps - 1 :: -1]
+            self.chain = [
+                (w, b, np.empty((n, 1, w.shape[2])), *ACT_UFUNCS.get(act, (None, ())))
+                for w, b, act in self.layers
+            ]
+            self.chain_out = self.chain[-1][2][:, 0]
         self.inputs[0, 0, :dim] = values
         return self.inputs[:, 0, :dim]
 
     def predict_row(self, i: int) -> np.ndarray:
-        """``predict`` on row i of the ``start_chain`` buffer, at step K - i:
-        a fresh (N, dim) array, unchecked, as the chain was checked."""
+        """Unchecked ``predict`` on row i of the ``start_chain`` input (step K - i):
+        a view of the last activation, valid until the next call (fresh for other
+        components)."""
         if self.layers is None:
             return self.predict(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)
         a = self.inputs[i]
-        for weight, bias, act in self.layers:
-            a = np.matmul(a, weight)
-            a += bias
-            _act_forward(act, a, out=a)
-        return a[:, 0]
+        for weight, bias, out, ufunc, operands in self.chain:
+            np.matmul(a, weight, out=out)
+            out += bias
+            if ufunc is not None:
+                ufunc(out, *operands, out=out)
+            a = out
+        return self.chain_out
 
     def predict(self, values, obs_embedding, k) -> np.ndarray:
         """Every component's noise estimate, a fresh (N, *values.shape) array,
@@ -251,7 +254,7 @@ class ComponentBank:
         versions, cache = cache
         if versions != [c.net.version for c in self.components]:
             raise StaleCacheError("forward cache is stale: a component changed since it was made")
-        sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
+        sel = _as_slice(rows)
         grad = np.empty((len(rows), self.store.shape[1]))
         views, g = list(self.layout(grad).values()), grad_out
         for j in range(len(self.layers) - 1, -1, -1):
@@ -268,6 +271,11 @@ class ComponentBank:
             for de in g[:, :, self.emb_cols]:
                 demb += de
         return list(grad)
+
+
+def _as_slice(rows):
+    """Ascending rows as a slice if they are a range (indexing then gives views)."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == len(rows) else rows
 
 
 class ActionNormalizer:
@@ -555,14 +563,7 @@ class FactorizedPolicy:
         else:
             w = self.router.route(emb)
         values, info = sample_values(
-            self.bank,
-            w,
-            emb,
-            self.schedule,
-            self.window_dim,
-            rng,
-            top_k,
-            x0_clip=NORMALIZED_CLAMP,
+            self.bank, w, emb, self.schedule, self.window_dim, rng, top_k, x0_clip=NORMALIZED_CLAMP
         )
         values = np.clip(values, -NORMALIZED_CLAMP, NORMALIZED_CLAMP)
         return values.reshape(self.config.t_pred, self.action_dim), info

@@ -252,7 +252,7 @@ def test_merge_datasets_concatenates():
     b = generate_demos("pick-side", per_task=2, seed=0)
     merged = merge_datasets(a, b)
     assert len(merged.episodes) == len(a.episodes) + len(b.episodes)
-    assert len(merged.task_names()) == 6
+    assert len(merged.episodes_by_task()) == 6
 
 
 # ---------------------------------------------------------------------------

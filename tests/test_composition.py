@@ -25,7 +25,7 @@ from fdp.composition import (
     weighted_sum,
 )
 from fdp.diffusion import make_schedule
-from fdp.numerics import FeedForwardNet, Layer, Rng
+from fdp.numerics import Adam, FeedForwardNet, Layer, Rng
 from fdp.policy import (
     NORMALIZED_CLAMP,
     ComponentBank,
@@ -276,7 +276,7 @@ def test_single_component_joint_loss_reduces_to_component_loss():
     from fdp.diffusion import component_loss
 
     sched, _, _, bank = _tiny_setup(n_components=1)
-    encoder = FeedForwardNet.identity(4)
+    encoder = FeedForwardNet([Layer(np.eye(4), np.zeros(4), "identity")])
     router = Router(FeedForwardNet.init([4, 1], ["identity"], Rng(3)))
     obs = Rng(4).gaussian(4)
     window = Rng(5).gaussian(6) * 0.3
@@ -300,7 +300,7 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
             vshape, eshape = cache
             return np.zeros(0), np.zeros(vshape), np.zeros(eshape)
 
-    encoder = FeedForwardNet.identity(3)
+    encoder = FeedForwardNet([Layer(np.eye(3), np.zeros(3), "identity")])
     router = Router(FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(1)))
     windows = np.zeros((5, 6))  # a0 = 0 makes the echo exact
     obs = Rng(2).gaussian(15).reshape(5, 3)
@@ -790,6 +790,70 @@ def test_sample_values_matches_the_fresh_array_loop(case):
         expected, idx = sample_loop(bank, w, emb, sched, 6, Rng(seed), top_k, clip)
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(info.active, idx)
+
+
+@pytest.mark.parametrize("top_k", [None, 3])
+@pytest.mark.parametrize("case", ["relu", "identity_only", "one_wide"])
+def test_chain_matches_the_per_component_oracle(case, top_k, monkeypatch):
+    # one_wide: nine 1-wide predictions, which numpy would sum pairwise; a
+    # last-bit slip in a step's sum rarely reaches the sample, so every
+    # step's composed prediction is compared too
+    steps, reverse_mean = [], fdp.composition.reverse_mean
+
+    def recorded_reverse_mean(schedule, values, eps_hat, k, *args, **kwargs):
+        steps.append((values.copy(), eps_hat.copy(), k))
+        return reverse_mean(schedule, values, eps_hat, k, *args, **kwargs)
+
+    monkeypatch.setattr(fdp.composition, "reverse_mean", recorded_reverse_mean)
+    rng, sched = Rng(31), make_schedule(10)
+    n, dim = (9, 1) if case == "one_wide" else (4, 6)
+    hidden = [] if case == "identity_only" else [7, 5]
+    act = "relu" if case == "relu" else "tanh"
+    comps = [
+        DenoiserComponent.init(dim, 3, hidden, rng.child(i), step_dim=4, activation=act)
+        for i in range(n)
+    ]
+    emb, w = rng.child(20).gaussian(3), softmax(rng.child(21).gaussian(n))
+    bank = ComponentBank(comps, sched.K)
+    idx, w_used = select_top_k(w, top_k) if top_k else (np.arange(n), w)
+    active = [comps[i] for i in idx]
+    for seed, clip in ((0, NORMALIZED_CLAMP), (1, None)):
+        got, info = sample_values(bank, w, emb, sched, dim, Rng(seed), top_k, clip)
+        expected = sample_values_loop(active, w_used, emb, sched, dim, Rng(seed), clip)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(info.active, idx)
+    assert len(steps) == 2 * sched.K
+    for values, eps_hat, k in steps:
+        expected = composed_prediction_loop(active, w_used, values, emb, k)
+        np.testing.assert_array_equal(eps_hat, expected)
+
+
+@pytest.mark.parametrize("write", ["adam", "assign"])
+@pytest.mark.parametrize("weights, active", [(None, [0, 1, 2]), ([0.5, 0.1, 0.4], [0, 2])])
+def test_sampling_after_a_parameter_write_matches_a_fresh_load(fitted, write, weights, active):
+    # full composition runs on views of the store, a non-contiguous top-k on copies
+    policy = copy.deepcopy(fitted[0])
+    obs = fitted[0].build_training_arrays(fitted[1].episodes[:1])[1][0]
+    top_k, w = (None, None) if weights is None else (2, np.array(weights))
+    before, info = policy.sample_window(obs, Rng(5), top_k, w)
+    np.testing.assert_array_equal(info.active, active)
+    for i, comp in enumerate(policy.components):
+        delta = Rng(40 + i).gaussian(comp.net.param_count())
+        if write == "adam":
+            Adam(lr=1e-2).step(comp.net, delta)
+        else:
+            comp.net.assign(comp.net.vector + 1e-2 * delta)
+    fresh = FactorizedPolicy.from_json(policy.to_json())
+    after, _ = policy.sample_window(obs, Rng(5), top_k, w)
+    np.testing.assert_array_equal(after, fresh.sample_window(obs, Rng(5), top_k, w)[0])
+    assert not np.array_equal(after, before)
+
+
+def test_sampling_rejects_a_bank_built_for_fewer_steps():
+    comps = [DenoiserComponent.init(4, 3, [5], Rng(0).child(i), step_dim=4) for i in range(2)]
+    bank = ComponentBank(comps, 6)
+    with pytest.raises(CompositionError, match=r"6 steps.* K=10"):
+        sample_values(bank, np.array([0.5, 0.5]), Rng(1).gaussian(3), make_schedule(10), 4, Rng(2))
 
 
 class FixedPrediction:

@@ -55,7 +55,7 @@ def rel_err(a, b):
 
 
 def test_identity_single_layer_passes_input_through():
-    net = FeedForwardNet.identity(4)
+    net = FeedForwardNet([Layer(np.eye(4), np.zeros(4), "identity")])
     x = np.array([0.3, -1.2, 0.0, 2.5])
     y = net(x)
     np.testing.assert_array_equal(y, x)
@@ -309,7 +309,8 @@ def test_layers_share_memory_with_vector():
     net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], Rng(7))
     copy = net.copy()
     clone = FeedForwardNet.from_json(net.to_json())
-    for n in (net, copy, clone, FeedForwardNet.identity(3)):
+    identity = FeedForwardNet([Layer(np.eye(3), np.zeros(3), "identity")])
+    for n in (net, copy, clone, identity):
         assert_layers_view_vector(n)
         assert n.vector.flags.writeable
     assert not np.shares_memory(copy.vector, net.vector)

@@ -14,7 +14,8 @@ import fdp.policy
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.numerics import (
-    Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, decode_f64, encode_f64,
+    Adam, DimensionMismatchError, FeedForwardNet, Layer, Rng, StaleCacheError, decode_f64,
+    encode_f64,
 )
 from fdp.policy import (
     ActionNormalizer,
@@ -49,7 +50,7 @@ def small_policy(n=2, seed=0, obs_dim=3, action_dim=1, **over):
 
 def test_identity_encoder_embeds_stacked_state():
     policy = small_policy(obs_dim=3, obs_embed_dim=6)
-    policy.obs_encoder = FeedForwardNet.identity(6)
+    policy.obs_encoder = FeedForwardNet([Layer(np.eye(6), np.zeros(6), "identity")])
     stacked = Rng(1).gaussian(6)
     np.testing.assert_array_equal(policy.encode_observation(stacked), stacked)
 
