@@ -90,8 +90,8 @@ def build_probe_set(
 def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     """Mean cosine similarity of per-component predictions over the probes.
 
-    Every probe is evaluated through contiguous copies of the policy's
-    ComponentBank rows, as sampling does.
+    Probes run on the policy's ``bank.select(range(n))``, as full-composition
+    sampling does: weight views of the store, copies of the biases.
 
     Probes where any component predicts a zero-norm vector are skipped and
     counted (a warning summarizes the count).

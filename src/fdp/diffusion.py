@@ -55,8 +55,6 @@ class NoiseSchedule:
         if self.K < 2:
             raise ScheduleError(f"need at least 2 diffusion steps, got K={self.K}")
         b = self.betas
-        if b.shape != (self.K,):
-            raise ScheduleError("betas must have length K")
         if not (np.all(b > 0.0) and np.all(b < 1.0)):
             raise ScheduleError("betas must lie strictly in (0, 1)")
         if np.any(np.diff(b) < -1e-12):
@@ -84,6 +82,8 @@ class NoiseSchedule:
 
 def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
     betas = as_f64(betas, "betas")
+    if betas.shape != (K,):  # before the tables index K entries
+        raise ScheduleError(f"betas must have length K={K}, got shape {betas.shape}")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     sigma = np.sqrt(betas)
     sigma[0] = 0.0

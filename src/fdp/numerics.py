@@ -6,7 +6,9 @@ no autodiff graph. Each network has one contiguous float64 parameter vector
 (its own, or a row of a matrix it is bound to), and every layer's weight and
 bias are views into it. Gradients are vectors laid out the same way. Writes
 go through ``assign`` or an ``Adam`` step, which update the vector in place
-and bump the net's version so stale backward caches can be detected.
+and bump the net's version so stale backward caches can be detected. Dense
+forward and backward are written once, for a stack of nets of one
+architecture (``stack_forward``/``stack_backward``); a net is a stack of one.
 """
 
 from __future__ import annotations
@@ -140,25 +142,40 @@ class Rng:
 ACT_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,))}
 
 
-def _act_forward(name: str, z: np.ndarray, out=None) -> np.ndarray:
-    # out=z applies the activation in place
-    if name == "identity":
-        return z
-    if name not in ACT_UFUNCS:
-        raise ValueError(f"unknown activation '{name}' (expected one of {ACTIVATIONS})")
-    ufunc, operands = ACT_UFUNCS[name]
-    return ufunc(z, *operands, out=out)
+def stack_forward(layers, x: np.ndarray) -> list:
+    """Every activation of N nets of one architecture, [x, a_1, ..., a_L]:
+    layers holds one (N, fan_in, fan_out) weight, (N, 1, fan_out) bias and
+    activation per layer, and x is one (1, B, fan_in) input for all N; each
+    layer is one np.matmul, which numpy runs as one BLAS call per net."""
+    acts = [x]
+    for weight, bias, act in layers:
+        a = np.matmul(acts[-1], weight)
+        a += bias
+        if act != "identity":
+            ufunc, operands = ACT_UFUNCS[act]
+            ufunc(a, *operands, out=a)
+        acts.append(a)
+    return acts
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # derivative wrt pre-activation z; a = activation(z) is reused for tanh
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return np.where(z > 0.0, 1.0, 0.0)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation '{name}'")
+def stack_backward(layers, acts, g, grad_views, rows, input_grad: bool):
+    """Backpropagate the (R, B, fan_out) output gradient g of nets ``rows`` (a
+    slice or ascending indices of the stack) through the ``stack_forward``
+    activations acts. Each layer's dW and db, summed over the batch, go into
+    grad_views (weight, bias, weight, ... of an (R, P) matrix laid out like
+    the nets' vectors); returns the (R, B, fan_in) input gradient if
+    input_grad, else None, and then layer 0 computes none."""
+    for j in range(len(layers) - 1, -1, -1):
+        weight, _, act = layers[j]
+        if act != "identity":  # identity's gradient is a product with ones
+            a = acts[j + 1][rows]  # the derivative wrt z from a: relu's a > 0 is z > 0
+            g = g * (1.0 - a * a if act == "tanh" else np.where(a > 0.0, 1.0, 0.0))
+        x = acts[j] if j == 0 else acts[j][rows]
+        np.matmul(x.transpose(0, 2, 1), g, out=grad_views[2 * j])
+        g.sum(axis=1, out=grad_views[2 * j + 1])
+        if j or input_grad:
+            g = np.matmul(g, weight[rows].transpose(0, 2, 1))
+    return g if input_grad else None
 
 
 @dataclass
@@ -178,17 +195,6 @@ class Layer:
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation '{self.activation}'")
-
-
-@dataclass
-class ForwardCache:
-    """Activation trace from one forward pass; sufficient for exact replay."""
-
-    version: int
-    inputs: list  # per-layer input (post-activation of previous layer)
-    pre_acts: list  # per-layer pre-activation z
-    outputs: list  # per-layer activation(z)
-    squeeze: bool  # True if the caller passed a 1-d vector
 
 
 class FeedForwardNet:
@@ -304,6 +310,16 @@ class FeedForwardNet:
         self.vector, self.layers = vector, [
             Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], self.layers)
         ]
+        self._stack = self.stacked(vector[None])  # a one-net stack, built once
+
+    def stacked(self, store: np.ndarray) -> list:
+        """The ``stack_forward`` layers of an (N, P) matrix of vectors laid out
+        like ``vector``: (N, fan_in, fan_out) weight and (N, 1, fan_out) bias
+        views of it, and each layer's activation."""
+        views = list(self.layout(store).values())
+        return [
+            (w, b[:, None], l.activation) for w, b, l in zip(views[::2], views[1::2], self.layers)
+        ]
 
     def assign(self, values) -> None:
         """Copy a vector laid out like ``vector`` into it and invalidate
@@ -336,59 +352,46 @@ class FeedForwardNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The output for x, (d_in,) or (batch, d_in), shaped like it, and the
+        cache ``backward`` takes: the version, whether x was 1-d, and the
+        ``stack_forward`` activations."""
         x = as_f64(x, "input")
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2:
+        if x.ndim not in (1, 2):
             raise DimensionMismatchError(f"input must be 1-d or 2-d, got ndim={x.ndim}")
-        if x.shape[1] != self.in_dim:
+        if x.shape[-1] != self.in_dim:
             raise DimensionMismatchError(
-                f"layer 0 expects input width {self.in_dim}, got {x.shape[1]}"
+                f"layer 0 expects input width {self.in_dim}, got {x.shape[-1]}"
             )
-        inputs, pre_acts, outputs = [], [], []
-        a = x
-        for l in self.layers:
-            inputs.append(a)
-            z = a @ l.weight + l.bias
-            a = _act_forward(l.activation, z)
-            pre_acts.append(z)
-            outputs.append(a)
-        cache = ForwardCache(self._version, inputs, pre_acts, outputs, squeeze)
-        return (a[0] if squeeze else a), cache
+        acts = stack_forward(self._stack, x.reshape(1, -1, self.in_dim))
+        out = acts[-1][0]
+        return (out[0] if x.ndim == 1 else out), (self._version, x.ndim == 1, acts)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(
-        self, cache: ForwardCache, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, cache: tuple, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients for the recorded forward pass.
 
         Returns (parameter gradient, a fresh vector laid out like ``vector``;
         gradient wrt the input). Gradients are summed over the batch dimension.
         """
-        if cache.version != self._version:
+        version, squeeze, acts = cache
+        if version != self._version:
             raise StaleCacheError(
                 "forward cache is stale: parameters changed since it was recorded"
             )
         g = as_f64(grad_out, "grad_out")
-        if cache.squeeze and g.ndim == 1:
+        if squeeze and g.ndim == 1:
             g = g[None, :]
-        if g.shape != cache.outputs[-1].shape:
+        if g.shape != acts[-1].shape[1:]:
             raise DimensionMismatchError(
-                f"grad_out shape {g.shape} != output shape {cache.outputs[-1].shape}"
+                f"grad_out shape {g.shape} != output shape {acts[-1].shape[1:]}"
             )
         grad = np.empty_like(self.vector)
-        views = list(self.layout(grad).values())
-        for i in range(len(self.layers) - 1, -1, -1):
-            l = self.layers[i]
-            dz = g * _act_grad(l.activation, cache.pre_acts[i], cache.outputs[i])
-            np.matmul(cache.inputs[i].T, dz, out=views[2 * i])
-            dz.sum(axis=0, out=views[2 * i + 1])
-            g = dz @ l.weight.T
-        return grad, (g[0] if cache.squeeze else g)
+        views = list(self.layout(grad[None]).values())
+        gx = stack_backward(self._stack, acts, g[None], views, slice(None), True)[0]
+        return grad, (gx[0] if squeeze else gx)
 
     # -- serialization ------------------------------------------------------
 

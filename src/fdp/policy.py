@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .composition import (
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
-from .numerics import ACT_UFUNCS, _act_forward, _act_grad
+from .numerics import ACT_UFUNCS, ACTIVATIONS, stack_backward, stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -117,12 +117,14 @@ class ComponentBank:
     DenoiserComponents of one architecture are bound to the rows of one
     (N, P) ``store`` (``FeedForwardNet.bind``), whose (N, fan_in, fan_out)
     weight and (N, 1, fan_out) bias views make each layer one np.matmul for
-    every component; the step features are tabulated once. In-place writes
-    to the nets (Adam steps) show in the next prediction, until a newer bank
-    binds the same nets (``serves`` then turns False). numpy runs a stacked
-    matmul as one BLAS call per slab, so results are bit-identical to each
-    component's own ``predict`` and ``backward``. Differing architectures
-    raise, naming the component; any other list goes one at a time.
+    every component (``FeedForwardNet.stacked``); the step features are
+    tabulated once. In-place writes to the nets (Adam steps) show in the next
+    prediction, until a newer bank binds the same nets (``serves`` then turns
+    False). Forward and backward run the kernel each net runs alone
+    (``stack_forward``/``stack_backward``), and numpy runs a stacked matmul as
+    one BLAS call per slab, so results are bit-identical to each component's
+    own ``predict`` and ``backward``. Differing architectures raise, naming
+    the component; any other list goes one at a time.
     """
 
     def __init__(self, components, steps: int):
@@ -147,9 +149,7 @@ class ComponentBank:
         self.store = np.stack([c.net.vector for c in self.components])
         for comp, row in zip(self.components, self.store):
             comp.net.bind(row)
-        slabs = list(self.layout(self.store).values())  # weight, bias, weight, ...
-        biases = [b[:, None] for b in slabs[1::2]]
-        self.layers = list(zip(slabs[::2], biases, first.net.activations))
+        self.layers = first.net.stacked(self.store)
         self.step_table = sinusoidal_step_embedding(np.arange(1, steps + 1), first.step_dim)
 
     def __len__(self) -> int:
@@ -220,8 +220,8 @@ class ComponentBank:
 
     def forward(self, values, obs_embedding, k, check=True):
         """``predict`` after a finiteness check of the stacked input, and the
-        cache ``backward`` takes: the nets' versions, every layer's input,
-        then the output."""
+        cache ``backward`` takes: the nets' versions and the ``stack_forward``
+        activations."""
         if self.layers is None:
             preds, caches = component_predictions(self.components, values, obs_embedding, k)
             return np.stack(preds), caches
@@ -232,11 +232,7 @@ class ComponentBank:
         if check:
             as_f64(x, "input")
         versions = [c.net.version for c in self.components] if check else None
-        acts = [x.reshape(1, -1, x.shape[-1])]
-        for weight, bias, act in self.layers:
-            a = np.matmul(acts[-1], weight)
-            a += bias
-            acts.append(_act_forward(act, a, out=a))  # relu's gradient reads a > 0 as z > 0
+        acts = stack_forward(self.layers, x.reshape(1, -1, width))
         return acts[-1].reshape(-1, *values.shape), (versions, acts)
 
     def backward(self, cache, grad_out, rows, demb=None) -> list:
@@ -251,22 +247,12 @@ class ComponentBank:
             for _, _, de in outs if demb is not None else ():
                 demb += de
             return [pg for pg, _, _ in outs]
-        versions, cache = cache
+        versions, acts = cache
         if versions != [c.net.version for c in self.components]:
             raise StaleCacheError("forward cache is stale: a component changed since it was made")
-        sel = _as_slice(rows)
         grad = np.empty((len(rows), self.store.shape[1]))
-        views, g = list(self.layout(grad).values()), grad_out
-        for j in range(len(self.layers) - 1, -1, -1):
-            weight, _, act = self.layers[j]
-            if act != "identity":  # identity's gradient is a product with ones
-                out = cache[j + 1][sel]
-                g = g * _act_grad(act, out, out)
-            x = cache[j] if j == 0 else cache[j][sel]
-            np.matmul(x.transpose(0, 2, 1), g, out=views[2 * j])
-            g.sum(axis=1, out=views[2 * j + 1])
-            if j or demb is not None:
-                g = np.matmul(g, weight[sel].transpose(0, 2, 1))
+        views = list(self.layout(grad).values())
+        g = stack_backward(self.layers, acts, grad_out, views, _as_slice(rows), demb is not None)
         if demb is not None:
             for de in g[:, :, self.emb_cols]:
                 demb += de
@@ -346,6 +332,8 @@ class PolicyConfig:
             raise ValueError("h_obs must be >= 1")
         if self.step_embed_dim % 2:
             raise ValueError(f"step_embed_dim must be even, got {self.step_embed_dim}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
@@ -361,6 +349,14 @@ class PolicyConfig:
             if any(w < 1 for w in widths):
                 raise ValueError(f"{name} widths must be >= 1, got {widths}")
             setattr(self, name, widths)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PolicyConfig":
+        """``PolicyConfig(**obj)``; a key that names no field raises ValueError."""
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key '{unknown[0]}'")
+        return cls(**obj)
 
 
 def matched_hidden_width(
@@ -746,7 +742,7 @@ class FactorizedPolicy:
         n = len(obj["components"])
         if n == 0:
             raise ValueError("checkpoint field 'components' is empty")
-        cfg = PolicyConfig(**{**obj["config"], "n_components": n})
+        cfg = _load_field("config", PolicyConfig.from_json, {**obj["config"], "n_components": n})
         policy = cls.__new__(cls)
         policy.obs_dim = int(obj["obs_dim"])
         policy.action_dim = int(obj["action_dim"])
@@ -758,7 +754,14 @@ class FactorizedPolicy:
                 f"checkpoint field 'normalizer' has shape {policy.normalizer.lo.shape}, "
                 f"but 'action_dim' is {policy.action_dim}"
             )
-        policy.schedule = NoiseSchedule.from_json(obj["schedule"])
+        policy.schedule = _load_field("schedule", NoiseSchedule.from_json, obj["schedule"])
+        for name, key in (("K", "diffusion_steps"), ("kind", "schedule_kind")):
+            got, want = getattr(policy.schedule, name), getattr(cfg, key)
+            if got != want:
+                raise ValueError(
+                    f"checkpoint field 'schedule' has {name} {got!r}, but config "
+                    f"field '{key}' is {want!r}"
+                )
         policy.obs_encoder = _load_field("encoder", FeedForwardNet.from_json, obj["encoder"])
         policy.router = _load_field("router", Router.from_json, obj["router"])
         if policy.router.n_components != n:

@@ -1,7 +1,8 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the package's own gradient, sampling and
-optimizer paths: analytic Gaussian scores, the per-component loop for the
+optimizer paths: analytic Gaussian scores, the textbook dense forward and
+backward of one net, one 2-d layer at a time, the per-component loop for the
 composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
 moments, the per-array Adam, the textbook Fisher-Yates shuffle, a generic
@@ -69,6 +70,42 @@ class PointMassDenoiser:
     def predict(self, values, obs_embedding, k):
         ab = self.schedule.alpha_bar[k]
         return (values - np.sqrt(ab) * self.c) / np.sqrt(1.0 - ab), None
+
+
+# activation, and its derivative wrt the pre-activation z given a = act(z)
+_ACTS = {
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
+    "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
+}
+
+
+def net_forward_loop(net, x):
+    """Textbook forward of a FeedForwardNet on a (d_in,) or (B, d_in) input,
+    one 2-d layer at a time from ``net.params()``: the output, shaped like x,
+    and each layer's (input, pre-activation, activation) on 2-d rows."""
+    params, x = net.params(), np.asarray(x, dtype=np.float64)
+    a, trace = (x[None, :] if x.ndim == 1 else x), []
+    for i, act in enumerate(net.activations):
+        z = a @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
+        trace.append((a, z, _ACTS[act][0](z)))
+        a = trace[-1][2]
+    return (a[0] if x.ndim == 1 else a), trace
+
+
+def net_backward_loop(net, trace, grad_out):
+    """Textbook backward for a ``net_forward_loop`` trace: the parameter
+    gradient, laid out like ``net.vector``, and the input gradient, shaped
+    like grad_out's rows; both summed over the batch."""
+    params, g = net.params(), np.asarray(grad_out, dtype=np.float64)
+    squeeze = g.ndim == 1
+    g, blocks = (g[None, :] if squeeze else g), []
+    for i in range(len(trace) - 1, -1, -1):
+        a, z, out = trace[i]
+        dz = g * _ACTS[net.activations[i]][1](z, out)
+        blocks = [a.T @ dz, dz.sum(axis=0), *blocks]
+        g = dz @ params[f"layer{i}.weight"].T
+    return np.concatenate([b.ravel() for b in blocks]), (g[0] if squeeze else g)
 
 
 def composed_prediction_loop(components, weights, values, obs_embedding, k):

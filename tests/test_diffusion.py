@@ -88,6 +88,13 @@ def test_schedule_json_round_trip():
     assert clone.kind == sched.kind
 
 
+@pytest.mark.parametrize("K", [5, 11])
+def test_schedule_from_json_rejects_betas_of_another_length(K):
+    sched = make_schedule(10)
+    with pytest.raises(ScheduleError, match=rf"length K={K}, got shape \(10,\)"):
+        type(sched).from_json({**sched.to_json(), "K": K})
+
+
 # ---------------------------------------------------------------------------
 # forward_noise
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core numerics: nets, explicit gradients, Adam, counter-based RNG."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -19,7 +20,10 @@ from fdp.numerics import (
     StaleCacheError,
 )
 
-from .oracles import DictAdam, assert_layers_view_vector, central_diff, permutation_loop
+from .oracles import (
+    DictAdam, assert_layers_view_vector, central_diff, net_backward_loop, net_forward_loop,
+    permutation_loop,
+)
 
 
 def finite_diff_param_grads(net, x, grad_out, h=1e-5):
@@ -162,8 +166,9 @@ def test_backward_matches_finite_differences_property(widths, data, rows, seed):
     g = rng.gaussian(rows * widths[-1]).reshape(rows, widths[-1])
     _, cache = net.forward(x)
     # central differences are exact only away from a relu kink
+    _, trace = net_forward_loop(net, x)
     assume(all(
-        np.abs(z).min() > 1e-3 for z, a in zip(cache.pre_acts, acts) if a == "relu"
+        np.abs(z).min() > 1e-3 for (_, z, _), a in zip(trace, acts) if a == "relu"
     ))
     grad, gx = net.backward(cache, g)
     grads = net.layout(grad)
@@ -174,6 +179,36 @@ def test_backward_matches_finite_differences_property(widths, data, rows, seed):
     np.testing.assert_allclose(
         gx, central_diff(lambda: float(np.sum(net(x) * g)), x), rtol=1e-5, atol=1e-7
     )
+
+
+@pytest.mark.parametrize("acts", [
+    ["tanh", "identity"], ["relu", "relu"], ["identity"], ["tanh", "relu", "identity"],
+])
+@pytest.mark.parametrize("rows", [None, 1, 4])
+def test_net_matches_the_textbook_layer_loop_bit_for_bit(acts, rows):
+    # rows None is a 1-d input; 1 is a one-row batch, which numpy multiplies
+    # by gemv rather than gemm
+    rng = Rng(36 + len(acts))
+    widths = [5, 7, 6, 3][: len(acts) + 1]
+    net = FeedForwardNet.init(widths, acts, rng)
+    shape = () if rows is None else (rows,)
+    x = rng.gaussian(math.prod(shape) * widths[0]).reshape(*shape, widths[0])
+    g = rng.gaussian(math.prod(shape) * widths[-1]).reshape(*shape, widths[-1])
+    y, cache = net.forward(x)
+    grad, gx = net.backward(cache, g)
+    y_ref, trace = net_forward_loop(net, x)
+    grad_ref, gx_ref = net_backward_loop(net, trace, g)
+    assert y.shape == g.shape and gx.shape == x.shape
+    for got, ref in ((y, y_ref), (grad, grad_ref), (gx, gx_ref)):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_an_empty_batch_gives_empty_outputs_and_zero_gradients():
+    net = FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(37))
+    y, cache = net.forward(np.zeros((0, 3)))
+    grad, gx = net.backward(cache, np.zeros((0, 2)))
+    assert y.shape == (0, 2) and gx.shape == (0, 3)
+    assert grad.shape == net.vector.shape and not grad.any()
 
 
 def test_zero_upstream_gradient_gives_zero_param_gradients():

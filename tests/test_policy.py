@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fdp.policy
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
+from fdp.diffusion import make_schedule
 from fdp.numerics import (
     Adam, DimensionMismatchError, FeedForwardNet, Layer, Rng, StaleCacheError, decode_f64,
     encode_f64,
@@ -27,7 +28,9 @@ from fdp.policy import (
     sinusoidal_step_embedding,
 )
 
-from .oracles import DictAdam, assert_bank_serves, assert_layers_view_vector
+from .oracles import (
+    DictAdam, assert_bank_serves, assert_layers_view_vector, net_backward_loop, net_forward_loop,
+)
 
 
 SMALL = dict(
@@ -318,6 +321,30 @@ def test_a_bank_cache_is_stale_once_any_component_is_written():
         bank.backward(cache, grad_out, [0, 1, 2])
     with pytest.raises(StaleCacheError):  # rows the step left alone are refused too
         bank.backward(cache, grad_out[:1], [0])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("rows", [[0, 1, 2], [0, 2], [1]])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_bank_matches_the_textbook_layer_loop_per_component(activation, rows, batch):
+    policy = small_policy(n=3, seed=5, activation=activation)
+    bank, rng, d = policy.bank, Rng(6), policy.window_dim
+    values = rng.gaussian(batch * d).reshape(batch, d)
+    emb = rng.gaussian(batch * 12).reshape(batch, 12)
+    ks = np.array([1, 10, 5, 3])[:batch]
+    preds, cache = bank.forward(values, emb, ks)
+    grad_out = rng.gaussian(len(rows) * values.size).reshape(len(rows), batch, d)
+    demb, demb_ref = np.zeros_like(emb), np.zeros_like(emb)
+    grads = bank.backward(cache, grad_out, rows, demb)
+    x = np.concatenate([values, emb, bank.step_table[ks - 1]], axis=1)
+    for i, comp in enumerate(policy.components):
+        y, trace = net_forward_loop(comp.net, x)
+        np.testing.assert_array_equal(preds[i], y)
+        if i in rows:  # in index order, as the bank adds them
+            grad, gx = net_backward_loop(comp.net, trace, grad_out[rows.index(i)])
+            np.testing.assert_array_equal(grads[rows.index(i)], grad)
+            demb_ref += gx[:, d : d + 12]
+    np.testing.assert_array_equal(demb, demb_ref)
 
 
 @pytest.mark.parametrize("entry", ["init", "from_json", "deepcopy", "pickle"])
@@ -700,6 +727,29 @@ def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal
         FactorizedPolicy.from_json(obj)
 
 
+def test_checkpoint_rejects_a_schedule_of_another_length(trained_bimodal):
+    obj = trained_bimodal.to_json()
+    obj["schedule"]["K"] += 1
+    with pytest.raises(ValueError, match="checkpoint field 'schedule': betas must have length"):
+        FactorizedPolicy.from_json(obj)
+
+
+@pytest.mark.parametrize("key", ["diffusion_steps", "schedule_kind"])
+def test_checkpoint_rejects_a_schedule_that_disagrees_with_its_config(trained_bimodal, key):
+    obj = trained_bimodal.to_json()
+    cfg = {**obj["config"], key: {"diffusion_steps": 5, "schedule_kind": "linear"}[key]}
+    obj["schedule"] = make_schedule(cfg["diffusion_steps"], cfg["schedule_kind"]).to_json()
+    with pytest.raises(ValueError, match=f"field 'schedule' has .*config field '{key}'"):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_checkpoint_rejects_an_unknown_config_key(trained_bimodal):
+    obj = trained_bimodal.to_json()
+    obj["config"]["bogus"] = 1
+    with pytest.raises(ValueError, match="checkpoint field 'config': unknown key 'bogus'"):
+        FactorizedPolicy.from_json(obj)
+
+
 def test_denoiser_rejects_net_narrower_than_window_and_step():
     net = FeedForwardNet.init([3, 4], ["identity"], Rng(0))
     with pytest.raises(DimensionMismatchError, match="step_dim=16"):
@@ -748,6 +798,7 @@ def test_policy_config_validation():
         ("router_temperature", -1.0),
         ("router_temperature", float("inf")),
         ("router_temperature", float("nan")),
+        ("activation", "gelu"),
     ],
 )
 def test_policy_config_names_the_bad_field(field, value):
