@@ -71,17 +71,17 @@ class Router:
         w = softmax(logits, self.temperature)
         return w, RouterCache(net_cache, w)
 
-    def backward(self, cache: RouterCache, grad_weights: np.ndarray):
+    def backward(self, cache: RouterCache, grad_weights: np.ndarray, out=None, input_grad=True):
         """Gradients through softmax and the routing net.
 
-        Returns (parameter gradient vector, gradient wrt the observation
-        embedding).
+        Returns (parameter gradient vector, written into out if given;
+        gradient wrt the observation embedding, or None without input_grad).
         """
         w = cache.weights
         g = as_f64(grad_weights, "grad_weights")
         inner = (g * w).sum(axis=-1, keepdims=True)
         dlogits = w * (g - inner) / self.temperature
-        return self.net.backward(cache.net_cache, dlogits)
+        return self.net.backward(cache.net_cache, dlogits, out, input_grad)
 
     def to_json(self) -> dict:
         return {"temperature": self.temperature, "net": self.net.to_json()}
@@ -253,10 +253,21 @@ def composed_residual(
     return weighted_sum(w.T, preds) - eps, (enc_cache, emb, router_cache, preds, cache)
 
 
+def group_slices(components, router: Router, obs_encoder: FeedForwardNet) -> dict[str, slice]:
+    """Each parameter group's slice of a vector laid out like a policy's
+    parameters: the rows of the bank's (N, P) store ('component:i'), then the
+    encoder's vector, then the router's."""
+    n, p = components.store.shape
+    out = {f"component:{i}": slice(i * p, (i + 1) * p) for i in range(n)}
+    end = n * p + obs_encoder.param_count()
+    out["encoder"], out["router"] = slice(n * p, end), slice(end, end + router.net.param_count())
+    return out
+
+
 def joint_loss(
     components, router: Router, obs_encoder: FeedForwardNet, batch: tuple[np.ndarray, np.ndarray],
     schedule: NoiseSchedule, rng: Rng, trainable=None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Composed noise-prediction MSE over a batch of (clean window, obs) pairs.
 
     Per sample: draw k uniform on [1, K] and eps ~ N(0, I), corrupt the window,
@@ -265,12 +276,13 @@ def joint_loss(
     weighted sum into every component, the router, and the encoder at once.
 
     components is a ComponentBank. trainable names the groups to
-    differentiate ('encoder', 'router', 'component:i'; None means all), and
-    the returned gradients hold exactly these keys, each a vector laid out
-    like its net's ``vector``. One stacked backward covers every component
-    when the encoder trains, and only the trainable ones, with no embedding
-    gradient, when it is frozen; a frozen router runs a backward only for
-    the encoder. Gradients match an all-trainable call bit for bit.
+    differentiate ('encoder', 'router', 'component:i'; None means all), whose
+    slices of the returned fresh vector, laid out by ``group_slices``, hold
+    their gradients; other slices may hold anything. One stacked backward
+    covers every component when the encoder trains, and only the trainable
+    ones when it is frozen; a frozen router runs a backward only for the
+    encoder. Only the input gradients the encoder needs are taken. Gradients
+    match an all-trainable call bit for bit.
     """
     windows, obs = batch
     windows = as_f64(windows, "windows")
@@ -292,19 +304,19 @@ def joint_loss(
     if trainable is None:
         trainable = ["encoder", "router", *names]
     train_encoder = "encoder" in trainable
+    slices = group_slices(components, router, obs_encoder)
+    grad = np.empty(slices["router"].stop)
     w = router_cache.weights
     dagg = 2.0 * resid / resid.size
     demb = np.zeros_like(emb) if train_encoder else None
     rows = [i for i, g in enumerate(names) if train_encoder or g in trainable]
-    # component i's output gradient is w[:, i] * dagg
-    pgs = components.backward(cache, w.T[rows, :, None] * dagg, rows, demb) if rows else []
-    grads = {names[i]: pg for i, pg in zip(rows, pgs) if names[i] in trainable}
+    if rows:  # component i's output gradient is w[:, i] * dagg
+        out = grad[: slices["encoder"].start].reshape(components.store.shape)
+        components.backward(cache, w.T[rows, :, None] * dagg, rows, demb, out)
     if "router" in trainable or train_encoder:
         dw = np.ascontiguousarray(np.sum(dagg * preds, axis=2).T)
-        pg, demb_router = router.backward(router_cache, dw)
-        if "router" in trainable:
-            grads["router"] = pg
+        _, demb_router = router.backward(router_cache, dw, grad[slices["router"]], train_encoder)
         if train_encoder:
             demb += demb_router
-            grads["encoder"], _ = obs_encoder.backward(enc_cache, demb)
-    return loss, grads
+            obs_encoder.backward(enc_cache, demb, grad[slices["encoder"]], False)
+    return loss, grad

@@ -158,24 +158,29 @@ def stack_forward(layers, x: np.ndarray) -> list:
     return acts
 
 
-def stack_backward(layers, acts, g, grad_views, rows, input_grad: bool):
+def stack_backward(layers, acts, g, grad_views, rows, input_cols):
     """Backpropagate the (R, B, fan_out) output gradient g of nets ``rows`` (a
     slice or ascending indices of the stack) through the ``stack_forward``
     activations acts. Each layer's dW and db, summed over the batch, go into
     grad_views (weight, bias, weight, ... of an (R, P) matrix laid out like
-    the nets' vectors); returns the (R, B, fan_in) input gradient if
-    input_grad, else None, and then layer 0 computes none."""
+    the nets' vectors); returns the (R, B, cols) input gradient of layer 0's
+    input_cols (a slice), from their weight rows alone, or with input_cols
+    falsy returns None, and then layer 0 computes none."""
     for j in range(len(layers) - 1, -1, -1):
         weight, _, act = layers[j]
-        if act != "identity":  # identity's gradient is a product with ones
-            a = acts[j + 1][rows]  # the derivative wrt z from a: relu's a > 0 is z > 0
-            g = g * (1.0 - a * a if act == "tanh" else np.where(a > 0.0, 1.0, 0.0))
+        if act == "tanh":  # the derivative wrt z from a, 1 - a * a, in one buffer
+            d = np.square(acts[j + 1][rows])
+            g = np.multiply(g, np.subtract(1.0, d, out=d), out=d)
+        elif act == "relu":  # a > 0 is z > 0; identity's gradient is a product with ones
+            g = g * np.where(acts[j + 1][rows] > 0.0, 1.0, 0.0)
         x = acts[j] if j == 0 else acts[j][rows]
         np.matmul(x.transpose(0, 2, 1), g, out=grad_views[2 * j])
         g.sum(axis=1, out=grad_views[2 * j + 1])
-        if j or input_grad:
+        if j:
             g = np.matmul(g, weight[rows].transpose(0, 2, 1))
-    return g if input_grad else None
+        elif input_cols:
+            return np.matmul(g, weight[rows][:, input_cols].transpose(0, 2, 1))
+    return None
 
 
 @dataclass
@@ -370,11 +375,10 @@ class FeedForwardNet:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache: tuple, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gradients for the recorded forward pass.
-
-        Returns (parameter gradient, a fresh vector laid out like ``vector``;
-        gradient wrt the input). Gradients are summed over the batch dimension.
+    def backward(self, cache: tuple, grad_out: np.ndarray, out=None, input_grad: bool = True):
+        """Exact gradients for the recorded forward pass, summed over the
+        batch: (the parameter gradient, laid out like ``vector``, in out or
+        a fresh vector; the input gradient, or None without input_grad).
         """
         version, squeeze, acts = cache
         if version != self._version:
@@ -388,10 +392,11 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"grad_out shape {g.shape} != output shape {acts[-1].shape[1:]}"
             )
-        grad = np.empty_like(self.vector)
+        grad = np.empty_like(self.vector) if out is None else out
         views = list(self.layout(grad[None]).values())
-        gx = stack_backward(self._stack, acts, g[None], views, slice(None), True)[0]
-        return grad, (gx[0] if squeeze else gx)
+        cols = input_grad and slice(None)
+        gx = stack_backward(self._stack, acts, g[None], views, slice(None), cols)
+        return grad, (gx if gx is None else gx[0, 0] if squeeze else gx[0])
 
     # -- serialization ------------------------------------------------------
 
@@ -455,15 +460,18 @@ def decode_f64(s: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+ADAM_CHUNK = 1 << 15  # entries per pass of an Adam step, through two scratch buffers
+
+
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer over one net's parameter vector.
-
-    lr 1e-3, decays (0.9, 0.999), eps 1e-8 by default. ``step`` updates the
-    net's ``vector`` in place from a gradient laid out the same way (as
-    ``FeedForwardNet.backward`` returns it) and bumps the net's version. The moments are
-    flat vectors too. Every operation is elementwise, so each parameter gets
-    the same bits as the textbook per-array recurrence.
+    """Adaptive-moment optimizer over nets whose vectors lie in one parameter
+    vector, which ``step`` updates in place from a gradient laid out the same
+    way. lr 1e-3, decays (0.9, 0.999), eps 1e-8 by default. Adjacent nets of
+    one rate form a *run*; the moments hold the runs' entries, in order. A
+    step checks every run's gradient before it writes anything, then updates
+    ADAM_CHUNK entries at a time with no allocation, every operation
+    elementwise in the textbook order: the per-array recurrence's bits.
     """
 
     lr: float = 1e-3
@@ -474,29 +482,44 @@ class Adam:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
-    def step(self, net: FeedForwardNet, grad: np.ndarray) -> None:
-        p = net.vector
-        if grad.shape != p.shape:
+    def step(self, params: np.ndarray, grad: np.ndarray, nets) -> None:
+        """One step of nets, (name, net, start, lr scale) in ascending start,
+        net.vector being params[start : start + size]; bumps their versions.
+        A non-finite gradient raises NonFiniteError naming net and block."""
+        if grad.shape != params.shape:
             raise DimensionMismatchError(
-                f"gradient shape {grad.shape} != parameter vector shape {p.shape}"
+                f"gradient shape {grad.shape} != parameter vector shape {params.shape}"
             )
-        net._check_finite_blocks(grad, "gradient")
-        self.t += 1
+        runs = []  # [start, stop, lr]
+        for _, net, start, scale in nets:
+            if runs and runs[-1][1:] == [start, self.lr * scale]:
+                runs[-1][1] += net.param_count()
+            else:
+                runs.append([start, start + net.param_count(), self.lr * scale])
+        if not all(np.isfinite(grad[start:stop]).all() for start, stop, _ in runs):
+            for name, net, start, _ in nets:
+                what = f"gradient of '{name}'"
+                net._check_finite_blocks(grad[start : start + net.param_count()], what)
         if self.m is None:
-            self.m = np.zeros_like(p)
-            self.v = np.zeros_like(p)
-        # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        g2 = (1.0 - self.beta2) * grad
-        g2 *= grad
-        self.v *= self.beta2
-        self.v += g2
-        # p -= lr * m_hat / (sqrt(v_hat) + eps)
-        step = self.m / (1.0 - self.beta1**self.t)
-        step *= self.lr
-        denom = np.sqrt(self.v / (1.0 - self.beta2**self.t))
-        denom += self.eps
-        step /= denom
-        p -= step
-        net._version += 1
+            self.m = np.zeros(sum(stop - start for start, stop, _ in runs))
+            self.v = np.zeros_like(self.m)
+            self._scratch = np.empty((2, min(self.m.size, ADAM_CHUNK)))
+        self.t += 1
+        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        at = 0  # into the moments
+        for start, stop, lr in runs:
+            for lo in range(start, stop, ADAM_CHUNK):
+                n = min(ADAM_CHUNK, stop - lo)
+                g, p, (a, b) = grad[lo : lo + n], params[lo : lo + n], self._scratch[:, :n]
+                m, v, at = self.m[at : at + n], self.v[at : at + n], at + n
+                # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+                m *= self.beta1
+                m += np.multiply(g, 1.0 - self.beta1, out=a)
+                v *= self.beta2
+                v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
+                # p -= lr * m_hat / (sqrt(v_hat) + eps)
+                np.multiply(np.divide(m, c1, out=a), lr, out=a)
+                np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b)
+                p -= np.divide(a, b, out=a)
+        for _, net, _, _ in nets:
+            net._version += 1

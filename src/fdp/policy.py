@@ -20,7 +20,7 @@ import numpy as np
 
 from .composition import (
     CompositionError, Router, SampleInfo, check_simplex, component_predictions,
-    composed_residual, sample_values,
+    composed_residual, group_slices, sample_values,
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
@@ -115,24 +115,26 @@ class ComponentBank:
     """Predictions and gradients of a component list at diffusion steps 1..K.
 
     DenoiserComponents of one architecture are bound to the rows of one
-    (N, P) ``store`` (``FeedForwardNet.bind``), whose (N, fan_in, fan_out)
-    weight and (N, 1, fan_out) bias views make each layer one np.matmul for
-    every component (``FeedForwardNet.stacked``); the step features are
-    tabulated once. In-place writes to the nets (Adam steps) show in the next
-    prediction, until a newer bank binds the same nets (``serves`` then turns
-    False). Forward and backward run the kernel each net runs alone
+    (N, P) ``store`` (``FeedForwardNet.bind``; the given one, else a fresh
+    one), whose (N, fan_in, fan_out) weight and (N, 1, fan_out) bias views
+    make each layer one np.matmul for every component
+    (``FeedForwardNet.stacked``); the step features are tabulated once.
+    In-place writes to the nets (Adam steps) show in the next prediction,
+    until a newer bank binds the same nets. Forward and backward run the
+    kernel each net runs alone
     (``stack_forward``/``stack_backward``), and numpy runs a stacked matmul as
     one BLAS call per slab, so results are bit-identical to each component's
     own ``predict`` and ``backward``. Differing architectures raise, naming
-    the component; any other list goes one at a time.
+    the component; any other list goes one at a time, with an (N, 0) store.
     """
 
-    def __init__(self, components, steps: int):
+    def __init__(self, components, steps: int, store=None):
         self.components, self.steps = list(components), steps
         if not self.components:
             raise CompositionError("a component bank needs at least one component")
         self.layers = None
         if not all(isinstance(c, DenoiserComponent) for c in self.components):
+            self.store = np.empty((len(self), 0)) if store is None else store
             return
         for i, comp in enumerate(self.components):
             arch = (comp.net.widths, comp.net.activations, comp.window_dim, comp.step_dim)
@@ -146,7 +148,7 @@ class ComponentBank:
         first = self.components[0]
         self.layout = first.net.layout
         self.emb_cols = slice(first.window_dim, first.window_dim + first.emb_dim)
-        self.store = np.stack([c.net.vector for c in self.components])
+        self.store = np.empty((len(self), first.net.param_count())) if store is None else store
         for comp, row in zip(self.components, self.store):
             comp.net.bind(row)
         self.layers = first.net.stacked(self.store)
@@ -154,12 +156,6 @@ class ComponentBank:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def serves(self, components) -> bool:
-        """True while components is this list, bound to this store."""
-        return self.components == components and (
-            self.layers is None or all(c.net.vector.base is self.store for c in components)
-        )
 
     def select(self, idx) -> "ComponentBank":
         """A bank over components idx (ascending) for one inference call, which
@@ -235,28 +231,34 @@ class ComponentBank:
         acts = stack_forward(self.layers, x.reshape(1, -1, width))
         return acts[-1].reshape(-1, *values.shape), (versions, acts)
 
-    def backward(self, cache, grad_out, rows, demb=None) -> list:
-        """Parameter gradients of components ``rows`` (ascending), one vector
-        per row laid out like its net's ``vector``, from a ``forward`` cache
-        and one (B, window_dim) output gradient per row. Each row's gradient
-        wrt the embedding is added into demb in index order; with demb None,
-        layer 0 computes no input gradient. A cache recorded before any of
-        the nets was written raises StaleCacheError."""
-        if self.layers is None:
-            outs = [self.components[i].backward(cache[i], g) for i, g in zip(rows, grad_out)]
-            for _, _, de in outs if demb is not None else ():
-                demb += de
-            return [pg for pg, _, _ in outs]
+    def backward(self, cache, grad_out, rows, demb=None, out=None) -> np.ndarray:
+        """Parameter gradients of components ``rows`` (ascending) from a
+        ``forward`` cache and one (B, window_dim) output gradient per row,
+        written into those rows of out (an (N, P) matrix like the store, or
+        a fresh one), which is returned. Each row's embedding gradient, from
+        layer 0's embedding weight rows alone, is added into demb in index
+        order; with demb None, layer 0 computes no input gradient. A cache
+        recorded before any of the nets was written raises StaleCacheError."""
+        out = np.empty_like(self.store) if out is None else out
+        if self.layers is None:  # no parameters in the store
+            for i, g in zip(rows, grad_out):
+                _, _, de = self.components[i].backward(cache[i], g)
+                if demb is not None:
+                    demb += de
+            return out
         versions, acts = cache
         if versions != [c.net.version for c in self.components]:
             raise StaleCacheError("forward cache is stale: a component changed since it was made")
-        grad = np.empty((len(rows), self.store.shape[1]))
+        rows = _as_slice(rows)
+        grad = out[rows] if isinstance(rows, slice) else np.empty((len(rows), out.shape[1]))
+        cols = demb is not None and self.emb_cols
         views = list(self.layout(grad).values())
-        g = stack_backward(self.layers, acts, grad_out, views, _as_slice(rows), demb is not None)
-        if demb is not None:
-            for de in g[:, :, self.emb_cols]:
-                demb += de
-        return list(grad)
+        de = stack_backward(self.layers, acts, grad_out, views, rows, cols)
+        if not isinstance(rows, slice):
+            out[rows] = grad
+        for d in de if cols else ():
+            demb += d
+        return out
 
 
 def _as_slice(rows):
@@ -404,7 +406,9 @@ class FactorizedPolicy:
 
     Parameters are grouped as 'encoder', 'router', 'component:i'; training and
     adaptation select groups through a trainable mask, and groups outside the
-    mask are never written (bit-identical before/after).
+    mask are never written (bit-identical before/after). Every net is bound
+    to its slice of one ``vector`` (``group_slices``), whose head is the
+    bank's component store.
     """
 
     def __init__(
@@ -493,19 +497,36 @@ class FactorizedPolicy:
 
     @property
     def bank(self) -> ComponentBank:
-        """The ComponentBank bound to ``components``, built anew (never
-        patched) once the list or a component's vector was replaced. It is
-        built on construction, ``from_json``, deepcopy and unpickling, so
-        parameter views taken after them stay live until the list changes."""
-        bank = self.__dict__.get("_bank")
-        if bank is None or not bank.serves(self.components):
-            bank = self._bank = ComponentBank(self.components, self.schedule.K)
+        """The ComponentBank bound to ``components``, its store the head of
+        ``vector``. Both are built anew (never patched) once the list or any
+        net was replaced or bound elsewhere, and on construction,
+        ``from_json``, deepcopy and unpickling, so parameter views taken
+        after them stay live until the list or a net changes."""
+        bank, comps = self.__dict__.get("_bank"), self.components
+        nets = [self.obs_encoder, self.router.net]
+        if bank is None or bank.components != comps or not all(
+            net.vector.base is self._vector for net in nets + [c.net for c in comps if bank.layers]
+        ):
+            stacked = comps and all(isinstance(c, DenoiserComponent) for c in comps)
+            head = (len(comps), comps[0].net.param_count() if stacked else 0)
+            self._vector = np.empty(math.prod(head) + self.n_parameters(["encoder", "router"]))
+            store = self._vector[: math.prod(head)].reshape(head)
+            bank = self._bank = ComponentBank(comps, self.schedule.K, store)
+            slices = group_slices(bank, self.router, self.obs_encoder)
+            for net, group in zip(nets, ("encoder", "router")):
+                net.bind(self._vector[slices[group]])
         return bank
 
-    def __getstate__(self):
-        return {**self.__dict__, "_bank": None}
+    @property
+    def vector(self) -> np.ndarray:
+        """Every parameter, laid out by ``group_slices``."""
+        self.bank
+        return self._vector
 
-    def __setstate__(self, state):  # a copy binds a store of its own
+    def __getstate__(self):
+        return {**self.__dict__, "_bank": None, "_vector": None}
+
+    def __setstate__(self, state):  # a copy binds a vector of its own
         self.__dict__.update(state)
         self.bank
 
@@ -671,13 +692,14 @@ class FactorizedPolicy:
                 np.split(a, bounds) for a in (w_val, o_val, val_ks, val_eps_noise)
             )))
 
-        opts = {
-            g: Adam(
-                lr=self.config.learning_rate
-                * (self.config.router_lr_scale if g == "router" else 1.0)
-            )
-            for g in groups
-        }
+        # one optimizer over the trainable slices of the vector, in order
+        slices = group_slices(self.bank, self.router, self.obs_encoder)
+        scale = self.config.router_lr_scale
+        trained = [
+            (g, self._group_net(g), slices[g].start, scale if g == "router" else 1.0)
+            for g in sorted(groups, key=lambda g: slices[g].start)
+        ]
+        opt = Adam(lr=self.config.learning_rate)
         log = TrainingLog(
             n_train_windows=len(w_train),
             n_val_windows=int(n_val and len(w_val)),
@@ -689,13 +711,12 @@ class FactorizedPolicy:
             losses = []
             for start in range(0, len(perm), batch_size):
                 sel = perm[start : start + batch_size]
-                loss, grads = joint_loss(
+                loss, grad = joint_loss(
                     self.bank, self.router, self.obs_encoder,
                     (w_train[sel], o_train[sel]), self.schedule, epoch_rng, groups,
                 )
                 losses.append(loss)
-                for g in groups:
-                    opts[g].step(self._group_net(g), grads[g])
+                opt.step(self.vector, grad, trained)
             entry = {"epoch": epoch, "train_mse": float(np.mean(losses))}
             entry["val_mse"] = entry["train_mse"]
             if n_val:

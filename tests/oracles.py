@@ -5,9 +5,10 @@ optimizer paths: analytic Gaussian scores, the textbook dense forward and
 backward of one net, one 2-d layer at a time, the per-component loop for the
 composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
-moments, the per-array Adam, the textbook Fisher-Yates shuffle, a generic
-central-finite-difference gradient checker, and the layout check of a net's
-parameter vector. The one exception is ``sample_loop``: the reverse chain as
+moments, the per-array Adam and the per-group step a fit is checked
+against, the textbook Fisher-Yates shuffle, a generic
+central-finite-difference gradient checker, and the layout checks of a
+net's and a policy's parameter vectors. The one exception is ``sample_loop``: the reverse chain as
 a loop over fresh arrays, the reference for the sampler's in-place buffer.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fdp.composition import check_simplex, select_top_k, weighted_sum
+from fdp.composition import check_simplex, group_slices, select_top_k, weighted_sum
 from fdp.diffusion import reverse_mean
 from fdp.numerics import DimensionMismatchError, NonFiniteError, Rng
 
@@ -301,6 +302,41 @@ class DictAdam:
         return out
 
 
+class GroupAdam:
+    """A fit's optimizer written one group at a time: one DictAdam per
+    trained group, at the policy's learning rate (the router's times
+    router_lr_scale), stepped on the per-array views of the group's slice of
+    a gradient vector laid out by ``group_slices``. It keeps its own copy of
+    the trained groups' arrays, taken from the policy when made."""
+
+    def __init__(self, policy, groups):
+        cfg = policy.config
+        self.slices = group_slices(policy.bank, policy.router, policy.obs_encoder)
+        self.nets = {g: policy._group_net(g) for g in groups}
+        self.params = {
+            g: {k: v.copy() for k, v in net.params().items()} for g, net in self.nets.items()
+        }
+        self.opts = {
+            g: DictAdam(lr=cfg.learning_rate * (cfg.router_lr_scale if g == "router" else 1.0))
+            for g in groups
+        }
+
+    @property
+    def t(self) -> int:
+        (t,) = {opt.t for opt in self.opts.values()}
+        return t
+
+    def step(self, grad):
+        for g, net in self.nets.items():
+            self.params[g] = self.opts[g].step(self.params[g], net.layout(grad[self.slices[g]]))
+
+    def assert_matches(self, policy):
+        """Every trained group of policy holds this oracle's arrays, bit for bit."""
+        for g, params in self.params.items():
+            for path, p in policy._group_net(g).params().items():
+                np.testing.assert_array_equal(p, params[path], err_msg=f"{g} {path}")
+
+
 def _address(a):
     return a.__array_interface__["data"][0]
 
@@ -328,14 +364,23 @@ def assert_layers_view_vector(net, flat=None):
 
 def assert_bank_serves(policy):
     """The policy's bank is bound to its current components: the same list,
-    one store row per component net, in order, and each prediction equal to
-    the component's own."""
-    bank = policy.bank
+    one store row per component net, in order, the store the head of the
+    policy's vector, the encoder's and the router's vectors its next slices,
+    and each prediction equal to the component's own."""
+    bank, vector = policy.bank, policy.vector
     assert bank.components == policy.components and len(bank) == policy.n_components
+    assert bank.store.base is vector and _address(bank.store) == _address(vector)
     for comp, row in zip(policy.components, bank.store, strict=True):
-        assert comp.net.vector.base is bank.store
+        assert comp.net.vector.base is vector
         assert _address(comp.net.vector) == _address(row)
         assert_layers_view_vector(comp.net)
+    offset = bank.store.size
+    for net in (policy.obs_encoder, policy.router.net):
+        assert net.vector.base is vector
+        assert _address(net.vector) == _address(vector) + offset * vector.itemsize
+        assert_layers_view_vector(net)
+        offset += net.param_count()
+    assert offset == vector.size
     rng = Rng(0)
     values = rng.gaussian(policy.window_dim)
     emb = rng.gaussian(policy.config.obs_embed_dim)

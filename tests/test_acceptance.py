@@ -21,7 +21,7 @@ from fdp.adaptation import AdaptationConfig, adapt, continual_adapt
 from fdp.analysis import build_probe_set, score_similarity
 from fdp.bench import evaluate, generate_demos, make_suite, merge_datasets
 from fdp.cli import cli
-from fdp.composition import Router, joint_loss, sample_values
+from fdp.composition import Router, group_slices, joint_loss, sample_values
 from fdp.diffusion import component_loss, make_schedule
 from fdp.numerics import FeedForwardNet, Rng
 from fdp.policy import (
@@ -176,7 +176,8 @@ def test_criterion_01_gradient_oracle():
         loss_seed = 1000 + trial
 
         bank = ComponentBank(comps, sched.K)  # binds the nets before params() views them
-        _, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(loss_seed))
+        _, grad = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(loss_seed))
+        slices = group_slices(bank, router, encoder)
 
         def loss_fn():
             return joint_loss(
@@ -186,7 +187,7 @@ def test_criterion_01_gradient_oracle():
         nets = {"encoder": encoder, "router": router.net}
         nets.update({f"component:{i}": comp.net for i, comp in enumerate(comps)})
         for group, net in nets.items():
-            views = net.layout(grads[group])
+            views = net.layout(grad[slices[group]])
             for path, p in net.params().items():
                 worst = max(worst, max_rel_err(views[path], central_diff(loss_fn, p)))
                 checked += 1

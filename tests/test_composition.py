@@ -18,6 +18,7 @@ from fdp.composition import (
     component_predictions,
     composed_residual,
     composed_score,
+    group_slices,
     joint_loss,
     sample_values,
     select_top_k,
@@ -315,7 +316,8 @@ def test_joint_loss_gradients_match_finite_differences():
     windows = rng.gaussian(2 * 6).reshape(2, 6) * 0.4
     obs = rng.gaussian(2 * 4).reshape(2, 4)
 
-    loss, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(123))
+    loss, grad = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(123))
+    grads = by_group(bank, router, encoder, grad)
 
     def loss_fn():
         return joint_loss(bank, router, encoder, (windows, obs), sched, Rng(123))[0]
@@ -334,7 +336,8 @@ def test_gradient_liveness_every_component_active():
     rng = Rng(14)
     windows = rng.gaussian(8 * 6).reshape(8, 6)
     obs = rng.gaussian(8 * 4).reshape(8, 4)
-    _, grads = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(15))
+    grads = by_group(bank, router, encoder, joint_loss(
+        bank, router, encoder, (windows, obs), sched, Rng(15))[1])
     for i in range(4):
         g = grads[f"component:{i}"]
         assert float(np.sum(g * g)) > 0.0, f"component {i} got no gradient"
@@ -352,11 +355,20 @@ MASKS = {
 }
 
 
-def _assert_masked_grads_match(full, masked, groups, nets):
-    """The masked call returns exactly the groups in the mask, each the
-    all-trainable call's gradient vector bit for bit."""
-    assert full.keys() == nets.keys()
-    assert masked.keys() == set(groups)
+def by_group(bank, router, encoder, grad, groups=None):
+    """The groups' views (every group by default) of a ``joint_loss``
+    gradient vector."""
+    slices = group_slices(bank, router, encoder)
+    return {g: grad[slices[g]] for g in (slices if groups is None else groups)}
+
+
+def _assert_masked_grads_match(full, masked, groups, bank, router, encoder):
+    """Both calls return one vector laid out by ``group_slices``, and the
+    masked call's slice of each group in the mask is the all-trainable
+    call's bit for bit."""
+    nets = _group_nets(encoder, router, bank)
+    assert full.shape == masked.shape == (sum(n.param_count() for n in nets.values()),)
+    full, masked = by_group(bank, router, encoder, full), by_group(bank, router, encoder, masked)
     for group in groups:
         assert masked[group].shape == nets[group].vector.shape, group
         np.testing.assert_array_equal(masked[group], full[group], err_msg=group)
@@ -381,7 +393,7 @@ def test_masked_joint_loss_matches_the_all_trainable_gradients(mask):
     groups = MASKS[mask](4)
     masked_loss, masked = joint_loss(bank, router, encoder, batch, sched, Rng(5), groups)
     assert masked_loss == loss
-    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, bank))
+    _assert_masked_grads_match(full, masked, groups, bank, router, encoder)
 
 
 @settings(max_examples=30, deadline=None)
@@ -403,7 +415,7 @@ def test_masked_joint_loss_matches_the_all_trainable_gradients_property(
     batch = _batch(Rng(seed).child(1), b=5, window_dim=3, obs_dim=2)
     _, full = joint_loss(bank, router, encoder, batch, sched, Rng(seed))
     _, masked = joint_loss(bank, router, encoder, batch, sched, Rng(seed), groups)
-    _assert_masked_grads_match(full, masked, groups, _group_nets(encoder, router, bank))
+    _assert_masked_grads_match(full, masked, groups, bank, router, encoder)
 
 
 @pytest.mark.parametrize("mask", MASKS)
@@ -415,37 +427,40 @@ def test_frozen_groups_get_no_backward_work(monkeypatch, mask):
     real_net, real_bank = FeedForwardNet.backward, ComponentBank.backward
     calls, bank_calls = [], []
 
-    def spy(self, cache, grad_out):
-        out = real_net(self, cache, grad_out)
-        calls.append((self, out))
-        return out
+    def spy(self, cache, grad_out, out=None, input_grad=True):
+        result = real_net(self, cache, grad_out, out, input_grad)
+        calls.append((self, result))
+        return result
 
-    def bank_spy(self, cache, grad_out, rows, demb=None):
+    def bank_spy(self, cache, grad_out, rows, demb=None, out=None):
         bank_calls.append((list(rows), demb is not None))
-        return real_bank(self, cache, grad_out, rows, demb)
+        return real_bank(self, cache, grad_out, rows, demb, out)
 
     monkeypatch.setattr(FeedForwardNet, "backward", spy)
     monkeypatch.setattr(ComponentBank, "backward", bank_spy)
     joint_loss(bank, router, encoder, batch, sched, Rng(5))
     assert [net for net, _ in calls] == [router.net, encoder]
     router_gx = calls[0][1][1]
+    assert calls[1][1][1] is None  # nothing reads the observation gradient
     assert bank_calls == [([0, 1, 2, 3], True)]
     calls.clear()
     bank_calls.clear()
     groups = MASKS[mask](4)
-    _, grads = joint_loss(bank, router, encoder, batch, sched, Rng(5), groups)
+    joint_loss(bank, router, encoder, batch, sched, Rng(5), groups)
 
     train_encoder = "encoder" in groups
-    if train_encoder or "router" in groups:
+    if train_encoder:
         # a frozen router still passes the same input gradient to the encoder
         assert calls[0][0] is router.net
         np.testing.assert_array_equal(calls[0][1][1], router_gx)
+        assert calls[1][1][1] is None
+    elif "router" in groups:  # with no encoder to pass it to, none is taken
+        assert calls[0][0] is router.net and calls[0][1][1] is None
     expected_nets = [router.net] if train_encoder or "router" in groups else []
     assert [net for net, _ in calls] == expected_nets + ([encoder] if train_encoder else [])
     rows = [i for i in range(4) if train_encoder or f"component:{i}" in groups]
     # no rows, no backward; with the encoder frozen, no embedding gradient
     assert bank_calls == ([(rows, train_encoder)] if rows else [])
-    assert set(grads) == set(groups)
 
 
 @pytest.mark.parametrize("mask", MASKS)
@@ -509,7 +524,8 @@ def test_stacked_joint_loss_matches_the_per_component_loop(mask, shape):
     loss, grads = joint_loss_loop(bank.components, router, encoder, batch, sched, Rng(9), groups)
     got_loss, got = joint_loss(bank, router, encoder, batch, sched, Rng(9), groups)
     assert got_loss == loss
-    assert got.keys() == grads.keys()
+    assert grads.keys() == set(groups)
+    got = by_group(bank, router, encoder, got, groups)
     for g in groups:
         np.testing.assert_array_equal(got[g], grads[g], err_msg=g)
 
@@ -534,9 +550,19 @@ def test_fit_matches_the_per_component_loop(monkeypatch, mask):
         )
 
     stacked = fit_bytes()
-    monkeypatch.setattr(
-        fdp.composition, "joint_loss", lambda bank, *args: joint_loss_loop(bank.components, *args)
-    )
+
+    def loop_gradient(bank, router, encoder, *args):
+        # the loop's per-group arrays, in a vector laid out like the policy's;
+        # the groups it leaves out stay NaN, which a step that read them
+        # would raise on
+        loss, grads = joint_loss_loop(bank.components, router, encoder, *args)
+        slices = group_slices(bank, router, encoder)
+        grad = np.full(slices["router"].stop, np.nan)
+        for g, arr in grads.items():
+            grad[slices[g]] = arr
+        return loss, grad
+
+    monkeypatch.setattr(fdp.composition, "joint_loss", loop_gradient)
     monkeypatch.setattr(
         fdp.policy, "composed_residual",
         lambda bank, *args: (residual_loop(bank.components, *args), None),
@@ -840,7 +866,7 @@ def test_sampling_after_a_parameter_write_matches_a_fresh_load(fitted, write, we
     for i, comp in enumerate(policy.components):
         delta = Rng(40 + i).gaussian(comp.net.param_count())
         if write == "adam":
-            Adam(lr=1e-2).step(comp.net, delta)
+            Adam(lr=1e-2).step(comp.net.vector, delta, [("component", comp.net, 0, 1.0)])
         else:
             comp.net.assign(comp.net.vector + 1e-2 * delta)
     fresh = FactorizedPolicy.from_json(policy.to_json())

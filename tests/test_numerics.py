@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fdp.numerics import (
     ACTIVATIONS,
+    ADAM_CHUNK,
     Adam,
     DimensionMismatchError,
     FeedForwardNet,
@@ -203,6 +204,29 @@ def test_net_matches_the_textbook_layer_loop_bit_for_bit(acts, rows):
         np.testing.assert_array_equal(got, ref)
 
 
+@pytest.mark.parametrize("acts", [
+    ["tanh", "identity"], ["relu", "relu"], ["identity"], ["tanh", "relu", "identity"],
+])
+@pytest.mark.parametrize("rows", [None, 1, 4])
+def test_backward_without_input_gradient_writes_the_same_parameter_gradient(acts, rows):
+    # no input gradient is returned, and the parameter gradient, written into
+    # the vector given, is the textbook loop's bit for bit
+    rng = Rng(38 + len(acts))
+    widths = [5, 7, 6, 3][: len(acts) + 1]
+    net = FeedForwardNet.init(widths, acts, rng)
+    shape = () if rows is None else (rows,)
+    x = rng.gaussian(math.prod(shape) * widths[0]).reshape(*shape, widths[0])
+    g = rng.gaussian(math.prod(shape) * widths[-1]).reshape(*shape, widths[-1])
+    _, cache = net.forward(x)
+    out = np.full(net.param_count() + 2, np.nan)
+    grad, gx = net.backward(cache, g, out[1:-1], input_grad=False)
+    assert gx is None and np.shares_memory(grad, out)
+    assert np.isnan(out[[0, -1]]).all()
+    grad_ref, _ = net_backward_loop(net, net_forward_loop(net, x)[1], g)
+    np.testing.assert_array_equal(grad, grad_ref)
+    np.testing.assert_array_equal(grad, net.backward(cache, g)[0])
+
+
 def test_an_empty_batch_gives_empty_outputs_and_zero_gradients():
     net = FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(37))
     y, cache = net.forward(np.zeros((0, 3)))
@@ -245,11 +269,16 @@ def test_stale_cache_rejected_after_param_update():
 # ---------------------------------------------------------------------------
 
 
+def adam_step(opt, net, grad):
+    """One step of a lone net, its whole vector one run at opt.lr."""
+    opt.step(net.vector, grad, [("net", net, 0, 1.0)])
+
+
 def test_adam_zero_gradient_keeps_params():
     net = FeedForwardNet([Layer(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
     before = net.vector.copy()
     opt = Adam()
-    opt.step(net, np.zeros(net.param_count()))
+    adam_step(opt, net, np.zeros(net.param_count()))
     np.testing.assert_array_equal(net.vector, before)
     assert opt.t == 1
 
@@ -260,7 +289,7 @@ def test_adam_first_step_is_lr_times_sign():
     p = net.vector.copy()
     g = np.array([0.3, -7.0])
     opt = Adam(lr=1e-3)
-    opt.step(net, g)
+    adam_step(opt, net, g)
     np.testing.assert_allclose(net.vector, p - 1e-3 * np.sign(g), rtol=0, atol=1e-9)
 
 
@@ -278,11 +307,11 @@ def test_adam_constant_gradient_matches_scalar_simulation():
     net = FeedForwardNet([Layer(np.array([[1.5]]), np.array([1.5]), "identity")])
     opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(50):
-        opt.step(net, np.array([g, g]))
+        adam_step(opt, net, np.array([g, g]))
     np.testing.assert_allclose(net.vector, [x_ref, x_ref], rtol=1e-12)
     # per-step movement approaches lr * sign(g)
     before = net.vector[0]
-    opt.step(net, np.array([g, g]))
+    adam_step(opt, net, np.array([g, g]))
     assert abs((before - net.vector[0]) - lr) < 1e-5
 
 
@@ -293,7 +322,7 @@ def test_adam_nonfinite_gradient_names_path():
     g[-1] = np.nan  # last entry of layer3.bias
     opt = Adam()
     with pytest.raises(NonFiniteError, match="layer3.bias"):
-        opt.step(net, g)
+        adam_step(opt, net, g)
     np.testing.assert_array_equal(net.vector, before)
 
 
@@ -301,7 +330,7 @@ def test_adam_shape_mismatch_rejected():
     net = FeedForwardNet.init([1, 3], "tanh", Rng(0))
     opt = Adam()
     with pytest.raises(DimensionMismatchError):
-        opt.step(net, np.zeros(net.param_count() + 1))
+        adam_step(opt, net, np.zeros(net.param_count() + 1))
 
 
 def random_net(rng):
@@ -321,7 +350,7 @@ def test_flat_adam_matches_per_array_oracle(seed):
     opt, oracle = Adam(lr=lr), DictAdam(lr=lr)
     for _ in range(5):
         grad = rng.gaussian(net.param_count())
-        opt.step(net, grad)
+        adam_step(opt, net, grad)
         params = oracle.step(params, net.layout(grad))
         for path, p in net.params().items():
             np.testing.assert_array_equal(p, params[path])
@@ -331,11 +360,62 @@ def test_flat_adam_matches_per_array_oracle(seed):
             np.testing.assert_array_equal(block, ref[path])
 
 
+def test_adam_steps_runs_of_nets_in_one_vector_like_per_array_oracles():
+    # three nets in one vector, the middle one frozen: two runs, the last at
+    # half the rate and longer than a chunk, so it is stepped in pieces
+    rng = Rng(42)
+    nets = [
+        FeedForwardNet.init([3, 4], "tanh", rng),
+        FeedForwardNet.init([2, 2], "tanh", rng),
+        FeedForwardNet.init([200, 200], "tanh", rng),
+    ]
+    vector = np.empty(sum(n.param_count() for n in nets))
+    starts = np.cumsum([0] + [n.param_count() for n in nets])
+    for net, start in zip(nets, starts):
+        net.bind(vector[start : start + net.param_count()])
+    assert nets[2].param_count() > ADAM_CHUNK
+    trained = [("a", nets[0], starts[0], 1.0), ("c", nets[2], starts[2], 0.5)]
+    frozen = nets[1].vector.copy()
+    opt = Adam(lr=0.01)
+    oracles = {name: (net, DictAdam(lr=0.01 * scale)) for name, net, _, scale in trained}
+    params = {name: {k: v.copy() for k, v in net.params().items()} for name, net, _, _ in trained}
+    for _ in range(3):
+        grad = rng.gaussian(vector.size)
+        grad[starts[1] : starts[2]] = np.nan  # a frozen slice is never read
+        opt.step(vector, grad, trained)
+        for name, (net, oracle) in oracles.items():
+            start = starts[0] if name == "a" else starts[2]
+            views = net.layout(grad[start : start + net.param_count()])
+            params[name] = oracle.step(params[name], views)
+            for path, p in net.params().items():
+                np.testing.assert_array_equal(p, params[name][path])
+    np.testing.assert_array_equal(nets[1].vector, frozen)
+    assert opt.m.size == nets[0].param_count() + nets[2].param_count()
+    assert [n.version for n in nets] == [3, 0, 3]
+
+
+def test_adam_checks_every_run_before_writing_and_names_the_net():
+    rng = Rng(43)
+    nets = [FeedForwardNet.init([3, 4], "tanh", rng), FeedForwardNet.init([2, 2], "tanh", rng)]
+    vector = np.empty(nets[0].param_count() + nets[1].param_count())
+    nets[0].bind(vector[: nets[0].param_count()])
+    nets[1].bind(vector[nets[0].param_count() :])
+    trained = [("first", nets[0], 0, 1.0), ("second", nets[1], nets[0].param_count(), 2.0)]
+    before = vector.copy()
+    grad = rng.gaussian(vector.size)
+    grad[-1] = np.inf  # the last bias entry of the second run
+    opt = Adam()
+    with pytest.raises(NonFiniteError, match="gradient of 'second' at 'layer0.bias'"):
+        opt.step(vector, grad, trained)
+    np.testing.assert_array_equal(vector, before)
+    assert opt.t == 0 and [n.version for n in nets] == [0, 0]
+
+
 def test_stale_cache_rejected_after_adam_step():
     rng = Rng(34)
     net = FeedForwardNet.init([3, 4, 2], "tanh", rng)
     _, cache = net.forward(rng.gaussian(3))
-    Adam().step(net, rng.gaussian(net.param_count()))
+    adam_step(Adam(), net, rng.gaussian(net.param_count()))
     with pytest.raises(StaleCacheError):
         net.backward(cache, np.ones(2))
 
@@ -394,7 +474,7 @@ def test_copied_and_pickled_nets_keep_layers_as_vector_views(clone):
     y, cache = twin.forward(x)
     np.testing.assert_array_equal(y, net(x))
     before = (net.checksum(), net.to_json())
-    Adam(lr=0.1).step(twin, rng.gaussian(twin.param_count()))
+    adam_step(Adam(lr=0.1), twin, rng.gaussian(twin.param_count()))
     # the step reaches forward, to_json and checksum together, on the copy only
     assert_layers_view_vector(twin)
     assert not np.array_equal(twin(x), y)

@@ -3,7 +3,9 @@
 perfbench patches wrappers onto fdp's modules and classes by name. A renamed
 or deleted name would crash every benchmark run, so this installs both patch
 layers (without running anything) and checks that each one found its targets
-and that every patched attribute is restored afterwards.
+and that every patched attribute is restored afterwards. A tiny fit and
+evaluation under both layers check that what they count still happens
+through the names they wrap.
 """
 
 import importlib.util
@@ -12,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import fdp.bench
+from fdp.policy import FactorizedPolicy, PolicyConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +67,25 @@ def test_instrumentation_installs_and_restores(layer):
         patched = _changed(before)
     assert patched, "no attribute was patched"
     assert _changed(before) == []
+
+
+def test_the_probe_and_the_tracer_still_see_training():
+    instrument = _load("instrument")
+    probe, tracer = instrument.Probe(_load("speed").WallClock()), instrument.Tracer()
+    ds = fdp.bench.generate_demos("bimodal1d", per_task=3, seed=1)
+    cfg = PolicyConfig(
+        n_components=2, diffusion_steps=5, obs_embed_dim=8, denoiser_hidden=(8,),
+        router_hidden=(4,),
+    )
+    policy = FactorizedPolicy(ds.state_dim, ds.action_dim, cfg, seed=0)
+    with instrument.installed(probe.install), instrument.installed(tracer.install):
+        policy.fit(ds, epochs=2, batch_size=16, seed=0)
+        fdp.bench.evaluate(policy, "bimodal1d", episodes_per_task=1, seeds=(0,), jobs=1)
+    phase = tracer.take()
+    batches = 2 * -(-policy.training_log_.n_train_windows // 16)
+    assert probe.problems == []
+    assert probe.counters()["epochs"] == 2 and probe.episodes > 0
+    # one optimizer step and one joint_loss call per batch
+    assert phase["counts"]["numerics.adam.steps"] == batches
+    assert phase["calls"]["composition.joint_loss"] == batches
+    assert phase["counts"]["numerics.backward.rows"] > 0

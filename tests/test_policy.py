@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fdp.policy
+import fdp.composition
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.diffusion import make_schedule
+from fdp.composition import group_slices
 from fdp.numerics import (
-    Adam, DimensionMismatchError, FeedForwardNet, Layer, Rng, StaleCacheError, decode_f64,
-    encode_f64,
+    Adam, DimensionMismatchError, FeedForwardNet, Layer, NonFiniteError, Rng, StaleCacheError,
+    decode_f64, encode_f64,
 )
 from fdp.policy import (
     ActionNormalizer,
@@ -29,7 +30,7 @@ from fdp.policy import (
 )
 
 from .oracles import (
-    DictAdam, assert_bank_serves, assert_layers_view_vector, net_backward_loop, net_forward_loop,
+    GroupAdam, assert_bank_serves, assert_layers_view_vector, net_backward_loop, net_forward_loop,
 )
 
 
@@ -227,41 +228,63 @@ def test_fit_rejects_bad_batch_size_and_epochs(field, value):
     assert policy.normalizer is None
 
 
-@pytest.mark.parametrize("trainable", [None, ["router", "component:1"]])
-def test_fit_matches_per_array_adam_and_assign(monkeypatch, trainable):
-    # the flat in-place optimizer against the reference: a per-array DictAdam
-    # per group over the layout views of its gradient, the new arrays written
-    # back through assign
+@pytest.mark.parametrize(
+    "trainable, over",
+    [
+        pytest.param(None, {}, id="None"),
+        pytest.param(["router", "component:1"], {}, id="trainable1"),  # new_module
+        pytest.param(["router"], {}, id="router"),
+        pytest.param(["router", "encoder"], {}, id="router+encoder"),
+        pytest.param(["encoder", "router", "component:1"], {}, id="new_module+encoder"),
+        pytest.param(None, {"router_lr_scale": 0.5}, id="router_lr_scale"),
+        # a component row of about 35k entries, longer than one Adam chunk
+        pytest.param(None, {"denoiser_hidden": (160, 160)}, id="chunked"),
+        pytest.param(
+            ["router", "component:1"], {"denoiser_hidden": (160, 160)}, id="chunked-new_module"
+        ),
+    ],
+)
+def test_fit_matches_per_array_adam_and_assign(monkeypatch, trainable, over):
+    # the one optimizer over the trainable runs of the vector against the
+    # per-group reference, checked before every batch and after the last
     ds = generate_demos("bimodal1d", per_task=4, seed=1)
+    policy = small_policy(seed=5, **over)
+    groups = trainable or policy.group_names()
+    frozen = {g: c for g, c in policy.group_checksums().items() if g not in groups}
+    oracle, real, pending = GroupAdam(policy, groups), fdp.composition.joint_loss, []
 
-    def fit_bytes():
-        policy = small_policy(seed=5)
-        policy.fit(ds, epochs=3, batch_size=16, seed=11, trainable=trainable)
-        return policy, (
-            canonical_json(policy.to_json()),
-            canonical_json(policy.training_log_.to_json()),
-        )
+    def checked(*args):
+        if pending:  # the step the fit took after the previous batch
+            oracle.step(pending.pop())
+        oracle.assert_matches(policy)
+        loss, grad = real(*args)
+        pending.append(grad.copy())
+        return loss, grad
 
-    _, flat = fit_bytes()
-    oracles = {}  # id(net) -> DictAdam
+    monkeypatch.setattr(fdp.composition, "joint_loss", checked)
+    policy.fit(ds, epochs=3, batch_size=16, seed=11, trainable=trainable)
+    oracle.step(pending.pop())
+    oracle.assert_matches(policy)
+    assert oracle.t == 3 * -(-policy.training_log_.n_train_windows // 16)
+    assert policy.group_checksums(list(frozen)) == frozen
 
-    class OracleAdam:
-        def __init__(self, lr):
-            self.lr = lr
 
-        def step(self, net, grad):
-            oracle = oracles.setdefault(id(net), DictAdam(lr=self.lr))
-            new = oracle.step(net.params(), net.layout(grad))
-            net.assign(np.concatenate([a.ravel() for a in new.values()]))
+def test_a_non_finite_gradient_writes_no_group(monkeypatch):
+    # the whole gradient is checked before any group is written
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy(n=3, seed=2)
+    before = policy.group_checksums()
+    real = fdp.composition.joint_loss
 
-    monkeypatch.setattr(fdp.policy, "Adam", OracleAdam)
-    policy, reference = fit_bytes()
-    stepped = {g for g in policy.group_names() if id(policy._group_net(g)) in oracles}
-    assert len(oracles) == len(stepped)
-    assert stepped == set(trainable or policy.group_names())
-    n_train = json.loads(reference[1])["n_train_windows"]
-    assert {o.t for o in oracles.values()} == {3 * -(-n_train // 16)}
-    assert flat == reference
+    def nan_in_component_1(bank, router, encoder, *args):
+        loss, grad = real(bank, router, encoder, *args)
+        grad[group_slices(bank, router, encoder)["component:1"].start] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(fdp.composition, "joint_loss", nan_in_component_1)
+    with pytest.raises(NonFiniteError, match=r"gradient of 'component:1' at 'layer0.weight'"):
+        policy.fit(ds, epochs=1, batch_size=16, seed=4)
+    assert policy.group_checksums() == before
 
 
 @pytest.mark.parametrize(
@@ -298,7 +321,7 @@ def test_an_adam_step_shows_in_the_next_bank_prediction():
     values, emb = rng.gaussian(policy.window_dim), rng.gaussian(12)
     before = bank.predict(values, emb, 4)
     net = policy.components[1].net
-    Adam(lr=1e-2).step(net, rng.gaussian(net.param_count()))
+    Adam(lr=1e-2).step(net.vector, rng.gaussian(net.param_count()), [("component:1", net, 0, 1.0)])
     assert policy.bank is bank  # no rebuild
     after = bank.predict(values, emb, 4)
     np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
@@ -315,7 +338,7 @@ def test_a_bank_cache_is_stale_once_any_component_is_written():
     grad_out = rng.gaussian(3 * values.size).reshape(3, *values.shape)
     fresh = bank.backward(cache, grad_out, [0, 1, 2])
     net = policy.components[2].net
-    Adam(lr=1e-2).step(net, fresh[2])
+    Adam(lr=1e-2).step(net.vector, fresh[2], [("component:2", net, 0, 1.0)])
     assert policy.bank is bank
     with pytest.raises(StaleCacheError):
         bank.backward(cache, grad_out, [0, 1, 2])
@@ -342,8 +365,33 @@ def test_bank_matches_the_textbook_layer_loop_per_component(activation, rows, ba
         np.testing.assert_array_equal(preds[i], y)
         if i in rows:  # in index order, as the bank adds them
             grad, gx = net_backward_loop(comp.net, trace, grad_out[rows.index(i)])
-            np.testing.assert_array_equal(grads[rows.index(i)], grad)
+            np.testing.assert_array_equal(grads[i], grad)
             demb_ref += gx[:, d : d + 12]
+    np.testing.assert_array_equal(demb, demb_ref)
+
+
+@pytest.mark.parametrize(
+    "hidden, emb_dim, batch",
+    [((24, 24), 32, 96), ((256, 256), 64, 64), ((256, 256), 64, 1)],
+    ids=["acceptance", "cli", "cli-one-row"],
+)
+def test_bank_embedding_gradient_matches_the_textbook_loop_at_full_widths(hidden, emb_dim, batch):
+    # layer 0's input gradient is a product with the embedding's weight rows
+    # alone; at the widths the acceptance suite and the CLI train, its sum
+    # equals the textbook loop's embedding columns bit for bit
+    policy = small_policy(n=3, seed=7, action_dim=2, obs_embed_dim=emb_dim, denoiser_hidden=hidden)
+    bank, rng, d = policy.bank, Rng(8), policy.window_dim
+    values = rng.gaussian(batch * d).reshape(batch, d)
+    emb = rng.gaussian(batch * emb_dim).reshape(batch, emb_dim)
+    ks = rng.integers(1, 11, batch)
+    _, cache = bank.forward(values, emb, ks)
+    grad_out = rng.gaussian(3 * values.size).reshape(3, *values.shape)
+    demb, demb_ref = np.zeros_like(emb), np.zeros_like(emb)
+    bank.backward(cache, grad_out, [0, 1, 2], demb)
+    x = np.concatenate([values, emb, bank.step_table[ks - 1]], axis=1)
+    for comp, g in zip(policy.components, grad_out):
+        _, gx = net_backward_loop(comp.net, net_forward_loop(comp.net, x)[1], g)
+        demb_ref += gx[:, d : d + emb_dim]
     np.testing.assert_array_equal(demb, demb_ref)
 
 
