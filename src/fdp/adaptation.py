@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bench import EpisodeDataset, merge_datasets, sample_replay
-from .numerics import FeedForwardNet, Layer, Rng
+from .numerics import FeedForwardNet, Rng
 from .policy import FactorizedPolicy, TrainingLog
 
 STRATEGIES = ("full", "router", "router+encoder", "new_module")
@@ -89,10 +89,8 @@ def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
     The new component starts with logit 0, i.e. the uniform share under the
     softmax of the existing logits plus one; existing weights are untouched.
     """
-    *body, last = net.layers
-    w = np.concatenate([last.weight, np.zeros((last.weight.shape[0], 1))], axis=1)
-    b = np.concatenate([last.bias, [0.0]])
-    return FeedForwardNet([*body, Layer(w, b, last.activation)])
+    *body, (w, b, act) = net.layers
+    return FeedForwardNet([*body, (np.pad(w, ((0, 0), (0, 1))), np.append(b, 0.0), act)])
 
 
 def upcycle_component(

@@ -2,9 +2,9 @@
 an Adam optimizer, and a counter-based RNG whose streams are portable.
 
 Everything here is deliberately boring: plain numpy arrays, explicit shapes,
-no autodiff graph. Each network has one contiguous float64 parameter vector
-(its own, or a row of a matrix it is bound to), and every layer's weight and
-bias are views into it. Gradients are vectors laid out the same way. Writes
+no autodiff graph. A network is its widths, its activations and one
+contiguous float64 parameter vector (its own, or a row of a matrix it is bound
+to), of which every layer's weight and bias are views. Gradients are vectors laid out the same way. Writes
 go through ``assign`` or an ``Adam`` step, which update the vector in place
 and bump the net's version so stale backward caches can be detected. Dense
 forward and backward are written once, for a stack of nets of one
@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("tanh", "relu", "identity")
-
 
 class DimensionMismatchError(ValueError):
     """Input or gradient shape incompatible with a layer; names the layer."""
@@ -138,21 +135,22 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-# every activation but identity as (ufunc, operands after z): ufunc(z, *operands)
-ACT_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,))}
+# every activation as (ufunc, operands after z): ufunc(z, *operands), None for identity
+ACT_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,)), "identity": (None, ())}
+ACTIVATIONS = tuple(ACT_UFUNCS)
 
 
-def stack_forward(layers, x: np.ndarray) -> list:
+def stack_forward(layers, x: np.ndarray, outs=None) -> list:
     """Every activation of N nets of one architecture, [x, a_1, ..., a_L]:
     layers holds one (N, fan_in, fan_out) weight, (N, 1, fan_out) bias and
-    activation per layer, and x is one (1, B, fan_in) input for all N; each
-    layer is one np.matmul, which numpy runs as one BLAS call per net."""
+    ``ACT_UFUNCS`` activation per layer, and x is one (1, B, fan_in) input for
+    all N; each layer is one np.matmul, which numpy runs as one BLAS call per
+    net, into outs[j] if given (caller-owned (N, B, fan_out) buffers)."""
     acts = [x]
-    for weight, bias, act in layers:
-        a = np.matmul(acts[-1], weight)
+    for (weight, bias, (ufunc, operands)), out in zip(layers, outs or [None] * len(layers)):
+        a = np.matmul(acts[-1], weight, out=out)
         a += bias
-        if act != "identity":
-            ufunc, operands = ACT_UFUNCS[act]
+        if ufunc is not None:
             ufunc(a, *operands, out=a)
         acts.append(a)
     return acts
@@ -167,11 +165,11 @@ def stack_backward(layers, acts, g, grad_views, rows, input_cols):
     input_cols (a slice), from their weight rows alone, or with input_cols
     falsy returns None, and then layer 0 computes none."""
     for j in range(len(layers) - 1, -1, -1):
-        weight, _, act = layers[j]
-        if act == "tanh":  # the derivative wrt z from a, 1 - a * a, in one buffer
+        weight, _, (ufunc, _) = layers[j]
+        if ufunc is np.tanh:  # the derivative wrt z from a, 1 - a * a, in one buffer
             d = np.square(acts[j + 1][rows])
             g = np.multiply(g, np.subtract(1.0, d, out=d), out=d)
-        elif act == "relu":  # a > 0 is z > 0; identity's gradient is a product with ones
+        elif ufunc is np.maximum:  # relu: a > 0 is z > 0; identity's is a product with ones
             g = g * np.where(acts[j + 1][rows] > 0.0, 1.0, 0.0)
         x = acts[j] if j == 0 else acts[j][rows]
         np.matmul(x.transpose(0, 2, 1), g, out=grad_views[2 * j])
@@ -183,53 +181,42 @@ def stack_backward(layers, acts, g, grad_views, rows, input_cols):
     return None
 
 
-@dataclass
-class Layer:
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
-    activation: str
-
-    def __post_init__(self):
-        self.weight = as_f64(self.weight, "weight")
-        self.bias = as_f64(self.bias, "bias")
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise DimensionMismatchError("layer expects 2-d weight and 1-d bias")
-        if self.weight.shape[1] != self.bias.shape[0]:
-            raise DimensionMismatchError(
-                f"weight cols {self.weight.shape[1]} != bias length {self.bias.shape[0]}"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'")
-
-
 class FeedForwardNet:
     """Dense MLP over float64 with per-layer activations and exact gradients.
 
-    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). One
-    contiguous float64 ``vector`` holds every parameter, layer by layer,
-    weight (row-major) then bias; each layer's ``weight`` and ``bias`` are
-    C-contiguous views into it, copied from the given layers. ``bind`` moves
-    it into a row of a shared matrix, such as a component store. ``layout``
-    gives the same views into any vector laid out like it, such as the
-    gradient ``backward`` returns. Parameter updates go through ``assign`` or
-    ``Adam.step``, which write the vector in place and bump an internal
-    version; ``backward`` refuses caches recorded under an older version.
+    Rows are samples: ``forward`` accepts (d_in,) or (batch, d_in). A net is
+    its ``widths``, its ``activations`` and one contiguous float64
+    ``vector`` holding every parameter, layer by layer, weight (row-major)
+    then bias. ``bind`` moves it into a row of a shared matrix, such as a
+    component store. ``layout`` gives each layer's weight and bias views into
+    any vector laid out like it, such as the gradient ``backward`` returns,
+    and ``layers`` the (weight, bias, activation) triples of ``vector``.
+    Parameter updates go through ``assign`` or ``Adam.step``, which write the
+    vector in place and bump an internal version; ``backward`` refuses
+    caches recorded under an older version.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers):
+        """From (weight, bias, activation) triples, copied into ``vector``;
+        shapes, activations and finiteness are checked, naming the layer."""
         if not layers:
             raise ValueError("net needs at least one layer")
-        for i in range(1, len(layers)):
-            if layers[i].weight.shape[0] != layers[i - 1].weight.shape[1]:
+        ws = [np.asarray(w, dtype=np.float64) for w, _, _ in layers]
+        bs = [np.asarray(b, dtype=np.float64) for _, b, _ in layers]
+        self.activations = [act for _, _, act in layers]
+        for i, (w, b, act) in enumerate(zip(ws, bs, self.activations)):
+            if w.ndim != 2 or b.shape != w.shape[1:]:
+                raise DimensionMismatchError(f"layer {i} has weight {w.shape} and bias {b.shape}")
+            if i and w.shape[0] != ws[i - 1].shape[1]:
                 raise DimensionMismatchError(
-                    f"layer {i} fan_in {layers[i].weight.shape[0]} != "
-                    f"layer {i - 1} fan_out {layers[i - 1].weight.shape[1]}"
+                    f"layer {i} fan_in {w.shape[0]} != layer {i - 1} fan_out {ws[i - 1].shape[1]}"
                 )
-        self.layers = layers  # layout() reads only the shapes
-        self.vector = np.concatenate(
-            [a.ravel() for l in layers for a in (l.weight, l.bias)]
-        )
-        self.bind(self.vector)
+            if act not in ACTIVATIONS:
+                raise ValueError(f"layer {i} has unknown activation {act!r}")
+        self.widths = [ws[0].shape[0]] + [w.shape[1] for w in ws]
+        self.vector = np.concatenate([a.ravel() for w, b in zip(ws, bs) for a in (w, b)])
+        self._check_finite_blocks(self.vector, "parameter")
+        self._stack = self.stacked(self.vector[None])  # a one-net stack, rebuilt by bind
         self._version = 0
 
     # -- construction -------------------------------------------------------
@@ -253,7 +240,7 @@ class FeedForwardNet:
             fan_in, fan_out = widths[i], widths[i + 1]
             w = rng.gaussian(fan_in * fan_out).reshape(fan_in, fan_out)
             w *= 1.0 / math.sqrt(fan_in)
-            layers.append(Layer(w, np.zeros(fan_out), act))
+            layers.append((w, np.zeros(fan_out), act))
         return cls(layers)
 
     # -- introspection ------------------------------------------------------
@@ -263,22 +250,19 @@ class FeedForwardNet:
         return self._version
 
     @property
-    def widths(self) -> list[int]:
-        return [self.layers[0].weight.shape[0]] + [
-            l.weight.shape[1] for l in self.layers
-        ]
-
-    @property
-    def activations(self) -> list[str]:
-        return [l.activation for l in self.layers]
-
-    @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
+        return self.widths[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
+        return self.widths[-1]
+
+    @property
+    def layers(self) -> list:
+        """(weight, bias, activation) per layer, the weight and bias views of
+        ``vector``."""
+        views = list(self.params().values())
+        return list(zip(views[::2], views[1::2], self.activations))
 
     def param_count(self) -> int:
         return self.vector.size
@@ -287,11 +271,12 @@ class FeedForwardNet:
         """Views into ``flat``, a vector laid out like ``vector`` or a matrix
         of such rows, keyed 'layer{i}.weight' / 'layer{i}.bias' in order."""
         out, offset = {}, 0
-        for i, l in enumerate(self.layers):
-            for name, p in (("weight", l.weight), ("bias", l.bias)):
-                block = flat[..., offset : offset + p.size]
-                out[f"layer{i}.{name}"] = block.reshape(*flat.shape[:-1], *p.shape)
-                offset += p.size
+        for i, (fan_in, fan_out) in enumerate(zip(self.widths, self.widths[1:])):
+            for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
+                size = math.prod(shape)
+                block = flat[..., offset : offset + size]
+                out[f"layer{i}.{name}"] = block.reshape(*flat.shape[:-1], *shape)
+                offset += size
         return out
 
     def params(self) -> dict[str, np.ndarray]:
@@ -308,22 +293,20 @@ class FeedForwardNet:
 
     def bind(self, vector: np.ndarray) -> None:
         """Move the parameters into ``vector`` (a writable float64 vector of
-        ``param_count()`` entries, such as a row of a component store) and
-        make the layers views into it; values and version stay."""
+        ``param_count()`` entries, such as a row of a component store); values
+        and version stay, and nothing is re-checked."""
         vector[...] = self.vector
-        views = list(self.layout(vector).values())
-        self.vector, self.layers = vector, [
-            Layer(w, b, l.activation) for w, b, l in zip(views[::2], views[1::2], self.layers)
-        ]
-        self._stack = self.stacked(vector[None])  # a one-net stack, built once
+        self.vector = vector
+        self._stack = self.stacked(vector[None])
 
     def stacked(self, store: np.ndarray) -> list:
         """The ``stack_forward`` layers of an (N, P) matrix of vectors laid out
         like ``vector``: (N, fan_in, fan_out) weight and (N, 1, fan_out) bias
-        views of it, and each layer's activation."""
+        views of it, and each layer's ``ACT_UFUNCS`` entry."""
         views = list(self.layout(store).values())
         return [
-            (w, b[:, None], l.activation) for w, b, l in zip(views[::2], views[1::2], self.layers)
+            (w, b[:, None], ACT_UFUNCS[act])
+            for w, b, act in zip(views[::2], views[1::2], self.activations)
         ]
 
     def assign(self, values) -> None:
@@ -343,10 +326,8 @@ class FeedForwardNet:
         return FeedForwardNet(self.layers)
 
     def __reduce__(self):
-        # Deep copies and pickles rebuild the vector from the layers, so the
-        # layers of the copy are views into its vector. (numpy would copy each
-        # view into an array of its own, and writes to the copy's vector
-        # would not reach its layers.)
+        # Deep copies and pickles rebuild the vector from the layers. (numpy
+        # would copy the vector, a view of a larger one once bound, on its own.)
         return FeedForwardNet, (self.layers,), {"_version": self._version}
 
     def checksum(self) -> str:
@@ -406,15 +387,9 @@ class FeedForwardNet:
         Arrays are base64 of raw little-endian float64, row-major.
         """
         return {
-            "widths": self.widths,
-            "activations": self.activations,
-            "layers": [
-                {
-                    "weight": encode_f64(l.weight),
-                    "bias": encode_f64(l.bias),
-                }
-                for l in self.layers
-            ],
+            "widths": list(self.widths),
+            "activations": list(self.activations),
+            "layers": [{"weight": encode_f64(w), "bias": encode_f64(b)} for w, b, _ in self.layers],
         }
 
     @classmethod
@@ -440,7 +415,7 @@ class FeedForwardNet:
                         f"'widths' implies shape {shape}"
                     )
                 arrays.append(arr.reshape(shape))
-            layers.append(Layer(*arrays, act))
+            layers.append((*arrays, act))
         return cls(layers)
 
 

@@ -24,7 +24,7 @@ from .composition import (
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
-from .numerics import ACT_UFUNCS, ACTIVATIONS, stack_backward, stack_forward
+from .numerics import ACTIVATIONS, stack_backward, stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -174,7 +174,8 @@ class ComponentBank:
         values columns of its (K + 1, 1, width) input, row 0 set to values, row
         i feeding step K - i, its embedding and step columns (none in a bank of
         other components) written once; also one (N, 1, fan_out) activation per
-        layer, and the sampler's (N, dim) ``terms``, ``eps_hat`` and ``x0``."""
+        layer (``stack_forward``'s outs), and the sampler's (N, dim) ``terms``,
+        ``eps_hat`` and ``x0``."""
         n, dim, self.chain_emb = len(self), len(values), obs_embedding
         width = dim if self.layers is None else self.layers[0][0].shape[1]
         self.inputs = np.empty((steps + 1, 1, width))
@@ -185,11 +186,8 @@ class ComponentBank:
                 raise DimensionMismatchError(f"layer 0 expects input width {width}, got {got}")
             self.inputs[:, 0, self.emb_cols] = obs_embedding
             self.inputs[:steps, 0, self.emb_cols.stop :] = self.step_table[steps - 1 :: -1]
-            self.chain = [
-                (w, b, np.empty((n, 1, w.shape[2])), *ACT_UFUNCS.get(act, (None, ())))
-                for w, b, act in self.layers
-            ]
-            self.chain_out = self.chain[-1][2][:, 0]
+            self.chain = [np.empty((n, 1, w.shape[2])) for w, _, _ in self.layers]
+            self.chain_out = self.chain[-1][:, 0]
         self.inputs[0, 0, :dim] = values
         return self.inputs[:, 0, :dim]
 
@@ -199,13 +197,7 @@ class ComponentBank:
         components)."""
         if self.layers is None:
             return self.predict(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)
-        a = self.inputs[i]
-        for weight, bias, out, ufunc, operands in self.chain:
-            np.matmul(a, weight, out=out)
-            out += bias
-            if ufunc is not None:
-                ufunc(out, *operands, out=out)
-            a = out
+        stack_forward(self.layers, self.inputs[i], self.chain)
         return self.chain_out
 
     def predict(self, values, obs_embedding, k) -> np.ndarray:

@@ -348,7 +348,7 @@ def assert_layers_view_vector(net, flat=None):
     be a view, such as a row of a component store: each block must start at
     its own offset into flat's memory."""
     if flat is None:
-        flat, blocks = net.vector, [a for l in net.layers for a in (l.weight, l.bias)]
+        flat, blocks = net.vector, [a for w, b, _ in net.layers for a in (w, b)]
     else:
         blocks = list(net.layout(flat).values())
     assert flat.ndim == 1 and flat.flags.c_contiguous

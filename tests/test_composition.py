@@ -26,7 +26,7 @@ from fdp.composition import (
     weighted_sum,
 )
 from fdp.diffusion import make_schedule
-from fdp.numerics import Adam, FeedForwardNet, Layer, Rng
+from fdp.numerics import Adam, FeedForwardNet, Rng
 from fdp.policy import (
     NORMALIZED_CLAMP,
     ComponentBank,
@@ -53,7 +53,7 @@ from .oracles import (
 def constant_logit_router(logits, temperature=1.0):
     """Router whose net ignores its input and emits fixed logits."""
     n = len(logits)
-    net = FeedForwardNet([Layer(np.zeros((3, n)), np.array(logits, float), "identity")])
+    net = FeedForwardNet([(np.zeros((3, n)), np.array(logits, float), "identity")])
     return Router(net, temperature)
 
 
@@ -277,7 +277,7 @@ def test_single_component_joint_loss_reduces_to_component_loss():
     from fdp.diffusion import component_loss
 
     sched, _, _, bank = _tiny_setup(n_components=1)
-    encoder = FeedForwardNet([Layer(np.eye(4), np.zeros(4), "identity")])
+    encoder = FeedForwardNet([(np.eye(4), np.zeros(4), "identity")])
     router = Router(FeedForwardNet.init([4, 1], ["identity"], Rng(3)))
     obs = Rng(4).gaussian(4)
     window = Rng(5).gaussian(6) * 0.3
@@ -301,7 +301,7 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
             vshape, eshape = cache
             return np.zeros(0), np.zeros(vshape), np.zeros(eshape)
 
-    encoder = FeedForwardNet([Layer(np.eye(3), np.zeros(3), "identity")])
+    encoder = FeedForwardNet([(np.eye(3), np.zeros(3), "identity")])
     router = Router(FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(1)))
     windows = np.zeros((5, 6))  # a0 = 0 makes the echo exact
     obs = Rng(2).gaussian(15).reshape(5, 3)

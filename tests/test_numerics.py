@@ -15,7 +15,6 @@ from fdp.numerics import (
     Adam,
     DimensionMismatchError,
     FeedForwardNet,
-    Layer,
     NonFiniteError,
     Rng,
     StaleCacheError,
@@ -60,7 +59,7 @@ def rel_err(a, b):
 
 
 def test_identity_single_layer_passes_input_through():
-    net = FeedForwardNet([Layer(np.eye(4), np.zeros(4), "identity")])
+    net = FeedForwardNet([(np.eye(4), np.zeros(4), "identity")])
     x = np.array([0.3, -1.2, 0.0, 2.5])
     y = net(x)
     np.testing.assert_array_equal(y, x)
@@ -68,7 +67,7 @@ def test_identity_single_layer_passes_input_through():
 
 def test_zero_weight_net_returns_bias():
     b = np.array([1.0, -2.0, 0.5])
-    net = FeedForwardNet([Layer(np.zeros((5, 3)), b, "identity")])
+    net = FeedForwardNet([(np.zeros((5, 3)), b, "identity")])
     for x in (np.zeros(5), np.ones(5), Rng(3).gaussian(5)):
         np.testing.assert_array_equal(net(x), b)
 
@@ -78,9 +77,7 @@ def test_forward_matches_straight_line_reimplementation():
     rng = Rng(11)
     net = FeedForwardNet.init([6, 5, 4, 3], ["tanh", "relu", "identity"], rng)
     x = rng.gaussian(6)
-    w0, b0 = net.layers[0].weight, net.layers[0].bias
-    w1, b1 = net.layers[1].weight, net.layers[1].bias
-    w2, b2 = net.layers[2].weight, net.layers[2].bias
+    (w0, b0, _), (w1, b1, _), (w2, b2, _) = net.layers
     a1 = np.tanh(x @ w0 + b0)
     a2 = np.maximum(a1 @ w1 + b1, 0.0)
     expected = a2 @ w2 + b2
@@ -103,8 +100,8 @@ def test_forward_dimension_mismatch_names_layer():
 
 
 def test_incompatible_layer_chain_rejected():
-    l0 = Layer(np.zeros((3, 4)), np.zeros(4), "tanh")
-    l1 = Layer(np.zeros((5, 2)), np.zeros(2), "identity")
+    l0 = (np.zeros((3, 4)), np.zeros(4), "tanh")
+    l1 = (np.zeros((5, 2)), np.zeros(2), "identity")
     with pytest.raises(DimensionMismatchError, match="layer 1"):
         FeedForwardNet([l0, l1])
 
@@ -118,7 +115,7 @@ def test_linear_net_gradient_closed_form():
     # y = W x, upstream g  =>  dL/dW = x g^T (our layout: (fan_in, fan_out))
     rng = Rng(21)
     w = rng.gaussian(12).reshape(4, 3)
-    net = FeedForwardNet([Layer(w, np.zeros(3), "identity")])
+    net = FeedForwardNet([(w, np.zeros(3), "identity")])
     x = rng.gaussian(4)
     g = rng.gaussian(3)
     _, cache = net.forward(x)
@@ -275,7 +272,7 @@ def adam_step(opt, net, grad):
 
 
 def test_adam_zero_gradient_keeps_params():
-    net = FeedForwardNet([Layer(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
+    net = FeedForwardNet([(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
     before = net.vector.copy()
     opt = Adam()
     adam_step(opt, net, np.zeros(net.param_count()))
@@ -285,7 +282,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_is_lr_times_sign():
     # from zero moments, bias correction makes |update| = lr exactly
-    net = FeedForwardNet([Layer(np.array([[1.0]]), np.array([-2.0]), "identity")])
+    net = FeedForwardNet([(np.array([[1.0]]), np.array([-2.0]), "identity")])
     p = net.vector.copy()
     g = np.array([0.3, -7.0])
     opt = Adam(lr=1e-3)
@@ -304,7 +301,7 @@ def test_adam_constant_gradient_matches_scalar_simulation():
         v = b2 * v + (1 - b2) * g * g
         x_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
-    net = FeedForwardNet([Layer(np.array([[1.5]]), np.array([1.5]), "identity")])
+    net = FeedForwardNet([(np.array([[1.5]]), np.array([1.5]), "identity")])
     opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(50):
         adam_step(opt, net, np.array([g, g]))
@@ -424,17 +421,18 @@ def test_layers_share_memory_with_vector():
     net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], Rng(7))
     copy = net.copy()
     clone = FeedForwardNet.from_json(net.to_json())
-    identity = FeedForwardNet([Layer(np.eye(3), np.zeros(3), "identity")])
+    identity = FeedForwardNet([(np.eye(3), np.zeros(3), "identity")])
     for n in (net, copy, clone, identity):
         assert_layers_view_vector(n)
         assert n.vector.flags.writeable
     assert not np.shares_memory(copy.vector, net.vector)
     assert not np.shares_memory(clone.vector, net.vector)
     # a write through a layer view is a write to the vector, and vice versa
-    net.layers[1].bias[0] = 9.0
+    (w0, _, _), (_, b1, _) = net.layers
+    b1[0] = 9.0
     assert net.vector[-3] == 9.0
     net.vector[0] = -9.0
-    assert net.layers[0].weight[0, 0] == -9.0
+    assert w0[0, 0] == -9.0
     assert copy.vector[0] != -9.0
 
 
@@ -525,8 +523,9 @@ def test_backward_returns_a_fresh_vector_laid_out_like_the_parameters():
     np.testing.assert_array_equal(grad, again)
     assert_layers_view_vector(net, grad)
     # each block is the textbook product of its layer, in params() order
-    z0 = x @ net.layers[0].weight + net.layers[0].bias
-    dz0 = (g @ net.layers[1].weight.T) * (1.0 - np.tanh(z0) ** 2)
+    (w0, b0, _), (w1, _, _) = net.layers
+    z0 = x @ w0 + b0
+    dz0 = (g @ w1.T) * (1.0 - np.tanh(z0) ** 2)
     expected = {
         "layer0.weight": x.T @ dz0, "layer0.bias": dz0.sum(axis=0),
         "layer1.weight": np.tanh(z0).T @ g, "layer1.bias": g.sum(axis=0),
