@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, as_f64
+from .numerics import Rng, as_f64, json_fields
 from .policy import ActionNormalizer, canonical_json, rollout
 
 SUITES = ("reach4", "pick-side", "drawer-line", "bimodal1d", "continual12")
@@ -382,16 +382,16 @@ class EpisodeDataset:
                         f"dataset field 'normalizer' has '{bound}' of shape {shape}, "
                         f"but the header's 'action_dim' is {header['action_dim']}: {path}"
                     )
-            episodes = [
-                Episode(
-                    task=rec["task"],
-                    task_id=rec["task_id"],
-                    observations=np.asarray(rec["observations"]),
-                    actions=np.asarray(rec["actions"]),
-                    success=rec["success"],
-                )
-                for rec in map(json.loads, f)
-            ]
+            episodes = []
+            for line_no, line in enumerate(f, start=2):
+                try:
+                    keys = ("task", "task_id", "observations", "actions", "success")
+                    rec = json_fields(json.loads(line), *keys)
+                    if type(rec[1]) is not int:
+                        raise ValueError(f"field 'task_id' is {rec[1]!r}, not an int")
+                    episodes.append(Episode(*rec))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"dataset line {line_no}: {exc}: {path}") from exc
         for i, ep in enumerate(episodes):
             for name, dim in (("observations", "state_dim"), ("actions", "action_dim")):
                 arr = getattr(ep, name)

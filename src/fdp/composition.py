@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule, forward_noise, reverse_mean
-from .numerics import FeedForwardNet, Rng, as_f64
+from .numerics import FeedForwardNet, Rng, as_f64, json_fields
 
 SIMPLEX_TOL = 1e-6
 
@@ -88,7 +88,8 @@ class Router:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Router":
-        return cls(FeedForwardNet.from_json(obj["net"]), float(obj["temperature"]))
+        net, temperature = json_fields(obj, "net", "temperature")
+        return cls(FeedForwardNet.from_json(net), float(temperature))
 
 
 def check_simplex(w: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:

@@ -54,10 +54,7 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.K < 2:
             raise ScheduleError(f"need at least 2 diffusion steps, got K={self.K}")
-        b = self.betas
-        if not (np.all(b > 0.0) and np.all(b < 1.0)):
-            raise ScheduleError("betas must lie strictly in (0, 1)")
-        if np.any(np.diff(b) < -1e-12):
+        if np.any(np.diff(self.betas) < -1e-12):
             raise ScheduleError("betas must be monotone non-decreasing")
         ab = self.alpha_bar
         if ab[0] != 1.0:
@@ -84,6 +81,8 @@ def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
     betas = as_f64(betas, "betas")
     if betas.shape != (K,):  # before the tables index K entries
         raise ScheduleError(f"betas must have length K={K}, got shape {betas.shape}")
+    if not (np.all(betas > 0.0) and np.all(betas < 1.0)):  # before the tables take roots
+        raise ScheduleError("betas must lie strictly in (0, 1)")
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
     sigma = np.sqrt(betas)
     sigma[0] = 0.0

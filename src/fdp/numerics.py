@@ -4,11 +4,12 @@ an Adam optimizer, and a counter-based RNG whose streams are portable.
 Everything here is deliberately boring: plain numpy arrays, explicit shapes,
 no autodiff graph. A network is its widths, its activations and one
 contiguous float64 parameter vector (its own, or a row of a matrix it is bound
-to), of which every layer's weight and bias are views. Gradients are vectors laid out the same way. Writes
-go through ``assign`` or an ``Adam`` step, which update the vector in place
-and bump the net's version so stale backward caches can be detected. Dense
-forward and backward are written once, for a stack of nets of one
-architecture (``stack_forward``/``stack_backward``); a net is a stack of one.
+to), of which every layer's weight and bias are views. Gradients are vectors
+laid out the same way. Writes go through ``assign`` or an ``Adam`` step, which
+update the vector in place and bump the net's version so stale backward
+caches can be detected. Dense forward and backward are written once, for a
+stack of nets of one architecture (``stack_forward``/``stack_backward``); a
+net is a stack of one.
 """
 
 from __future__ import annotations
@@ -148,11 +149,11 @@ def stack_forward(layers, x: np.ndarray, outs=None) -> list:
     net, into outs[j] if given (caller-owned (N, B, fan_out) buffers)."""
     acts = [x]
     for (weight, bias, (ufunc, operands)), out in zip(layers, outs or [None] * len(layers)):
-        a = np.matmul(acts[-1], weight, out=out)
-        a += bias
+        x = np.matmul(x, weight, out=out)
+        x += bias
         if ufunc is not None:
-            ufunc(a, *operands, out=a)
-        acts.append(a)
+            ufunc(x, *operands, out=x)
+        acts.append(x)
     return acts
 
 
@@ -326,8 +327,10 @@ class FeedForwardNet:
         return FeedForwardNet(self.layers)
 
     def __reduce__(self):
-        # Deep copies and pickles rebuild the vector from the layers. (numpy
-        # would copy the vector, a view of a larger one once bound, on its own.)
+        # Deep copies and pickles rebuild the net from its layers, so the
+        # copy's one-row stack views its own vector. (numpy would copy each
+        # view into an array of its own, and writes to the copy's vector
+        # would not reach its forward.)
         return FeedForwardNet, (self.layers,), {"_version": self._version}
 
     def checksum(self) -> str:
@@ -394,21 +397,26 @@ class FeedForwardNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeedForwardNet":
-        """Inverse of ``to_json``; a field that disagrees with 'widths'
-        raises ValueError naming it."""
-        widths = obj["widths"]
-        for name in ("layers", "activations"):
-            if len(obj[name]) != len(widths) - 1:
+        """Inverse of ``to_json``; a missing or malformed field, or one that
+        disagrees with 'widths', raises ValueError naming it."""
+        widths, activations, recs = json_fields(obj, "widths", "activations", "layers")
+        if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
+            raise ValueError(f"field 'widths' must be a list of ints, got {widths!r}")
+        for name, entries in (("layers", recs), ("activations", activations)):
+            if len(entries) != len(widths) - 1:
                 raise ValueError(
-                    f"field '{name}' has {len(obj[name])} entries, but 'widths' "
+                    f"field '{name}' has {len(entries)} entries, but 'widths' "
                     f"{widths} implies {len(widths) - 1}"
                 )
         layers = []
-        for i, (rec, act) in enumerate(zip(obj["layers"], obj["activations"])):
+        for i, (rec, act) in enumerate(zip(recs, activations)):
             arrays = []
             fan_in, fan_out = widths[i], widths[i + 1]
             for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
-                arr = decode_f64(rec[name])
+                try:
+                    arr = decode_f64(rec[name])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"field 'layers[{i}].{name}' is not base64: {exc!r}") from exc
                 if arr.size != math.prod(shape):
                     raise ValueError(
                         f"field 'layers[{i}].{name}' holds {arr.size} values, but "
@@ -417,6 +425,17 @@ class FeedForwardNet:
                 arrays.append(arr.reshape(shape))
             layers.append((*arrays, act))
         return cls(layers)
+
+
+def json_fields(obj, *keys) -> list:
+    """obj[key] for each key; a missing key (or obj not a JSON object)
+    raises ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"field '{key}' is missing")
+    return [obj[key] for key in keys]
 
 
 def encode_f64(arr: np.ndarray) -> str:

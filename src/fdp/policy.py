@@ -24,6 +24,7 @@ from .composition import (
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
+from .numerics import json_fields
 from .numerics import ACTIVATIONS, stack_backward, stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
@@ -104,11 +105,8 @@ class DenoiserComponent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DenoiserComponent":
-        return cls(
-            FeedForwardNet.from_json(obj["net"]),
-            int(obj["window_dim"]),
-            int(obj["step_dim"]),
-        )
+        net, window_dim, step_dim = json_fields(obj, "net", "window_dim", "step_dim")
+        return cls(FeedForwardNet.from_json(net), int(window_dim), int(step_dim))
 
 
 class ComponentBank:
@@ -292,7 +290,7 @@ class ActionNormalizer:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ActionNormalizer":
-        return cls(np.asarray(obj["lo"]), np.asarray(obj["hi"]))
+        return cls(*json_fields(obj, "lo", "hi"))
 
 
 @dataclass
@@ -334,7 +332,7 @@ class PolicyConfig:
             )
         for name in ("learning_rate", "router_lr_scale", "router_temperature"):
             rate = getattr(self, name)
-            if not (math.isfinite(rate) and rate > 0.0):
+            if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {rate}")
         if self.obs_embed_dim < 1:
             raise ValueError(f"obs_embed_dim must be >= 1, got {self.obs_embed_dim}")
@@ -752,16 +750,19 @@ class FactorizedPolicy:
             raise ValueError(f"not a policy checkpoint: format={obj.get('format')!r}")
         if obj.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
-        n = len(obj["components"])
+        sizes = ("obs_dim", "action_dim", "seed")
+        json_fields(obj, *sizes, "config", "normalizer", "schedule", "encoder", "router")
+        n = len(json_fields(obj, "components")[0])
         if n == 0:
             raise ValueError("checkpoint field 'components' is empty")
-        cfg = _load_field("config", PolicyConfig.from_json, {**obj["config"], "n_components": n})
         policy = cls.__new__(cls)
-        policy.obs_dim = int(obj["obs_dim"])
-        policy.action_dim = int(obj["action_dim"])
-        policy.config = cfg
-        policy.seed = int(obj["seed"])
-        policy.normalizer = ActionNormalizer.from_json(obj["normalizer"])
+        policy.obs_dim, policy.action_dim, policy.seed = (
+            _load_field(key, int, obj[key]) for key in sizes
+        )
+        policy.config = cfg = _load_field(
+            "config", lambda c: PolicyConfig.from_json({**c, "n_components": n}), obj["config"]
+        )
+        policy.normalizer = _load_field("normalizer", ActionNormalizer.from_json, obj["normalizer"])
         if policy.normalizer.lo.shape != (policy.action_dim,):
             raise ValueError(
                 f"checkpoint field 'normalizer' has shape {policy.normalizer.lo.shape}, "
@@ -821,10 +822,11 @@ class FactorizedPolicy:
 
 
 def _load_field(name: str, load, obj):
-    """load(obj); a ValueError is re-raised naming the checkpoint field."""
+    """load(obj); a ValueError or TypeError is re-raised as a ValueError
+    naming the checkpoint field."""
     try:
         return load(obj)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint field '{name}': {exc}") from exc
 
 

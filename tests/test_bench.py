@@ -1,6 +1,8 @@
 """Benchmark suite: envs, scripted experts, demo generation, evaluation."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,52 @@ def test_dataset_load_rejects_header_mismatch(tmp_path, header, episode, message
     _rewrite_dataset(path, header, episode)
     with pytest.raises(ValueError, match=message):
         EpisodeDataset.load(path)
+
+
+def _without(rec, key):
+    rec = dict(rec)
+    del rec[key]
+    return json.dumps(rec)
+
+
+# the second episode record (file line 3) rewritten in one way, and the field
+# its error must name
+DATASET_LINE_MUTATIONS = {
+    "malformed line": (lambda rec: json.dumps(rec)[:-5], "dataset line 3: "),
+    "not an object": (lambda rec: json.dumps([rec]), "dataset line 3: expected a JSON object"),
+    "missing actions": (lambda rec: _without(rec, "actions"), "line 3: field 'actions' is missing"),
+    "missing task_id": (lambda rec: _without(rec, "task_id"), "line 3: field 'task_id' is missing"),
+    "string task_id": (
+        lambda rec: json.dumps({**rec, "task_id": str(rec["task_id"])}),
+        "dataset line 3: field 'task_id' is '1', not an int",
+    ),
+    "float task_id": (
+        lambda rec: json.dumps({**rec, "task_id": 1.0}),
+        "dataset line 3: field 'task_id' is 1.0, not an int",
+    ),
+    "text observations": (
+        lambda rec: json.dumps({**rec, "observations": "x"}),
+        "dataset line 3: ",
+    ),
+    "ragged actions": (
+        lambda rec: json.dumps({**rec, "actions": [[0.0], *rec["actions"][1:]]}),
+        "dataset line 3: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_LINE_MUTATIONS)
+def test_dataset_load_names_the_line_and_field(tmp_path, case):
+    path = tmp_path / "demos.jsonl"
+    generate_demos("reach4", per_task=1, seed=1).save(path)
+    lines = path.read_text().splitlines()
+    mutate, message = DATASET_LINE_MUTATIONS[case]
+    lines[2] = mutate(json.loads(lines[2]))
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EpisodeDataset.load(path)
 
 
 def test_generate_demos_error_names_task():

@@ -106,6 +106,14 @@ def test_incompatible_layer_chain_rejected():
         FeedForwardNet([l0, l1])
 
 
+@pytest.mark.parametrize("layer, name", [(0, "weight"), (0, "bias"), (1, "weight"), (1, "bias")])
+def test_constructor_rejects_a_non_finite_triple_naming_its_block(layer, name):
+    layers = [(np.zeros((3, 4)), np.zeros(4), "tanh"), (np.ones((4, 2)), np.ones(2), "identity")]
+    layers[layer][("weight", "bias").index(name)][-1] = np.nan
+    with pytest.raises(NonFiniteError, match=f"'layer{layer}.{name}'"):
+        FeedForwardNet(layers)
+
+
 # ---------------------------------------------------------------------------
 # net_backward
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import json
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdp.composition
+import fdp.numerics
 from fdp.adaptation import upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.diffusion import make_schedule
@@ -21,6 +23,7 @@ from fdp.numerics import (
 )
 from fdp.policy import (
     ActionNormalizer,
+    ComponentBank,
     DenoiserComponent,
     FactorizedPolicy,
     PolicyConfig,
@@ -796,6 +799,81 @@ def test_checkpoint_rejects_an_unknown_config_key(trained_bimodal):
     obj["config"]["bogus"] = 1
     with pytest.raises(ValueError, match="checkpoint field 'config': unknown key 'bogus'"):
         FactorizedPolicy.from_json(obj)
+
+
+DELETE = object()  # a mutation that removes the field
+
+# (path to one field of a valid checkpoint, its new value from the old, the
+# start of the message)
+CHECKPOINT_MUTATIONS = [
+    (("encoder", "layers", 0, "weight"), lambda v: 5, "field 'encoder': field 'layers[0].weight'"),
+    (("router", "net", "layers", 1, "bias"), lambda v: "!", "field 'router': field 'layers[1].bias'"),
+    (("components", 0, "net", "widths"), lambda v: "ab", "field 'components[0]': field 'widths'"),
+    (
+        ("components", 1, "net", "widths"),
+        lambda v: [float(w) for w in v],
+        "field 'components[1]': field 'widths' must be a list of ints",
+    ),
+    (("encoder", "widths"), DELETE, "field 'encoder': field 'widths' is missing"),
+    (("router", "net", "layers"), DELETE, "field 'router': field 'layers' is missing"),
+    (
+        ("components", 0, "net", "activations"),
+        DELETE,
+        "field 'components[0]': field 'activations' is missing",
+    ),
+    (("components", 1, "net"), DELETE, "field 'components[1]': field 'net' is missing"),
+    (("encoder", "activations", 0), lambda v: "sigmoid", "field 'encoder': layer 0 has unknown"),
+    (
+        ("components", 1, "net", "layers", 0, "bias"),
+        lambda v: encode_f64(np.full(decode_f64(v).size, np.inf)),
+        "field 'components[1]': non-finite parameter at 'layer0.bias'",
+    ),
+    (("normalizer", "lo"), lambda v: "x", "field 'normalizer': "),
+    (("normalizer", "hi"), DELETE, "field 'normalizer': field 'hi' is missing"),
+    (("config", "learning_rate"), lambda v: "0.001", "field 'config': learning_rate must be"),
+    (("config", "validation_fraction"), lambda v: "0.1", "field 'config': "),
+    (
+        ("schedule", "betas"),
+        lambda v: [1.5] * len(v),
+        "field 'schedule': betas must lie strictly in (0, 1)",
+    ),
+    (("obs_dim",), lambda v: "x", "field 'obs_dim': "),
+    (("encoder",), DELETE, "field 'encoder' is missing"),
+    (("components",), DELETE, "field 'components' is missing"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, mutate, message",
+    CHECKPOINT_MUTATIONS,
+    ids=[".".join(map(str, case[0])) for case in CHECKPOINT_MUTATIONS],
+)
+def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mutate, message):
+    obj = trained_bimodal.to_json()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutate is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutate(parent[path[-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FactorizedPolicy.from_json(obj)
+
+
+def test_bind_and_a_bank_run_no_finiteness_check(monkeypatch):
+    policy = small_policy(n=3)
+    calls = []
+    monkeypatch.setattr(fdp.numerics, "check_finite", lambda name, arr: calls.append(name) or arr)
+    monkeypatch.setattr(FeedForwardNet, "_check_finite_blocks", lambda *args: calls.append(args))
+    encoder = policy.obs_encoder
+    encoder.bind(np.empty(encoder.param_count()))
+    ComponentBank(policy.components, policy.schedule.K)
+    policy.components = list(policy.components)
+    policy.bank  # a new list: the bank and the vector are built anew
+    assert calls == []
 
 
 def test_denoiser_rejects_net_narrower_than_window_and_step():
