@@ -382,10 +382,9 @@ class EpisodeDataset:
                         f"dataset field 'normalizer' has '{bound}' of shape {shape}, "
                         f"but the header's 'action_dim' is {header['action_dim']}: {path}"
                     )
-            episodes = []
+            episodes, keys = [], ("task", "task_id", "observations", "actions", "success")
             for line_no, line in enumerate(f, start=2):
                 try:
-                    keys = ("task", "task_id", "observations", "actions", "success")
                     rec = json_fields(json.loads(line), *keys)
                     if type(rec[1]) is not int:
                         raise ValueError(f"field 'task_id' is {rec[1]!r}, not an int")

@@ -24,8 +24,7 @@ from .composition import (
 )
 from .diffusion import NoiseSchedule, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
-from .numerics import json_fields
-from .numerics import ACTIVATIONS, stack_backward, stack_forward
+from .numerics import ACTIVATIONS, json_fields, stack_backward, stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -752,9 +751,10 @@ class FactorizedPolicy:
             raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
         sizes = ("obs_dim", "action_dim", "seed")
         json_fields(obj, *sizes, "config", "normalizer", "schedule", "encoder", "router")
-        n = len(json_fields(obj, "components")[0])
-        if n == 0:
-            raise ValueError("checkpoint field 'components' is empty")
+        components = json_fields(obj, "components")[0]
+        if not (isinstance(components, list) and components):
+            raise ValueError("checkpoint field 'components' must be a non-empty list")
+        n = len(components)
         policy = cls.__new__(cls)
         policy.obs_dim, policy.action_dim, policy.seed = (
             _load_field(key, int, obj[key]) for key in sizes
@@ -790,7 +790,7 @@ class FactorizedPolicy:
             )
         policy.components = [
             _load_field(f"components[{i}]", DenoiserComponent.from_json, c)
-            for i, c in enumerate(obj["components"])
+            for i, c in enumerate(components)
         ]
         for i, comp in enumerate(policy.components):
             if comp.window_dim != policy.window_dim:

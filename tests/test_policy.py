@@ -807,7 +807,11 @@ DELETE = object()  # a mutation that removes the field
 # start of the message)
 CHECKPOINT_MUTATIONS = [
     (("encoder", "layers", 0, "weight"), lambda v: 5, "field 'encoder': field 'layers[0].weight'"),
-    (("router", "net", "layers", 1, "bias"), lambda v: "!", "field 'router': field 'layers[1].bias'"),
+    (
+        ("router", "net", "layers", 1, "bias"),
+        lambda v: "!",
+        "field 'router': field 'layers[1].bias'",
+    ),
     (("components", 0, "net", "widths"), lambda v: "ab", "field 'components[0]': field 'widths'"),
     (
         ("components", 1, "net", "widths"),
@@ -840,13 +844,17 @@ CHECKPOINT_MUTATIONS = [
     (("obs_dim",), lambda v: "x", "field 'obs_dim': "),
     (("encoder",), DELETE, "field 'encoder' is missing"),
     (("components",), DELETE, "field 'components' is missing"),
+    (("components",), lambda v: 5, "field 'components' must be a non-empty list"),
 ]
 
 
 @pytest.mark.parametrize(
     "path, mutate, message",
     CHECKPOINT_MUTATIONS,
-    ids=[".".join(map(str, case[0])) for case in CHECKPOINT_MUTATIONS],
+    ids=[
+        ".".join(map(str, path)) + " deleted" * (mutate is DELETE)
+        for path, mutate, _ in CHECKPOINT_MUTATIONS
+    ],
 )
 def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mutate, message):
     obj = trained_bimodal.to_json()
@@ -871,8 +879,8 @@ def test_bind_and_a_bank_run_no_finiteness_check(monkeypatch):
     encoder = policy.obs_encoder
     encoder.bind(np.empty(encoder.param_count()))
     ComponentBank(policy.components, policy.schedule.K)
-    policy.components = list(policy.components)
-    policy.bank  # a new list: the bank and the vector are built anew
+    policy.bank  # the encoder was bound elsewhere: the bank and the vector are built anew
+    assert encoder.vector.base is policy.vector
     assert calls == []
 
 
