@@ -107,7 +107,7 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
         if not 1 <= k <= policy.schedule.K:
             raise ValueError(f"probe step {k} outside [1, {policy.schedule.K}]")
         emb = policy.encode_observation(obs)
-        preds = bank.predict(as_f64(values, "probe values"), emb, k)
+        preds = bank.forward(as_f64(values, "probe values"), emb, k)[0]
         norms = [float(np.linalg.norm(p)) for p in preds]
         if min(norms) == 0.0:
             skipped += 1

@@ -366,22 +366,24 @@ class EpisodeDataset:
 
     @classmethod
     def load(cls, path) -> "EpisodeDataset":
+        """Inverse of ``save``; a malformed line raises ValueError naming the
+        line and the field."""
+        keys = ("format", "version", "suite", "state_dim", "action_dim", "seed", "normalizer")
         with open(path) as f:
-            header = json.loads(f.readline())
-            if header.get("format") != DATASET_FORMAT:
-                raise ValueError(f"not an episode dataset: {path}")
-            if header.get("version") != DATASET_VERSION:
-                raise ValueError(
-                    f"dataset field 'version' is {header.get('version')!r}, "
-                    f"expected {DATASET_VERSION}: {path}"
-                )
-            for bound in ("lo", "hi"):
-                shape = np.shape(header["normalizer"][bound])
-                if shape != (header["action_dim"],):
-                    raise ValueError(
-                        f"dataset field 'normalizer' has '{bound}' of shape {shape}, "
-                        f"but the header's 'action_dim' is {header['action_dim']}: {path}"
-                    )
+            try:
+                header = dict(zip(keys, json_fields(json.loads(f.readline()), *keys)))
+                for key, want in (("format", DATASET_FORMAT), ("version", DATASET_VERSION)):
+                    if header[key] != want:
+                        raise ValueError(f"field '{key}' is {header[key]!r}, expected {want!r}")
+                bounds = json_fields(header["normalizer"], "lo", "hi")
+                for bound, values in zip(("lo", "hi"), bounds):
+                    if np.shape(values) != (header["action_dim"],):
+                        raise ValueError(
+                            f"field 'normalizer' has '{bound}' of shape {np.shape(values)}, "
+                            f"but the header's 'action_dim' is {header['action_dim']}"
+                        )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"dataset line 1: {exc}: {path}") from exc
             episodes, keys = [], ("task", "task_id", "observations", "actions", "success")
             for line_no, line in enumerate(f, start=2):
                 try:

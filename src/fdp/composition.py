@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule, forward_noise, reverse_mean
-from .numerics import FeedForwardNet, Rng, as_f64, json_fields
+from .numerics import FeedForwardNet, Rng, as_f64
 
 SIMPLEX_TOL = 1e-6
 
@@ -53,7 +53,7 @@ class Router:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+        if not 0.0 < self.temperature < np.inf:
             raise ValueError(
                 f"router temperature must be finite and positive, got {self.temperature}"
             )
@@ -85,11 +85,6 @@ class Router:
 
     def to_json(self) -> dict:
         return {"temperature": self.temperature, "net": self.net.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Router":
-        net, temperature = json_fields(obj, "net", "temperature")
-        return cls(FeedForwardNet.from_json(net), float(temperature))
 
 
 def check_simplex(w: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:

@@ -72,34 +72,8 @@ class NoiseSchedule:
     def to_json(self) -> dict:
         return {"K": self.K, "kind": self.kind, "betas": self.betas.tolist()}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NoiseSchedule":
-        return _from_betas(int(obj["K"]), str(obj["kind"]), np.asarray(obj["betas"]))
 
-
-def _from_betas(K: int, kind: str, betas: np.ndarray) -> NoiseSchedule:
-    betas = as_f64(betas, "betas")
-    if betas.shape != (K,):  # before the tables index K entries
-        raise ScheduleError(f"betas must have length K={K}, got shape {betas.shape}")
-    if not (np.all(betas > 0.0) and np.all(betas < 1.0)):  # before the tables take roots
-        raise ScheduleError("betas must lie strictly in (0, 1)")
-    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    sigma = np.sqrt(betas)
-    sigma[0] = 0.0
-    ab, ab_prev = alpha_bar[1:], alpha_bar[:-1]
-    tables = {
-        "gamma": betas / np.sqrt(1.0 - ab),
-        "recip_sqrt_alpha": 1.0 / np.sqrt(1.0 - betas),
-        "sqrt_one_minus_ab": np.sqrt(1.0 - ab),
-        "sqrt_ab": np.sqrt(ab),
-        "x0_coef": np.sqrt(ab_prev) * betas,
-        "values_coef": np.sqrt(1.0 - betas) * (1.0 - ab_prev),
-        "one_minus_ab": 1.0 - ab,
-    }
-    for t in tables.values():
-        t.flags.writeable = False  # and so is each 0-d view, a faster operand than a float
-    scalars = {n: tuple(t[i, ...] for i in range(K)) for n, t in tables.items()}
-    return NoiseSchedule(K, kind, betas, alpha_bar, sigma, **scalars)
+SCHEDULE_KINDS = ("cosine", "linear")
 
 
 def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
@@ -120,7 +94,23 @@ def make_schedule(K: int, kind: str = "cosine") -> NoiseSchedule:
         betas = np.linspace(1e-4, 0.02, K)
     else:
         raise ScheduleError(f"unknown schedule kind '{kind}' (cosine or linear)")
-    return _from_betas(K, kind, betas)
+    alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+    sigma = np.sqrt(betas)
+    sigma[0] = 0.0
+    ab, ab_prev = alpha_bar[1:], alpha_bar[:-1]
+    tables = {
+        "gamma": betas / np.sqrt(1.0 - ab),
+        "recip_sqrt_alpha": 1.0 / np.sqrt(1.0 - betas),
+        "sqrt_one_minus_ab": np.sqrt(1.0 - ab),
+        "sqrt_ab": np.sqrt(ab),
+        "x0_coef": np.sqrt(ab_prev) * betas,
+        "values_coef": np.sqrt(1.0 - betas) * (1.0 - ab_prev),
+        "one_minus_ab": 1.0 - ab,
+    }
+    for t in tables.values():
+        t.flags.writeable = False  # and so is each 0-d view, a faster operand than a float
+    scalars = {n: tuple(t[i, ...] for i in range(K)) for n, t in tables.items()}
+    return NoiseSchedule(K, kind, betas, alpha_bar, sigma, **scalars)
 
 
 def forward_noise(schedule: NoiseSchedule, a0, k, eps) -> np.ndarray:

@@ -397,25 +397,30 @@ class FeedForwardNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FeedForwardNet":
-        """Inverse of ``to_json``; a missing or malformed field, or one that
+        """Inverse of ``to_json``; a missing, unknown or malformed field, or one that
         disagrees with 'widths', raises ValueError naming it."""
         widths, activations, recs = json_fields(obj, "widths", "activations", "layers")
         if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
             raise ValueError(f"field 'widths' must be a list of ints, got {widths!r}")
         for name, entries in (("layers", recs), ("activations", activations)):
-            if len(entries) != len(widths) - 1:
+            if not (isinstance(entries, list) and len(entries) == len(widths) - 1):
                 raise ValueError(
-                    f"field '{name}' has {len(entries)} entries, but 'widths' "
-                    f"{widths} implies {len(widths) - 1}"
+                    f"field '{name}' must be a list of {len(widths) - 1} entries, "
+                    f"as 'widths' {widths} implies"
                 )
         layers = []
         for i, (rec, act) in enumerate(zip(recs, activations)):
             arrays = []
             fan_in, fan_out = widths[i], widths[i + 1]
-            for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
+            shapes = {"weight": (fan_in, fan_out), "bias": (fan_out,)}
+            try:
+                values = json_fields(rec, *shapes)
+            except ValueError as exc:
+                raise ValueError(f"field 'layers[{i}]': {exc}") from exc
+            for (name, shape), value in zip(shapes.items(), values):
                 try:
-                    arr = decode_f64(rec[name])
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    arr = decode_f64(value)
+                except (AttributeError, TypeError, ValueError) as exc:
                     raise ValueError(f"field 'layers[{i}].{name}' is not base64: {exc!r}") from exc
                 if arr.size != math.prod(shape):
                     raise ValueError(
@@ -428,13 +433,16 @@ class FeedForwardNet:
 
 
 def json_fields(obj, *keys) -> list:
-    """obj[key] for each key; a missing key (or obj not a JSON object)
-    raises ValueError naming it."""
+    """obj[key] for each key; a missing key, a key not among keys, or obj
+    not a JSON object raises ValueError naming it."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise ValueError(f"field '{key}' is missing")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key '{unknown[0]}'")
     return [obj[key] for key in keys]
 
 
@@ -446,7 +454,7 @@ def encode_f64(arr: np.ndarray) -> str:
 
 def decode_f64(s: str) -> np.ndarray:
     # a read-only view: FeedForwardNet copies it into its vector, once
-    return np.frombuffer(base64.b64decode(s.encode("ascii")), dtype="<f8")
+    return np.frombuffer(base64.b64decode(s.encode("ascii"), validate=True), dtype="<f8")
 
 
 # ---------------------------------------------------------------------------

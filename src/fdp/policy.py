@@ -22,7 +22,7 @@ from .composition import (
     CompositionError, Router, SampleInfo, check_simplex, component_predictions,
     composed_residual, group_slices, sample_values,
 )
-from .diffusion import NoiseSchedule, make_schedule
+from .diffusion import SCHEDULE_KINDS, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
 from .numerics import ACTIVATIONS, json_fields, stack_backward, stack_forward
 
@@ -101,11 +101,6 @@ class DenoiserComponent:
             "step_dim": self.step_dim,
             "net": self.net.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DenoiserComponent":
-        net, window_dim, step_dim = json_fields(obj, "net", "window_dim", "step_dim")
-        return cls(FeedForwardNet.from_json(net), int(window_dim), int(step_dim))
 
 
 class ComponentBank:
@@ -189,24 +184,20 @@ class ComponentBank:
         return self.inputs[:, 0, :dim]
 
     def predict_row(self, i: int) -> np.ndarray:
-        """Unchecked ``predict`` on row i of the ``start_chain`` input (step K - i):
-        a view of the last activation, valid until the next call (fresh for other
-        components)."""
+        """Every component's noise estimate on row i of the ``start_chain``
+        input (step K - i), unchecked: a view of the last activation, valid
+        until the next call (fresh for other components)."""
         if self.layers is None:
-            return self.predict(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)
+            return self.forward(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)[0]
         stack_forward(self.layers, self.inputs[i], self.chain)
         return self.chain_out
 
-    def predict(self, values, obs_embedding, k) -> np.ndarray:
+    def forward(self, values, obs_embedding, k):
         """Every component's noise estimate, a fresh (N, *values.shape) array,
         for a window and its embedding at step k (or one row of each and one
-        step per window of a batch). Unchecked: callers check once."""
-        return self.forward(values, obs_embedding, k, check=False)[0]
-
-    def forward(self, values, obs_embedding, k, check=True):
-        """``predict`` after a finiteness check of the stacked input, and the
-        cache ``backward`` takes: the nets' versions and the ``stack_forward``
-        activations."""
+        step per window of a batch), after a finiteness check of the stacked
+        input; and the cache ``backward`` takes: the nets' versions and the
+        ``stack_forward`` activations."""
         if self.layers is None:
             preds, caches = component_predictions(self.components, values, obs_embedding, k)
             return np.stack(preds), caches
@@ -214,9 +205,8 @@ class ComponentBank:
         width = self.layers[0][0].shape[1]
         if x.shape[-1] != width:
             raise DimensionMismatchError(f"layer 0 expects input width {width}, got {x.shape[-1]}")
-        if check:
-            as_f64(x, "input")
-        versions = [c.net.version for c in self.components] if check else None
+        as_f64(x, "input")
+        versions = [c.net.version for c in self.components]
         acts = stack_forward(self.layers, x.reshape(1, -1, width))
         return acts[-1].reshape(-1, *values.shape), (versions, acts)
 
@@ -289,7 +279,12 @@ class ActionNormalizer:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ActionNormalizer":
-        return cls(*json_fields(obj, "lo", "hi"))
+        """From 'lo' and 'hi', each a list of floats, else ValueError names it."""
+        bounds = json_fields(obj, "lo", "hi")
+        for name, values in zip(("lo", "hi"), bounds):
+            if not (isinstance(values, list) and all(type(v) is float for v in values)):
+                raise ValueError(f"field '{name}' must be a list of floats, got {values!r}")
+        return cls(*bounds)
 
 
 @dataclass
@@ -315,12 +310,20 @@ class PolicyConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):  # of its default's type; an int is also a float, a list a tuple
+            value, kind = getattr(self, f.name), type(f.default)
+            if type(value) not in {float: (int, float), tuple: (tuple, list)}.get(kind, (kind,)):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.n_components < 1:
             raise ValueError("need at least one component")
         if not 1 <= self.t_exec <= self.t_pred:
             raise ValueError("t_exec must lie in [1, t_pred]")
         if self.h_obs < 1:
             raise ValueError("h_obs must be >= 1")
+        if self.diffusion_steps < 2:
+            raise ValueError(f"diffusion_steps must be >= 2, got {self.diffusion_steps}")
+        if self.schedule_kind not in SCHEDULE_KINDS:
+            raise ValueError(f"schedule_kind must be in {SCHEDULE_KINDS}, got {self.schedule_kind}")
         if self.step_embed_dim % 2:
             raise ValueError(f"step_embed_dim must be even, got {self.step_embed_dim}")
         if self.activation not in ACTIVATIONS:
@@ -331,23 +334,22 @@ class PolicyConfig:
             )
         for name in ("learning_rate", "router_lr_scale", "router_temperature"):
             rate = getattr(self, name)
-            if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0.0):
+            if not 0.0 < rate < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {rate}")
         if self.obs_embed_dim < 1:
             raise ValueError(f"obs_embed_dim must be >= 1, got {self.obs_embed_dim}")
         for name in ("encoder_hidden", "denoiser_hidden", "router_hidden"):
-            widths = tuple(int(w) for w in getattr(self, name))
-            if any(w < 1 for w in widths):
-                raise ValueError(f"{name} widths must be >= 1, got {widths}")
+            widths = tuple(getattr(self, name))
+            if not all(type(w) is int and w >= 1 for w in widths):
+                raise ValueError(f"{name} widths must be ints >= 1, got {widths}")
             setattr(self, name, widths)
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolicyConfig":
-        """``PolicyConfig(**obj)``; a key that names no field raises ValueError."""
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown key '{unknown[0]}'")
-        return cls(**obj)
+        """``PolicyConfig(**obj)``; a missing or unknown key raises ValueError."""
+        names = [f.name for f in fields(cls)]
+        return cls(**dict(zip(names, json_fields(obj, *names))))
+
 
 
 def matched_hidden_width(
@@ -418,31 +420,35 @@ class FactorizedPolicy:
 
     # -- construction ----------------------------------------------------
 
-    def _build(self):
-        cfg = self.config
-        rng = Rng(self.seed).child(0xB11D)
-        stacked = self.stacked_obs_dim
-        enc_widths = [stacked, *cfg.encoder_hidden, cfg.obs_embed_dim]
-        enc_acts = [cfg.activation] * (len(enc_widths) - 1)
-        self.obs_encoder = FeedForwardNet.init(enc_widths, enc_acts, rng.child(0))
+    def _build(self, nets=None):
+        """Derive each net's widths and activations, the schedule and the router
+        temperature from (obs_dim, action_dim, config). The nets are drawn from
+        the seed's child streams (encoder 0, router 1, component i 10 + i), or
+        are ``nets``, loaded [encoder, router, *components], which must have
+        the derived widths and activations, else ValueError names the field."""
+        cfg, emb, window = self.config, self.config.obs_embed_dim, self.window_dim
+        n = cfg.n_components if nets is None else len(nets) - 2
+
+        def arch(d_in, hidden, d_out, last):
+            return [d_in, *hidden, d_out], [cfg.activation] * len(hidden) + [last]
+
+        component = arch(window + emb + cfg.step_embed_dim, cfg.denoiser_hidden, window, "identity")
+        archs = {  # checkpoint field: (widths, activations)
+            "encoder": arch(self.stacked_obs_dim, cfg.encoder_hidden, emb, cfg.activation),
+            "router": arch(emb, cfg.router_hidden, n, "identity"),
+            **{f"components[{i}]": component for i in range(n)},
+        }
+        if nets is None:
+            rng, streams = Rng(self.seed).child(0xB11D), [0, 1, *range(10, 10 + n)]
+            nets = [FeedForwardNet.init(*a, rng.child(s)) for a, s in zip(archs.values(), streams)]
+        for (name, (widths, acts)), net in zip(archs.items(), nets):
+            if [net.widths, net.activations] != [widths, acts]:
+                got = f"has widths {net.widths} and activations {net.activations}"
+                raise _disagrees(name, got, f"{widths} and {acts}")
+        self.obs_encoder, router_net, *component_nets = nets
         self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
-        self.components = [
-            DenoiserComponent.init(
-                self.window_dim,
-                cfg.obs_embed_dim,
-                list(cfg.denoiser_hidden),
-                rng.child(10 + i),
-                cfg.step_embed_dim,
-                cfg.activation,
-            )
-            for i in range(cfg.n_components)
-        ]
-        router_widths = [cfg.obs_embed_dim, *cfg.router_hidden, cfg.n_components]
-        router_acts = [cfg.activation] * len(cfg.router_hidden) + ["identity"]
-        self.router = Router(
-            FeedForwardNet.init(router_widths, router_acts, rng.child(1)),
-            cfg.router_temperature,
-        )
+        self.router = Router(router_net, cfg.router_temperature)
+        self.components = [DenoiserComponent(c, window, cfg.step_embed_dim) for c in component_nets]
         self.bank  # binds the components, so views taken from now on are live
 
     @property
@@ -658,7 +664,7 @@ class FactorizedPolicy:
                 f"leaving none to train on"
             )
         if self.normalizer is None:
-            self.normalizer = ActionNormalizer.from_json(dataset.normalizer_json())
+            self.normalizer = ActionNormalizer(dataset.normalizer_lo, dataset.normalizer_hi)
 
         rng = Rng(seed)
         order = rng.child(1).permutation(len(episodes))
@@ -745,74 +751,58 @@ class FactorizedPolicy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FactorizedPolicy":
-        if obj.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a policy checkpoint: format={obj.get('format')!r}")
-        if obj.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
+        """Inverse of ``to_json``: the config builds the policy (``_build``),
+        the arrays fill its nets, and every other field must equal what
+        ``to_json`` writes; else ValueError names the field."""
+        for key, want in (("format", CHECKPOINT_FORMAT), ("version", CHECKPOINT_VERSION)):
+            if canonical_json(obj.get(key)) != canonical_json(want):
+                raise ValueError(f"checkpoint field '{key}' is {obj.get(key)!r}, not {want!r}")
         sizes = ("obs_dim", "action_dim", "seed")
-        json_fields(obj, *sizes, "config", "normalizer", "schedule", "encoder", "router")
-        components = json_fields(obj, "components")[0]
-        if not (isinstance(components, list) and components):
-            raise ValueError("checkpoint field 'components' must be a non-empty list")
-        n = len(components)
+        *_, config, normalizer, schedule, encoder, router, components = json_fields(
+            obj, "format", "version", *sizes, "config", "normalizer", "schedule", "encoder",
+            "router", "components",
+        )
         policy = cls.__new__(cls)
-        policy.obs_dim, policy.action_dim, policy.seed = (
-            _load_field(key, int, obj[key]) for key in sizes
-        )
-        policy.config = cfg = _load_field(
-            "config", lambda c: PolicyConfig.from_json({**c, "n_components": n}), obj["config"]
-        )
-        policy.normalizer = _load_field("normalizer", ActionNormalizer.from_json, obj["normalizer"])
+        for key in sizes:
+            if type(obj[key]) is not int:
+                raise ValueError(f"checkpoint field '{key}' must be an int, got {obj[key]!r}")
+            setattr(policy, key, obj[key])
+        policy.config = cfg = _load_field("config", PolicyConfig.from_json, config)
+        policy.normalizer = _load_field("normalizer", ActionNormalizer.from_json, normalizer)
         if policy.normalizer.lo.shape != (policy.action_dim,):
             raise ValueError(
                 f"checkpoint field 'normalizer' has shape {policy.normalizer.lo.shape}, "
                 f"but 'action_dim' is {policy.action_dim}"
             )
-        policy.schedule = _load_field("schedule", NoiseSchedule.from_json, obj["schedule"])
-        for name, key in (("K", "diffusion_steps"), ("kind", "schedule_kind")):
-            got, want = getattr(policy.schedule, name), getattr(cfg, key)
-            if got != want:
-                raise ValueError(
-                    f"checkpoint field 'schedule' has {name} {got!r}, but config "
-                    f"field '{key}' is {want!r}"
-                )
-        policy.obs_encoder = _load_field("encoder", FeedForwardNet.from_json, obj["encoder"])
-        policy.router = _load_field("router", Router.from_json, obj["router"])
-        if policy.router.n_components != n:
+        if not isinstance(schedule, dict) or schedule.get("K") != cfg.diffusion_steps:
+            # checked before _build makes K steps of tables
             raise ValueError(
-                f"checkpoint field 'router' has a head of width "
-                f"{policy.router.n_components} for {n} components"
+                f"checkpoint field 'schedule' must have the config's K {cfg.diffusion_steps}"
             )
-        if policy.obs_encoder.in_dim != policy.stacked_obs_dim:
-            raise ValueError(
-                f"checkpoint field 'encoder' has input width {policy.obs_encoder.in_dim}, "
-                f"but the stacked observation is {policy.stacked_obs_dim} wide"
-            )
-        policy.components = [
-            _load_field(f"components[{i}]", DenoiserComponent.from_json, c)
-            for i, c in enumerate(components)
-        ]
-        for i, comp in enumerate(policy.components):
-            if comp.window_dim != policy.window_dim:
-                raise ValueError(
-                    f"checkpoint field 'components' has window_dim {comp.window_dim} "
-                    f"at component {i}, but t_pred x action_dim is {policy.window_dim}"
-                )
-        try:
-            policy.bank
-        except CompositionError as exc:
-            raise ValueError(f"checkpoint field 'components': {exc}") from exc
-        emb_dim = policy.obs_encoder.out_dim
-        for name, width in (
-            ("router input", policy.router.net.in_dim),
-            ("component embedding", policy.components[0].emb_dim),
-        ):
-            if width != emb_dim:
-                raise ValueError(
-                    f"checkpoint field 'encoder' has output width {emb_dim}, "
-                    f"but the {name} is {width} wide"
-                )
+        if not (isinstance(components, list) and components):
+            raise ValueError("checkpoint field 'components' must be a non-empty list")
+
+        def load_net(name, rec, *keys):  # rec's 'net', keys being its other keys
+            net = _load_field(name, lambda r: json_fields(r, "net", *keys)[0], rec)
+            return _load_field(name, FeedForwardNet.from_json, net)
+
+        nets = [_load_field("encoder", FeedForwardNet.from_json, encoder)]
+        nets.append(load_net("router", router, "temperature"))
+        for i, rec in enumerate(components):
+            nets.append(load_net(f"components[{i}]", rec, "window_dim", "step_dim"))
         policy.training_log_ = None
+        policy._build(nets)
+        written = [
+            ("schedule", schedule, policy.schedule.to_json()),
+            ("router.temperature", router["temperature"], policy.router.temperature),
+            ("config.n_components", cfg.n_components, policy.n_components),
+        ]
+        for i, (rec, comp) in enumerate(zip(components, policy.components)):
+            for key in ("window_dim", "step_dim"):
+                written.append((f"components[{i}].{key}", rec[key], getattr(comp, key)))
+        for name, got, want in written:
+            if canonical_json(got) != canonical_json(want):
+                raise _disagrees(name, f"is {got!r}", repr(want))
         return policy
 
     @classmethod
@@ -828,6 +818,13 @@ def _load_field(name: str, load, obj):
         return load(obj)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint field '{name}': {exc}") from exc
+
+
+def _disagrees(name: str, got: str, want: str) -> ValueError:
+    return ValueError(
+        f"checkpoint field '{name}' {got}, but obs_dim, action_dim, config and components "
+        f"imply {want}"
+    )
 
 
 def canonical_json(obj) -> str:

@@ -166,7 +166,7 @@ def sample_loop(bank, weights, obs_embedding, schedule, dim, rng, top_k=None, x0
     noise[1:] *= schedule.sigma[:0:-1, None]
     values = noise[0]
     for k in range(schedule.K, 0, -1):
-        eps_hat = weighted_sum(w_used, sub.predict(values, obs_embedding, k))
+        eps_hat = weighted_sum(w_used, sub.forward(values, obs_embedding, k)[0])
         values = reverse_mean(schedule, values, eps_hat, k, x0_clip)
         if k > 1:
             values += noise[schedule.K - k + 1]
@@ -386,4 +386,4 @@ def assert_bank_serves(policy):
     emb = rng.gaussian(policy.config.obs_embed_dim)
     for k in (1, policy.schedule.K):
         expected = [comp.predict(values, emb, k)[0] for comp in policy.components]
-        np.testing.assert_array_equal(bank.predict(values, emb, k), expected)
+        np.testing.assert_array_equal(bank.forward(values, emb, k)[0], expected)

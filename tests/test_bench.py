@@ -229,28 +229,49 @@ def _without(rec, key):
     return json.dumps(rec)
 
 
-# the second episode record (file line 3) rewritten in one way, and the field
-# its error must name
+# one line of a saved dataset (0-based: the header, then the episodes)
+# rewritten in one way, and the start of the error naming its file line and
+# field
 DATASET_LINE_MUTATIONS = {
-    "malformed line": (lambda rec: json.dumps(rec)[:-5], "dataset line 3: "),
-    "not an object": (lambda rec: json.dumps([rec]), "dataset line 3: expected a JSON object"),
-    "missing actions": (lambda rec: _without(rec, "actions"), "line 3: field 'actions' is missing"),
-    "missing task_id": (lambda rec: _without(rec, "task_id"), "line 3: field 'task_id' is missing"),
+    "malformed line": (2, lambda rec: json.dumps(rec)[:-5], "dataset line 3: "),
+    "not an object": (2, lambda rec: json.dumps([rec]), "dataset line 3: expected a JSON object"),
+    "missing actions": (
+        2, lambda rec: _without(rec, "actions"), "line 3: field 'actions' is missing"
+    ),
+    "missing task_id": (
+        2, lambda rec: _without(rec, "task_id"), "line 3: field 'task_id' is missing"
+    ),
     "string task_id": (
+        2,
         lambda rec: json.dumps({**rec, "task_id": str(rec["task_id"])}),
         "dataset line 3: field 'task_id' is '1', not an int",
     ),
     "float task_id": (
+        2,
         lambda rec: json.dumps({**rec, "task_id": 1.0}),
         "dataset line 3: field 'task_id' is 1.0, not an int",
     ),
     "text observations": (
+        2,
         lambda rec: json.dumps({**rec, "observations": "x"}),
         "dataset line 3: ",
     ),
     "ragged actions": (
+        2,
         lambda rec: json.dumps({**rec, "actions": [[0.0], *rec["actions"][1:]]}),
         "dataset line 3: ",
+    ),
+    "malformed header": (0, lambda rec: json.dumps(rec)[:-5], "dataset line 1: "),
+    "header without suite": (
+        0, lambda rec: _without(rec, "suite"), "dataset line 1: field 'suite' is missing"
+    ),
+    "header with an unknown key": (
+        0, lambda rec: json.dumps({**rec, "bogus": 1}), "dataset line 1: unknown key 'bogus'"
+    ),
+    "header normalizer not an object": (
+        0,
+        lambda rec: json.dumps({**rec, "normalizer": [rec["normalizer"]]}),
+        "dataset line 1: expected a JSON object",
     ),
 }
 
@@ -260,8 +281,8 @@ def test_dataset_load_names_the_line_and_field(tmp_path, case):
     path = tmp_path / "demos.jsonl"
     generate_demos("reach4", per_task=1, seed=1).save(path)
     lines = path.read_text().splitlines()
-    mutate, message = DATASET_LINE_MUTATIONS[case]
-    lines[2] = mutate(json.loads(lines[2]))
+    line, mutate, message = DATASET_LINE_MUTATIONS[case]
+    lines[line] = mutate(json.loads(lines[line]))
     path.write_text("\n".join(lines) + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

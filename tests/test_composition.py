@@ -728,11 +728,11 @@ def test_bank_matches_component_predictions(fitted):
     # one row, then a batch with one embedding and step per row
     for values, e, k in ((windows[2], emb[2], int(ks[2])), (windows, emb, ks)):
         preds, _ = component_predictions(policy.components, values, e, k)
-        np.testing.assert_array_equal(bank.predict(values, e, k), preds)
+        np.testing.assert_array_equal(bank.forward(values, e, k)[0], preds)
     # both ends of the step table
     for k in (1, policy.schedule.K):
         preds, _ = component_predictions(policy.components, windows[0], emb[0], k)
-        np.testing.assert_array_equal(bank.predict(windows[0], emb[0], k), preds)
+        np.testing.assert_array_equal(bank.forward(windows[0], emb[0], k)[0], preds)
 
 
 def test_bank_rejects_other_architectures_naming_the_component():
@@ -753,7 +753,7 @@ def test_bank_rejects_other_architectures_naming_the_component():
     values, emb = rng.child(8).gaussian(6), rng.child(9).gaussian(4)
     for k in range(1, sched.K + 1):
         preds, _ = component_predictions(mixed, values, emb, k)
-        np.testing.assert_array_equal(bank.predict(values, emb, k), preds)
+        np.testing.assert_array_equal(bank.forward(values, emb, k)[0], preds)
 
 
 @settings(max_examples=30, deadline=None)
@@ -942,8 +942,8 @@ def test_bank_prediction_survives_later_predictions(fitted):
     bank = policy.bank
     windows, obs = policy.build_training_arrays(ds.episodes[:1])
     emb = policy.encode_observation(obs)
-    first = bank.predict(windows[0], emb[0], 3)
+    first = bank.forward(windows[0], emb[0], 3)[0]
     kept = first.copy()
-    later = bank.predict(windows[1], emb[1], 4)
+    later = bank.forward(windows[1], emb[1], 4)[0]
     assert not np.shares_memory(first, later)
     np.testing.assert_array_equal(first, kept)

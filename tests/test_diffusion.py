@@ -80,21 +80,6 @@ def test_schedule_rejects_small_K_and_unknown_kind():
         make_schedule(10, "quadratic")
 
 
-def test_schedule_json_round_trip():
-    sched = make_schedule(30, "cosine")
-    clone = type(sched).from_json(sched.to_json())
-    np.testing.assert_array_equal(clone.betas, sched.betas)
-    np.testing.assert_array_equal(clone.sigma, sched.sigma)
-    assert clone.kind == sched.kind
-
-
-@pytest.mark.parametrize("K", [5, 11])
-def test_schedule_from_json_rejects_betas_of_another_length(K):
-    sched = make_schedule(10)
-    with pytest.raises(ScheduleError, match=rf"length K={K}, got shape \(10,\)"):
-        type(sched).from_json({**sched.to_json(), "K": K})
-
-
 # ---------------------------------------------------------------------------
 # forward_noise
 # ---------------------------------------------------------------------------

@@ -322,11 +322,11 @@ def test_an_adam_step_shows_in_the_next_bank_prediction():
     assert_bank_serves(policy)
     rng = Rng(2)
     values, emb = rng.gaussian(policy.window_dim), rng.gaussian(12)
-    before = bank.predict(values, emb, 4)
+    before = bank.forward(values, emb, 4)[0]
     net = policy.components[1].net
     Adam(lr=1e-2).step(net.vector, rng.gaussian(net.param_count()), [("component:1", net, 0, 1.0)])
     assert policy.bank is bank  # no rebuild
-    after = bank.predict(values, emb, 4)
+    after = bank.forward(values, emb, 4)[0]
     np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
     assert not np.array_equal(after[1], before[1])
     assert_bank_serves(policy)
@@ -411,9 +411,9 @@ def test_a_view_taken_after_each_entry_point_stays_live(entry):
     view = policy.components[1].net.params()["layer0.weight"]
     rng = Rng(5)
     values, emb = rng.gaussian(policy.window_dim), rng.gaussian(12)
-    before = policy.bank.predict(values, emb, 4)
+    before = policy.bank.forward(values, emb, 4)[0]
     view += 0.5
-    after = policy.bank.predict(values, emb, 4)
+    after = policy.bank.forward(values, emb, 4)[0]
     np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
     assert not np.array_equal(after[1], before[1])
     assert_bank_serves(policy)
@@ -662,7 +662,7 @@ def test_checkpoint_rejects_empty_components(trained_bimodal):
 def test_checkpoint_rejects_router_head_width_mismatch(trained_bimodal):
     obj = trained_bimodal.to_json()
     for components in (obj["components"][:1], obj["components"] * 2):
-        with pytest.raises(ValueError, match="'router'.* width 2 for"):
+        with pytest.raises(ValueError, match=r"'router' has widths \[12, 8, 2\].* imply \[12, 8, "):
             FactorizedPolicy.from_json({**obj, "components": components})
 
 
@@ -671,7 +671,8 @@ def test_checkpoint_rejects_component_window_width_mismatch(trained_bimodal):
     # predict t_pred x 1 windows
     obj = trained_bimodal.to_json()
     obj = {**obj, "action_dim": 2, "normalizer": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
-    with pytest.raises(ValueError, match="'components'.*window_dim"):
+    message = r"'components\[0\]' has widths \[44, 24, 16\].* imply \[60, 24, 32\]"
+    with pytest.raises(ValueError, match=message):
         FactorizedPolicy.from_json(obj)
 
 
@@ -683,7 +684,7 @@ def test_checkpoint_rejects_normalizer_width_mismatch(trained_bimodal):
 
 def test_checkpoint_rejects_encoder_input_width_mismatch(trained_bimodal):
     obj = {**trained_bimodal.to_json(), "obs_dim": 4}
-    with pytest.raises(ValueError, match="'encoder'.*input width 6.* 8 wide"):
+    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 12\].* imply \[8, 12\]"):
         FactorizedPolicy.from_json(obj)
 
 
@@ -691,7 +692,7 @@ def test_checkpoint_rejects_encoder_output_width_other_than_router_input(trained
     # a 6 -> 10 encoder in front of a router and components that read 12
     obj = trained_bimodal.to_json()
     obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
-    with pytest.raises(ValueError, match="'encoder'.*output width 10.*router input is 12"):
+    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 10\].* imply \[6, 12\]"):
         FactorizedPolicy.from_json(obj)
 
 
@@ -702,9 +703,7 @@ def test_checkpoint_rejects_encoder_output_width_other_than_component_embedding(
     obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
     router = FeedForwardNet.init([10, 8, 2], ["tanh", "identity"], Rng(1))
     obj["router"] = {**obj["router"], "net": router.to_json()}
-    with pytest.raises(
-        ValueError, match="'encoder'.*output width 10.*component embedding is 12"
-    ):
+    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 10\].* imply \[6, 12\]"):
         FactorizedPolicy.from_json(obj)
 
 
@@ -723,7 +722,7 @@ def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, c
         arch["step_dim"], arch["activation"],
     )
     obj = {**obj, "components": [obj["components"][0], other.to_json()]}
-    with pytest.raises(ValueError, match="'components'.*component 1 "):
+    with pytest.raises(ValueError, match=r"'components\[1\](.step_dim)?' (has|is) "):
         FactorizedPolicy.from_json(obj)
 
 
@@ -735,7 +734,7 @@ def test_checkpoint_rejects_a_router_temperature_that_is_not_finite_and_positive
     obj["router"]["temperature"] = temperature
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(obj))  # inf and nan as JSON's Infinity and NaN
-    with pytest.raises(ValueError, match="'router'.*temperature must be finite and positive"):
+    with pytest.raises(ValueError, match="'router.temperature' is .* imply 1.0"):
         FactorizedPolicy.load(path)
 
 
@@ -754,8 +753,8 @@ def _corrupt_net(net_json, case):
 
 
 NET_CORRUPTIONS = {
-    "extra activation": r"field 'activations' has 3 entries, but 'widths' \[.*\] implies 2",
-    "short widths": r"field 'layers' has 2 entries, but 'widths' \[.*\] implies 1",
+    "extra activation": r"field 'activations' must be a list of 2 entries, as 'widths' \[",
+    "short widths": r"field 'layers' must be a list of 1 entries, as 'widths' \[.*\] implies",
     "wrong width": r"field 'layers\[0\].weight' holds \d+ values, but 'widths' implies",
     "short bias": r"field 'layers\[1\].bias' holds \d+ values, but 'widths' implies shape \(",
 }
@@ -766,6 +765,7 @@ NET_CORRUPTIONS = {
 def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal, net, case):
     obj = trained_bimodal.to_json()
     if net == "encoder":  # the bimodal policy's encoder has one layer: give it two
+        obj["config"]["encoder_hidden"] = [5]
         obj["encoder"] = FeedForwardNet.init([6, 5, 12], "tanh", Rng(0)).to_json()
         FactorizedPolicy.from_json(obj)  # the two-layer encoder itself loads
         obj["encoder"] = _corrupt_net(obj["encoder"], case)
@@ -781,7 +781,7 @@ def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal
 def test_checkpoint_rejects_a_schedule_of_another_length(trained_bimodal):
     obj = trained_bimodal.to_json()
     obj["schedule"]["K"] += 1
-    with pytest.raises(ValueError, match="checkpoint field 'schedule': betas must have length"):
+    with pytest.raises(ValueError, match="checkpoint field 'schedule' must have the config's K 20"):
         FactorizedPolicy.from_json(obj)
 
 
@@ -790,7 +790,8 @@ def test_checkpoint_rejects_a_schedule_that_disagrees_with_its_config(trained_bi
     obj = trained_bimodal.to_json()
     cfg = {**obj["config"], key: {"diffusion_steps": 5, "schedule_kind": "linear"}[key]}
     obj["schedule"] = make_schedule(cfg["diffusion_steps"], cfg["schedule_kind"]).to_json()
-    with pytest.raises(ValueError, match=f"field 'schedule' has .*config field '{key}'"):
+    message = {"diffusion_steps": "must have the config's K 20", "schedule_kind": "is .*imply"}[key]
+    with pytest.raises(ValueError, match=f"field 'schedule' {message}"):
         FactorizedPolicy.from_json(obj)
 
 
@@ -836,12 +837,33 @@ CHECKPOINT_MUTATIONS = [
     (("normalizer", "hi"), DELETE, "field 'normalizer': field 'hi' is missing"),
     (("config", "learning_rate"), lambda v: "0.001", "field 'config': learning_rate must be"),
     (("config", "validation_fraction"), lambda v: "0.1", "field 'config': "),
+    (("schedule", "betas"), lambda v: [1.5] * len(v), "field 'schedule' is "),
+    (("obs_dim",), lambda v: "x", "field 'obs_dim' must be an int"),
+    (("seed",), lambda v: 3.9, "field 'seed' must be an int, got 3.9"),
+    (("action_dim",), lambda v: True, "field 'action_dim' must be an int, got True"),
+    (("version",), lambda v: True, "field 'version' is True, not 1"),
+    # a config that disagrees with the nets, router or schedule it wrote
+    (("config", "router_temperature"), lambda v: 2.0, "field 'router.temperature' is 1.0, "),
+    (("config", "denoiser_hidden"), lambda v: [7], "field 'components[0]' has widths [44, 24, 16]"),
+    (("config", "activation"), lambda v: "relu", "field 'encoder' has widths [6, 12] and "),
+    (("config", "step_embed_dim"), lambda v: 6, "field 'components[0]' has widths [44, 24, 16]"),
+    (("schedule", "betas", 3), lambda v: v * (1 + 1e-12), "field 'schedule' is "),
+    (("config", "n_components"), lambda v: 3, "field 'config.n_components' is 3, "),
+    # type-exact fields: what loads writes the same bytes back
+    (("config", "t_exec"), lambda v: 4.0, "field 'config': t_exec must be int, got 4.0"),
+    (("config", "router_hidden"), lambda v: [8.0], "router_hidden widths must be ints"),
+    (("normalizer", "hi"), lambda v: [1], "field 'normalizer': field 'hi' must be a list of"),
+    (("router", "temperature"), lambda v: 1, "field 'router.temperature' is 1, "),
+    (("components", 1, "step_dim"), lambda v: 16.0, "field 'components[1].step_dim' is 16.0"),
     (
-        ("schedule", "betas"),
-        lambda v: [1.5] * len(v),
-        "field 'schedule': betas must lie strictly in (0, 1)",
+        ("router", "net", "layers", 0, "weight"),
+        lambda v: v + "!",
+        "field 'router': field 'layers[0].weight' is not base64",
     ),
-    (("obs_dim",), lambda v: "x", "field 'obs_dim': "),
+    (("bogus",), lambda v: 1, "unknown key 'bogus'"),
+    (("router", "bogus"), lambda v: 1, "field 'router': unknown key 'bogus'"),
+    (("components", 0, "bogus"), lambda v: 1, "field 'components[0]': unknown key 'bogus'"),
+    (("encoder", "layers", 0, "bogus"), lambda v: 1, "field 'layers[0]': unknown key 'bogus'"),
     (("encoder",), DELETE, "field 'encoder' is missing"),
     (("components",), DELETE, "field 'components' is missing"),
     (("components",), lambda v: 5, "field 'components' must be a non-empty list"),
@@ -864,11 +886,68 @@ def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mu
     if mutate is DELETE:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = mutate(parent[path[-1]])
+        old = parent.get(path[-1]) if isinstance(parent, dict) else parent[path[-1]]
+        parent[path[-1]] = mutate(old)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             FactorizedPolicy.from_json(obj)
+
+
+def _fields(node, path=()):
+    """(path, value) of every field of a checkpoint object but the base64 arrays."""
+    yield path, node
+    entries = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in entries:
+        if key not in ("weight", "bias"):
+            yield from _fields(value, (*path, key))
+
+
+EXTRA = object()  # a mutation that adds an entry: key 'extra' to an object, a 1 to a list
+SMALL_CHECKPOINT = canonical_json(
+    FactorizedPolicy(
+        2, 1,
+        PolicyConfig(
+            n_components=2, diffusion_steps=3, t_pred=2, t_exec=1, h_obs=1, obs_embed_dim=2,
+            denoiser_hidden=(3,), router_hidden=(2,), step_embed_dim=2,
+        ),
+        normalizer=ActionNormalizer([-1.0], [1.0]),
+        seed=5,
+    ).to_json()
+)
+# each field set to a wrong type, None, a bool, a non-integral, non-finite,
+# negative or huge number, deleted, or given an extra entry
+ROUND_TRIP_CASES = [
+    (path, value)
+    for path, node in _fields(json.loads(SMALL_CHECKPOINT))
+    for value in ("x", None, True, 1.5, float("inf"), float("nan"), -1, 2**64, DELETE, EXTRA)
+    if (value is EXTRA and isinstance(node, (dict, list))) or (path and value is not EXTRA)
+]
+
+
+@settings(max_examples=len(ROUND_TRIP_CASES), derandomize=True, deadline=None)
+@given(case=st.sampled_from(ROUND_TRIP_CASES))
+def test_a_mutated_checkpoint_names_the_field_or_round_trips(case):
+    path, value = case
+    obj = json.loads(SMALL_CHECKPOINT)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is EXTRA:
+        node = parent[path[-1]] if path else obj
+        node.append(1) if isinstance(node, list) else node.update(extra=1)
+    elif value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            back = FactorizedPolicy.from_json(obj)
+        except ValueError as exc:
+            assert (path[:1] or ("extra",))[0] in str(exc)
+        else:
+            assert canonical_json(back.to_json()) == canonical_json(obj)
 
 
 def test_bind_and_a_bank_run_no_finiteness_check(monkeypatch):
@@ -933,6 +1012,13 @@ def test_policy_config_validation():
         ("router_temperature", float("inf")),
         ("router_temperature", float("nan")),
         ("activation", "gelu"),
+        ("t_exec", 4.5),
+        ("n_components", True),
+        ("diffusion_steps", 1),
+        ("schedule_kind", "quadratic"),
+        ("denoiser_hidden", (16.0,)),
+        ("append_task_id", 1),
+        ("learning_rate", "0.001"),
     ],
 )
 def test_policy_config_names_the_bad_field(field, value):
