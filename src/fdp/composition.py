@@ -83,9 +83,6 @@ class Router:
         dlogits = w * (g - inner) / self.temperature
         return self.net.backward(cache.net_cache, dlogits, out, input_grad)
 
-    def to_json(self) -> dict:
-        return {"temperature": self.temperature, "net": self.net.to_json()}
-
 
 def check_simplex(w: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     w = as_f64(w, "weights")

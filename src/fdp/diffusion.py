@@ -69,9 +69,6 @@ class NoiseSchedule:
         if self.sigma[0] != 0.0:
             raise ScheduleError("sigma_1 must be 0")
 
-    def to_json(self) -> dict:
-        return {"K": self.K, "kind": self.kind, "betas": self.betas.tolist()}
-
 
 SCHEDULE_KINDS = ("cosine", "linear")
 

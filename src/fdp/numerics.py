@@ -236,13 +236,20 @@ class FeedForwardNet:
             activations = [activations] * (len(widths) - 1)
         if len(activations) != len(widths) - 1:
             raise ValueError("need one activation per layer")
-        layers = []
-        for i, act in enumerate(activations):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            w = rng.gaussian(fan_in * fan_out).reshape(fan_in, fan_out)
+        blocks = []
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            w = rng.gaussian(fan_in * fan_out)
             w *= 1.0 / math.sqrt(fan_in)
-            layers.append((w, np.zeros(fan_out), act))
-        return cls(layers)
+            blocks += [w, np.zeros(fan_out)]
+        return cls.from_vector(widths, activations, np.concatenate(blocks))
+
+    @classmethod
+    def from_vector(cls, widths: list[int], activations: list[str], vector) -> "FeedForwardNet":
+        """The net of ``widths`` and ``activations`` whose ``vector`` is a copy
+        of vector, which holds its parameter count of values, laid out as
+        ``layout`` reads them."""
+        views = list(_layout(widths, np.asarray(vector, dtype=np.float64)).values())
+        return cls(list(zip(views[::2], views[1::2], activations)))
 
     # -- introspection ------------------------------------------------------
 
@@ -271,14 +278,7 @@ class FeedForwardNet:
     def layout(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Views into ``flat``, a vector laid out like ``vector`` or a matrix
         of such rows, keyed 'layer{i}.weight' / 'layer{i}.bias' in order."""
-        out, offset = {}, 0
-        for i, (fan_in, fan_out) in enumerate(zip(self.widths, self.widths[1:])):
-            for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
-                size = math.prod(shape)
-                block = flat[..., offset : offset + size]
-                out[f"layer{i}.{name}"] = block.reshape(*flat.shape[:-1], *shape)
-                offset += size
-        return out
+        return _layout(self.widths, flat)
 
     def params(self) -> dict[str, np.ndarray]:
         """Live parameter views, ``layout(vector)``."""
@@ -382,54 +382,17 @@ class FeedForwardNet:
         gx = stack_backward(self._stack, acts, g[None], views, slice(None), cols)
         return grad, (gx if gx is None else gx[0, 0] if squeeze else gx[0])
 
-    # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        """Checkpoint fragment: widths, activations, and parameter arrays.
-
-        Arrays are base64 of raw little-endian float64, row-major.
-        """
-        return {
-            "widths": list(self.widths),
-            "activations": list(self.activations),
-            "layers": [{"weight": encode_f64(w), "bias": encode_f64(b)} for w, b, _ in self.layers],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FeedForwardNet":
-        """Inverse of ``to_json``; a missing, unknown or malformed field, or one that
-        disagrees with 'widths', raises ValueError naming it."""
-        widths, activations, recs = json_fields(obj, "widths", "activations", "layers")
-        if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
-            raise ValueError(f"field 'widths' must be a list of ints, got {widths!r}")
-        for name, entries in (("layers", recs), ("activations", activations)):
-            if not (isinstance(entries, list) and len(entries) == len(widths) - 1):
-                raise ValueError(
-                    f"field '{name}' must be a list of {len(widths) - 1} entries, "
-                    f"as 'widths' {widths} implies"
-                )
-        layers = []
-        for i, (rec, act) in enumerate(zip(recs, activations)):
-            arrays = []
-            fan_in, fan_out = widths[i], widths[i + 1]
-            shapes = {"weight": (fan_in, fan_out), "bias": (fan_out,)}
-            try:
-                values = json_fields(rec, *shapes)
-            except ValueError as exc:
-                raise ValueError(f"field 'layers[{i}]': {exc}") from exc
-            for (name, shape), value in zip(shapes.items(), values):
-                try:
-                    arr = decode_f64(value)
-                except (AttributeError, TypeError, ValueError) as exc:
-                    raise ValueError(f"field 'layers[{i}].{name}' is not base64: {exc!r}") from exc
-                if arr.size != math.prod(shape):
-                    raise ValueError(
-                        f"field 'layers[{i}].{name}' holds {arr.size} values, but "
-                        f"'widths' implies shape {shape}"
-                    )
-                arrays.append(arr.reshape(shape))
-            layers.append((*arrays, act))
-        return cls(layers)
+def _layout(widths, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """``FeedForwardNet.layout`` of a net of ``widths``."""
+    out, offset = {}, 0
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        for name, shape in (("weight", (fan_in, fan_out)), ("bias", (fan_out,))):
+            size = math.prod(shape)
+            block = flat[..., offset : offset + size]
+            out[f"layer{i}.{name}"] = block.reshape(*flat.shape[:-1], *shape)
+            offset += size
+    return out
 
 
 def json_fields(obj, *keys) -> list:
@@ -453,8 +416,13 @@ def encode_f64(arr: np.ndarray) -> str:
 
 
 def decode_f64(s: str) -> np.ndarray:
-    # a read-only view: FeedForwardNet copies it into its vector, once
-    return np.frombuffer(base64.b64decode(s.encode("ascii"), validate=True), dtype="<f8")
+    """The read-only float64 view of what ``encode_f64`` wrote as s. Base64
+    that is not the canonical encoding of its bytes (non-zero unused bits in
+    the final quantum) raises ValueError, so what loads writes back s."""
+    raw = base64.b64decode(s, validate=True)
+    if base64.b64encode(raw[3 * ((len(raw) - 1) // 3) :]).decode("ascii") != s[-4:]:
+        raise ValueError(f"non-canonical base64 ending {s[-4:]!r}")
+    return np.frombuffer(raw, dtype="<f8")
 
 
 # ---------------------------------------------------------------------------

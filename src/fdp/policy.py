@@ -23,12 +23,15 @@ from .composition import (
     composed_residual, group_slices, sample_values,
 )
 from .diffusion import SCHEDULE_KINDS, make_schedule
-from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, StaleCacheError, as_f64
-from .numerics import ACTIVATIONS, json_fields, stack_backward, stack_forward
+from .numerics import ACTIVATIONS, Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
+from .numerics import StaleCacheError, decode_f64, encode_f64, json_fields, stack_backward
+from .numerics import stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 NORMALIZED_CLAMP = 1.05  # post-sampling clamp on normalized action entries
+MAX_DIFFUSION_STEPS = 100_000  # each schedule table and the step table hold K rows
+CANONICAL_JSON = {"sort_keys": True, "separators": (",", ":")}  # json.dump(s) arguments
 
 
 def sinusoidal_step_embedding(k, dim: int = 16) -> np.ndarray:
@@ -94,13 +97,6 @@ class DenoiserComponent:
 
     def checksum(self) -> str:
         return self.net.checksum()
-
-    def to_json(self) -> dict:
-        return {
-            "window_dim": self.window_dim,
-            "step_dim": self.step_dim,
-            "net": self.net.to_json(),
-        }
 
 
 class ComponentBank:
@@ -315,17 +311,18 @@ class PolicyConfig:
             if type(value) not in {float: (int, float), tuple: (tuple, list)}.get(kind, (kind,)):
                 raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.n_components < 1:
-            raise ValueError("need at least one component")
+            raise ValueError(f"n_components must be >= 1, got {self.n_components}")
         if not 1 <= self.t_exec <= self.t_pred:
             raise ValueError("t_exec must lie in [1, t_pred]")
         if self.h_obs < 1:
             raise ValueError("h_obs must be >= 1")
-        if self.diffusion_steps < 2:
-            raise ValueError(f"diffusion_steps must be >= 2, got {self.diffusion_steps}")
+        if not 2 <= self.diffusion_steps <= MAX_DIFFUSION_STEPS:
+            steps = self.diffusion_steps
+            raise ValueError(f"diffusion_steps must lie in [2, {MAX_DIFFUSION_STEPS}], got {steps}")
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule_kind must be in {SCHEDULE_KINDS}, got {self.schedule_kind}")
-        if self.step_embed_dim % 2:
-            raise ValueError(f"step_embed_dim must be even, got {self.step_embed_dim}")
+        if self.step_embed_dim < 0 or self.step_embed_dim % 2:
+            raise ValueError(f"step_embed_dim must be even and >= 0, got {self.step_embed_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -420,31 +417,38 @@ class FactorizedPolicy:
 
     # -- construction ----------------------------------------------------
 
-    def _build(self, nets=None):
+    def _build(self, vectors=None):
         """Derive each net's widths and activations, the schedule and the router
         temperature from (obs_dim, action_dim, config). The nets are drawn from
         the seed's child streams (encoder 0, router 1, component i 10 + i), or
-        are ``nets``, loaded [encoder, router, *components], which must have
-        the derived widths and activations, else ValueError names the field."""
+        hold ``vectors``, (group, vector) pairs in ``group_names()`` order,
+        each vector of the derived size, else ValueError names the group."""
         cfg, emb, window = self.config, self.config.obs_embed_dim, self.window_dim
-        n = cfg.n_components if nets is None else len(nets) - 2
 
         def arch(d_in, hidden, d_out, last):
             return [d_in, *hidden, d_out], [cfg.activation] * len(hidden) + [last]
 
         component = arch(window + emb + cfg.step_embed_dim, cfg.denoiser_hidden, window, "identity")
-        archs = {  # checkpoint field: (widths, activations)
-            "encoder": arch(self.stacked_obs_dim, cfg.encoder_hidden, emb, cfg.activation),
-            "router": arch(emb, cfg.router_hidden, n, "identity"),
-            **{f"components[{i}]": component for i in range(n)},
-        }
-        if nets is None:
-            rng, streams = Rng(self.seed).child(0xB11D), [0, 1, *range(10, 10 + n)]
-            nets = [FeedForwardNet.init(*a, rng.child(s)) for a, s in zip(archs.values(), streams)]
-        for (name, (widths, acts)), net in zip(archs.items(), nets):
-            if [net.widths, net.activations] != [widths, acts]:
-                got = f"has widths {net.widths} and activations {net.activations}"
-                raise _disagrees(name, got, f"{widths} and {acts}")
+        archs = [
+            arch(self.stacked_obs_dim, cfg.encoder_hidden, emb, cfg.activation),
+            arch(emb, cfg.router_hidden, cfg.n_components, "identity"),
+            *[component] * cfg.n_components,
+        ]
+        if vectors is None:
+            rng, streams = Rng(self.seed).child(0xB11D), [0, 1, *range(10, 10 + cfg.n_components)]
+            nets = [FeedForwardNet.init(*a, rng.child(s)) for a, s in zip(archs, streams)]
+        else:
+            nets = []
+            for (widths, acts), (group, vector) in zip(archs, vectors):
+                size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+                if vector.size != size:
+                    raise ValueError(
+                        f"checkpoint field 'parameters.{group}' holds {vector.size} values, but "
+                        f"obs_dim, action_dim and config imply widths {widths}, {size} values"
+                    )
+                name = f"parameters.{group}"
+                nets.append(_load_field(name, FeedForwardNet.from_vector, widths, acts, vector))
+            del vector  # vectors decode one at a time: free the last before the bank's copy
         self.obs_encoder, router_net, *component_nets = nets
         self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
         self.router = Router(router_net, cfg.router_temperature)
@@ -730,6 +734,8 @@ class FactorizedPolicy:
     # -- checkpointing -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The checkpoint: what the policy is built from, and one base64
+        string of each group's ``vector`` (``encode_f64``) under its name."""
         self._check_fitted()
         return {
             "format": CHECKPOINT_FORMAT,
@@ -739,28 +745,27 @@ class FactorizedPolicy:
             "seed": self.seed,
             "config": asdict(self.config),
             "normalizer": self.normalizer.to_json(),
-            "schedule": self.schedule.to_json(),
-            "encoder": self.obs_encoder.to_json(),
-            "router": self.router.to_json(),
-            "components": [c.to_json() for c in self.components],
+            "parameters": {g: encode_f64(self._group_net(g).vector) for g in self.group_names()},
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(canonical_json(self.to_json()))
+        with open(path, "w") as f:  # streamed, never one string of the whole file
+            json.dump(self.to_json(), f, **CANONICAL_JSON)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FactorizedPolicy":
-        """Inverse of ``to_json``: the config builds the policy (``_build``),
-        the arrays fill its nets, and every other field must equal what
-        ``to_json`` writes; else ValueError names the field."""
+    def from_json(cls, obj) -> "FactorizedPolicy":
+        """Inverse of ``to_json``: the config builds the policy (``_build``)
+        and each ``parameters`` string fills its group's net, with no random
+        draw; a missing, unknown or malformed field raises ValueError naming
+        it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a checkpoint must be a JSON object, got {type(obj).__name__}")
         for key, want in (("format", CHECKPOINT_FORMAT), ("version", CHECKPOINT_VERSION)):
             if canonical_json(obj.get(key)) != canonical_json(want):
                 raise ValueError(f"checkpoint field '{key}' is {obj.get(key)!r}, not {want!r}")
         sizes = ("obs_dim", "action_dim", "seed")
-        *_, config, normalizer, schedule, encoder, router, components = json_fields(
-            obj, "format", "version", *sizes, "config", "normalizer", "schedule", "encoder",
-            "router", "components",
+        *_, config, normalizer, parameters = json_fields(
+            obj, "format", "version", *sizes, "config", "normalizer", "parameters"
         )
         policy = cls.__new__(cls)
         for key in sizes:
@@ -774,35 +779,18 @@ class FactorizedPolicy:
                 f"checkpoint field 'normalizer' has shape {policy.normalizer.lo.shape}, "
                 f"but 'action_dim' is {policy.action_dim}"
             )
-        if not isinstance(schedule, dict) or schedule.get("K") != cfg.diffusion_steps:
-            # checked before _build makes K steps of tables
+        n = cfg.n_components  # counted before the groups are listed: it may be 2**64
+        if not (isinstance(parameters, dict) and len(parameters) == n + 2):
             raise ValueError(
-                f"checkpoint field 'schedule' must have the config's K {cfg.diffusion_steps}"
+                f"checkpoint field 'parameters' must be an object of {n + 2} groups, "
+                f"as 'config.n_components' {n} implies"
             )
-        if not (isinstance(components, list) and components):
-            raise ValueError("checkpoint field 'components' must be a non-empty list")
-
-        def load_net(name, rec, *keys):  # rec's 'net', keys being its other keys
-            net = _load_field(name, lambda r: json_fields(r, "net", *keys)[0], rec)
-            return _load_field(name, FeedForwardNet.from_json, net)
-
-        nets = [_load_field("encoder", FeedForwardNet.from_json, encoder)]
-        nets.append(load_net("router", router, "temperature"))
-        for i, rec in enumerate(components):
-            nets.append(load_net(f"components[{i}]", rec, "window_dim", "step_dim"))
+        groups = ["encoder", "router", *(f"component:{i}" for i in range(n))]
+        strings = _load_field("parameters", lambda p: json_fields(p, *groups), parameters)
         policy.training_log_ = None
-        policy._build(nets)
-        written = [
-            ("schedule", schedule, policy.schedule.to_json()),
-            ("router.temperature", router["temperature"], policy.router.temperature),
-            ("config.n_components", cfg.n_components, policy.n_components),
-        ]
-        for i, (rec, comp) in enumerate(zip(components, policy.components)):
-            for key in ("window_dim", "step_dim"):
-                written.append((f"components[{i}].{key}", rec[key], getattr(comp, key)))
-        for name, got, want in written:
-            if canonical_json(got) != canonical_json(want):
-                raise _disagrees(name, f"is {got!r}", repr(want))
+        policy._build(
+            (g, _load_field(f"parameters.{g}", decode_f64, s)) for g, s in zip(groups, strings)
+        )
         return policy
 
     @classmethod
@@ -811,25 +799,18 @@ class FactorizedPolicy:
             return cls.from_json(json.load(f))
 
 
-def _load_field(name: str, load, obj):
-    """load(obj); a ValueError or TypeError is re-raised as a ValueError
+def _load_field(name: str, load, *args):
+    """load(*args); a ValueError or TypeError is re-raised as a ValueError
     naming the checkpoint field."""
     try:
-        return load(obj)
+        return load(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint field '{name}': {exc}") from exc
 
 
-def _disagrees(name: str, got: str, want: str) -> ValueError:
-    return ValueError(
-        f"checkpoint field '{name}' {got}, but obs_dim, action_dim, config and components "
-        f"imply {want}"
-    )
-
-
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON so identical state gives identical bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, **CANONICAL_JSON)
 
 
 class _PolicyController:

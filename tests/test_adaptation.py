@@ -260,6 +260,17 @@ def test_new_module_freezes_original_components(reach_ds, pick_ds):
     assert set(log.trainable_groups) == {"router", "component:2"}
 
 
+def test_new_module_keeps_every_frozen_groups_checkpoint_string(reach_ds, pick_ds):
+    policy = small_policy(n=2)
+    policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
+    before = policy.to_json()["parameters"]
+    adapt(policy, AdaptationConfig(strategy="new_module", epochs=2, batch_size=32), pick_ds, seed=5)
+    after = policy.to_json()["parameters"]
+    frozen = ["encoder", "component:0", "component:1"]
+    assert {g: after[g] for g in frozen} == {g: before[g] for g in frozen}
+    assert after["router"] != before["router"] and set(after) == {*before, "component:2"}
+
+
 def test_router_strategy_touches_router_only(reach_ds, pick_ds):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
@@ -375,18 +386,16 @@ def test_restoring_cached_router_recovers_pretrain_behavior(reach_ds, pick_ds):
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     specs = make_suite("reach4")[:2]
     table_before = evaluate(policy, specs, episodes_per_task=4, seeds=(0,))
-    cached_router = policy.router.net.to_json()
+    cached_router = policy.router.net.copy()
     adapt(
         policy,
         AdaptationConfig(strategy="new_module", epochs=2, batch_size=32),
         pick_ds,
         seed=5,
     )
-    from fdp.numerics import FeedForwardNet
-
     policy.components = policy.components[:2]
     policy.config.n_components = 2
-    policy.router.net = FeedForwardNet.from_json(cached_router)
+    policy.router.net = cached_router
     table_after = evaluate(policy, specs, episodes_per_task=4, seeds=(0,))
     assert table_before.to_json() == table_after.to_json()
 

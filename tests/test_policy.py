@@ -1,6 +1,7 @@
 """Policy aggregate: encoding, training, inference, rollout, checkpoints."""
 
 import copy
+import dataclasses
 import json
 import pickle
 import re
@@ -8,14 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdp.composition
 import fdp.numerics
-from fdp.adaptation import upcycle_component
+from fdp.adaptation import AdaptationConfig, adapt, upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
-from fdp.diffusion import make_schedule
 from fdp.composition import group_slices
 from fdp.numerics import (
     Adam, DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng, StaleCacheError,
@@ -653,17 +653,48 @@ def test_checkpoint_rejects_other_files(tmp_path):
         FactorizedPolicy.load(path)
 
 
+@pytest.mark.parametrize("kind", ["fresh", "fitted", "adapted"])
+def test_a_saved_policy_loads_without_a_draw_and_writes_back_its_bytes(
+    tmp_path, monkeypatch, kind
+):
+    ds = generate_demos("bimodal1d", per_task=3, seed=1)
+    policy = small_policy(n=4 if kind == "adapted" else 2, seed=6)
+    policy.normalizer = ActionNormalizer([-1.0], [1.0])
+    if kind != "fresh":
+        policy.fit(ds, epochs=1, batch_size=32, seed=0)
+    if kind == "adapted":
+        adapt(policy, AdaptationConfig(strategy="new_module", epochs=1, batch_size=32), ds, seed=1)
+        assert policy.n_components == 5
+    policy.save(tmp_path / "saved.json")
+    draws = []
+    monkeypatch.setattr(Rng, "_raw", lambda rng, n: draws.append(n))
+    back = FactorizedPolicy.load(tmp_path / "saved.json")
+    assert draws == []
+    assert back.group_checksums() == policy.group_checksums()
+    back.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+
 def test_checkpoint_rejects_empty_components(trained_bimodal):
-    obj = {**trained_bimodal.to_json(), "components": []}
-    with pytest.raises(ValueError, match="'components'"):
+    obj = trained_bimodal.to_json()
+    obj["parameters"] = {g: obj["parameters"][g] for g in ("encoder", "router")}
+    message = "'parameters' must be an object of 4 groups, as 'config.n_components' 2 implies"
+    with pytest.raises(ValueError, match=message):
         FactorizedPolicy.from_json(obj)
 
 
 def test_checkpoint_rejects_router_head_width_mismatch(trained_bimodal):
+    # n components in the config and in the groups (copies of component 0),
+    # under the router of two
     obj = trained_bimodal.to_json()
-    for components in (obj["components"][:1], obj["components"] * 2):
-        with pytest.raises(ValueError, match=r"'router' has widths \[12, 8, 2\].* imply \[12, 8, "):
-            FactorizedPolicy.from_json({**obj, "components": components})
+    router = {g: obj["parameters"][g] for g in ("encoder", "router")}
+    for n in (1, 4):
+        components = {f"component:{i}": obj["parameters"]["component:0"] for i in range(n)}
+        config = {**obj["config"], "n_components": n}
+        changed = {**obj, "config": config, "parameters": {**router, **components}}
+        message = rf"'parameters.router' holds 122 values, but .* imply widths \[12, 8, {n}\]"
+        with pytest.raises(ValueError, match=message):
+            FactorizedPolicy.from_json(changed)
 
 
 def test_checkpoint_rejects_component_window_width_mismatch(trained_bimodal):
@@ -671,7 +702,7 @@ def test_checkpoint_rejects_component_window_width_mismatch(trained_bimodal):
     # predict t_pred x 1 windows
     obj = trained_bimodal.to_json()
     obj = {**obj, "action_dim": 2, "normalizer": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
-    message = r"'components\[0\]' has widths \[44, 24, 16\].* imply \[60, 24, 32\]"
+    message = r"'parameters.component:0' holds 1480 values, .* imply widths \[60, 24, 32\]"
     with pytest.raises(ValueError, match=message):
         FactorizedPolicy.from_json(obj)
 
@@ -684,15 +715,19 @@ def test_checkpoint_rejects_normalizer_width_mismatch(trained_bimodal):
 
 def test_checkpoint_rejects_encoder_input_width_mismatch(trained_bimodal):
     obj = {**trained_bimodal.to_json(), "obs_dim": 4}
-    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 12\].* imply \[8, 12\]"):
+    message = r"'parameters.encoder' holds 84 values, .* imply widths \[8, 12\]"
+    with pytest.raises(ValueError, match=message):
         FactorizedPolicy.from_json(obj)
+
+
+ENCODER_6_TO_10 = r"'parameters.encoder' holds 70 values, .* imply widths \[6, 12\]"
 
 
 def test_checkpoint_rejects_encoder_output_width_other_than_router_input(trained_bimodal):
     # a 6 -> 10 encoder in front of a router and components that read 12
     obj = trained_bimodal.to_json()
-    obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
-    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 10\].* imply \[6, 12\]"):
+    obj["parameters"]["encoder"] = encode_f64(FeedForwardNet.init([6, 10], "tanh", Rng(0)).vector)
+    with pytest.raises(ValueError, match=ENCODER_6_TO_10):
         FactorizedPolicy.from_json(obj)
 
 
@@ -700,29 +735,27 @@ def test_checkpoint_rejects_encoder_output_width_other_than_component_embedding(
     trained_bimodal,
 ):
     obj = trained_bimodal.to_json()
-    obj["encoder"] = FeedForwardNet.init([6, 10], ["tanh"], Rng(0)).to_json()
+    obj["parameters"]["encoder"] = encode_f64(FeedForwardNet.init([6, 10], "tanh", Rng(0)).vector)
     router = FeedForwardNet.init([10, 8, 2], ["tanh", "identity"], Rng(1))
-    obj["router"] = {**obj["router"], "net": router.to_json()}
-    with pytest.raises(ValueError, match=r"'encoder' has widths \[6, 10\].* imply \[6, 12\]"):
+    obj["parameters"]["router"] = encode_f64(router.vector)
+    with pytest.raises(ValueError, match=ENCODER_6_TO_10):
         FactorizedPolicy.from_json(obj)
 
 
 @pytest.mark.parametrize(
-    "change", [{"hidden": [24, 4]}, {"activation": "relu"}, {"step_dim": 14}]
+    "change", [{"hidden": [24, 4]}, {"hidden": [23]}, {"step_dim": 14}]
 )
 def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, change):
+    # the parameters carry no architecture, so one of another size is what shows
     obj = trained_bimodal.to_json()
     cfg = trained_bimodal.config
-    arch = {"hidden": list(cfg.denoiser_hidden), "activation": "tanh",
-            "step_dim": cfg.step_embed_dim, **change}
-    # a step_dim change keeps the input width by moving the emb/step split
-    emb_dim = cfg.obs_embed_dim + cfg.step_embed_dim - arch["step_dim"]
+    arch = {"hidden": list(cfg.denoiser_hidden), "step_dim": cfg.step_embed_dim, **change}
     other = DenoiserComponent.init(
-        trained_bimodal.window_dim, emb_dim, arch["hidden"], Rng(3),
-        arch["step_dim"], arch["activation"],
+        trained_bimodal.window_dim, cfg.obs_embed_dim, arch["hidden"], Rng(3), arch["step_dim"],
     )
-    obj = {**obj, "components": [obj["components"][0], other.to_json()]}
-    with pytest.raises(ValueError, match=r"'components\[1\](.step_dim)?' (has|is) "):
+    obj["parameters"]["component:1"] = encode_f64(other.net.vector)
+    message = r"'parameters.component:1' holds \d+ values, .* imply widths \[44, 24, 16\]"
+    with pytest.raises(ValueError, match=message):
         FactorizedPolicy.from_json(obj)
 
 
@@ -731,32 +764,20 @@ def test_checkpoint_rejects_a_router_temperature_that_is_not_finite_and_positive
     tmp_path, trained_bimodal, temperature
 ):
     obj = trained_bimodal.to_json()
-    obj["router"]["temperature"] = temperature
+    obj["config"]["router_temperature"] = temperature
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(obj))  # inf and nan as JSON's Infinity and NaN
-    with pytest.raises(ValueError, match="'router.temperature' is .* imply 1.0"):
+    message = "field 'config': router_temperature must be finite and positive"
+    with pytest.raises(ValueError, match=message):
         FactorizedPolicy.load(path)
 
 
-def _corrupt_net(net_json, case):
-    """A copy of a net's checkpoint fragment broken in one way."""
-    net = copy.deepcopy(net_json)
-    if case == "extra activation":
-        net["activations"].append("tanh")
-    elif case == "short widths":
-        net["widths"].pop()
-    elif case == "wrong width":
-        net["widths"][1] += 1
-    else:  # a bias one value short
-        net["layers"][-1]["bias"] = encode_f64(decode_f64(net["layers"][-1]["bias"])[:-1])
-    return net
-
-
+# each a net whose widths differ from those the config implies in one way
 NET_CORRUPTIONS = {
-    "extra activation": r"field 'activations' must be a list of 2 entries, as 'widths' \[",
-    "short widths": r"field 'layers' must be a list of 1 entries, as 'widths' \[.*\] implies",
-    "wrong width": r"field 'layers\[0\].weight' holds \d+ values, but 'widths' implies",
-    "short bias": r"field 'layers\[1\].bias' holds \d+ values, but 'widths' implies shape \(",
+    "extra activation": lambda w: [*w[:-1], 3, w[-1]],
+    "short widths": lambda w: [w[0], w[-1]],
+    "wrong width": lambda w: [w[0], w[1] + 1, *w[2:]],
+    "short bias": lambda w: w,  # and its vector one value short
 }
 
 
@@ -766,32 +787,17 @@ def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal
     obj = trained_bimodal.to_json()
     if net == "encoder":  # the bimodal policy's encoder has one layer: give it two
         obj["config"]["encoder_hidden"] = [5]
-        obj["encoder"] = FeedForwardNet.init([6, 5, 12], "tanh", Rng(0)).to_json()
+        obj["parameters"]["encoder"] = encode_f64(
+            FeedForwardNet.init([6, 5, 12], "tanh", Rng(0)).vector
+        )
         FactorizedPolicy.from_json(obj)  # the two-layer encoder itself loads
-        obj["encoder"] = _corrupt_net(obj["encoder"], case)
-    elif net == "router":
-        obj["router"]["net"] = _corrupt_net(obj["router"]["net"], case)
-    else:
-        obj["components"][1]["net"] = _corrupt_net(obj["components"][1]["net"], case)
-    field = re.escape(f"checkpoint field '{net}': ")
-    with pytest.raises(ValueError, match=field + NET_CORRUPTIONS[case]):
-        FactorizedPolicy.from_json(obj)
-
-
-def test_checkpoint_rejects_a_schedule_of_another_length(trained_bimodal):
-    obj = trained_bimodal.to_json()
-    obj["schedule"]["K"] += 1
-    with pytest.raises(ValueError, match="checkpoint field 'schedule' must have the config's K 20"):
-        FactorizedPolicy.from_json(obj)
-
-
-@pytest.mark.parametrize("key", ["diffusion_steps", "schedule_kind"])
-def test_checkpoint_rejects_a_schedule_that_disagrees_with_its_config(trained_bimodal, key):
-    obj = trained_bimodal.to_json()
-    cfg = {**obj["config"], key: {"diffusion_steps": 5, "schedule_kind": "linear"}[key]}
-    obj["schedule"] = make_schedule(cfg["diffusion_steps"], cfg["schedule_kind"]).to_json()
-    message = {"diffusion_steps": "must have the config's K 20", "schedule_kind": "is .*imply"}[key]
-    with pytest.raises(ValueError, match=f"field 'schedule' {message}"):
+    group = {"components[1]": "component:1"}.get(net, net)
+    widths = {"encoder": [6, 5, 12], "router": [12, 8, 2], "component:1": [44, 24, 16]}[group]
+    vector = FeedForwardNet.init(NET_CORRUPTIONS[case](widths), "tanh", Rng(2)).vector
+    vector = vector[:-1] if case == "short bias" else vector
+    obj["parameters"][group] = encode_f64(vector)
+    message = f"'parameters.{group}' holds {vector.size} values, but obs_dim, action_dim and "
+    with pytest.raises(ValueError, match=re.escape(message + f"config imply widths {widths}")):
         FactorizedPolicy.from_json(obj)
 
 
@@ -805,77 +811,88 @@ def test_checkpoint_rejects_an_unknown_config_key(trained_bimodal):
 DELETE = object()  # a mutation that removes the field
 
 # (path to one field of a valid checkpoint, its new value from the old, the
-# start of the message)
+# start of the message[, a label that tells apart rows of one path])
 CHECKPOINT_MUTATIONS = [
-    (("encoder", "layers", 0, "weight"), lambda v: 5, "field 'encoder': field 'layers[0].weight'"),
+    ((), lambda v: [], "a checkpoint must be a JSON object, got list", "list"),
+    ((), lambda v: "x", "a checkpoint must be a JSON object, got str", "str"),
+    ((), lambda v: None, "a checkpoint must be a JSON object, got NoneType", "null"),
+    # a group's string: not a string, not base64, not the canonical base64 of
+    # its bytes, of non-finite values, or one value short
+    (("parameters", "encoder"), lambda v: 5, "field 'parameters.encoder': argument should be"),
+    (("parameters", "router"), lambda v: "!" + v[1:], "field 'parameters.router': "),
     (
-        ("router", "net", "layers", 1, "bias"),
-        lambda v: "!",
-        "field 'router': field 'layers[1].bias'",
+        ("parameters", "component:0"),
+        lambda v: "AAAAAAAA8D9=",
+        "field 'parameters.component:0': non-canonical base64 ending '8D9='",
     ),
-    (("components", 0, "net", "widths"), lambda v: "ab", "field 'components[0]': field 'widths'"),
     (
-        ("components", 1, "net", "widths"),
-        lambda v: [float(w) for w in v],
-        "field 'components[1]': field 'widths' must be a list of ints",
-    ),
-    (("encoder", "widths"), DELETE, "field 'encoder': field 'widths' is missing"),
-    (("router", "net", "layers"), DELETE, "field 'router': field 'layers' is missing"),
-    (
-        ("components", 0, "net", "activations"),
-        DELETE,
-        "field 'components[0]': field 'activations' is missing",
-    ),
-    (("components", 1, "net"), DELETE, "field 'components[1]': field 'net' is missing"),
-    (("encoder", "activations", 0), lambda v: "sigmoid", "field 'encoder': layer 0 has unknown"),
-    (
-        ("components", 1, "net", "layers", 0, "bias"),
+        ("parameters", "component:1"),
         lambda v: encode_f64(np.full(decode_f64(v).size, np.inf)),
-        "field 'components[1]': non-finite parameter at 'layer0.bias'",
+        "field 'parameters.component:1': non-finite parameter at 'layer0.weight'",
     ),
+    (
+        ("parameters", "encoder"),
+        lambda v: encode_f64(decode_f64(v)[:-1]),
+        "field 'parameters.encoder' holds 83 values, but obs_dim, action_dim and config imply "
+        "widths [6, 12], 84 values",
+        "short",
+    ),
+    # missing, unknown or misnamed groups
+    (("parameters", "encoder"), DELETE, "field 'parameters' must be an object of 4 groups, as "),
+    (("parameters", "component:1"), DELETE, "field 'parameters' must be an object of 4 groups"),
+    (("parameters", "bogus"), lambda v: "", "field 'parameters' must be an object of 4 groups"),
+    (
+        ("parameters",),
+        lambda v: {("component:01" if g == "component:1" else g): s for g, s in v.items()},
+        "field 'parameters': field 'component:1' is missing",
+        "misnamed",
+    ),
+    (("parameters",), lambda v: 5, "field 'parameters' must be an object of 4 groups"),
+    (("parameters",), DELETE, "field 'parameters' is missing"),
     (("normalizer", "lo"), lambda v: "x", "field 'normalizer': "),
     (("normalizer", "hi"), DELETE, "field 'normalizer': field 'hi' is missing"),
     (("config", "learning_rate"), lambda v: "0.001", "field 'config': learning_rate must be"),
     (("config", "validation_fraction"), lambda v: "0.1", "field 'config': "),
-    (("schedule", "betas"), lambda v: [1.5] * len(v), "field 'schedule' is "),
     (("obs_dim",), lambda v: "x", "field 'obs_dim' must be an int"),
     (("seed",), lambda v: 3.9, "field 'seed' must be an int, got 3.9"),
     (("action_dim",), lambda v: True, "field 'action_dim' must be an int, got True"),
-    (("version",), lambda v: True, "field 'version' is True, not 1"),
-    # a config that disagrees with the nets, router or schedule it wrote
-    (("config", "router_temperature"), lambda v: 2.0, "field 'router.temperature' is 1.0, "),
-    (("config", "denoiser_hidden"), lambda v: [7], "field 'components[0]' has widths [44, 24, 16]"),
-    (("config", "activation"), lambda v: "relu", "field 'encoder' has widths [6, 12] and "),
-    (("config", "step_embed_dim"), lambda v: 6, "field 'components[0]' has widths [44, 24, 16]"),
-    (("schedule", "betas", 3), lambda v: v * (1 + 1e-12), "field 'schedule' is "),
-    (("config", "n_components"), lambda v: 3, "field 'config.n_components' is 3, "),
+    (("version",), lambda v: True, "field 'version' is True, not 2"),
+    (("version",), lambda v: 1, "field 'version' is 1, not 2", "1"),
+    # a config the parameters do not fit, or one that is invalid itself
+    (("config", "router_temperature"), lambda v: 0.0, "field 'config': router_temperature must"),
+    (
+        ("config", "denoiser_hidden"),
+        lambda v: [7],
+        "field 'parameters.component:0' holds 1480 values, but obs_dim, action_dim and config "
+        "imply widths [44, 7, 16]",
+    ),
+    (("config", "activation"), lambda v: "sigmoid", "field 'config': activation must be one of"),
+    (
+        ("config", "step_embed_dim"),
+        lambda v: 6,
+        "field 'parameters.component:0' holds 1480 values, but obs_dim, action_dim and config "
+        "imply widths [34, 24, 16]",
+    ),
+    (
+        ("config", "n_components"),
+        lambda v: 3,
+        "field 'parameters' must be an object of 5 groups, as 'config.n_components' 3 implies",
+    ),
     # type-exact fields: what loads writes the same bytes back
     (("config", "t_exec"), lambda v: 4.0, "field 'config': t_exec must be int, got 4.0"),
     (("config", "router_hidden"), lambda v: [8.0], "router_hidden widths must be ints"),
     (("normalizer", "hi"), lambda v: [1], "field 'normalizer': field 'hi' must be a list of"),
-    (("router", "temperature"), lambda v: 1, "field 'router.temperature' is 1, "),
-    (("components", 1, "step_dim"), lambda v: 16.0, "field 'components[1].step_dim' is 16.0"),
-    (
-        ("router", "net", "layers", 0, "weight"),
-        lambda v: v + "!",
-        "field 'router': field 'layers[0].weight' is not base64",
-    ),
     (("bogus",), lambda v: 1, "unknown key 'bogus'"),
-    (("router", "bogus"), lambda v: 1, "field 'router': unknown key 'bogus'"),
-    (("components", 0, "bogus"), lambda v: 1, "field 'components[0]': unknown key 'bogus'"),
-    (("encoder", "layers", 0, "bogus"), lambda v: 1, "field 'layers[0]': unknown key 'bogus'"),
-    (("encoder",), DELETE, "field 'encoder' is missing"),
-    (("components",), DELETE, "field 'components' is missing"),
-    (("components",), lambda v: 5, "field 'components' must be a non-empty list"),
 ]
 
 
 @pytest.mark.parametrize(
     "path, mutate, message",
-    CHECKPOINT_MUTATIONS,
+    [row[:3] for row in CHECKPOINT_MUTATIONS],
     ids=[
-        ".".join(map(str, path)) + " deleted" * (mutate is DELETE)
-        for path, mutate, _ in CHECKPOINT_MUTATIONS
+        " ".join([".".join(map(str, path)) or "checkpoint", *label])
+        + " deleted" * (mutate is DELETE)
+        for path, mutate, _, *label in CHECKPOINT_MUTATIONS
     ],
 )
 def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mutate, message):
@@ -883,7 +900,9 @@ def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mu
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    if mutate is DELETE:
+    if not path:
+        obj = mutate(obj)
+    elif mutate is DELETE:
         del parent[path[-1]]
     else:
         old = parent.get(path[-1]) if isinstance(parent, dict) else parent[path[-1]]
@@ -895,12 +914,11 @@ def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mu
 
 
 def _fields(node, path=()):
-    """(path, value) of every field of a checkpoint object but the base64 arrays."""
+    """(path, value) of every field of a checkpoint object."""
     yield path, node
     entries = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in entries:
-        if key not in ("weight", "bias"):
-            yield from _fields(value, (*path, key))
+        yield from _fields(value, (*path, key))
 
 
 EXTRA = object()  # a mutation that adds an entry: key 'extra' to an object, a 1 to a list
@@ -927,6 +945,8 @@ ROUND_TRIP_CASES = [
 
 @settings(max_examples=len(ROUND_TRIP_CASES), derandomize=True, deadline=None)
 @given(case=st.sampled_from(ROUND_TRIP_CASES))
+@example(case=(("config", "n_components"), 2**64))  # counted, never listed
+@example(case=(("config", "diffusion_steps"), 2**64))
 def test_a_mutated_checkpoint_names_the_field_or_round_trips(case):
     path, value = case
     obj = json.loads(SMALL_CHECKPOINT)
@@ -1019,11 +1039,44 @@ def test_policy_config_validation():
         ("denoiser_hidden", (16.0,)),
         ("append_task_id", 1),
         ("learning_rate", "0.001"),
+        ("step_embed_dim", -2),
+        ("n_components", -1),
+        ("diffusion_steps", 2**64),
     ],
 )
 def test_policy_config_names_the_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
         PolicyConfig(**{field: value})
+
+
+TINY_CONFIG = dict(
+    n_components=2, diffusion_steps=2, t_pred=2, t_exec=1, h_obs=1, obs_embed_dim=2,
+    denoiser_hidden=(2,), router_hidden=(2,), step_embed_dim=2,
+)
+# each field of a tiny config set to a wrong type, None, a bool, a
+# non-integral, non-finite, negative or huge number
+CONFIG_CASES = [
+    (f.name, value)
+    for f in dataclasses.fields(PolicyConfig)
+    for value in ("x", None, True, 1.5, float("inf"), float("nan"), -1, 2**64)
+]
+
+
+@settings(max_examples=len(CONFIG_CASES), derandomize=True, deadline=None)
+@given(case=st.sampled_from(CONFIG_CASES))
+def test_a_policy_config_field_is_named_or_accepted_and_then_acts(case):
+    name, value = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = PolicyConfig(**{**TINY_CONFIG, name: value})
+        except ValueError as exc:
+            assert name in str(exc)
+            return
+        if isinstance(value, (int, float)) and value <= 2:
+            policy = FactorizedPolicy(2, 1, cfg, ActionNormalizer([-1.0], [1.0]), seed=3)
+            window = policy.act(Rng(0).gaussian(policy.stacked_obs_dim), Rng(1))
+            assert window.shape == (cfg.t_pred, 1)
 
 
 def test_group_names_and_counts():
