@@ -43,12 +43,15 @@ class AdaptationConfig:
             raise AdaptationError(
                 f"unknown strategy '{self.strategy}'; expected one of {STRATEGIES}"
             )
-        if self.replay_per_task < 0:
-            raise AdaptationError("replay_per_task must be >= 0")
-        if self.epochs < 0:
-            raise AdaptationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise AdaptationError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("replay_per_task", 0), ("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # a bool is not a count
+                raise AdaptationError(f"{name} must be an int >= {low}, got {value!r}")
+        src = self.upcycle_source
+        if src != "highest-weight" and not (type(src) is int and src >= 0):
+            raise AdaptationError(f"upcycle_source must be 'highest-weight' or >= 0, got {src!r}")
+        if type(self.unfreeze_encoder) is not bool:
+            raise AdaptationError(f"unfreeze_encoder must be a bool, got {self.unfreeze_encoder!r}")
         if self.unfreeze_encoder and self.strategy != "new_module":
             raise AdaptationError(
                 f"unfreeze_encoder applies only to the new_module strategy, "

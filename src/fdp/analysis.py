@@ -91,7 +91,7 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     """Mean cosine similarity of per-component predictions over the probes.
 
     Probes run on the policy's ``bank.select(range(n))``, as full-composition
-    sampling does: weight views of the store, copies of the biases.
+    sampling does: weight and bias views of the store.
 
     Probes where any component predicts a zero-norm vector are skipped and
     counted (a warning summarizes the count).

@@ -120,7 +120,8 @@ def component_predictions(components, values, obs_embedding, k):
 def weighted_sum(weights, preds) -> np.ndarray:
     """sum_i w_i eps_i, reduced in index order; preds holds the N predictions,
     as a list or stacked on a leading axis, and weights is (N,), or (N, B) for
-    one per batch row, which gets trailing unit axes unless it has them."""
+    one per batch row, which gets trailing unit axes unless it has them: one
+    product, then one index-order sum over the component axis."""
     w = np.asarray(weights, dtype=np.float64)
     n = w.shape[0]
     if len(preds) != n:
@@ -128,20 +129,13 @@ def weighted_sum(weights, preds) -> np.ndarray:
     stack = np.asarray(preds, dtype=np.float64)
     if w.ndim < stack.ndim:
         w = w.reshape(w.shape + (1,) * (stack.ndim - w.ndim))
-    return _weigh_and_sum(w, stack)
-
-
-def _weigh_and_sum(w, stack, terms=None, out=None) -> np.ndarray:
-    """``weighted_sum`` on weights shaped to broadcast: one product (into terms
-    if given), one index-order sum over the component axis (into out if given)."""
-    terms = np.multiply(stack, w, out=terms)
+    terms = stack * w
     if terms.size == len(terms):
         # one value per prediction: numpy would reduce the stack as one
         # contiguous run, pairwise from 8 terms on; keep the index order
-        # (np.positive copies the sum exactly, -0.0 included)
-        return np.positive(sum(terms[1:], terms[0]), out=out)
+        return sum(terms[1:], terms[0])
     # the -0.0 start adds exactly nothing, so this is terms[0] + terms[1] + ...
-    return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def composed_score(
@@ -189,12 +183,16 @@ def sample_values(
 
     components is a ComponentBank built for at least the schedule's K steps;
     the active components run on one ``select``ed sub-bank, which holds the
-    chain's buffers (``start_chain``); all K noise draws are taken, scaled by
-    their sigma_k, at once. Each step is one bank prediction on its row,
-    ``weighted_sum``'s product and sum into the sub-bank's buffers, one
-    ``reverse_mean`` into the next row and one noise row added (none after
-    step 1): with DenoiserComponents and dim > 1 no step allocates, and the
-    result is bit-identical to evaluating the components one at a time.
+    chain (``start_chain``); all K noise draws are taken, scaled by their
+    sigma_k, at once. Each step is one bank call for the composed prediction
+    on its row (``predict_row``), one ``reverse_mean`` into the next row and
+    one noise row added (none after step 1). With DenoiserComponents the
+    sub-bank tabulates layer 0's embedding and step terms once per call and
+    folds the weights into the last layer, so a step runs only the work that
+    changes with it, into the chain's buffers; the sample equals the
+    per-component oracle up to the regrouped float64 sums (within 1e-12 in
+    the tests). Other components are evaluated one at a time and composed
+    with ``weighted_sum``, bit-identical to the oracle.
 
     x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
@@ -221,11 +219,10 @@ def sample_values(
     # K - i + 1, scaled by its sigma here in one multiply
     noise = rng.gaussian_rows(schedule.K, dim)
     noise[1:] *= schedule.sigma[:0:-1, None]
-    values = bank.start_chain(noise[0], emb, schedule.K)
-    terms, eps_hat, x0 = bank.terms, bank.eps_hat, bank.x0
-    rows, w_col = list(values), w_used[:, None]  # every row's view, taken once
+    values = bank.start_chain(noise[0], emb, w_used, schedule.K)
+    rows, x0 = list(values), np.empty(dim)  # every row's view, taken once
     for i, k in enumerate(range(schedule.K, 0, -1)):
-        _weigh_and_sum(w_col, bank.predict_row(i), terms, eps_hat)
+        eps_hat = bank.predict_row(i)
         reverse_mean(schedule, rows[i], eps_hat, k, x0_clip, out=rows[i + 1], scratch=x0)
         if k > 1:
             rows[i + 1] += noise[i + 1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .composition import (
     CompositionError, Router, SampleInfo, check_simplex, component_predictions,
-    composed_residual, group_slices, sample_values,
+    composed_residual, group_slices, sample_values, weighted_sum,
 )
 from .diffusion import SCHEDULE_KINDS, make_schedule
 from .numerics import ACTIVATIONS, Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
@@ -59,6 +59,8 @@ class DenoiserComponent:
                 f"({net.in_dim} -> {net.out_dim}, window_dim={window_dim}, "
                 f"step_dim={step_dim})"
             )
+        if (last := net.activations[-1]) != "identity":  # sampling folds the weights into it
+            raise ValueError(f"a denoiser's last activation must be identity, got {last!r}")
         self.net = net
         self.window_dim = window_dim
         self.step_dim = step_dim
@@ -147,46 +149,56 @@ class ComponentBank:
 
     def select(self, idx) -> "ComponentBank":
         """A bank over components idx (ascending) for one inference call, which
-        holds its chain (``start_chain``): weight slabs are views of the store
-        for a contiguous range of idx (full composition), else copies, and
-        biases are copies, on which the per-step add runs twice as fast."""
+        holds its chain (``start_chain``): its weights and biases are views of
+        the store for a contiguous range of idx (full composition), else copies."""
         sub = copy.copy(self)
         sub.components = [self.components[i] for i in idx]
         if self.layers is not None:
             rows = _as_slice(idx)
-            sub.layers = [(w[rows], b[idx], act) for w, b, act in self.layers]
+            sub.layers = [(w[rows], b[rows], act) for w, b, act in self.layers]
         return sub
 
-    def start_chain(self, values, obs_embedding, steps: int) -> np.ndarray:
-        """Hold one reverse chain's buffers over steps K = steps..1; return the
-        values columns of its (K + 1, 1, width) input, row 0 set to values, row
-        i feeding step K - i, its embedding and step columns (none in a bank of
-        other components) written once; also one (N, 1, fan_out) activation per
-        layer (``stack_forward``'s outs), and the sampler's (N, dim) ``terms``,
-        ``eps_hat`` and ``x0``."""
-        n, dim, self.chain_emb = len(self), len(values), obs_embedding
-        width = dim if self.layers is None else self.layers[0][0].shape[1]
-        self.inputs = np.empty((steps + 1, 1, width))
-        self.terms, self.eps_hat, self.x0 = np.empty((n, dim)), np.empty(dim), np.empty(dim)
+    def start_chain(self, values, obs_embedding, w, steps: int) -> np.ndarray:
+        """Hold one reverse chain over steps K = steps..1 under weights w (N,);
+        return its (K + 1, dim) values buffer, row 0 set to values, row i
+        feeding step K - i. Done once: a (K, N, 1, h0) table of each
+        component's layer-0 embedding, step and bias terms per row, and the
+        weights folded into the last layer: W_f stacks w_i W_L,i, (N h, dim),
+        b_f = sum_i w_i b_L,i (a one-layer net's layer 0 is its last, whose
+        outputs W_f weighs through stacked w_i I). Middle biases are copied:
+        their per-step add runs 2x faster, as does the table's contiguous row."""
+        dim, self.chain_emb, self.chain_weights = len(values), obs_embedding, w
+        self.inputs = np.empty((steps + 1, 1, dim))
+        self.inputs[0, 0] = values
         if self.layers is not None:
+            (w0, b0, act0), *middle = self.layers
             got = dim + np.shape(obs_embedding)[-1] + self.step_table.shape[1]
-            if got != width:
-                raise DimensionMismatchError(f"layer 0 expects input width {width}, got {got}")
-            self.inputs[:, 0, self.emb_cols] = obs_embedding
-            self.inputs[:steps, 0, self.emb_cols.stop :] = self.step_table[steps - 1 :: -1]
-            self.chain = [np.empty((n, 1, w.shape[2])) for w, _, _ in self.layers]
-            self.chain_out = self.chain[-1][:, 0]
-        self.inputs[0, 0, :dim] = values
-        return self.inputs[:, 0, :dim]
+            if got != w0.shape[1]:
+                raise DimensionMismatchError(f"layer 0 expects width {w0.shape[1]}, got {got}")
+            table = self.step_table[steps - 1 :: -1] @ np.hstack(w0[:, self.emb_cols.stop :])
+            table = table.reshape(steps, *b0.shape)
+            table += np.matmul(obs_embedding[None], w0[:, self.emb_cols]) + b0
+            w_last, b_last, _ = middle.pop() if middle else (np.eye(dim), np.zeros_like(b0), None)
+            self.w_f, self.b_f = (w[:, None, None] * w_last).reshape(-1, dim), w @ b_last[:, 0]
+            middle = [(weight, b.copy(), act) for weight, b, act in middle]
+            self.rows = [[(w0[:, :dim], t, act0), *middle] for t in table]
+            self.chain = [np.empty((len(a), 1, a.shape[2])) for a, _, _ in self.rows[0]]
+            self.eps_hat = np.empty(dim)
+        return self.inputs[:, 0]
 
     def predict_row(self, i: int) -> np.ndarray:
-        """Every component's noise estimate on row i of the ``start_chain``
-        input (step K - i), unchecked: a view of the last activation, valid
-        until the next call (fresh for other components)."""
+        """sum_i w_i eps_i on row i of the ``start_chain`` buffer (step K - i),
+        unchecked: one ``stack_forward`` of the row times layer 0's value rows
+        plus its table row, then the middle layers, into the chain's buffers,
+        then W_f and b_f, into a buffer the next call overwrites (other
+        components: ``weighted_sum`` of ``forward``)."""
         if self.layers is None:
-            return self.forward(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)[0]
-        stack_forward(self.layers, self.inputs[i], self.chain)
-        return self.chain_out
+            preds = self.forward(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)[0]
+            return weighted_sum(self.chain_weights, preds)
+        hidden = stack_forward(self.rows[i], self.inputs[i], self.chain)[-1]
+        eps_hat = np.matmul(hidden.reshape(-1), self.w_f, out=self.eps_hat)
+        eps_hat += self.b_f
+        return eps_hat
 
     def forward(self, values, obs_embedding, k):
         """Every component's noise estimate, a fresh (N, *values.shape) array,

@@ -10,6 +10,11 @@ against, the textbook Fisher-Yates shuffle, a generic
 central-finite-difference gradient checker, and the layout checks of a
 net's and a policy's parameter vectors. The one exception is ``sample_loop``: the reverse chain as
 a loop over fresh arrays, the reference for the sampler's in-place buffer.
+
+A sampler over stacked nets regroups float64 sums (each act tabulates layer
+0's embedding and step terms and folds the weights into the last layer), so
+its windows and per-step predictions are compared with these references
+under one bound, ``assert_chain_close``; other components compare exactly.
 """
 
 from dataclasses import dataclass, field
@@ -107,6 +112,17 @@ def net_backward_loop(net, trace, grad_out):
         blocks = [a.T @ dz, dz.sum(axis=0), *blocks]
         g = dz @ params[f"layer{i}.weight"].T
     return np.concatenate([b.ravel() for b in blocks]), (g[0] if squeeze else g)
+
+
+# absolute bound on a stacked-net chain's windows and per-step composed
+# predictions against the per-component references: a few ulps of the
+# largest values in the tests (unclipped chains reach a few hundred)
+CHAIN_ATOL = 1e-12
+
+
+def assert_chain_close(got, expected):
+    """got equals expected elementwise within CHAIN_ATOL (absolute)."""
+    np.testing.assert_allclose(got, expected, rtol=0, atol=CHAIN_ATOL)
 
 
 def composed_prediction_loop(components, weights, values, obs_embedding, k):

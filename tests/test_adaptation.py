@@ -1,10 +1,14 @@
 """Adaptation strategies: upcycling, freezing, replay, continual stages."""
 
+import copy
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdp.adaptation
 import fdp.composition
@@ -45,6 +49,12 @@ def small_policy(n=2, seed=0, obs_dim=6, action_dim=2):
 @pytest.fixture(scope="module")
 def reach_ds():
     return generate_demos("reach4", per_task=4, seed=11)
+
+
+@pytest.fixture(scope="module")
+def pretrained(reach_ds):
+    policy = small_policy(n=2)
+    return policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -445,12 +455,56 @@ def test_config_validation():
         AdaptationConfig(strategy="distill")
     with pytest.raises(AdaptationError):
         AdaptationConfig(replay_per_task=-1)
+    # a wrong type names its field; a bool is no component index
+    for field, value in (("replay_per_task", None), ("unfreeze_encoder", "yes"),
+                         ("upcycle_source", True)):
+        with pytest.raises(AdaptationError, match=field):
+            AdaptationConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("epochs", -1),
+        ("batch_size", 1.5),
+        ("batch_size", True),
+        ("epochs", "3"),
+        ("epochs", float("nan")),
+    ],
+)
 def test_config_rejects_bad_batch_size_and_epochs(field, value):
     with pytest.raises(AdaptationError, match=field):
         AdaptationConfig(**{field: value})
+
+
+# each field set to a wrong type, None, a bool, zero, a non-integral,
+# non-finite, negative or huge number
+ADAPT_CASES = [
+    (f.name, value)
+    for f in dataclasses.fields(AdaptationConfig)
+    for value in ("x", None, True, 0, 1.5, float("inf"), float("nan"), -1, 2**64)
+]
+
+
+@settings(max_examples=len(ADAPT_CASES), derandomize=True, deadline=None)
+@given(case=st.sampled_from(ADAPT_CASES))
+def test_an_adaptation_config_field_is_named_or_accepted_and_then_adapts(
+    case, reach_ds, pretrained
+):
+    name, value = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = AdaptationConfig(**{"epochs": 1, "batch_size": 16, name: value})
+        except AdaptationError as exc:
+            assert name in str(exc)
+            return
+        if isinstance(value, (int, float)) and value <= 2:
+            policy = copy.deepcopy(pretrained)
+            log = adapt(policy, config, reach_ds, seed=0)
+            assert policy.n_components == 2 + (config.strategy == "new_module")
+            assert len(log.training.entries) == config.epochs
 
 
 @pytest.mark.parametrize("strategy", ["full", "router", "router+encoder"])
