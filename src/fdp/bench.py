@@ -12,6 +12,7 @@ scalars ([agent, drawer, target] or [pos, left goal, right goal]).
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ from .policy import ActionNormalizer, canonical_json, rollout
 SUITES = ("reach4", "pick-side", "drawer-line", "bimodal1d", "continual12")
 DATASET_FORMAT = "fdp-episodes"
 DATASET_VERSION = 1
+HEADER_KEYS = ("format", "version", "suite", "state_dim", "action_dim", "seed", "normalizer")
+EPISODE_KEYS = ("task", "task_id", "observations", "actions", "success")  # one per line
 
 DT = 0.1
 VMAX = 1.0
@@ -160,6 +163,9 @@ class PointMassEnv:
     def __init__(self, spec: EnvSpec):
         self.spec = spec
         self.task_id = spec.task_index
+        lay = spec.layout  # 2-d tasks' object and goal as arrays, once per env
+        self._goal = np.asarray(lay.get("goal", ()), dtype=np.float64)
+        self._scene = np.concatenate([lay.get("object", ()), self._goal])
         self.pos = None
         self.drawer = None
         self.engaged = False
@@ -182,7 +188,7 @@ class PointMassEnv:
     def observation(self) -> np.ndarray:
         lay = self.spec.layout
         if self.spec.kind in ("reach", "pick_side"):
-            return np.concatenate([self.pos, lay["object"], lay["goal"]])
+            return np.concatenate([self.pos, self._scene])
         if self.spec.kind == "drawer":
             return np.array([self.pos[0], self.drawer, lay["target"]])
         if self.spec.kind == "bimodal":
@@ -192,13 +198,14 @@ class PointMassEnv:
     def _target_error(self) -> float:
         lay = self.spec.layout
         if self.spec.kind in ("reach", "pick_side"):
-            return float(np.linalg.norm(self.pos - np.asarray(lay["goal"])))
+            d = self.pos - self._goal
+            return math.sqrt(d.dot(d))  # np.linalg.norm of a real vector, bit for bit
         if self.spec.kind == "drawer":
             return abs(self.drawer - lay["target"])
         return min(abs(self.pos[0] - g) for g in lay["goals"])
 
     def step(self, action) -> np.ndarray:
-        action = np.clip(as_f64(action, "action"), -1.0, 1.0)
+        action = np.minimum(np.maximum(as_f64(action, "action"), -1.0), 1.0)  # np.clip
         if action.shape != (self.spec.action_dim,):
             raise ValueError(
                 f"action shape {action.shape} != ({self.spec.action_dim},)"
@@ -338,78 +345,75 @@ class EpisodeDataset:
             out.setdefault(ep.task, []).append(ep)
         return out
 
-    def normalizer_json(self) -> dict:
-        return {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()}
-
     def save(self, path) -> None:
         """Line-delimited records: one header line, then one episode per line."""
-        header = {
-            "format": DATASET_FORMAT,
-            "version": DATASET_VERSION,
-            "suite": self.suite,
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "seed": self.seed,
-            "normalizer": self.normalizer_json(),
-        }
+        norm = {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()}
+        header = (DATASET_FORMAT, DATASET_VERSION, self.suite, self.state_dim, self.action_dim)
         with open(path, "w") as f:
-            f.write(canonical_json(header) + "\n")
+            f.write(canonical_json(dict(zip(HEADER_KEYS, (*header, self.seed, norm)))) + "\n")
             for ep in self.episodes:
-                rec = {
-                    "task": ep.task,
-                    "task_id": ep.task_id,
-                    "observations": ep.observations.tolist(),
-                    "actions": ep.actions.tolist(),
-                    "success": ep.success,
-                }
-                f.write(canonical_json(rec) + "\n")
+                rec = (ep.task, ep.task_id, ep.observations.tolist(), ep.actions.tolist())
+                f.write(canonical_json(dict(zip(EPISODE_KEYS, (*rec, ep.success)))) + "\n")
 
     @classmethod
     def load(cls, path) -> "EpisodeDataset":
-        """Inverse of ``save``; a malformed line raises ValueError naming the
-        line and the field."""
-        keys = ("format", "version", "suite", "state_dim", "action_dim", "seed", "normalizer")
+        """Inverse of ``save``: what loads writes back its own bytes, and a
+        malformed line raises ValueError naming the line and the field."""
         with open(path) as f:
             try:
-                header = dict(zip(keys, json_fields(json.loads(f.readline()), *keys)))
+                header = dict(zip(HEADER_KEYS, json_fields(json.loads(f.readline()), *HEADER_KEYS)))
                 for key, want in (("format", DATASET_FORMAT), ("version", DATASET_VERSION)):
-                    if header[key] != want:
+                    if canonical_json(header[key]) != canonical_json(want):
                         raise ValueError(f"field '{key}' is {header[key]!r}, expected {want!r}")
-                bounds = json_fields(header["normalizer"], "lo", "hi")
-                for bound, values in zip(("lo", "hi"), bounds):
-                    if np.shape(values) != (header["action_dim"],):
-                        raise ValueError(
-                            f"field 'normalizer' has '{bound}' of shape {np.shape(values)}, "
-                            f"but the header's 'action_dim' is {header['action_dim']}"
-                        )
+                for key, kind, least in (("suite", str, None), ("state_dim", int, 1),
+                                         ("action_dim", int, 1), ("seed", int, None)):
+                    _field(key, header[key], kind, least)
+                try:
+                    norm = ActionNormalizer.from_json(header["normalizer"])
+                except ValueError as exc:
+                    raise ValueError(f"field 'normalizer': {exc}") from exc
+                if norm.lo.shape != (header["action_dim"],):
+                    raise ValueError(
+                        f"field 'normalizer' has 'lo' of shape {norm.lo.shape}, "
+                        f"but the header's 'action_dim' is {header['action_dim']}"
+                    )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"dataset line 1: {exc}: {path}") from exc
-            episodes, keys = [], ("task", "task_id", "observations", "actions", "success")
+            episodes = []
             for line_no, line in enumerate(f, start=2):
                 try:
-                    rec = json_fields(json.loads(line), *keys)
-                    if type(rec[1]) is not int:
-                        raise ValueError(f"field 'task_id' is {rec[1]!r}, not an int")
-                    episodes.append(Episode(*rec))
+                    rec = json_fields(json.loads(line), *EPISODE_KEYS)
+                    episodes.append(Episode(
+                        _field("task", rec[0], str), _field("task_id", rec[1], int, 0),
+                        _rows("observations", rec[2], "state_dim", header["state_dim"]),
+                        _rows("actions", rec[3], "action_dim", header["action_dim"]),
+                        _field("success", rec[4], bool),
+                    ))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"dataset line {line_no}: {exc}: {path}") from exc
-        for i, ep in enumerate(episodes):
-            for name, dim in (("observations", "state_dim"), ("actions", "action_dim")):
-                arr = getattr(ep, name)
-                if arr.ndim != 2 or arr.shape[1] != header[dim]:
-                    raise ValueError(
-                        f"dataset episode {i} field '{name}' has shape {arr.shape}, "
-                        f"but the header's '{dim}' is {header[dim]}: {path}"
-                    )
-        return cls(
-            suite=header["suite"],
-            state_dim=header["state_dim"],
-            action_dim=header["action_dim"],
-            seed=header["seed"],
-            episodes=episodes,
-            normalizer_lo=np.asarray(header["normalizer"]["lo"]),
-            normalizer_hi=np.asarray(header["normalizer"]["hi"]),
-        )
+        fields = [header[key] for key in ("suite", "state_dim", "action_dim", "seed")]
+        return cls(*fields, episodes, norm.lo, norm.hi)
+
+
+def _field(name: str, value, kind: type, least=None):
+    """value if its type is kind (a bool is no int) and it is not below
+    least; else ValueError naming the field."""
+    if type(value) is not kind or (least is not None and value < least):
+        what = f"a{'n' * (kind is int)} {kind.__name__}" + ("" if least is None else f" >= {least}")
+        raise ValueError(f"field '{name}' is {value!r}, not {what}")
+    return value
+
+
+def _rows(name: str, rows, dim: str, width: int) -> list:
+    """rows if they are a list of lists of width floats (an int or a bool
+    would write back other bytes); else ValueError naming the field."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and all(type(v) is float for r in rows for v in r)):
+        raise ValueError(f"field '{name}' must be a list of lists of floats")
+    shape = (len(rows), *sorted({len(r) for r in rows}))
+    if shape[1:] != (width,):
+        raise ValueError(f"field '{name}' has shape {shape}, but the header's '{dim}' is {width}")
+    return rows
 
 
 def merge_datasets(a: EpisodeDataset, b: EpisodeDataset) -> EpisodeDataset:
@@ -555,7 +559,7 @@ def _eval_unit(args):
         rng = Rng(seed).child(0xE7A1, spec.task_index, ep_idx)
         result = rollout(policy, make_env(spec), spec.max_steps, rng, top_k=top_k)
         hits += int(result.success)
-    return hits / episodes if episodes else 0.0
+    return hits / episodes
 
 
 def evaluate(
@@ -571,6 +575,10 @@ def evaluate(
     if isinstance(specs, str):
         specs = make_suite(specs)
     seeds = list(seeds)
+    if episodes_per_task < 1:
+        raise ValueError(f"episodes_per_task must be >= 1, got {episodes_per_task}")
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed, got none")
     units = [
         (policy, spec, seed, episodes_per_task, top_k)
         for spec in specs

@@ -57,9 +57,13 @@ _U53 = float(1 << 53)
 def _mix64(x: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer (Steele, Lea & Flood 2014). Pure uint64 arithmetic,
     # so streams are bit-identical on every platform.
-    x = (x ^ (x >> np.uint64(30))) * _SM64_M1
-    x = (x ^ (x >> np.uint64(27))) * _SM64_M2
-    return x ^ (x >> np.uint64(31))
+    # In place on an array; a scalar is rebound.
+    x ^= x >> np.uint64(30)
+    x *= _SM64_M1
+    x ^= x >> np.uint64(27)
+    x *= _SM64_M2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 class Rng:
@@ -77,10 +81,11 @@ class Rng:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self.seed) + idx * _SM64_GAMMA)
+        x *= _SM64_GAMMA  # array arithmetic wraps without a warning
+        x += np.uint64(self.seed)
+        return _mix64(x)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), 53-bit resolution."""
@@ -95,11 +100,16 @@ class Rng:
         successive ``gaussian(n)`` calls, and the counter advances the same."""
         if rows < 1 or n < 1:
             raise ValueError(f"gaussian sample count must be >= 1, got {rows} x {n}")
-        raw = self._raw(2 * n * rows).reshape(rows, 2 * n)
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-        u1 = ((raw[:, :n] >> np.uint64(11)).astype(np.float64) + 1.0) / _U53
-        u2 = (raw[:, n:] >> np.uint64(11)).astype(np.float64) / _U53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        raw = self._raw(2 * n * rows)
+        raw >>= np.uint64(11)
+        # each row's u1 then u2 draws, as two contiguous (rows, n) blocks
+        u = raw.reshape(rows, 2, n).transpose(1, 0, 2).astype(np.float64, order="C")
+        u[0] += 1.0  # u1 in (0, 1] so the log is finite; u2 in [0, 1)
+        u /= _U53
+        u1, u2 = u
+        np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+        np.cos(np.multiply(u2, 2.0 * np.pi, out=u2), out=u2)
+        return u1 * u2
 
     def integers(self, lo: int, hi: int, n: int = 1) -> np.ndarray:
         """n ints uniform on [lo, hi). Floor-of-uniform; bias is O(range/2^53)."""

@@ -180,23 +180,29 @@ class ComponentBank:
             table += np.matmul(obs_embedding[None], w0[:, self.emb_cols]) + b0
             w_last, b_last, _ = middle.pop() if middle else (np.eye(dim), np.zeros_like(b0), None)
             self.w_f, self.b_f = (w[:, None, None] * w_last).reshape(-1, dim), w @ b_last[:, 0]
-            middle = [(weight, b.copy(), act) for weight, b, act in middle]
-            self.rows = [[(w0[:, :dim], t, act0), *middle] for t in table]
-            self.chain = [np.empty((len(a), 1, a.shape[2])) for a, _, _ in self.rows[0]]
-            self.eps_hat = np.empty(dim)
+            self.middle = [(weight, b.copy(), act) for weight, b, act in middle]
+            self.w0, self.table, self.act0 = w0[:, :dim], table, act0
+            self.chain = [np.empty(b.shape) for _, b, _ in self.layers[: len(middle) + 1]]
+            self.hidden, self.eps_hat = self.chain[-1].reshape(-1), np.empty(dim)
         return self.inputs[:, 0]
 
     def predict_row(self, i: int) -> np.ndarray:
         """sum_i w_i eps_i on row i of the ``start_chain`` buffer (step K - i),
-        unchecked: one ``stack_forward`` of the row times layer 0's value rows
-        plus its table row, then the middle layers, into the chain's buffers,
-        then W_f and b_f, into a buffer the next call overwrites (other
-        components: ``weighted_sum`` of ``forward``)."""
+        unchecked: the row times layer 0's value rows plus its table row, then
+        ``stack_forward`` of the middle layers, into the chain's buffers, then
+        W_f and b_f, into a buffer the next call overwrites (other components:
+        ``weighted_sum`` of ``forward``)."""
         if self.layers is None:
             preds = self.forward(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)[0]
             return weighted_sum(self.chain_weights, preds)
-        hidden = stack_forward(self.rows[i], self.inputs[i], self.chain)[-1]
-        eps_hat = np.matmul(hidden.reshape(-1), self.w_f, out=self.eps_hat)
+        x = np.matmul(self.inputs[i], self.w0, out=self.chain[0])
+        x += self.table[i]
+        ufunc, operands = self.act0
+        if ufunc is not None:
+            ufunc(x, *operands, out=x)
+        if self.middle:
+            stack_forward(self.middle, x, self.chain[1:])
+        eps_hat = np.dot(self.hidden, self.w_f, out=self.eps_hat)  # the last chain buffer
         eps_hat += self.b_f
         return eps_hat
 
@@ -276,11 +282,8 @@ class ActionNormalizer:
         return out
 
     def denormalize(self, x: np.ndarray) -> np.ndarray:
-        x = as_f64(x, "normalized actions")
-        out = np.broadcast_to(self.lo, x.shape).copy()
-        ok = self.span > 0.0
-        out[..., ok] = (x[..., ok] + 1.0) * 0.5 * self.span[ok] + self.lo[ok]
-        return out
+        x = as_f64(x, "normalized actions")  # a zero-span dimension gets lo's bits
+        return np.where(self.span > 0.0, (x + 1.0) * 0.5 * self.span + self.lo, self.lo)
 
     def to_json(self) -> dict:
         return {"lo": self.lo.tolist(), "hi": self.hi.tolist()}

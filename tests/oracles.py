@@ -6,7 +6,8 @@ backward of one net, one 2-d layer at a time, the per-component loop for the
 composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
 moments, the per-array Adam and the per-group step a fit is checked
-against, the textbook Fisher-Yates shuffle, a generic
+against, the textbook Fisher-Yates shuffle, the masked-assignment
+denormalization, the step-by-step point-mass dynamics, a generic
 central-finite-difference gradient checker, and the layout checks of a
 net's and a policy's parameter vectors. The one exception is ``sample_loop``: the reverse chain as
 a loop over fresh arrays, the reference for the sampler's in-place buffer.
@@ -261,6 +262,43 @@ def product_of_gaussians(mus, variances, weights):
     precision = np.sum(weights / variances)
     mean = np.sum(weights * mus / variances) / precision
     return mean, 1.0 / precision
+
+
+def denormalize_masked(norm, x):
+    """``ActionNormalizer.denormalize`` by masked assignment: lo's bits on a
+    zero-span dimension, (x + 1) * 0.5 * span + lo on the others."""
+    out = np.broadcast_to(norm.lo, np.shape(x)).copy()
+    ok = norm.span > 0.0
+    out[..., ok] = (x[..., ok] + 1.0) * 0.5 * norm.span[ok] + norm.lo[ok]
+    return out
+
+
+def point_mass_loop(spec, pos, actions, vmax, dt):
+    """The point-mass dynamics, step by step, from position pos under fixed
+    actions: clip to the unit box (np.clip), integrate, drag an engaged
+    drawer, measure the error to the target (np.linalg.norm for a 2-d task)
+    and latch success after hold_steps steps inside the tolerance. Returns
+    each step's (observation, success)."""
+    lay, pos = spec.layout, np.array(pos, dtype=np.float64)
+    drawer, engaged, hold, success, out = lay.get("drawer"), False, 0, False, []
+    for action in actions:
+        pos = pos + np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0) * vmax * dt
+        if spec.kind == "drawer":
+            engaged = engaged or abs(pos[0] - drawer) <= lay["engage_dist"]
+            drawer = float(pos[0]) if engaged else drawer
+        if spec.kind in ("reach", "pick_side"):
+            error = float(np.linalg.norm(pos - np.asarray(lay["goal"])))
+            obs = np.concatenate([pos, lay["object"], lay["goal"]])
+        elif spec.kind == "drawer":
+            error = abs(drawer - lay["target"])
+            obs = np.array([pos[0], drawer, lay["target"]])
+        else:
+            error = min(abs(pos[0] - g) for g in lay["goals"])
+            obs = np.array([pos[0], *lay["goals"]])
+        hold = hold + 1 if error < spec.success_tol else 0
+        success = success or hold >= spec.hold_steps
+        out.append((obs, success))
+    return out
 
 
 def central_diff(f, arr, h=1e-5):

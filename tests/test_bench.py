@@ -1,11 +1,16 @@
 """Benchmark suite: envs, scripted experts, demo generation, evaluation."""
 
+import copy
 import json
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdp.bench
 from fdp.bench import (
@@ -24,7 +29,9 @@ from fdp.bench import (
     scripted_expert,
 )
 from fdp.numerics import Rng
-from fdp.policy import FactorizedPolicy, PolicyConfig, rollout
+from fdp.policy import FactorizedPolicy, PolicyConfig, canonical_json, rollout
+
+from .oracles import point_mass_loop
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +91,26 @@ def test_dynamics_deterministic_given_state_and_action():
             env.step(a)
         states.append(env.pos.copy())
     np.testing.assert_array_equal(states[0], states[1])
+
+
+@pytest.mark.parametrize("suite", ["reach4", "pick-side", "drawer-line", "bimodal1d"])
+def test_env_trajectory_matches_the_textbook_loop_bit_for_bit(suite):
+    # a signed-zero step, each task's expert actions from the same start (so
+    # success latches) with saturated entries tripled, past the unit box,
+    # then random steps of up to about 2 past it
+    for spec in make_suite(suite):
+        rng = Rng(9).child(spec.task_index)
+        demo = run_expert_episode(spec, rng)
+        tail = Rng(4).gaussian(8 * spec.action_dim).reshape(8, spec.action_dim) * 2.0
+        expert = np.where(np.abs(demo.actions) == 1.0, 3.0 * demo.actions, demo.actions)
+        actions = [np.full(spec.action_dim, -0.0), *expert, *tail]
+        env = make_env(spec)
+        env.reset(rng.child(0))  # the start the expert's rollout drew
+        expected = point_mass_loop(spec, env.pos, actions, fdp.bench.VMAX, fdp.bench.DT)
+        for action, (obs, success) in zip(actions, expected):
+            assert env.step(action).tobytes() == obs.tobytes()
+            assert env.success == success
+        assert env.success
 
 
 def test_velocity_clamp_bounds_motion():
@@ -192,6 +219,13 @@ def test_dataset_round_trip(tmp_path):
     )
 
 
+def _saved(dataset):
+    """The lines ``save`` writes for dataset."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset.save(Path(tmp) / "demos.jsonl")
+        return (Path(tmp) / "demos.jsonl").read_text().splitlines()
+
+
 def _rewrite_dataset(path, header=None, episode=None):
     """Rewrite a saved dataset, updating its header and every episode record."""
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -271,7 +305,7 @@ DATASET_LINE_MUTATIONS = {
     "header normalizer not an object": (
         0,
         lambda rec: json.dumps({**rec, "normalizer": [rec["normalizer"]]}),
-        "dataset line 1: expected a JSON object",
+        "dataset line 1: field 'normalizer': expected a JSON object",
     ),
 }
 
@@ -288,6 +322,68 @@ def test_dataset_load_names_the_line_and_field(tmp_path, case):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             EpisodeDataset.load(path)
+
+
+DELETE, EXTRA = object(), object()  # delete the field; add key 'extra' to an object, 1 to a list
+SMALL_DATASET = [json.loads(line) for line in _saved(generate_demos("bimodal1d", 1, seed=1))]
+
+
+def _dataset_fields(node, path=()):
+    """(path, value) of every field of a dataset line, but only the first
+    row and entry of an episode's observations and actions."""
+    yield path, node
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node[:1] if path[0] in ("observations", "actions") else node)
+    else:
+        return
+    for key, value in entries:
+        yield from _dataset_fields(value, (*path, key))
+
+
+# each field of the header line (0) and of the episode line (1) set to a
+# wrong type, None, a bool, a non-integral, non-finite, negative or huge
+# number, deleted, or given an extra entry
+DATASET_CASES = [
+    (line, path, value)
+    for line, rec in enumerate(SMALL_DATASET)
+    for path, node in _dataset_fields(rec)
+    for value in ("x", None, True, 1.5, float("inf"), float("nan"), -1, 2**64, DELETE, EXTRA)
+    if (value is EXTRA and isinstance(node, (dict, list))) or (path and value is not EXTRA)
+]
+
+
+@settings(max_examples=len(DATASET_CASES), derandomize=True, deadline=None)
+@given(case=st.sampled_from(DATASET_CASES))
+@example(case=(0, ("state_dim",), 2**64))  # checked against the episodes' rows
+@example(case=(1, ("observations", 0, 0), True))  # would write back 1.0
+def test_a_mutated_dataset_line_names_the_field_or_round_trips(case):
+    line, path, value = case
+    lines = copy.deepcopy(SMALL_DATASET)
+    parent = lines[line]
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is EXTRA:
+        node = parent[path[-1]] if path else parent
+        node.append(1) if isinstance(node, list) else node.update(extra=1)
+    elif value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    text = "".join(canonical_json(rec) + "\n" for rec in lines)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        src, out = Path(tmp) / "in.jsonl", Path(tmp) / "out.jsonl"
+        src.write_text(text)
+        try:
+            back = EpisodeDataset.load(src)
+        except ValueError as exc:
+            assert re.search(r"dataset line \d+: ", str(exc))
+            assert (path[:1] or ("extra",))[0] in str(exc)
+        else:
+            back.save(out)
+            assert out.read_text() == text
 
 
 def test_generate_demos_error_names_task():
@@ -419,6 +515,23 @@ def test_evaluate_parallel_jobs_match_serial():
         ExpertPolicy(), "drawer-line", episodes_per_task=4, seeds=(0, 1), jobs=2
     )
     assert table1.to_json() == table2.to_json()
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"episodes_per_task": 0}, "episodes_per_task"),
+        ({"episodes_per_task": -2}, "episodes_per_task"),
+        ({"seeds": ()}, "seeds"),
+        ({"seeds": []}, "seeds"),
+    ],
+)
+def test_evaluate_rejects_no_episodes_or_no_seeds(kwargs, name):
+    # before: 0 episodes gave 0.0 success, and no seed NaN averages with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            evaluate(ExpertPolicy(), "bimodal1d", **{"episodes_per_task": 1, "seeds": (0,), **kwargs})
 
 
 def test_evaluate_starts_at_most_one_worker_per_unit(monkeypatch):

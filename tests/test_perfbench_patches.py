@@ -4,8 +4,8 @@ perfbench patches wrappers onto fdp's modules and classes by name. A renamed
 or deleted name would crash every benchmark run, so this installs both patch
 layers (without running anything) and checks that each one found its targets
 and that every patched attribute is restored afterwards. A tiny fit and
-evaluation under both layers check that what they count still happens
-through the names they wrap.
+evaluation under both layers check that what they count, training batches
+and acts alike, still happens through the names they wrap.
 """
 
 import importlib.util
@@ -89,3 +89,7 @@ def test_the_probe_and_the_tracer_still_see_training():
     assert phase["counts"]["numerics.adam.steps"] == batches
     assert phase["calls"]["composition.joint_loss"] == batches
     assert phase["counts"]["numerics.backward.rows"] > 0
+    # every act goes through the names the probe and the tracer wrap
+    assert probe.inferences > 0 and len(probe.acts) == probe.inferences
+    assert phase["calls"]["composition.sample_values"] == probe.inferences
+    assert phase["calls"]["diffusion.reverse_mean"] == cfg.diffusion_steps * probe.inferences

@@ -33,7 +33,8 @@ from fdp.policy import (
 )
 
 from .oracles import (
-    GroupAdam, assert_bank_serves, assert_layers_view_vector, net_backward_loop, net_forward_loop,
+    GroupAdam, assert_bank_serves, assert_layers_view_vector, denormalize_masked,
+    net_backward_loop, net_forward_loop,
 )
 
 
@@ -141,6 +142,17 @@ def test_normalizer_round_trip_property(dims, rows, degenerate, seed):
     clone = ActionNormalizer.from_json(json.loads(json.dumps(norm.to_json())))
     np.testing.assert_array_equal(clone.normalize(actions), z)
     np.testing.assert_array_equal(clone.denormalize(z), norm.denormalize(z))
+
+
+def test_denormalize_matches_the_masked_assignment_bit_for_bit():
+    # dimensions 0 and 2 have zero span; dimension 0's lo is -0.0, whose sign survives
+    norm = ActionNormalizer([-0.0, -1.3, 0.4, -2.5e-3], [-0.0, 2.9, 0.4, 7.0])
+    rng = Rng(5)
+    for shape in ((4,), (16, 4), (2, 3, 4)):
+        x = np.clip(rng.gaussian(int(np.prod(shape))).reshape(shape), -1.05, 1.05)
+        got = norm.denormalize(x)
+        assert got.shape == shape and got.tobytes() == denormalize_masked(norm, x).tobytes()
+        assert np.signbit(got[..., 0]).all() and (got[..., 2] == 0.4).all()
 
 
 def test_degenerate_dimension_maps_to_zero():
