@@ -25,7 +25,7 @@ SUITES = ("reach4", "pick-side", "drawer-line", "bimodal1d", "continual12")
 DATASET_FORMAT = "fdp-episodes"
 DATASET_VERSION = 1
 HEADER_KEYS = ("format", "version", "suite", "state_dim", "action_dim", "seed", "normalizer")
-EPISODE_KEYS = ("task", "task_id", "observations", "actions", "success")  # one per line
+EPISODE_KEYS = ("task", "task_id", "observations", "actions", "success")  # each later line
 
 DT = 0.1
 VMAX = 1.0
@@ -347,10 +347,10 @@ class EpisodeDataset:
 
     def save(self, path) -> None:
         """Line-delimited records: one header line, then one episode per line."""
-        norm = {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()}
-        header = (DATASET_FORMAT, DATASET_VERSION, self.suite, self.state_dim, self.action_dim)
+        header = (DATASET_FORMAT, DATASET_VERSION, self.suite, self.state_dim, self.action_dim,
+                  self.seed, {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()})
         with open(path, "w") as f:
-            f.write(canonical_json(dict(zip(HEADER_KEYS, (*header, self.seed, norm)))) + "\n")
+            f.write(canonical_json(dict(zip(HEADER_KEYS, header))) + "\n")
             for ep in self.episodes:
                 rec = (ep.task, ep.task_id, ep.observations.tolist(), ep.actions.tolist())
                 f.write(canonical_json(dict(zip(EPISODE_KEYS, (*rec, ep.success)))) + "\n")
@@ -399,8 +399,9 @@ def _field(name: str, value, kind: type, least=None):
     """value if its type is kind (a bool is no int) and it is not below
     least; else ValueError naming the field."""
     if type(value) is not kind or (least is not None and value < least):
-        what = f"a{'n' * (kind is int)} {kind.__name__}" + ("" if least is None else f" >= {least}")
-        raise ValueError(f"field '{name}' is {value!r}, not {what}")
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"field '{name}' is {value!r}, not {'an' if kind is int else 'a'} "
+                         f"{kind.__name__}{bound}")
     return value
 
 

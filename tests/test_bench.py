@@ -531,7 +531,7 @@ def test_evaluate_rejects_no_episodes_or_no_seeds(kwargs, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must"):
-            evaluate(ExpertPolicy(), "bimodal1d", **{"episodes_per_task": 1, "seeds": (0,), **kwargs})
+            evaluate(ExpertPolicy(), "bimodal1d", **{"episodes_per_task": 1, "seeds": [0]} | kwargs)
 
 
 def test_evaluate_starts_at_most_one_worker_per_unit(monkeypatch):
