@@ -12,7 +12,7 @@ and restoring the cached router reproduces the old policy exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,9 @@ class AdaptationConfig:
     """How to adapt a pretrained policy to a new task."""
 
     strategy: str = "new_module"
-    upcycle_source: int | str = "highest-weight"  # or an explicit component index
     replay_per_task: int = 0  # episodes kept per pretrain task; 0 disables replay
     epochs: int = 60
     batch_size: int = 64
-    unfreeze_encoder: bool = False  # new_module only
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -47,16 +45,6 @@ class AdaptationConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:  # a bool is not a count
                 raise AdaptationError(f"{name} must be an int >= {low}, got {value!r}")
-        src = self.upcycle_source
-        if src != "highest-weight" and not (type(src) is int and src >= 0):
-            raise AdaptationError(f"upcycle_source must be 'highest-weight' or >= 0, got {src!r}")
-        if type(self.unfreeze_encoder) is not bool:
-            raise AdaptationError(f"unfreeze_encoder must be a bool, got {self.unfreeze_encoder!r}")
-        if self.unfreeze_encoder and self.strategy != "new_module":
-            raise AdaptationError(
-                f"unfreeze_encoder applies only to the new_module strategy, "
-                f"not '{self.strategy}'"
-            )
 
 
 def mean_routing_weights(policy: FactorizedPolicy, dataset: EpisodeDataset) -> np.ndarray:
@@ -127,18 +115,7 @@ class AdaptationLog:
         return self.frozen_checksums_before == self.frozen_checksums_after
 
     def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "trainable_groups": list(self.trainable_groups),
-            "trainable_parameters": self.trainable_parameters,
-            "total_parameters": self.total_parameters,
-            "frozen_checksums_before": self.frozen_checksums_before,
-            "frozen_checksums_after": self.frozen_checksums_after,
-            "upcycle_source": self.upcycle_source,
-            "replay_episodes": self.replay_episodes,
-            "training": self.training.to_json() if self.training else None,
-            "stages": self.stages,
-        }
+        return asdict(self)  # the training log too; a tuple is written as a JSON list
 
 
 def trainable_groups_for(
@@ -150,10 +127,7 @@ def trainable_groups_for(
         return ["router"]
     if config.strategy == "router+encoder":
         return ["router", "encoder"]
-    groups = ["router", f"component:{new_component}"]
-    if config.unfreeze_encoder:
-        groups.append("encoder")
-    return groups
+    return ["router", f"component:{new_component}"]
 
 
 def adapt(
@@ -198,7 +172,7 @@ def adapt(
         new_component = None
         source = None
         if config.strategy == "new_module":
-            source = upcycle_component(policy, config.upcycle_source, new_dataset)
+            source = upcycle_component(policy, dataset=new_dataset)
             new_component = policy.n_components - 1
 
         groups = trainable_groups_for(policy, config, new_component)

@@ -162,7 +162,6 @@ class PointMassEnv:
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
-        self.task_id = spec.task_index
         lay = spec.layout  # 2-d tasks' object and goal as arrays, once per env
         self._goal = np.asarray(lay.get("goal", ()), dtype=np.float64)
         self._scene = np.concatenate([lay.get("object", ()), self._goal])

@@ -57,17 +57,46 @@ def runtime_errors_exit_3(fn):
     return wrapper
 
 
+def _check_config_value(path, param, value) -> None:
+    """A --config entry must have the JSON type config.json holds for its
+    flag: an int (not a bool) for an int flag, an int or a float for a float
+    flag, a string for any other; a list of them for a repeatable flag, and
+    null only where the flag's default is None."""
+    if isinstance(param.type, click.types.IntParamType):
+        kinds, want = (int,), "an int"
+    elif isinstance(param.type, click.types.FloatParamType):
+        kinds, want = (int, float), "a number"
+    else:
+        kinds, want = (str,), "a string"
+    if param.multiple:
+        ok = isinstance(value, list) and all(type(v) in kinds for v in value)
+        want = "a list of " + want.split()[-1] + "s"
+    else:
+        ok = type(value) in kinds or (value is None and param.default is None)
+        want += " or null" * (param.default is None)
+    if not ok:
+        raise click.BadParameter(f"{path}: key '{param.name}' is {json.dumps(value)}, not {want}")
+
+
 def load_config_defaults(ctx, param, value):
-    """--config callback: JSON entries become defaults; explicit flags win."""
+    """--config callback: JSON entries become defaults; explicit flags win.
+    A file that is no JSON object, an unknown key or a value of another type
+    than config.json holds for its flag is a usage error naming the file."""
     if value is None:
         return None
-    with open(value) as f:
-        data = json.load(f)
+    try:
+        with open(value) as f:
+            data = json.load(f)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise click.BadParameter(f"{value}: not a JSON file ({exc})") from exc
     if not isinstance(data, dict):
-        raise click.BadParameter("config file must hold a JSON object")
-    unknown = sorted(set(data) - {p.name for p in ctx.command.params if p.expose_value})
+        raise click.BadParameter(f"{value}: config file must hold a JSON object")
+    params = {p.name: p for p in ctx.command.params if p.expose_value}
+    unknown = sorted(set(data) - set(params))
     if unknown:
-        raise click.BadParameter(f"keys that are not flags of this command: {unknown}")
+        raise click.BadParameter(f"{value}: keys that are not flags of this command: {unknown}")
+    for key, entry in data.items():
+        _check_config_value(value, params[key], entry)
     ctx.default_map = {**(ctx.default_map or {}), **data}
     return value
 

@@ -244,8 +244,6 @@ class FeedForwardNet:
             raise ValueError("widths must list at least input and output sizes")
         if isinstance(activations, str):
             activations = [activations] * (len(widths) - 1)
-        if len(activations) != len(widths) - 1:
-            raise ValueError("need one activation per layer")
         blocks = []
         for fan_in, fan_out in zip(widths, widths[1:]):
             w = rng.gaussian(fan_in * fan_out)
@@ -257,8 +255,17 @@ class FeedForwardNet:
     def from_vector(cls, widths: list[int], activations: list[str], vector) -> "FeedForwardNet":
         """The net of ``widths`` and ``activations`` whose ``vector`` is a copy
         of vector, which holds its parameter count of values, laid out as
-        ``layout`` reads them."""
-        views = list(_layout(widths, np.asarray(vector, dtype=np.float64)).values())
+        ``layout`` reads them; another number of activations than layers, or
+        of values, raises ValueError naming the expected and the given count."""
+        vector = np.asarray(vector, dtype=np.float64)
+        if len(activations) != len(widths) - 1:
+            raise ValueError(
+                f"widths {list(widths)} need {len(widths) - 1} activations, got {len(activations)}"
+            )
+        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        if vector.size != size:
+            raise ValueError(f"widths {list(widths)} need {size} values, got {vector.size}")
+        views = list(_layout(widths, vector).values())
         return cls(list(zip(views[::2], views[1::2], activations)))
 
     # -- introspection ------------------------------------------------------

@@ -28,7 +28,7 @@ from .numerics import StaleCacheError, decode_f64, encode_f64, json_fields, stac
 from .numerics import stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 NORMALIZED_CLAMP = 1.05  # post-sampling clamp on normalized action entries
 MAX_DIFFUSION_STEPS = 100_000  # each schedule table and the step table hold K rows
 CANONICAL_JSON = {"sort_keys": True, "separators": (",", ":")}  # json.dump(s) arguments
@@ -309,7 +309,6 @@ class PolicyConfig:
     t_exec: int = 8
     h_obs: int = 2
     obs_embed_dim: int = 64
-    encoder_hidden: tuple = ()
     denoiser_hidden: tuple = (256, 256)
     router_hidden: tuple = (64,)
     step_embed_dim: int = 16
@@ -317,7 +316,6 @@ class PolicyConfig:
     router_temperature: float = 1.0
     learning_rate: float = 1e-3
     router_lr_scale: float = 1.0
-    append_task_id: bool = False
     validation_fraction: float = 0.1
 
     def __post_init__(self):
@@ -350,7 +348,7 @@ class PolicyConfig:
                 raise ValueError(f"{name} must be finite and positive, got {rate}")
         if self.obs_embed_dim < 1:
             raise ValueError(f"obs_embed_dim must be >= 1, got {self.obs_embed_dim}")
-        for name in ("encoder_hidden", "denoiser_hidden", "router_hidden"):
+        for name in ("denoiser_hidden", "router_hidden"):
             widths = tuple(getattr(self, name))
             if not all(type(w) is int and w >= 1 for w in widths):
                 raise ValueError(f"{name} widths must be ints >= 1, got {widths}")
@@ -389,12 +387,7 @@ class TrainingLog:
     trainable: tuple = ()
 
     def to_json(self) -> dict:
-        return {
-            "entries": self.entries,
-            "n_train_windows": self.n_train_windows,
-            "n_val_windows": self.n_val_windows,
-            "trainable": list(self.trainable),
-        }
+        return asdict(self)  # a tuple is written as a JSON list
 
 
 @dataclass
@@ -445,7 +438,7 @@ class FactorizedPolicy:
 
         component = arch(window + emb + cfg.step_embed_dim, cfg.denoiser_hidden, window, "identity")
         archs = [
-            arch(self.stacked_obs_dim, cfg.encoder_hidden, emb, cfg.activation),
+            arch(self.stacked_obs_dim, (), emb, cfg.activation),
             arch(emb, cfg.router_hidden, cfg.n_components, "identity"),
             *[component] * cfg.n_components,
         ]
@@ -476,7 +469,7 @@ class FactorizedPolicy:
 
     @property
     def stacked_obs_dim(self) -> int:
-        return self.obs_dim * self.config.h_obs + (1 if self.config.append_task_id else 0)
+        return self.obs_dim * self.config.h_obs
 
     @property
     def n_components(self) -> int:
@@ -556,8 +549,7 @@ class FactorizedPolicy:
             raise DimensionMismatchError(
                 f"observation width {obs.shape[-1]} != expected "
                 f"{self.stacked_obs_dim} (obs_dim {self.obs_dim} x h_obs "
-                f"{self.config.h_obs}"
-                + (" + task id)" if self.config.append_task_id else ")")
+                f"{self.config.h_obs})"
             )
         return obs
 
@@ -565,15 +557,12 @@ class FactorizedPolicy:
         """Deterministic fixed-size embedding of a stacked observation."""
         return self.obs_encoder(self.validate_observation(obs))
 
-    def stack_history(self, history: list[np.ndarray], task_id=None) -> np.ndarray:
+    def stack_history(self, history: list[np.ndarray]) -> np.ndarray:
         """Stack the last h_obs raw observations (first frame repeated at the
-        start of an episode), optionally appending a task index."""
+        start of an episode)."""
         h = self.config.h_obs
         frames = ([history[0]] * (h - len(history)) + list(history))[-h:]
-        stacked = np.concatenate([as_f64(f, "observation frame") for f in frames])
-        if self.config.append_task_id:
-            stacked = np.concatenate([stacked, [float(task_id or 0)]])
-        return stacked
+        return np.concatenate([as_f64(f, "observation frame") for f in frames])
 
     def sample_window(
         self,
@@ -614,7 +603,7 @@ class FactorizedPolicy:
     predict = act
 
     def episode_controller(self, env, rng: Rng, top_k=None, weights_override=None):
-        return _PolicyController(self, env, rng, top_k, weights_override)
+        return _PolicyController(self, rng, top_k, weights_override)
 
     # -- training --------------------------------------------------------------
 
@@ -635,7 +624,7 @@ class FactorizedPolicy:
                     pad = np.repeat(win[-1:], t_pred - len(win), axis=0)
                     win = np.concatenate([win, pad], axis=0)
                 windows.append(win.reshape(-1))
-                stacked.append(self.stack_history(history, getattr(ep, "task_id", None)))
+                stacked.append(self.stack_history(history))
         return np.asarray(windows), np.asarray(stacked)
 
     def fit(
@@ -764,8 +753,9 @@ class FactorizedPolicy:
         }
 
     def save(self, path) -> None:
+        obj = self.to_json()  # first, so a to_json that raises leaves an existing file as it was
         with open(path, "w") as f:  # streamed, never one string of the whole file
-            json.dump(self.to_json(), f, **CANONICAL_JSON)
+            json.dump(obj, f, **CANONICAL_JSON)
 
     @classmethod
     def from_json(cls, obj) -> "FactorizedPolicy":
@@ -831,9 +821,8 @@ def canonical_json(obj) -> str:
 class _PolicyController:
     """Receding-horizon execution state for one episode."""
 
-    def __init__(self, policy, env, rng, top_k=None, weights_override=None):
+    def __init__(self, policy, rng, top_k=None, weights_override=None):
         self.policy = policy
-        self.env = env
         self.rng = rng
         self.top_k = top_k
         self.weights_override = weights_override
@@ -848,9 +837,7 @@ class _PolicyController:
             self.history.pop(0)
         info = None
         if not self.pending:
-            stacked = self.policy.stack_history(
-                self.history, getattr(self.env, "task_id", None)
-            )
+            stacked = self.policy.stack_history(self.history)
             window, info = self.policy.sample_window(
                 stacked, self.rng, self.top_k, self.weights_override
             )

@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import re
 import warnings
 
 import numpy as np
@@ -201,19 +200,16 @@ def test_adapt_rejects_demos_of_other_widths(reach_ds, case, message):
 
 
 @pytest.mark.parametrize(
-    "strategy, fail_in, unfreeze_encoder",
+    "strategy, fail_in",
     [
-        pytest.param("new_module", "upcycle", False, id="new_module-upcycle"),
-        pytest.param("new_module", "fit", False, id="new_module-fit"),
-        pytest.param("full", "fit", False, id="full-fit"),
-        pytest.param("router", "fit", False, id="router-fit"),
-        pytest.param("router+encoder", "fit", False, id="router+encoder-fit"),
-        pytest.param("new_module", "fit", True, id="new_module-unfreeze_encoder-fit"),
+        ("new_module", "upcycle"),
+        ("new_module", "fit"),
+        ("full", "fit"),
+        ("router", "fit"),
+        ("router+encoder", "fit"),
     ],
 )
-def test_adapt_failure_restores_the_policy(
-    reach_ds, pick_ds, monkeypatch, strategy, fail_in, unfreeze_encoder
-):
+def test_adapt_failure_restores_the_policy(reach_ds, pick_ds, monkeypatch, strategy, fail_in):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
     checksums, log = policy.group_checksums(), policy.training_log_
@@ -234,13 +230,11 @@ def test_adapt_failure_restores_the_policy(
             return joint_loss(*args)
 
         monkeypatch.setattr(fdp.composition, "joint_loss", fail_on_second_batch)
-    config = AdaptationConfig(
-        strategy=strategy, epochs=2, batch_size=32, unfreeze_encoder=unfreeze_encoder
-    )
+    config = AdaptationConfig(strategy=strategy, epochs=2, batch_size=32)
     with pytest.raises(RuntimeError, match="injected"):
         adapt(policy, config, pick_ds)
 
-    if fail_in == "fit" and (strategy != "new_module" or unfreeze_encoder):
+    if fail_in == "fit" and strategy != "new_module":
         # the first step wrote some of the pre-existing nets before the failure
         assert calls[1] != [checksums[g] for g in policy.group_names()]
     assert policy.group_checksums() == checksums
@@ -335,25 +329,6 @@ def test_router_encoder_strategy(reach_ds, pick_ds):
     assert after["encoder"] != sums["encoder"]
     assert after["component:0"] == sums["component:0"]
     assert after["component:1"] == sums["component:1"]
-
-
-def test_new_module_optionally_unfreezes_encoder(reach_ds, pick_ds):
-    policy = small_policy(n=2)
-    policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
-    sums = policy.group_checksums()
-    log = adapt(
-        policy,
-        AdaptationConfig(
-            strategy="new_module", epochs=2, batch_size=32, unfreeze_encoder=True
-        ),
-        pick_ds,
-        seed=5,
-    )
-    after = policy.group_checksums()
-    assert after["encoder"] != sums["encoder"]
-    assert after["component:0"] == sums["component:0"]
-    assert after["component:1"] == sums["component:1"]
-    assert "encoder" in log.trainable_groups
 
 
 def test_replay_mixing_counts(reach_ds, pick_ds):
@@ -455,11 +430,8 @@ def test_config_validation():
         AdaptationConfig(strategy="distill")
     with pytest.raises(AdaptationError):
         AdaptationConfig(replay_per_task=-1)
-    # a wrong type names its field; a bool is no component index
-    for field, value in (("replay_per_task", None), ("unfreeze_encoder", "yes"),
-                         ("upcycle_source", True)):
-        with pytest.raises(AdaptationError, match=field):
-            AdaptationConfig(**{field: value})
+    with pytest.raises(AdaptationError, match="replay_per_task"):  # a wrong type names its field
+        AdaptationConfig(replay_per_task=None)
 
 
 @pytest.mark.parametrize(
@@ -505,9 +477,3 @@ def test_an_adaptation_config_field_is_named_or_accepted_and_then_adapts(
             log = adapt(policy, config, reach_ds, seed=0)
             assert policy.n_components == 2 + (config.strategy == "new_module")
             assert len(log.training.entries) == config.epochs
-
-
-@pytest.mark.parametrize("strategy", ["full", "router", "router+encoder"])
-def test_config_rejects_unfreeze_encoder_outside_new_module(strategy):
-    with pytest.raises(AdaptationError, match=f"unfreeze_encoder .*not '{re.escape(strategy)}'"):
-        AdaptationConfig(strategy=strategy, unfreeze_encoder=True)

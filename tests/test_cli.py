@@ -299,6 +299,55 @@ def test_config_file_with_keys_that_are_not_flags_is_usage_error(runner, demo_fi
     assert not out.exists()
 
 
+# each a --config file whose value has another JSON type than config.json
+# writes for its flag: (command, file text, what the error names)
+BAD_CONFIGS = {
+    "truncated file": ("train", '{"epochs": 1', "not a JSON file"),
+    "int flag as list": ("train", '{"epochs": [1, 2]}', "key 'epochs' is [1, 2], not an int"),
+    "int flag as bool": ("train", '{"epochs": true}', "key 'epochs' is true, not an int"),
+    "int flag as float": ("train", '{"epochs": 1.0}', "key 'epochs' is 1.0, not an int"),
+    "int flag as null": ("train", '{"seed": null}', "key 'seed' is null, not an int"),
+    "float flag as bool": (
+        "train", '{"learning_rate": false}', "key 'learning_rate' is false, not a number"
+    ),
+    "float flag as string": (
+        "train", '{"learning_rate": "0.001"}', "key 'learning_rate' is \"0.001\", not a number"
+    ),
+    "text flag as list": (
+        "train", '{"denoiser_hidden": [16]}', "key 'denoiser_hidden' is [16], not a string"
+    ),
+    "choice flag as int": ("train", '{"schedule": 1}', "key 'schedule' is 1, not a string"),
+    "path flag as null": ("train", '{"demos": null}', "key 'demos' is null, not a string"),
+    "nullable int flag as string": (
+        "eval", '{"top_k": "2"}', "key 'top_k' is \"2\", not an int or null"
+    ),
+    "nullable path flag as int": (
+        "adapt", '{"replay_demos": 1}', "key 'replay_demos' is 1, not a string or null"
+    ),
+    "repeatable flag as string": (
+        "analyze", '{"logs": "a.json"}', "key 'logs' is \"a.json\", not a list of strings"
+    ),
+    "repeatable flag with an int": (
+        "analyze", '{"logs": [1]}', "key 'logs' is [1], not a list of strings"
+    ),
+    "repeatable flag as null": ("analyze", '{"logs": null}', "key 'logs' is null, not a list"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_a_config_value_of_another_type_is_a_usage_error_naming_file_and_key(
+    runner, tmp_path, case
+):
+    command, text, names = BAD_CONFIGS[case]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    result = runner.invoke(cli, [command, "--config", str(cfg), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{cfg}: {names}" in result.output
+    assert not out.exists()
+
+
 def test_fdp_seed_env_fallback(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("FDP_SEED", "7")
     a = tmp_path / "env.jsonl"

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,21 @@ def test_stale_cache_rejected_after_adam_step():
     adam_step(Adam(), net, rng.gaussian(net.param_count()))
     with pytest.raises(StaleCacheError):
         net.backward(cache, np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "activations, size, message",
+    [
+        (["identity"], 100, "widths [2, 2] need 6 values, got 100"),
+        (["identity"], 3, "widths [2, 2] need 6 values, got 3"),
+        (["identity", "tanh"], 6, "widths [2, 2] need 1 activations, got 2"),
+        ([], 6, "widths [2, 2] need 1 activations, got 0"),
+    ],
+    ids=["long vector", "short vector", "extra activation", "no activation"],
+)
+def test_from_vector_names_the_expected_and_the_given_counts(activations, size, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FeedForwardNet.from_vector([2, 2], activations, np.arange(float(size)))
 
 
 def test_layers_share_memory_with_vector():

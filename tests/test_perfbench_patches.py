@@ -5,7 +5,9 @@ or deleted name would crash every benchmark run, so this installs both patch
 layers (without running anything) and checks that each one found its targets
 and that every patched attribute is restored afterwards. A tiny fit and
 evaluation under both layers check that what they count, training batches
-and acts alike, still happens through the names they wrap.
+and acts alike, still happens through the names they wrap, and a tiny CLI
+chain under the tracer checks that every name it wraps is still called, so
+that a per-layer metric cannot silently read zero.
 """
 
 import importlib.util
@@ -14,8 +16,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import fdp.bench
+from fdp.cli import cli
 from fdp.policy import FactorizedPolicy, PolicyConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,3 +97,39 @@ def test_the_probe_and_the_tracer_still_see_training():
     assert probe.inferences > 0 and len(probe.acts) == probe.inferences
     assert phase["calls"]["composition.sample_values"] == probe.inferences
     assert phase["calls"]["diffusion.reverse_mean"] == cfg.diffusion_steps * probe.inferences
+
+
+# Wrapped on purpose though no command reaches them: the chain composes
+# noise predictions in ComponentBank, not through composed_score or
+# DenoiserComponent.predict.
+IDLE_OPS = {"composition.composed_score", "policy.denoiser_predict"}
+
+
+def test_every_op_the_tracer_wraps_records_a_call_in_a_cli_chain(tmp_path):
+    instrument = _load("instrument")
+    tracer = instrument.Tracer()
+    net = ["--components", "2", "--diffusion-steps", "3", "--obs-embed-dim", "4",
+           "--denoiser-hidden", "4", "--router-hidden", "4", "--t-pred", "4", "--t-exec", "2"]
+    reach, pick, train = tmp_path / "reach.jsonl", tmp_path / "pick.jsonl", tmp_path / "train"
+    adapted = tmp_path / "adapt"
+    chain = [
+        ["gen-demos", "--suite", "reach4", "--per-task", "1", "--seed", "1", "--out", reach],
+        ["gen-demos", "--suite", "pick-side", "--per-task", "1", "--seed", "2", "--out", pick],
+        ["train", "--demos", reach, *net, "--epochs", "1", "--out-dir", train],
+        ["adapt", "--checkpoint", train / "checkpoint.json", "--demos", pick,
+         "--replay-demos", reach, "--replay-per-task", "1", "--epochs", "1",
+         "--out-dir", adapted],
+        ["eval", "--checkpoint", adapted / "checkpoint.json", "--suite", "pick-side",
+         "--episodes", "1", "--seeds", "0", "--top-k", "2", "--out-dir", tmp_path / "eval"],
+        ["analyze", "--checkpoint", adapted / "checkpoint.json", "--demos", pick,
+         "--probes", "4", "--suite", "pick-side", "--logs", train / "training_log.json",
+         "--out-dir", tmp_path / "analysis"],
+    ]
+    runner = CliRunner()
+    with instrument.installed(tracer.install):
+        for args in chain:
+            result = runner.invoke(cli, [str(a) for a in args])
+            assert result.exit_code == 0, f"{args[0]}: {result.output}"
+    calls = tracer.take()["calls"]
+    assert IDLE_OPS <= set(calls)
+    assert sorted(op for op, n in calls.items() if n == 0) == sorted(IDLE_OPS)

@@ -89,13 +89,6 @@ def test_stack_history_repeats_first_frame():
     )
 
 
-def test_task_id_appended_when_configured():
-    policy = small_policy(obs_dim=3, append_task_id=True)
-    assert policy.stacked_obs_dim == 7
-    stacked = policy.stack_history([np.zeros(3)], task_id=4)
-    assert stacked[-1] == 4.0
-
-
 def test_step_embedding_shape_and_range():
     emb = sinusoidal_step_embedding(7, dim=16)
     assert emb.shape == (16,)
@@ -687,6 +680,15 @@ def test_a_saved_policy_loads_without_a_draw_and_writes_back_its_bytes(
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
 
 
+def test_a_failed_save_leaves_the_existing_file_as_it_was(tmp_path, trained_bimodal):
+    path = tmp_path / "checkpoint.json"
+    trained_bimodal.save(path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="no action normalizer"):
+        small_policy().save(path)  # unfitted
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_rejects_empty_components(trained_bimodal):
     obj = trained_bimodal.to_json()
     obj["parameters"] = {g: obj["parameters"][g] for g in ("encoder", "router")}
@@ -793,18 +795,19 @@ NET_CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("case", NET_CORRUPTIONS)
-@pytest.mark.parametrize("net", ["encoder", "router", "components[1]"])
+@pytest.mark.parametrize(
+    "net, case",
+    [
+        (net, case)
+        for net in ("encoder", "router", "components[1]")
+        for case in NET_CORRUPTIONS
+        if (net, case) != ("encoder", "short widths")  # the encoder has no hidden layer to drop
+    ],
+)
 def test_checkpoint_rejects_a_net_that_disagrees_with_its_widths(trained_bimodal, net, case):
     obj = trained_bimodal.to_json()
-    if net == "encoder":  # the bimodal policy's encoder has one layer: give it two
-        obj["config"]["encoder_hidden"] = [5]
-        obj["parameters"]["encoder"] = encode_f64(
-            FeedForwardNet.init([6, 5, 12], "tanh", Rng(0)).vector
-        )
-        FactorizedPolicy.from_json(obj)  # the two-layer encoder itself loads
     group = {"components[1]": "component:1"}.get(net, net)
-    widths = {"encoder": [6, 5, 12], "router": [12, 8, 2], "component:1": [44, 24, 16]}[group]
+    widths = {"encoder": [6, 12], "router": [12, 8, 2], "component:1": [44, 24, 16]}[group]
     vector = FeedForwardNet.init(NET_CORRUPTIONS[case](widths), "tanh", Rng(2)).vector
     vector = vector[:-1] if case == "short bias" else vector
     obj["parameters"][group] = encode_f64(vector)
@@ -868,8 +871,8 @@ CHECKPOINT_MUTATIONS = [
     (("obs_dim",), lambda v: "x", "field 'obs_dim' must be an int"),
     (("seed",), lambda v: 3.9, "field 'seed' must be an int, got 3.9"),
     (("action_dim",), lambda v: True, "field 'action_dim' must be an int, got True"),
-    (("version",), lambda v: True, "field 'version' is True, not 2"),
-    (("version",), lambda v: 1, "field 'version' is 1, not 2", "1"),
+    (("version",), lambda v: True, "field 'version' is True, not 3"),
+    (("version",), lambda v: 1, "field 'version' is 1, not 3", "1"),
     # a config the parameters do not fit, or one that is invalid itself
     (("config", "router_temperature"), lambda v: 0.0, "field 'config': router_temperature must"),
     (
@@ -923,6 +926,15 @@ def test_checkpoint_names_a_malformed_or_missing_field(trained_bimodal, path, mu
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
             FactorizedPolicy.from_json(obj)
+
+
+def test_a_version_2_checkpoint_is_refused_naming_the_version(trained_bimodal):
+    # version 2's config also held encoder_hidden and append_task_id
+    obj = trained_bimodal.to_json()
+    obj["version"] = 2
+    obj["config"].update(encoder_hidden=[], append_task_id=False)
+    with pytest.raises(ValueError, match=re.escape("checkpoint field 'version' is 2, not 3")):
+        FactorizedPolicy.from_json(obj)
 
 
 def _fields(node, path=()):
@@ -1030,7 +1042,7 @@ def test_policy_config_validation():
         ("learning_rate", -1.0),
         ("learning_rate", 0.0),
         ("obs_embed_dim", 0),
-        ("encoder_hidden", (0,)),
+        ("router_hidden", (0,)),
         ("denoiser_hidden", (0,)),
         ("denoiser_hidden", (16, -1)),
         ("router_hidden", (-3,)),
@@ -1049,7 +1061,6 @@ def test_policy_config_validation():
         ("diffusion_steps", 1),
         ("schedule_kind", "quadratic"),
         ("denoiser_hidden", (16.0,)),
-        ("append_task_id", 1),
         ("learning_rate", "0.001"),
         ("step_embed_dim", -2),
         ("n_components", -1),
