@@ -55,19 +55,16 @@ def mean_routing_weights(policy: FactorizedPolicy, dataset: EpisodeDataset) -> n
 
 def select_upcycle_source(
     policy: FactorizedPolicy,
-    selector: int | str,
+    source: int | None = None,
     dataset: EpisodeDataset | None = None,
 ) -> int:
-    """Resolve the component to copy: an explicit index, or the component with
-    the highest mean routing weight on the adaptation demos (ties to the
-    lowest index)."""
+    """Resolve the component to copy: index source, or for None the one of
+    highest mean routing weight on the adaptation demos (ties to the lowest)."""
     n = policy.n_components
-    if isinstance(selector, int):
-        if not 0 <= selector < n:
-            raise AdaptationError(f"upcycle source index {selector} outside [0, {n})")
-        return selector
-    if selector != "highest-weight":
-        raise AdaptationError(f"unknown upcycle selector '{selector}'")
+    if source is not None:
+        if not 0 <= source < n:
+            raise AdaptationError(f"upcycle source index {source} outside [0, {n})")
+        return source
     if dataset is None:
         raise AdaptationError("highest-weight selection needs adaptation demos")
     mean_w = mean_routing_weights(policy, dataset)
@@ -86,11 +83,11 @@ def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
 
 def upcycle_component(
     policy: FactorizedPolicy,
-    source: int | str = "highest-weight",
+    source: int | None = None,
     dataset: EpisodeDataset | None = None,
 ) -> int:
-    """Append a parameter-exact copy of a source component and give the router
-    an extra zero-initialized output. Returns the source index used."""
+    """Append a parameter-exact copy of the source component (as resolved by
+    select_upcycle_source) and a zero-initialized router output; returns it."""
     src = select_upcycle_source(policy, source, dataset)
     policy.components.append(policy.components[src].copy())
     policy.router.net = extend_router_head(policy.router.net)

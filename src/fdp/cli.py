@@ -61,7 +61,8 @@ def _check_config_value(path, param, value) -> None:
     """A --config entry must have the JSON type config.json holds for its
     flag: an int (not a bool) for an int flag, an int or a float for a float
     flag, a string for any other; a list of them for a repeatable flag, and
-    null only where the flag's default is None."""
+    null only for an optional flag whose default is None."""
+    nullable = not param.required and param.default is None
     if isinstance(param.type, click.types.IntParamType):
         kinds, want = (int,), "an int"
     elif isinstance(param.type, click.types.FloatParamType):
@@ -72,8 +73,8 @@ def _check_config_value(path, param, value) -> None:
         ok = isinstance(value, list) and all(type(v) in kinds for v in value)
         want = "a list of " + want.split()[-1] + "s"
     else:
-        ok = type(value) in kinds or (value is None and param.default is None)
-        want += " or null" * (param.default is None)
+        ok = type(value) in kinds or (value is None and nullable)
+        want += " or null" * nullable
     if not ok:
         raise click.BadParameter(f"{path}: key '{param.name}' is {json.dumps(value)}, not {want}")
 

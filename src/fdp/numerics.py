@@ -262,7 +262,7 @@ class FeedForwardNet:
             raise ValueError(
                 f"widths {list(widths)} need {len(widths) - 1} activations, got {len(activations)}"
             )
-        size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+        size = param_count(widths)
         if vector.size != size:
             raise ValueError(f"widths {list(widths)} need {size} values, got {vector.size}")
         views = list(_layout(widths, vector).values())
@@ -398,6 +398,11 @@ class FeedForwardNet:
         cols = input_grad and slice(None)
         gx = stack_backward(self._stack, acts, g[None], views, slice(None), cols)
         return grad, (gx if gx is None else gx[0, 0] if squeeze else gx[0])
+
+
+def param_count(widths) -> int:
+    """Weights and biases of a net of ``widths``."""
+    return sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
 def _layout(widths, flat: np.ndarray) -> dict[str, np.ndarray]:

@@ -25,7 +25,7 @@ from .composition import (
 from .diffusion import SCHEDULE_KINDS, make_schedule
 from .numerics import ACTIVATIONS, Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
 from .numerics import StaleCacheError, decode_f64, encode_f64, json_fields, stack_backward
-from .numerics import stack_forward
+from .numerics import param_count, stack_forward
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
 CHECKPOINT_VERSION = 3
@@ -448,7 +448,7 @@ class FactorizedPolicy:
         else:
             nets = []
             for (widths, acts), (group, vector) in zip(archs, vectors):
-                size = sum(a * b + b for a, b in zip(widths, widths[1:]))
+                size = param_count(widths)
                 if vector.size != size:
                     raise ValueError(
                         f"checkpoint field 'parameters.{group}' holds {vector.size} values, but "

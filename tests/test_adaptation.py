@@ -113,16 +113,14 @@ def test_upcycle_source_validation(reach_ds):
     with pytest.raises(AdaptationError):
         select_upcycle_source(policy, 5)
     with pytest.raises(AdaptationError):
-        select_upcycle_source(policy, "best")
-    with pytest.raises(AdaptationError):
-        select_upcycle_source(policy, "highest-weight")  # no demos given
+        select_upcycle_source(policy)  # highest weight, but no demos given
 
 
 def test_highest_weight_selector_matches_mean_weights(reach_ds):
     policy = small_policy(n=3, seed=4)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=1)
     mean_w = mean_routing_weights(policy, reach_ds)
-    assert select_upcycle_source(policy, "highest-weight", reach_ds) == int(
+    assert select_upcycle_source(policy, None, reach_ds) == int(
         np.argmax(mean_w)
     )
 

@@ -2,10 +2,11 @@
 
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
-from fdp.cli import cli
+from fdp.cli import _check_config_value, cli
 from fdp.policy import FactorizedPolicy
 
 
@@ -346,6 +347,13 @@ def test_a_config_value_of_another_type_is_a_usage_error_naming_file_and_key(
     assert result.exit_code == 2, result.output
     assert f"{cfg}: {names}" in result.output
     assert not out.exists()
+
+
+def test_null_is_refused_for_a_required_flag_even_with_a_none_default():
+    # some click releases give a required option without a default None
+    flag = click.Option(["--demos"], required=True, default=None, type=click.Path())
+    with pytest.raises(click.BadParameter, match="key 'demos' is null, not a string$"):
+        _check_config_value("c.json", flag, None)
 
 
 def test_fdp_seed_env_fallback(runner, tmp_path, monkeypatch):
