@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, as_f64, json_fields
-from .policy import ActionNormalizer, canonical_json, rollout
+from .numerics import Rng, as_f64, json_fields, typed_field
+from .policy import ActionNormalizer, canonical_json, rollout, write_atomic
 
 SUITES = ("reach4", "pick-side", "drawer-line", "bimodal1d", "continual12")
 DATASET_FORMAT = "fdp-episodes"
@@ -348,11 +348,14 @@ class EpisodeDataset:
         """Line-delimited records: one header line, then one episode per line."""
         header = (DATASET_FORMAT, DATASET_VERSION, self.suite, self.state_dim, self.action_dim,
                   self.seed, {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()})
-        with open(path, "w") as f:
-            f.write(canonical_json(dict(zip(HEADER_KEYS, header))) + "\n")
+
+        def lines():
+            yield canonical_json(dict(zip(HEADER_KEYS, header))) + "\n"
             for ep in self.episodes:
                 rec = (ep.task, ep.task_id, ep.observations.tolist(), ep.actions.tolist())
-                f.write(canonical_json(dict(zip(EPISODE_KEYS, (*rec, ep.success)))) + "\n")
+                yield canonical_json(dict(zip(EPISODE_KEYS, (*rec, ep.success)))) + "\n"
+
+        write_atomic(path, lines())
 
     @classmethod
     def load(cls, path) -> "EpisodeDataset":
@@ -366,7 +369,7 @@ class EpisodeDataset:
                         raise ValueError(f"field '{key}' is {header[key]!r}, expected {want!r}")
                 for key, kind, least in (("suite", str, None), ("state_dim", int, 1),
                                          ("action_dim", int, 1), ("seed", int, None)):
-                    _field(key, header[key], kind, least)
+                    typed_field(key, header[key], kind, least)
                 try:
                     norm = ActionNormalizer.from_json(header["normalizer"])
                 except ValueError as exc:
@@ -383,25 +386,15 @@ class EpisodeDataset:
                 try:
                     rec = json_fields(json.loads(line), *EPISODE_KEYS)
                     episodes.append(Episode(
-                        _field("task", rec[0], str), _field("task_id", rec[1], int, 0),
+                        typed_field("task", rec[0], str), typed_field("task_id", rec[1], int, 0),
                         _rows("observations", rec[2], "state_dim", header["state_dim"]),
                         _rows("actions", rec[3], "action_dim", header["action_dim"]),
-                        _field("success", rec[4], bool),
+                        typed_field("success", rec[4], bool),
                     ))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"dataset line {line_no}: {exc}: {path}") from exc
         fields = [header[key] for key in ("suite", "state_dim", "action_dim", "seed")]
         return cls(*fields, episodes, norm.lo, norm.hi)
-
-
-def _field(name: str, value, kind: type, least=None):
-    """value if its type is kind (a bool is no int) and it is not below
-    least; else ValueError naming the field."""
-    if type(value) is not kind or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"field '{name}' is {value!r}, not {'an' if kind is int else 'a'} "
-                         f"{kind.__name__}{bound}")
-    return value
 
 
 def _rows(name: str, rows, dim: str, width: int) -> list:

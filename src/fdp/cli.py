@@ -31,8 +31,9 @@ from .bench import (
     make_env,
     make_suite,
 )
+from .diffusion import SCHEDULE_KINDS
 from .numerics import Rng
-from .policy import FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json
+from .policy import FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, write_atomic
 
 
 def _fail(message: str) -> "SystemExit":
@@ -129,38 +130,25 @@ def write_outputs(out_dir: Path, files: dict) -> None:
     (the schema --config reads), plus the artifact files, under out_dir."""
     params = click.get_current_context().params
     config = {name: value for name, value in params.items() if name != "out_dir"}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(canonical_json(config) + "\n")
-    for name, content in files.items():
-        path = out_dir / name
+    for name, content in {"config.json": config, **files}.items():
         if isinstance(content, (dict, list)):
-            path.write_text(canonical_json(content) + "\n")
-        else:
-            path.write_text(content)
+            content = canonical_json(content) + "\n"
+        write_atomic(out_dir / name, [content])
 
 
-# The PolicyConfig fields the CLI exposes, in --help order; every default is
-# read from the dataclass. Two options are named apart from their field.
-POLICY_OPTIONS = (
-    "components", "diffusion_steps", "schedule", "obs_embed_dim", "denoiser_hidden",
-    "router_hidden", "router_temperature", "router_lr_scale", "t_pred", "t_exec",
-    "h_obs", "learning_rate",
-)
-CONFIG_FIELD = {"components": "n_components", "schedule": "schedule_kind"}
-HIDDEN_WIDTHS = ("denoiser_hidden", "router_hidden")  # comma-separated on the CLI
+# Every PolicyConfig field is a flag with its default, in field order; two are
+# named apart from their field, and a tuple of widths is comma-separated text.
+FLAG = {"n_components": "components", "schedule_kind": "schedule"}
 
 
 def policy_config_options(fn):
-    defaults = {f.name: f.default for f in fields(PolicyConfig)}
-    for name in reversed(POLICY_OPTIONS):
-        default = defaults[CONFIG_FIELD.get(name, name)]
-        if name in HIDDEN_WIDTHS:
+    for f in reversed(fields(PolicyConfig)):
+        kind, default = type(f.default), f.default
+        if kind is tuple:
             kind, default = str, ",".join(str(w) for w in default)
-        elif name == "schedule":
-            kind = click.Choice(["cosine", "linear"])
-        else:
-            kind = type(default)
-        flag = "--" + name.replace("_", "-")
+        elif f.name == "schedule_kind":
+            kind = click.Choice(SCHEDULE_KINDS)
+        flag = "--" + FLAG.get(f.name, f.name).replace("_", "-")
         fn = click.option(flag, type=kind, default=default, show_default=True)(fn)
     return fn
 
@@ -171,14 +159,11 @@ def _widths(text: str) -> tuple:
 
 
 def build_policy_config(params: dict) -> PolicyConfig:
-    return PolicyConfig(
-        **{
-            CONFIG_FIELD.get(name, name): (
-                _widths(params[name]) if name in HIDDEN_WIDTHS else params[name]
-            )
-            for name in POLICY_OPTIONS
-        }
-    )
+    values = {}
+    for f in fields(PolicyConfig):
+        value = params[FLAG.get(f.name, f.name)]
+        values[f.name] = _widths(value) if type(f.default) is tuple else value
+    return PolicyConfig(**values)
 
 
 @click.group()
@@ -196,7 +181,6 @@ def cli():
 def cmd_gen_demos(suite, per_task, seed, out):
     """Generate scripted-expert demonstrations into a dataset file."""
     dataset = generate_demos(make_suite(suite), per_task, seed)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     dataset.save(out)
     click.echo(f"wrote {len(dataset.episodes)} episodes to {out}")
 
@@ -423,9 +407,11 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
     if logs:
         loaded = []
         for path in logs:
-            with open(path) as f:
-                data = json.load(f)
-            loaded.append(TrainingLog(entries=data["entries"]))
+            try:
+                with open(path) as f:
+                    loaded.append(TrainingLog.from_json(json.load(f)))
+            except ValueError as exc:  # malformed JSON too
+                raise ValueError(f"training log {path}: {exc}") from exc
         labels = [Path(p).parent.name or f"run_{i}" for i, p in enumerate(logs)]
         if len(set(labels)) != len(labels):
             labels = [f"run_{i}" for i in range(len(logs))]

@@ -146,8 +146,8 @@ class Rng:
 # ---------------------------------------------------------------------------
 
 
-# every activation as (ufunc, operands after z): ufunc(z, *operands), None for identity
-ACT_UFUNCS = {"tanh": (np.tanh, ()), "relu": (np.maximum, (0.0,)), "identity": (None, ())}
+# every activation as the ufunc applied to z in place, None for identity
+ACT_UFUNCS = {"tanh": np.tanh, "identity": None}
 ACTIVATIONS = tuple(ACT_UFUNCS)
 
 
@@ -158,11 +158,11 @@ def stack_forward(layers, x: np.ndarray, outs=None) -> list:
     all N; each layer is one np.matmul, which numpy runs as one BLAS call per
     net, into outs[j] if given (caller-owned (N, B, fan_out) buffers)."""
     acts = [x]
-    for (weight, bias, (ufunc, operands)), out in zip(layers, outs or [None] * len(layers)):
+    for (weight, bias, ufunc), out in zip(layers, outs or [None] * len(layers)):
         x = np.matmul(x, weight, out=out)
         x += bias
         if ufunc is not None:
-            ufunc(x, *operands, out=x)
+            ufunc(x, out=x)
         acts.append(x)
     return acts
 
@@ -176,12 +176,10 @@ def stack_backward(layers, acts, g, grad_views, rows, input_cols):
     input_cols (a slice), from their weight rows alone, or with input_cols
     falsy returns None, and then layer 0 computes none."""
     for j in range(len(layers) - 1, -1, -1):
-        weight, _, (ufunc, _) = layers[j]
+        weight, _, ufunc = layers[j]
         if ufunc is np.tanh:  # the derivative wrt z from a, 1 - a * a, in one buffer
             d = np.square(acts[j + 1][rows])
             g = np.multiply(g, np.subtract(1.0, d, out=d), out=d)
-        elif ufunc is np.maximum:  # relu: a > 0 is z > 0; identity's is a product with ones
-            g = g * np.where(acts[j + 1][rows] > 0.0, 1.0, 0.0)
         x = acts[j] if j == 0 else acts[j][rows]
         np.matmul(x.transpose(0, 2, 1), g, out=grad_views[2 * j])
         g.sum(axis=1, out=grad_views[2 * j + 1])
@@ -429,6 +427,16 @@ def json_fields(obj, *keys) -> list:
     if unknown:
         raise ValueError(f"unknown key '{unknown[0]}'")
     return [obj[key] for key in keys]
+
+
+def typed_field(name: str, value, kind: type, least=None):
+    """value if its type is kind (a bool is no int) and it is not below
+    least; else ValueError naming the field."""
+    if type(value) is not kind or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"field '{name}' is {value!r}, not {'an' if kind is int else 'a'} "
+                         f"{kind.__name__}{bound}")
+    return value
 
 
 def encode_f64(arr: np.ndarray) -> str:

@@ -3,8 +3,8 @@ components + router + encoder, compositional inference, receding-horizon
 rollout, and checkpoint I/O.
 
 The policy is constructed with hyperparameters; ``fit(dataset)`` trains in
-place and returns self (log under ``training_log_``), and ``predict``/``act``
-sample an action window for one observation. A single-component policy with
+place and returns self (log under ``training_log_``), and ``act`` samples an
+action window for one observation. A single-component policy with
 its (constant) softmax weight of 1.0 is exactly the monolithic
 diffusion-policy baseline.
 """
@@ -14,7 +14,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -23,18 +25,21 @@ from .composition import (
     composed_residual, group_slices, sample_values, weighted_sum,
 )
 from .diffusion import SCHEDULE_KINDS, make_schedule
-from .numerics import ACTIVATIONS, Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
+from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
 from .numerics import StaleCacheError, decode_f64, encode_f64, json_fields, stack_backward
-from .numerics import param_count, stack_forward
+from .numerics import param_count, stack_forward, typed_field
 
 CHECKPOINT_FORMAT = "fdp-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 NORMALIZED_CLAMP = 1.05  # post-sampling clamp on normalized action entries
 MAX_DIFFUSION_STEPS = 100_000  # each schedule table and the step table hold K rows
-CANONICAL_JSON = {"sort_keys": True, "separators": (",", ":")}  # json.dump(s) arguments
+CANONICAL_JSON = {"sort_keys": True, "separators": (",", ":")}  # json.dumps/JSONEncoder arguments
+STEP_FEATURES = 16  # sin/cos features of the diffusion step in a denoiser's input
+ACTIVATION = "tanh"  # of the encoder and of every hidden layer
+VALIDATION_FRACTION = 0.1  # of the episodes fit holds out: one at least of two or more
 
 
-def sinusoidal_step_embedding(k, dim: int = 16) -> np.ndarray:
+def sinusoidal_step_embedding(k, dim: int = STEP_FEATURES) -> np.ndarray:
     """Fixed sin/cos features of the diffusion step index.
 
     dim must be even; frequencies follow the usual geometric ladder
@@ -52,7 +57,7 @@ def sinusoidal_step_embedding(k, dim: int = 16) -> np.ndarray:
 class DenoiserComponent:
     """One noise-prediction network over [noisy window | obs embedding | step features]."""
 
-    def __init__(self, net: FeedForwardNet, window_dim: int, step_dim: int = 16):
+    def __init__(self, net: FeedForwardNet, window_dim: int, step_dim: int = STEP_FEATURES):
         if net.in_dim < window_dim + step_dim or net.out_dim != window_dim:
             raise DimensionMismatchError(
                 f"denoiser net must map window+emb+step -> window "
@@ -68,11 +73,10 @@ class DenoiserComponent:
 
     @classmethod
     def init(
-        cls, window_dim: int, emb_dim: int, hidden: list[int], rng: Rng, step_dim: int = 16,
-        activation: str = "tanh",
+        cls, window_dim: int, emb_dim: int, hidden: list[int], rng: Rng, step_dim=STEP_FEATURES,
     ) -> "DenoiserComponent":
         widths = [window_dim + emb_dim + step_dim, *hidden, window_dim]
-        acts = [activation] * len(hidden) + ["identity"]
+        acts = [ACTIVATION] * len(hidden) + ["identity"]
         return cls(FeedForwardNet.init(widths, acts, rng), window_dim, step_dim)
 
     def predict(self, values, obs_embedding, k):
@@ -197,9 +201,8 @@ class ComponentBank:
             return weighted_sum(self.chain_weights, preds)
         x = np.matmul(self.inputs[i], self.w0, out=self.chain[0])
         x += self.table[i]
-        ufunc, operands = self.act0
-        if ufunc is not None:
-            ufunc(x, *operands, out=x)
+        if self.act0 is not None:
+            self.act0(x, out=x)
         if self.middle:
             stack_forward(self.middle, x, self.chain[1:])
         eps_hat = np.dot(self.hidden, self.w_f, out=self.eps_hat)  # the last chain buffer
@@ -300,23 +303,20 @@ class ActionNormalizer:
 
 @dataclass
 class PolicyConfig:
-    """Hyperparameters of the factorized policy."""
+    """Hyperparameters of the factorized policy: the CLI's policy flags, in order."""
 
     n_components: int = 4
     diffusion_steps: int = 100
     schedule_kind: str = "cosine"
-    t_pred: int = 16
-    t_exec: int = 8
-    h_obs: int = 2
     obs_embed_dim: int = 64
     denoiser_hidden: tuple = (256, 256)
     router_hidden: tuple = (64,)
-    step_embed_dim: int = 16
-    activation: str = "tanh"
     router_temperature: float = 1.0
-    learning_rate: float = 1e-3
     router_lr_scale: float = 1.0
-    validation_fraction: float = 0.1
+    t_pred: int = 16
+    t_exec: int = 8
+    h_obs: int = 2
+    learning_rate: float = 1e-3
 
     def __post_init__(self):
         for f in fields(self):  # of its default's type; an int is also a float, a list a tuple
@@ -334,14 +334,6 @@ class PolicyConfig:
             raise ValueError(f"diffusion_steps must lie in [2, {MAX_DIFFUSION_STEPS}], got {steps}")
         if self.schedule_kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule_kind must be in {SCHEDULE_KINDS}, got {self.schedule_kind}")
-        if self.step_embed_dim < 0 or self.step_embed_dim % 2:
-            raise ValueError(f"step_embed_dim must be even and >= 0, got {self.step_embed_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must lie in [0, 1), got {self.validation_fraction}"
-            )
         for name in ("learning_rate", "router_lr_scale", "router_temperature"):
             rate = getattr(self, name)
             if not 0.0 < rate < math.inf:
@@ -389,6 +381,22 @@ class TrainingLog:
     def to_json(self) -> dict:
         return asdict(self)  # a tuple is written as a JSON list
 
+    @classmethod
+    def from_json(cls, obj) -> "TrainingLog":
+        """Inverse of ``to_json``; a missing, unknown or mistyped field raises
+        ValueError naming it."""
+        entries, n_train, n_val, trainable = json_fields(obj, *(f.name for f in fields(cls)))
+        kinds = {"epoch": int, "train_mse": float, "val_mse": float}
+        for i, entry in enumerate(typed_field("entries", entries, list)):
+            for key, value in zip(kinds, json_fields(entry, *kinds)):
+                typed_field(f"entries[{i}].{key}", value, kinds[key])
+        groups = list(trainable) if type(trainable) is tuple else trainable  # to_json's tuple
+        for i, group in enumerate(typed_field("trainable", groups, list)):
+            typed_field(f"trainable[{i}]", group, str)
+        typed_field("n_train_windows", n_train, int, 0)
+        typed_field("n_val_windows", n_val, int, 0)
+        return cls(entries, n_train, n_val, tuple(groups))
+
 
 @dataclass
 class RolloutResult:
@@ -434,11 +442,11 @@ class FactorizedPolicy:
         cfg, emb, window = self.config, self.config.obs_embed_dim, self.window_dim
 
         def arch(d_in, hidden, d_out, last):
-            return [d_in, *hidden, d_out], [cfg.activation] * len(hidden) + [last]
+            return [d_in, *hidden, d_out], [ACTIVATION] * len(hidden) + [last]
 
-        component = arch(window + emb + cfg.step_embed_dim, cfg.denoiser_hidden, window, "identity")
+        component = arch(window + emb + STEP_FEATURES, cfg.denoiser_hidden, window, "identity")
         archs = [
-            arch(self.stacked_obs_dim, (), emb, cfg.activation),
+            arch(self.stacked_obs_dim, (), emb, ACTIVATION),
             arch(emb, cfg.router_hidden, cfg.n_components, "identity"),
             *[component] * cfg.n_components,
         ]
@@ -460,7 +468,7 @@ class FactorizedPolicy:
         self.obs_encoder, router_net, *component_nets = nets
         self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
         self.router = Router(router_net, cfg.router_temperature)
-        self.components = [DenoiserComponent(c, window, cfg.step_embed_dim) for c in component_nets]
+        self.components = [DenoiserComponent(c, window) for c in component_nets]
         self.bank  # binds the components, so views taken from now on are live
 
     @property
@@ -600,8 +608,6 @@ class FactorizedPolicy:
         window, _ = self.sample_window(obs, rng, top_k, weights_override)
         return self.normalizer.denormalize(window)
 
-    predict = act
-
     def episode_controller(self, env, rng: Rng, top_k=None, weights_override=None):
         return _PolicyController(self, rng, top_k, weights_override)
 
@@ -662,15 +668,7 @@ class FactorizedPolicy:
         episodes = list(dataset.episodes)
         if not episodes:
             raise ValueError("dataset has no episodes")
-        fraction = self.config.validation_fraction
-        n_val = 0
-        if fraction > 0.0 and len(episodes) > 1:
-            n_val = max(1, int(round(fraction * len(episodes))))
-        if n_val == len(episodes):
-            raise ValueError(
-                f"validation_fraction {fraction} holds out all {n_val} episodes, "
-                f"leaving none to train on"
-            )
+        n_val = max(1, round(VALIDATION_FRACTION * len(episodes))) if len(episodes) > 1 else 0
         if self.normalizer is None:
             self.normalizer = ActionNormalizer(dataset.normalizer_lo, dataset.normalizer_hi)
 
@@ -752,10 +750,8 @@ class FactorizedPolicy:
             "parameters": {g: encode_f64(self._group_net(g).vector) for g in self.group_names()},
         }
 
-    def save(self, path) -> None:
-        obj = self.to_json()  # first, so a to_json that raises leaves an existing file as it was
-        with open(path, "w") as f:  # streamed, never one string of the whole file
-            json.dump(obj, f, **CANONICAL_JSON)
+    def save(self, path) -> None:  # streamed, never one string of the whole file
+        write_atomic(path, json.JSONEncoder(**CANONICAL_JSON).iterencode(self.to_json()))
 
     @classmethod
     def from_json(cls, obj) -> "FactorizedPolicy":
@@ -816,6 +812,22 @@ def _load_field(name: str, load, *args):
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON so identical state gives identical bytes."""
     return json.dumps(obj, **CANONICAL_JSON)
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the text chunks to a temporary file in path's directory (made if
+    missing), then rename it over path: a write that fails, in the chunks'
+    making too, leaves path's previous bytes and no temporary file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:  # the mode open(path, "w") gives
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _PolicyController:

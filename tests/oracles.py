@@ -82,7 +82,6 @@ class PointMassDenoiser:
 # activation, and its derivative wrt the pre-activation z given a = act(z)
 _ACTS = {
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: np.where(z > 0.0, 1.0, 0.0)),
     "identity": (lambda z: z, lambda z, a: np.ones_like(z)),
 }
 

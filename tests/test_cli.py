@@ -1,11 +1,15 @@
 """CLI pipeline: subcommands, exit codes, determinism, config precedence."""
 
+import errno
 import json
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import fdp.bench
+import fdp.cli
+import fdp.policy
 from fdp.cli import _check_config_value, cli
 from fdp.policy import FactorizedPolicy
 
@@ -266,6 +270,80 @@ def test_analyze_similarity_and_convergence(
     assert len(loads) == 1  # --demos and --suite share one checkpoint load
 
 
+VALID_LOG = {"entries": [{"epoch": 0, "train_mse": 0.5, "val_mse": 0.25}],
+             "n_train_windows": 3, "n_val_windows": 1, "trainable": ["encoder"]}
+BAD_LOGS = {
+    "empty object": ("{}", "field 'entries' is missing"),
+    "list": ("[1,2]", "expected a JSON object, got list"),
+    "entry without val_mse": (
+        json.dumps({**VALID_LOG, "entries": [{"epoch": 0, "train_mse": 0.5}]}),
+        "field 'val_mse' is missing",
+    ),
+    "not JSON": ('{"entries": [', "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LOGS)
+def test_analyze_names_the_bad_field_of_a_training_log_exit_3(runner, tmp_path, case):
+    text, message = BAD_LOGS[case]
+    log = tmp_path / "training_log.json"
+    log.write_text(text)
+    out = tmp_path / "an"
+    result = runner.invoke(cli, ["analyze", "--logs", str(log), "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert f"error: ValueError: training log {log}: {message}" in result.output
+    assert not out.exists()
+
+
+def _fail_midway(write_atomic):
+    """write_atomic whose chunks stop halfway with a full disk."""
+
+    def failing(path, chunks):
+        text = "".join(chunks)
+
+        def midway():
+            yield text[: len(text) // 2]
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        write_atomic(path, midway())
+
+    return failing
+
+
+# each artifact writer: the module whose write_atomic it calls, the file, and
+# the command that writes it, from the demos, a training log and an out-dir
+ATOMIC_WRITERS = {
+    "checkpoint": (fdp.policy, "checkpoint.json", lambda demos, log, out: [
+        "train", "--demos", demos, *FAST_NET, "--epochs", "1", "--out-dir", out]),
+    "dataset": (fdp.bench, "demos.jsonl", lambda demos, log, out: [
+        "gen-demos", "--suite", "bimodal1d", "--per-task", "2", "--out", f"{out}/demos.jsonl"]),
+    "config.json": (fdp.cli, "config.json", lambda demos, log, out: [
+        "analyze", "--logs", log, "--out-dir", out]),
+}
+
+
+@pytest.mark.parametrize("writer", ATOMIC_WRITERS)
+def test_a_write_that_fails_midway_leaves_the_previous_bytes(
+    runner, demo_file, trained_dir, tmp_path, monkeypatch, writer
+):
+    module, name, command = ATOMIC_WRITERS[writer]
+    out = tmp_path / "out"
+    args = command(str(demo_file), str(trained_dir / "training_log.json"), str(out))
+    result = runner.invoke(cli, [*args, "--seed", "1"])
+    assert result.exit_code == 0, result.output
+    before = (out / name).read_bytes()
+    listing = sorted(p.name for p in out.iterdir())
+    with open(tmp_path / "reference", "w"):
+        pass
+    assert (out / name).stat().st_mode == (tmp_path / "reference").stat().st_mode
+    monkeypatch.setattr(module, "write_atomic", _fail_midway(module.write_atomic))
+    result = runner.invoke(cli, [*args, "--seed", "2"])  # other bytes
+    assert result.exit_code == 3
+    assert "No space left on device" in result.output
+    assert (out / name).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == listing
+
+
 def test_analyze_requires_something(runner, tmp_path):
     result = runner.invoke(cli, ["analyze", "--out-dir", str(tmp_path / "o")])
     assert result.exit_code == 2
@@ -391,6 +469,22 @@ def test_config_seed_beats_fdp_seed(runner, tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # config.json: the resolved flags, read back by --config
 # ---------------------------------------------------------------------------
+
+
+# the PolicyConfig flags of train and continual, in --help order, with their defaults
+POLICY_FLAGS = [
+    ("--components", 4), ("--diffusion-steps", 100), ("--schedule", "cosine"),
+    ("--obs-embed-dim", 64), ("--denoiser-hidden", "256,256"), ("--router-hidden", "64"),
+    ("--router-temperature", 1.0), ("--router-lr-scale", 1.0), ("--t-pred", 16),
+    ("--t-exec", 8), ("--h-obs", 2), ("--learning-rate", 0.001),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "continual"])
+def test_the_policy_flags_keep_their_order_and_defaults(command):
+    flags = dict(POLICY_FLAGS)
+    got = [(p.opts[0], p.default) for p in cli.commands[command].params if p.opts[0] in flags]
+    assert [(f, repr(d)) for f, d in got] == [(f, repr(d)) for f, d in POLICY_FLAGS]
 
 
 @pytest.fixture(scope="module", params=["train", "eval", "adapt", "continual", "analyze"])

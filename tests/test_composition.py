@@ -29,6 +29,7 @@ from fdp.diffusion import make_schedule
 from fdp.numerics import Adam, FeedForwardNet, Rng
 from fdp.policy import (
     NORMALIZED_CLAMP,
+    VALIDATION_FRACTION,
     ComponentBank,
     DenoiserComponent,
     FactorizedPolicy,
@@ -255,9 +256,7 @@ def test_zero_weight_components_are_not_evaluated(top_k):
 # ---------------------------------------------------------------------------
 
 
-def _tiny_setup(
-    n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidden=(7,), activation="tanh"
-):
+def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidden=(7,)):
     rng = Rng(seed)
     sched = make_schedule(8)
     encoder = FeedForwardNet.init([obs_dim, emb_dim], ["tanh"], rng.child(1))
@@ -265,10 +264,7 @@ def _tiny_setup(
         FeedForwardNet.init([emb_dim, 5, n_components], ["tanh", "identity"], rng.child(2))
     )
     comps = [
-        DenoiserComponent.init(
-            window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4,
-            activation=activation,
-        )
+        DenoiserComponent.init(window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4)
         for i in range(n_components)
     ]
     return sched, encoder, router, ComponentBank(comps, sched.K)
@@ -507,7 +503,6 @@ ORACLE_MASKS = {
 }
 ORACLE_SHAPES = {
     "tanh": {},
-    "relu": {"activation": "relu"},
     "N=1": {"n_components": 1},
     "2 rows": {"rows": 2},
 }
@@ -627,7 +622,7 @@ def test_joint_loss_matches_reference_loop(fitted):
 def _assert_val_mse_matches_reference_loop(policy, ds):
     # fit's held-out split and frozen draws for seed 2
     rng = Rng(2)
-    n_val = max(1, int(round(policy.config.validation_fraction * len(ds.episodes))))
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(ds.episodes))))
     order = rng.child(1).permutation(len(ds.episodes))
     windows, obs = policy.build_training_arrays([ds.episodes[i] for i in order[:n_val]])
     val_rng = rng.child(2)
@@ -741,7 +736,7 @@ def test_bank_rejects_other_architectures_naming_the_component():
     comps = [DenoiserComponent.init(6, 4, [7], rng.child(i), step_dim=4) for i in range(2)]
     others = [
         DenoiserComponent.init(6, 4, [8], rng.child(5), step_dim=4),
-        DenoiserComponent.init(6, 4, [7], rng.child(6), step_dim=4, activation="relu"),
+        DenoiserComponent(FeedForwardNet.init([14, 7, 6], "identity", rng.child(6)), 6, 4),
         DenoiserComponent.init(6, 2, [7], rng.child(7), step_dim=6),
     ]
     for other in others:
@@ -761,21 +756,16 @@ def test_bank_rejects_other_architectures_naming_the_component():
 @given(
     n=st.integers(1, 9),
     hidden=st.lists(st.integers(1, 6), max_size=2),
-    activation=st.sampled_from(["tanh", "relu"]),
     window_dim=st.sampled_from([1, 3]),
     top_k=st.integers(1, 9),
     clip=st.sampled_from([None, NORMALIZED_CLAMP]),
     seed=st.integers(0, 2**16),
 )
-def test_bank_sampling_matches_loop_property(
-    n, hidden, activation, window_dim, top_k, clip, seed
-):
+def test_bank_sampling_matches_loop_property(n, hidden, window_dim, top_k, clip, seed):
     rng = Rng(seed)
     emb_dim = 2
     comps = [
-        DenoiserComponent.init(
-            window_dim, emb_dim, hidden, rng.child(i), step_dim=4, activation=activation
-        )
+        DenoiserComponent.init(window_dim, emb_dim, hidden, rng.child(i), step_dim=4)
         for i in range(n)
     ]
     sched = make_schedule(6)
@@ -794,7 +784,7 @@ def test_bank_sampling_matches_loop_property(
 
 
 @pytest.mark.parametrize(
-    "case", ["full", "top_k", "one_hot", "n1", "relu", "no_clip", "analytic"]
+    "case", ["full", "top_k", "one_hot", "n1", "no_clip", "analytic"]
 )
 def test_sample_values_matches_the_fresh_array_loop(case):
     rng, sched = Rng(21), make_schedule(12)
@@ -802,11 +792,7 @@ def test_sample_values_matches_the_fresh_array_loop(case):
     if case == "analytic":  # a bank of other components: values-only buffer
         comps, emb = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0.5, 2, 0)], None
     else:
-        act = "relu" if case == "relu" else "tanh"
-        comps = [
-            DenoiserComponent.init(6, 5, [9, 7], rng.child(i), step_dim=4, activation=act)
-            for i in range(n)
-        ]
+        comps = [DenoiserComponent.init(6, 5, [9, 7], rng.child(i), step_dim=4) for i in range(n)]
         emb = rng.child(9).gaussian(5)
     w = np.eye(n)[2] if case == "one_hot" else softmax(rng.child(10).gaussian(n))
     top_k = 2 if case == "top_k" else None
@@ -823,8 +809,9 @@ def test_sample_values_matches_the_fresh_array_loop(case):
 
 
 @pytest.mark.parametrize("top_k", [None, 3])
-@pytest.mark.parametrize("case", ["relu", "identity_only", "one_hidden", "one_wide"])
+@pytest.mark.parametrize("case", ["two_hidden", "identity_only", "one_hidden", "one_wide"])
 def test_chain_matches_the_per_component_oracle(case, top_k, monkeypatch):
+    # two_hidden: a middle layer between the table and the folded last one;
     # identity_only: layer 0 is the last layer and takes the weights;
     # one_hidden: no middle layer between the table and the folded last one;
     # one_wide: nine 1-wide predictions, which numpy would sum pairwise; a
@@ -840,11 +827,7 @@ def test_chain_matches_the_per_component_oracle(case, top_k, monkeypatch):
     rng, sched = Rng(31), make_schedule(10)
     n, dim = (9, 1) if case == "one_wide" else (4, 6)
     hidden = {"identity_only": [], "one_hidden": [7]}.get(case, [7, 5])
-    act = "relu" if case == "relu" else "tanh"
-    comps = [
-        DenoiserComponent.init(dim, 3, hidden, rng.child(i), step_dim=4, activation=act)
-        for i in range(n)
-    ]
+    comps = [DenoiserComponent.init(dim, 3, hidden, rng.child(i), step_dim=4) for i in range(n)]
     emb, w = rng.child(20).gaussian(3), softmax(rng.child(21).gaussian(n))
     bank = ComponentBank(comps, sched.K)
     idx, w_used = select_top_k(w, top_k) if top_k else (np.arange(n), w)

@@ -22,11 +22,13 @@ from fdp.numerics import (
     decode_f64, encode_f64,
 )
 from fdp.policy import (
+    STEP_FEATURES,
     ActionNormalizer,
     ComponentBank,
     DenoiserComponent,
     FactorizedPolicy,
     PolicyConfig,
+    TrainingLog,
     canonical_json,
     matched_hidden_width,
     sinusoidal_step_embedding,
@@ -354,11 +356,14 @@ def test_a_bank_cache_is_stale_once_any_component_is_written():
         bank.backward(cache, grad_out[:1], [0])
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("activation", ["tanh", "identity"])
 @pytest.mark.parametrize("rows", [[0, 1, 2], [0, 2], [1]])
 @pytest.mark.parametrize("batch", [1, 4])
 def test_bank_matches_the_textbook_layer_loop_per_component(activation, rows, batch):
-    policy = small_policy(n=3, seed=5, activation=activation)
+    policy = small_policy(n=3, seed=5)
+    if activation == "identity":  # hidden layers with no tanh
+        for comp in policy.components:
+            comp.net = FeedForwardNet([(w, b, "identity") for w, b, _ in comp.net.layers])
     bank, rng, d = policy.bank, Rng(6), policy.window_dim
     values = rng.gaussian(batch * d).reshape(batch, d)
     emb = rng.gaussian(batch * 12).reshape(batch, 12)
@@ -506,26 +511,14 @@ def test_fit_rejects_a_dataset_of_other_widths(obs_dim, action_dim, field):
     assert policy.normalizer is None and policy.training_log_ is None
 
 
-def test_fit_with_validation_fraction_zero_holds_out_nothing():
-    ds = generate_demos("bimodal1d", per_task=3, seed=1)
-    policy = small_policy(validation_fraction=0.0).fit(ds, epochs=2, batch_size=8, seed=0)
+def test_fit_on_one_episode_holds_out_nothing():
+    ds = generate_demos("bimodal1d", per_task=1, seed=1)
+    assert len(ds.episodes) == 1
+    policy = small_policy().fit(ds, epochs=2, batch_size=8, seed=0)
     log = policy.training_log_
     assert log.n_val_windows == 0
     assert log.n_train_windows == sum(len(ep.actions) for ep in ds.episodes)
     assert all(e["val_mse"] == e["train_mse"] for e in log.entries)
-
-
-def test_fit_rejects_a_split_with_no_training_episodes():
-    # 4 episodes at fraction 0.9: round(3.6) = 4 held out, none left to train on
-    ds = generate_demos("reach4", per_task=1, seed=1)
-    assert len(ds.episodes) == 4
-    policy = small_policy(obs_dim=ds.state_dim, action_dim=ds.action_dim,
-                          validation_fraction=0.9)
-    before = policy.group_checksums()
-    with pytest.raises(ValueError, match="validation_fraction 0.9 holds out all 4 episodes"):
-        policy.fit(ds, epochs=1, batch_size=8, seed=0)
-    assert policy.group_checksums() == before
-    assert policy.normalizer is None and policy.training_log_ is None
 
 
 def test_fit_rejects_a_group_listed_twice():
@@ -604,11 +597,31 @@ def test_unfitted_policy_refuses_to_act():
 # ---------------------------------------------------------------------------
 
 
-def test_predict_is_act_alias(trained_bimodal):
-    obs = np.array([0.0, -0.6, 0.6, 0.0, -0.6, 0.6])
-    np.testing.assert_array_equal(
-        trained_bimodal.predict(obs, Rng(3)), trained_bimodal.act(obs, Rng(3))
-    )
+def test_a_training_log_round_trips_through_json(trained_bimodal):
+    log = trained_bimodal.training_log_
+    assert TrainingLog.from_json(log.to_json()) == log
+    assert TrainingLog.from_json(json.loads(canonical_json(log.to_json()))) == log
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("entries", 5, "field 'entries' is 5, not a list"),
+        ("entries", [{"epoch": 0.0, "train_mse": 1.0, "val_mse": 1.0}],
+         "field 'entries[0].epoch' is 0.0, not an int"),
+        ("entries", [{"epoch": 0, "train_mse": 1.0, "val_mse": "1"}],
+         "field 'entries[0].val_mse' is '1', not a float"),
+        ("entries", [{"epoch": 0, "train_mse": 1.0, "val_mse": 1.0, "x": 1}],
+         "unknown key 'x'"),
+        ("n_val_windows", True, "field 'n_val_windows' is True, not an int >= 0"),
+        ("trainable", ["encoder", 1], "field 'trainable[1]' is 1, not a str"),
+        ("bogus", 1, "unknown key 'bogus'"),
+    ],
+)
+def test_a_training_log_names_a_malformed_field(trained_bimodal, key, value, message):
+    obj = {**trained_bimodal.training_log_.to_json(), key: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainingLog.from_json(obj)
 
 
 def test_checkpoint_round_trip_preserves_behavior(tmp_path, trained_bimodal):
@@ -638,7 +651,7 @@ def test_checkpoint_round_trip_property(
     cfg = PolicyConfig(
         n_components=n, diffusion_steps=steps, schedule_kind=schedule,
         t_pred=t_pred, t_exec=1, obs_embed_dim=4, denoiser_hidden=hidden,
-        router_hidden=(3,), step_embed_dim=4,
+        router_hidden=(3,),
     )
     norm = ActionNormalizer(-np.ones(action_dim), np.ones(action_dim))
     policy = FactorizedPolicy(2, action_dim, cfg, normalizer=norm, seed=seed)
@@ -763,7 +776,7 @@ def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, c
     # the parameters carry no architecture, so one of another size is what shows
     obj = trained_bimodal.to_json()
     cfg = trained_bimodal.config
-    arch = {"hidden": list(cfg.denoiser_hidden), "step_dim": cfg.step_embed_dim, **change}
+    arch = {"hidden": list(cfg.denoiser_hidden), "step_dim": STEP_FEATURES, **change}
     other = DenoiserComponent.init(
         trained_bimodal.window_dim, cfg.obs_embed_dim, arch["hidden"], Rng(3), arch["step_dim"],
     )
@@ -867,12 +880,11 @@ CHECKPOINT_MUTATIONS = [
     (("normalizer", "lo"), lambda v: "x", "field 'normalizer': "),
     (("normalizer", "hi"), DELETE, "field 'normalizer': field 'hi' is missing"),
     (("config", "learning_rate"), lambda v: "0.001", "field 'config': learning_rate must be"),
-    (("config", "validation_fraction"), lambda v: "0.1", "field 'config': "),
     (("obs_dim",), lambda v: "x", "field 'obs_dim' must be an int"),
     (("seed",), lambda v: 3.9, "field 'seed' must be an int, got 3.9"),
     (("action_dim",), lambda v: True, "field 'action_dim' must be an int, got True"),
-    (("version",), lambda v: True, "field 'version' is True, not 3"),
-    (("version",), lambda v: 1, "field 'version' is 1, not 3", "1"),
+    (("version",), lambda v: True, "field 'version' is True, not 4"),
+    (("version",), lambda v: 1, "field 'version' is 1, not 4", "1"),
     # a config the parameters do not fit, or one that is invalid itself
     (("config", "router_temperature"), lambda v: 0.0, "field 'config': router_temperature must"),
     (
@@ -880,13 +892,6 @@ CHECKPOINT_MUTATIONS = [
         lambda v: [7],
         "field 'parameters.component:0' holds 1480 values, but obs_dim, action_dim and config "
         "imply widths [44, 7, 16]",
-    ),
-    (("config", "activation"), lambda v: "sigmoid", "field 'config': activation must be one of"),
-    (
-        ("config", "step_embed_dim"),
-        lambda v: 6,
-        "field 'parameters.component:0' holds 1480 values, but obs_dim, action_dim and config "
-        "imply widths [34, 24, 16]",
     ),
     (
         ("config", "n_components"),
@@ -933,7 +938,16 @@ def test_a_version_2_checkpoint_is_refused_naming_the_version(trained_bimodal):
     obj = trained_bimodal.to_json()
     obj["version"] = 2
     obj["config"].update(encoder_hidden=[], append_task_id=False)
-    with pytest.raises(ValueError, match=re.escape("checkpoint field 'version' is 2, not 3")):
+    with pytest.raises(ValueError, match=re.escape("checkpoint field 'version' is 2, not 4")):
+        FactorizedPolicy.from_json(obj)
+
+
+def test_a_version_3_checkpoint_is_refused_naming_the_version(trained_bimodal):
+    # version 3's config also held step_embed_dim, activation and validation_fraction
+    obj = trained_bimodal.to_json()
+    obj["version"] = 3
+    obj["config"].update(step_embed_dim=16, activation="tanh", validation_fraction=0.1)
+    with pytest.raises(ValueError, match=re.escape("checkpoint field 'version' is 3, not 4")):
         FactorizedPolicy.from_json(obj)
 
 
@@ -951,7 +965,7 @@ SMALL_CHECKPOINT = canonical_json(
         2, 1,
         PolicyConfig(
             n_components=2, diffusion_steps=3, t_pred=2, t_exec=1, h_obs=1, obs_embed_dim=2,
-            denoiser_hidden=(3,), router_hidden=(2,), step_embed_dim=2,
+            denoiser_hidden=(3,), router_hidden=(2,),
         ),
         normalizer=ActionNormalizer([-1.0], [1.0]),
         seed=5,
@@ -1035,10 +1049,10 @@ def test_policy_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("step_embed_dim", 15),
-        ("validation_fraction", 1.5),
-        ("validation_fraction", 1.0),
-        ("validation_fraction", -0.1),
+        ("h_obs", 0),
+        ("h_obs", -1),
+        ("t_exec", 0),
+        ("t_exec", 17),
         ("learning_rate", -1.0),
         ("learning_rate", 0.0),
         ("obs_embed_dim", 0),
@@ -1055,14 +1069,13 @@ def test_policy_config_validation():
         ("router_temperature", -1.0),
         ("router_temperature", float("inf")),
         ("router_temperature", float("nan")),
-        ("activation", "gelu"),
+        ("schedule_kind", 1),
         ("t_exec", 4.5),
         ("n_components", True),
         ("diffusion_steps", 1),
         ("schedule_kind", "quadratic"),
         ("denoiser_hidden", (16.0,)),
         ("learning_rate", "0.001"),
-        ("step_embed_dim", -2),
         ("n_components", -1),
         ("diffusion_steps", 2**64),
     ],
@@ -1074,7 +1087,7 @@ def test_policy_config_names_the_bad_field(field, value):
 
 TINY_CONFIG = dict(
     n_components=2, diffusion_steps=2, t_pred=2, t_exec=1, h_obs=1, obs_embed_dim=2,
-    denoiser_hidden=(2,), router_hidden=(2,), step_embed_dim=2,
+    denoiser_hidden=(2,), router_hidden=(2,),
 )
 # each field of a tiny config set to a wrong type, None, a bool, a
 # non-integral, non-finite, negative or huge number
