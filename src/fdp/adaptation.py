@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bench import EpisodeDataset, merge_datasets, sample_replay
-from .numerics import FeedForwardNet, Rng
+from .numerics import FeedForwardNet, Rng, param_count
 from .policy import FactorizedPolicy, TrainingLog
 
 STRATEGIES = ("full", "router", "router+encoder", "new_module")
@@ -77,8 +77,11 @@ def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
     The new component starts with logit 0, i.e. the uniform share under the
     softmax of the existing logits plus one; existing weights are untouched.
     """
-    *body, (w, b, act) = net.layers
-    return FeedForwardNet([*body, (np.pad(w, ((0, 0), (0, 1))), np.append(b, 0.0), act)])
+    widths = [*net.widths[:-1], net.out_dim + 1]
+    wide = FeedForwardNet(widths, net.activations, np.zeros(param_count(widths)))
+    for old, new in zip(net.params().values(), wide.params().values()):
+        new[..., : old.shape[-1]] = old
+    return wide
 
 
 def upcycle_component(

@@ -90,8 +90,7 @@ def build_probe_set(
 def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     """Mean cosine similarity of per-component predictions over the probes.
 
-    Probes run on the policy's ``bank.select(range(n))``, as full-composition
-    sampling does: weight and bias views of the store.
+    Probes run on the policy's ``bank``.
 
     Probes where any component predicts a zero-norm vector are skipped and
     counted (a warning summarizes the count).
@@ -99,7 +98,7 @@ def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:
     if not probes:
         raise ValueError("probe set is empty")
     n = policy.n_components
-    bank = policy.bank.select(range(n))
+    bank = policy.bank
     acc = np.zeros((n, n))
     used = 0
     skipped = 0

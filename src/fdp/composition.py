@@ -186,13 +186,11 @@ def sample_values(
     chain (``start_chain``); all K noise draws are taken, scaled by their
     sigma_k, at once. Each step is one bank call for the composed prediction
     on its row (``predict_row``), one ``reverse_mean`` into the next row and
-    one noise row added (none after step 1). With DenoiserComponents the
-    sub-bank tabulates layer 0's embedding and step terms once per call and
-    folds the weights into the last layer, so a step runs only the work that
-    changes with it, into the chain's buffers; the sample equals the
-    per-component oracle up to the regrouped float64 sums (within 1e-12 in
-    the tests). Other components are evaluated one at a time and composed
-    with ``weighted_sum``, bit-identical to the oracle.
+    one noise row added (none after step 1). The sub-bank tabulates layer
+    0's embedding and step terms once per call and folds the weights into
+    the last layer, so a step runs only the work that changes with it, into
+    the chain's buffers; the sample equals the per-component oracle up to
+    the regrouped float64 sums (within 1e-12 in the tests).
 
     x0_clip is passed to ``reverse_mean``: it keeps learned models on the data
     manifold (normalized actions live in [-1, 1]). Leave None for unbounded
@@ -213,7 +211,7 @@ def sample_values(
     nonzero = w_used != 0.0
     idx, w_used = idx[nonzero], w_used[nonzero]
     bank = components.select(idx)
-    emb = obs_embedding if obs_embedding is None else as_f64(obs_embedding, "obs_embedding")
+    emb = as_f64(obs_embedding, "obs_embedding")
 
     # row 0 starts the chain; row i > 0 is the noise injected after step
     # K - i + 1, scaled by its sigma here in one multiply

@@ -198,32 +198,33 @@ class FeedForwardNet:
     ``vector`` holding every parameter, layer by layer, weight (row-major)
     then bias. ``bind`` moves it into a row of a shared matrix, such as a
     component store. ``layout`` gives each layer's weight and bias views into
-    any vector laid out like it, such as the gradient ``backward`` returns,
-    and ``layers`` the (weight, bias, activation) triples of ``vector``.
+    any vector laid out like it, such as the gradient ``backward`` returns.
     Parameter updates go through ``assign`` or ``Adam.step``, which write the
     vector in place and bump an internal version; ``backward`` refuses
     caches recorded under an older version.
     """
 
-    def __init__(self, layers):
-        """From (weight, bias, activation) triples, copied into ``vector``;
-        shapes, activations and finiteness are checked, naming the layer."""
-        if not layers:
-            raise ValueError("net needs at least one layer")
-        ws = [np.asarray(w, dtype=np.float64) for w, _, _ in layers]
-        bs = [np.asarray(b, dtype=np.float64) for _, b, _ in layers]
-        self.activations = [act for _, _, act in layers]
-        for i, (w, b, act) in enumerate(zip(ws, bs, self.activations)):
-            if w.ndim != 2 or b.shape != w.shape[1:]:
-                raise DimensionMismatchError(f"layer {i} has weight {w.shape} and bias {b.shape}")
-            if i and w.shape[0] != ws[i - 1].shape[1]:
-                raise DimensionMismatchError(
-                    f"layer {i} fan_in {w.shape[0]} != layer {i - 1} fan_out {ws[i - 1].shape[1]}"
-                )
+    def __init__(self, widths: list[int], activations: list[str], vector):
+        """The net of ``widths`` = [in, h1, ..., out] and one ``activations``
+        entry per layer whose ``vector`` is a copy of vector, laid out as
+        ``layout`` reads it. Another number of activations than layers, or of
+        values than the parameter count, raises ValueError naming the
+        expected and the given count; an unknown activation or a non-finite
+        value raises naming the layer or block."""
+        if len(widths) < 2:
+            raise ValueError("widths must list at least input and output sizes")
+        if len(activations) != len(widths) - 1:
+            raise ValueError(
+                f"widths {list(widths)} need {len(widths) - 1} activations, got {len(activations)}"
+            )
+        for i, act in enumerate(activations):
             if act not in ACTIVATIONS:
                 raise ValueError(f"layer {i} has unknown activation {act!r}")
-        self.widths = [ws[0].shape[0]] + [w.shape[1] for w in ws]
-        self.vector = np.concatenate([a.ravel() for w, b in zip(ws, bs) for a in (w, b)])
+        self.widths, self.activations = list(widths), list(activations)
+        self.vector = np.array(vector, dtype=np.float64)
+        size = param_count(widths)
+        if self.vector.shape != (size,):
+            raise ValueError(f"widths {self.widths} need {size} values, got {self.vector.size}")
         self._check_finite_blocks(self.vector, "parameter")
         self._stack = self.stacked(self.vector[None])  # a one-net stack, rebuilt by bind
         self._version = 0
@@ -238,8 +239,6 @@ class FeedForwardNet:
         rng: Rng,
     ) -> "FeedForwardNet":
         """Random init: W ~ N(0, 1/fan_in), b = 0. widths = [in, h1, ..., out]."""
-        if len(widths) < 2:
-            raise ValueError("widths must list at least input and output sizes")
         if isinstance(activations, str):
             activations = [activations] * (len(widths) - 1)
         blocks = []
@@ -247,24 +246,7 @@ class FeedForwardNet:
             w = rng.gaussian(fan_in * fan_out)
             w *= 1.0 / math.sqrt(fan_in)
             blocks += [w, np.zeros(fan_out)]
-        return cls.from_vector(widths, activations, np.concatenate(blocks))
-
-    @classmethod
-    def from_vector(cls, widths: list[int], activations: list[str], vector) -> "FeedForwardNet":
-        """The net of ``widths`` and ``activations`` whose ``vector`` is a copy
-        of vector, which holds its parameter count of values, laid out as
-        ``layout`` reads them; another number of activations than layers, or
-        of values, raises ValueError naming the expected and the given count."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if len(activations) != len(widths) - 1:
-            raise ValueError(
-                f"widths {list(widths)} need {len(widths) - 1} activations, got {len(activations)}"
-            )
-        size = param_count(widths)
-        if vector.size != size:
-            raise ValueError(f"widths {list(widths)} need {size} values, got {vector.size}")
-        views = list(_layout(widths, vector).values())
-        return cls(list(zip(views[::2], views[1::2], activations)))
+        return cls(widths, activations, np.concatenate(blocks))
 
     # -- introspection ------------------------------------------------------
 
@@ -279,13 +261,6 @@ class FeedForwardNet:
     @property
     def out_dim(self) -> int:
         return self.widths[-1]
-
-    @property
-    def layers(self) -> list:
-        """(weight, bias, activation) per layer, the weight and bias views of
-        ``vector``."""
-        views = list(self.params().values())
-        return list(zip(views[::2], views[1::2], self.activations))
 
     def param_count(self) -> int:
         return self.vector.size
@@ -339,14 +314,15 @@ class FeedForwardNet:
         self._version += 1
 
     def copy(self) -> "FeedForwardNet":
-        return FeedForwardNet(self.layers)
+        return FeedForwardNet(self.widths, self.activations, self.vector)
 
     def __reduce__(self):
-        # Deep copies and pickles rebuild the net from its layers, so the
+        # Deep copies and pickles rebuild the net from its vector, so the
         # copy's one-row stack views its own vector. (numpy would copy each
         # view into an array of its own, and writes to the copy's vector
         # would not reach its forward.)
-        return FeedForwardNet, (self.layers,), {"_version": self._version}
+        state = {"_version": self._version}
+        return FeedForwardNet, (self.widths, self.activations, self.vector), state
 
     def checksum(self) -> str:
         """SHA-256 over the little-endian float64 bytes of all parameters."""

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .composition import (
-    CompositionError, Router, SampleInfo, check_simplex, component_predictions,
-    composed_residual, group_slices, sample_values, weighted_sum,
+    CompositionError, Router, SampleInfo, check_simplex, composed_residual, group_slices,
+    sample_values,
 )
 from .diffusion import SCHEDULE_KINDS, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
@@ -111,26 +111,25 @@ class ComponentBank:
     DenoiserComponents of one architecture are bound to the rows of one
     (N, P) ``store`` (``FeedForwardNet.bind``; the given one, else a fresh
     one), whose (N, fan_in, fan_out) weight and (N, 1, fan_out) bias views
-    make each layer one np.matmul for every component
-    (``FeedForwardNet.stacked``); the step features are tabulated once.
+    make each layer one np.matmul for every component (``stack``, from
+    ``FeedForwardNet.stacked``); the step features are tabulated once.
     In-place writes to the nets (Adam steps) show in the next prediction,
     until a newer bank binds the same nets. Forward and backward run the
     kernel each net runs alone
     (``stack_forward``/``stack_backward``), and numpy runs a stacked matmul as
     one BLAS call per slab, so results are bit-identical to each component's
-    own ``predict`` and ``backward``. Differing architectures raise, naming
-    the component; any other list goes one at a time, with an (N, 0) store.
+    own ``predict`` and ``backward``. Any other component, or another
+    architecture than component 0's, raises CompositionError naming it.
     """
 
     def __init__(self, components, steps: int, store=None):
         self.components, self.steps = list(components), steps
         if not self.components:
             raise CompositionError("a component bank needs at least one component")
-        self.layers = None
-        if not all(isinstance(c, DenoiserComponent) for c in self.components):
-            self.store = np.empty((len(self), 0)) if store is None else store
-            return
         for i, comp in enumerate(self.components):
+            if not isinstance(comp, DenoiserComponent):
+                name = type(comp).__name__
+                raise CompositionError(f"component {i} ({name}) is not a DenoiserComponent")
             arch = (comp.net.widths, comp.net.activations, comp.window_dim, comp.step_dim)
             if i == 0:
                 first_arch = arch
@@ -145,7 +144,7 @@ class ComponentBank:
         self.store = np.empty((len(self), first.net.param_count())) if store is None else store
         for comp, row in zip(self.components, self.store):
             comp.net.bind(row)
-        self.layers = first.net.stacked(self.store)
+        self.stack = first.net.stacked(self.store)
         self.step_table = sinusoidal_step_embedding(np.arange(1, steps + 1), first.step_dim)
 
     def __len__(self) -> int:
@@ -157,9 +156,8 @@ class ComponentBank:
         the store for a contiguous range of idx (full composition), else copies."""
         sub = copy.copy(self)
         sub.components = [self.components[i] for i in idx]
-        if self.layers is not None:
-            rows = _as_slice(idx)
-            sub.layers = [(w[rows], b[rows], act) for w, b, act in self.layers]
+        rows = _as_slice(idx)
+        sub.stack = [(w[rows], b[rows], act) for w, b, act in self.stack]
         return sub
 
     def start_chain(self, values, obs_embedding, w, steps: int) -> np.ndarray:
@@ -171,34 +169,29 @@ class ComponentBank:
         b_f = sum_i w_i b_L,i (a one-layer net's layer 0 is its last, whose
         outputs W_f weighs through stacked w_i I). Middle biases are copied:
         their per-step add runs 2x faster, as does the table's contiguous row."""
-        dim, self.chain_emb, self.chain_weights = len(values), obs_embedding, w
+        dim = len(values)
         self.inputs = np.empty((steps + 1, 1, dim))
         self.inputs[0, 0] = values
-        if self.layers is not None:
-            (w0, b0, act0), *middle = self.layers
-            got = dim + np.shape(obs_embedding)[-1] + self.step_table.shape[1]
-            if got != w0.shape[1]:
-                raise DimensionMismatchError(f"layer 0 expects width {w0.shape[1]}, got {got}")
-            table = self.step_table[steps - 1 :: -1] @ np.hstack(w0[:, self.emb_cols.stop :])
-            table = table.reshape(steps, *b0.shape)
-            table += np.matmul(obs_embedding[None], w0[:, self.emb_cols]) + b0
-            w_last, b_last, _ = middle.pop() if middle else (np.eye(dim), np.zeros_like(b0), None)
-            self.w_f, self.b_f = (w[:, None, None] * w_last).reshape(-1, dim), w @ b_last[:, 0]
-            self.middle = [(weight, b.copy(), act) for weight, b, act in middle]
-            self.w0, self.table, self.act0 = w0[:, :dim], table, act0
-            self.chain = [np.empty(b.shape) for _, b, _ in self.layers[: len(middle) + 1]]
-            self.hidden, self.eps_hat = self.chain[-1].reshape(-1), np.empty(dim)
+        (w0, b0, act0), *middle = self.stack
+        got = dim + np.shape(obs_embedding)[-1] + self.step_table.shape[1]
+        if got != w0.shape[1]:
+            raise DimensionMismatchError(f"layer 0 expects width {w0.shape[1]}, got {got}")
+        table = self.step_table[steps - 1 :: -1] @ np.hstack(w0[:, self.emb_cols.stop :])
+        table = table.reshape(steps, *b0.shape)
+        table += np.matmul(obs_embedding[None], w0[:, self.emb_cols]) + b0
+        w_last, b_last, _ = middle.pop() if middle else (np.eye(dim), np.zeros_like(b0), None)
+        self.w_f, self.b_f = (w[:, None, None] * w_last).reshape(-1, dim), w @ b_last[:, 0]
+        self.middle = [(weight, b.copy(), act) for weight, b, act in middle]
+        self.w0, self.table, self.act0 = w0[:, :dim], table, act0
+        self.chain = [np.empty(b.shape) for _, b, _ in self.stack[: len(middle) + 1]]
+        self.hidden, self.eps_hat = self.chain[-1].reshape(-1), np.empty(dim)
         return self.inputs[:, 0]
 
     def predict_row(self, i: int) -> np.ndarray:
         """sum_i w_i eps_i on row i of the ``start_chain`` buffer (step K - i),
         unchecked: the row times layer 0's value rows plus its table row, then
         ``stack_forward`` of the middle layers, into the chain's buffers, then
-        W_f and b_f, into a buffer the next call overwrites (other components:
-        ``weighted_sum`` of ``forward``)."""
-        if self.layers is None:
-            preds = self.forward(self.inputs[i, 0], self.chain_emb, len(self.inputs) - 1 - i)[0]
-            return weighted_sum(self.chain_weights, preds)
+        W_f and b_f, into a buffer the next call overwrites."""
         x = np.matmul(self.inputs[i], self.w0, out=self.chain[0])
         x += self.table[i]
         if self.act0 is not None:
@@ -215,16 +208,13 @@ class ComponentBank:
         step per window of a batch), after a finiteness check of the stacked
         input; and the cache ``backward`` takes: the nets' versions and the
         ``stack_forward`` activations."""
-        if self.layers is None:
-            preds, caches = component_predictions(self.components, values, obs_embedding, k)
-            return np.stack(preds), caches
         x = np.concatenate([values, obs_embedding, self.step_table[k - 1]], axis=-1)
-        width = self.layers[0][0].shape[1]
+        width = self.stack[0][0].shape[1]
         if x.shape[-1] != width:
             raise DimensionMismatchError(f"layer 0 expects input width {width}, got {x.shape[-1]}")
         as_f64(x, "input")
         versions = [c.net.version for c in self.components]
-        acts = stack_forward(self.layers, x.reshape(1, -1, width))
+        acts = stack_forward(self.stack, x.reshape(1, -1, width))
         return acts[-1].reshape(-1, *values.shape), (versions, acts)
 
     def backward(self, cache, grad_out, rows, demb=None, out=None) -> np.ndarray:
@@ -236,12 +226,6 @@ class ComponentBank:
         order; with demb None, layer 0 computes no input gradient. A cache
         recorded before any of the nets was written raises StaleCacheError."""
         out = np.empty_like(self.store) if out is None else out
-        if self.layers is None:  # no parameters in the store
-            for i, g in zip(rows, grad_out):
-                _, _, de = self.components[i].backward(cache[i], g)
-                if demb is not None:
-                    demb += de
-            return out
         versions, acts = cache
         if versions != [c.net.version for c in self.components]:
             raise StaleCacheError("forward cache is stale: a component changed since it was made")
@@ -249,7 +233,7 @@ class ComponentBank:
         grad = out[rows] if isinstance(rows, slice) else np.empty((len(rows), out.shape[1]))
         cols = demb is not None and self.emb_cols
         views = list(self.layout(grad).values())
-        de = stack_backward(self.layers, acts, grad_out, views, rows, cols)
+        de = stack_backward(self.stack, acts, grad_out, views, rows, cols)
         if not isinstance(rows, slice):
             out[rows] = grad
         for d in de if cols else ():
@@ -360,10 +344,7 @@ def matched_hidden_width(
     """Hidden width for a single two-hidden-layer net whose parameter count
     matches n_components nets of width base_hidden (same in/out dims)."""
 
-    def count(h):
-        return in_dim * h + h + h * h + h + h * out_dim + out_dim
-
-    target = n_components * count(base_hidden)
+    target = n_components * param_count([in_dim, base_hidden, base_hidden, out_dim])
     b = in_dim + out_dim + 2
     h = (-b + math.sqrt(b * b + 4.0 * (target - out_dim))) / 2.0
     return max(1, round(h))
@@ -388,7 +369,11 @@ class TrainingLog:
         entries, n_train, n_val, trainable = json_fields(obj, *(f.name for f in fields(cls)))
         kinds = {"epoch": int, "train_mse": float, "val_mse": float}
         for i, entry in enumerate(typed_field("entries", entries, list)):
-            for key, value in zip(kinds, json_fields(entry, *kinds)):
+            try:
+                values = json_fields(entry, *kinds)
+            except ValueError as exc:
+                raise ValueError(f"field 'entries[{i}]': {exc}") from exc
+            for key, value in zip(kinds, values):
                 typed_field(f"entries[{i}].{key}", value, kinds[key])
         groups = list(trainable) if type(trainable) is tuple else trainable  # to_json's tuple
         for i, group in enumerate(typed_field("trainable", groups, list)):
@@ -463,7 +448,7 @@ class FactorizedPolicy:
                         f"obs_dim, action_dim and config imply widths {widths}, {size} values"
                     )
                 name = f"parameters.{group}"
-                nets.append(_load_field(name, FeedForwardNet.from_vector, widths, acts, vector))
+                nets.append(_load_field(name, FeedForwardNet, widths, acts, vector))
             del vector  # vectors decode one at a time: free the last before the bank's copy
         self.obs_encoder, router_net, *component_nets = nets
         self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
@@ -520,10 +505,9 @@ class FactorizedPolicy:
         bank, comps = self.__dict__.get("_bank"), self.components
         nets = [self.obs_encoder, self.router.net]
         if bank is None or bank.components != comps or not all(
-            net.vector.base is self._vector for net in nets + [c.net for c in comps if bank.layers]
+            net.vector.base is self._vector for net in nets + [c.net for c in comps]
         ):
-            stacked = comps and all(isinstance(c, DenoiserComponent) for c in comps)
-            head = (len(comps), comps[0].net.param_count() if stacked else 0)
+            head = (len(comps), comps[0].net.param_count())
             self._vector = np.empty(math.prod(head) + self.n_parameters(["encoder", "router"]))
             store = self._vector[: math.prod(head)].reshape(head)
             bank = self._bank = ComponentBank(comps, self.schedule.K, store)
@@ -796,8 +780,14 @@ class FactorizedPolicy:
 
     @classmethod
     def load(cls, path) -> "FactorizedPolicy":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
+        """``from_json`` of the file; text that is not UTF-8 JSON raises
+        ValueError naming the file."""
+        with open(path, encoding="utf-8") as f:
+            try:
+                obj = json.load(f)
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ValueError(f"checkpoint {path}: {exc}") from exc
+        return cls.from_json(obj)
 
 
 def _load_field(name: str, load, *args):

@@ -1,7 +1,8 @@
 """Independent oracles shared across test modules.
 
 These deliberately avoid the package's own gradient, sampling and
-optimizer paths: analytic Gaussian scores, the textbook dense forward and
+optimizer paths: analytic Gaussian scores and ``LoopBank``, which samples
+and trains on them one component at a time, the textbook dense forward and
 backward of one net, one 2-d layer at a time, the per-component loop for the
 composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
@@ -15,7 +16,7 @@ a loop over fresh arrays, the reference for the sampler's in-place buffer.
 A sampler over stacked nets regroups float64 sums (each act tabulates layer
 0's embedding and step terms and folds the weights into the last layer), so
 its windows and per-step predictions are compared with these references
-under one bound, ``assert_chain_close``; other components compare exactly.
+under one bound, ``assert_chain_close``; ``LoopBank`` chains compare exactly.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 
 from fdp.composition import check_simplex, group_slices, select_top_k, weighted_sum
 from fdp.diffusion import reverse_mean
-from fdp.numerics import DimensionMismatchError, NonFiniteError, Rng
+from fdp.numerics import DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng
 
 
 class AnalyticGaussianDenoiser:
@@ -77,6 +78,44 @@ class PointMassDenoiser:
     def predict(self, values, obs_embedding, k):
         ab = self.schedule.alpha_bar[k]
         return (values - np.sqrt(ab) * self.c) / np.sqrt(1.0 - ab), None
+
+
+class LoopBank:
+    """A ``ComponentBank`` double over components with no parameters, such as
+    the analytic ones above, for ``sample_values`` and ``joint_loss``: each
+    component's own ``predict``, one at a time, composed with
+    ``weighted_sum``; its store holds no columns."""
+
+    def __init__(self, components, steps):
+        self.components, self.steps = list(components), steps
+        self.store = np.empty((len(self.components), 0))
+
+    def __len__(self):
+        return len(self.components)
+
+    def select(self, idx):
+        return LoopBank([self.components[i] for i in idx], self.steps)
+
+    def start_chain(self, values, obs_embedding, w, steps):
+        self.emb, self.weights = obs_embedding, w
+        self.inputs = np.empty((steps + 1, len(values)))
+        self.inputs[0] = values
+        return self.inputs
+
+    def predict_row(self, i):
+        k = len(self.inputs) - 1 - i
+        return weighted_sum(self.weights, self.forward(self.inputs[i], self.emb, k)[0])
+
+    def forward(self, values, obs_embedding, k):
+        outs = [comp.predict(values, obs_embedding, k) for comp in self.components]
+        return np.stack([pred for pred, _ in outs]), [cache for _, cache in outs]
+
+    def backward(self, cache, grad_out, rows, demb=None, out=None):
+        for i, g in zip(rows, grad_out):
+            _, _, de = self.components[i].backward(cache[i], g)
+            if demb is not None:
+                demb += de
+        return out
 
 
 # activation, and its derivative wrt the pre-activation z given a = act(z)
@@ -390,20 +429,26 @@ class GroupAdam:
                 np.testing.assert_array_equal(p, params[path], err_msg=f"{g} {path}")
 
 
+def layered_net(layers):
+    """The FeedForwardNet of (weight, bias, activation) triples, its vector
+    each weight (row-major) then bias, layer by layer."""
+    widths = [np.shape(layers[0][0])[0], *(np.shape(w)[1] for w, _, _ in layers)]
+    vector = np.concatenate([np.ravel(a) for w, b, _ in layers for a in (w, b)])
+    return FeedForwardNet(widths, [act for _, _, act in layers], vector)
+
+
 def _address(a):
     return a.__array_interface__["data"][0]
 
 
 def assert_layers_view_vector(net, flat=None):
-    """The layers' weights and biases (or, given flat, the blocks of
-    net.layout(flat)) are C-contiguous views into net.vector (or flat), laid
-    out weight then bias, layer by layer, in params() order. flat may itself
-    be a view, such as a row of a component store: each block must start at
-    its own offset into flat's memory."""
-    if flat is None:
-        flat, blocks = net.vector, [a for w, b, _ in net.layers for a in (w, b)]
-    else:
-        blocks = list(net.layout(flat).values())
+    """The blocks of net.layout(flat), by default net.params(), are
+    C-contiguous views into flat (net.vector by default), laid out weight
+    then bias, layer by layer. flat may itself be a view, such as a row of a
+    component store: each block must start at its own offset into flat's
+    memory."""
+    flat = net.vector if flat is None else flat
+    blocks = list(net.layout(flat).values())
     assert flat.ndim == 1 and flat.flags.c_contiguous
     offset = 0
     for p, block in zip(net.params().values(), blocks, strict=True):

@@ -32,7 +32,9 @@ from fdp.policy import (
     matched_hidden_width,
 )
 
-from .oracles import AnalyticGaussianDenoiser, central_diff, max_rel_err, product_of_gaussians
+from .oracles import (
+    AnalyticGaussianDenoiser, LoopBank, central_diff, max_rel_err, product_of_gaussians,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -229,8 +231,8 @@ def test_criterion_02_product_of_gaussians_sampling():
         AnalyticGaussianDenoiser(sched, 1.0, 0.25),
     ]
     n = 10**4
-    bank = ComponentBank(comps, sched.K)
-    values, _ = sample_values(bank, np.array([0.5, 0.5]), None, sched, n, Rng(314159))
+    bank = LoopBank(comps, sched.K)
+    values, _ = sample_values(bank, np.array([0.5, 0.5]), np.zeros(0), sched, n, Rng(314159))
     mean, var = float(values.mean()), float(values.var())
     elapsed = time.time() - t0
     ok = abs(mean - mean_ref) < 0.05 and abs(var / var_ref - 1.0) < 0.05 and elapsed < 60

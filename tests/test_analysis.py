@@ -1,5 +1,7 @@
 """Analysis tooling: solo rollouts, score similarity, convergence tables."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,6 @@ def test_solo_rollout_bad_index(trained_pick):
 
 def test_duplicate_components_give_unit_off_diagonal(trained_pick):
     policy, ds = trained_pick
-    import copy
-
     twin = copy.deepcopy(policy)
     twin.components = [twin.components[0], twin.components[0].copy()]
     twin.config.n_components = 2
@@ -108,18 +108,19 @@ def test_duplicate_components_give_unit_off_diagonal(trained_pick):
     assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
+def set_constant_output(comp, out):
+    """comp predicts out for every input: its last weight layer zeroed and
+    its last bias set to out, through the live views of its parameters."""
+    *_, weight, bias = comp.net.params().values()
+    weight[...], bias[...] = 0.0, out
+
+
 def test_orthogonal_constant_outputs_give_zero():
-    class Fixed:
-        def __init__(self, vec):
-            self.vec = np.asarray(vec, dtype=float)
-
-        def predict(self, values, emb, k):
-            return self.vec, None
-
     policy = FactorizedPolicy(
         obs_dim=3, action_dim=1, config=PolicyConfig(n_components=2, **SMALL), seed=0
     )
-    policy.components = [Fixed([1.0, 0.0] + [0.0] * 14), Fixed([0.0, 1.0] + [0.0] * 14)]
+    for i, comp in enumerate(policy.components):
+        set_constant_output(comp, np.eye(16)[i])
     probes = [(np.zeros(6), np.zeros(16), 3)] * 4
     sim = score_similarity(policy, probes)
     assert sim.values[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -148,30 +149,19 @@ def test_probe_step_outside_the_schedule_is_rejected(trained_pick, k):
 
 def test_zero_norm_probes_skipped_with_warning(trained_pick):
     policy, ds = trained_pick
-
-    class Zero:
-        def predict(self, values, emb, k):
-            return np.zeros_like(values), None
-
-    import copy
-
     broken = copy.deepcopy(policy)
-    broken.components = list(broken.components[:2]) + [Zero()]
+    set_constant_output(broken.components[2], 0.0)
     probes = build_probe_set(policy, ds, n=8, seed=1)
     with pytest.raises(ValueError):
         score_similarity(broken, probes)  # every probe skipped
 
-    class HalfZero:
-        def __init__(self):
-            self.calls = 0
-
-        def predict(self, values, emb, k):
-            self.calls += 1
-            if self.calls % 2:
-                return np.zeros_like(values), None
-            return np.ones_like(values), None
-
-    broken.components = list(policy.components[:2]) + [HalfZero()]
+    # component 2, with one hidden layer, reads the window alone and has no
+    # bias: zeros on every other probe, whose window is all zero
+    broken = copy.deepcopy(policy)
+    comp = broken.components[2]
+    w0, b0, _, b1 = comp.net.params().values()
+    w0[comp.window_dim :], b0[...], b1[...] = 0.0, 0.0, 0.0
+    probes = [(obs, values * (i % 2), k) for i, (obs, values, k) in enumerate(probes)]
     with pytest.warns(UserWarning, match="skipped"):
         sim = score_similarity(broken, probes)
     assert sim.skipped == 4 and sim.n_probes == 4

@@ -155,6 +155,30 @@ def test_missing_checkpoint_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# checkpoint bytes that are not UTF-8 JSON, and each command that loads one
+BAD_CHECKPOINTS = {"truncated": b'{"format": ', "not UTF-8": b'{"format": "\xff"}'}
+CHECKPOINT_COMMANDS = {
+    "eval": ["eval", "--suite", "bimodal1d"],
+    "adapt": ["adapt", "--demos", None],
+    "analyze": ["analyze", "--suite", "bimodal1d"],
+}
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_a_checkpoint_that_does_not_parse_is_named_exit_3(
+    runner, demo_file, tmp_path, case, command
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_CHECKPOINTS[case])
+    out = tmp_path / "out"
+    args = [str(demo_file) if a is None else a for a in CHECKPOINT_COMMANDS[command]]
+    result = runner.invoke(cli, [*args, "--checkpoint", str(path), "--out-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert f"error: ValueError: checkpoint {path}: " in result.output
+    assert not out.exists()
+
+
 def test_adapt_pipeline(runner, trained_dir, tmp_path):
     new_demos = tmp_path / "pick.jsonl"
     assert runner.invoke(
@@ -277,7 +301,7 @@ BAD_LOGS = {
     "list": ("[1,2]", "expected a JSON object, got list"),
     "entry without val_mse": (
         json.dumps({**VALID_LOG, "entries": [{"epoch": 0, "train_mse": 0.5}]}),
-        "field 'val_mse' is missing",
+        "field 'entries[0]': field 'val_mse' is missing",
     ),
     "not JSON": ('{"entries": [', "Expecting value"),
 }

@@ -39,11 +39,13 @@ from fdp.policy import (
 
 from .oracles import (
     AnalyticGaussianDenoiser,
+    LoopBank,
     assert_chain_close,
     central_diff,
     composed_prediction_loop,
     composed_residual_loop,
     joint_loss_loop,
+    layered_net,
     max_rel_err,
     product_of_gaussians,
     residual_loop,
@@ -55,7 +57,7 @@ from .oracles import (
 def constant_logit_router(logits, temperature=1.0):
     """Router whose net ignores its input and emits fixed logits."""
     n = len(logits)
-    net = FeedForwardNet([(np.zeros((3, n)), np.array(logits, float), "identity")])
+    net = layered_net([(np.zeros((3, n)), np.array(logits, float), "identity")])
     return Router(net, temperature)
 
 
@@ -161,7 +163,7 @@ def test_product_of_equal_variance_gaussians_sampler_moments():
     rng = Rng(2024)
     n = 10**4
     values, info = sample_values(
-        ComponentBank(comps, sched.K), np.array([0.5, 0.5]), None, sched, n, rng
+        LoopBank(comps, sched.K), np.array([0.5, 0.5]), np.zeros(0), sched, n, rng
     )
     assert abs(values.mean() - mean) < 0.05
     assert abs(values.var() / var - 1.0) < 0.05
@@ -200,9 +202,9 @@ def test_top_k_equal_to_n_is_bitwise_identical():
     sched = make_schedule(50)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1.0, 0.0, 1.0)]
     w = np.array([0.2, 0.5, 0.3])
-    bank = ComponentBank(comps, sched.K)
-    a, info_a = sample_values(bank, w, None, sched, 8, Rng(77))
-    b, info_b = sample_values(bank, w, None, sched, 8, Rng(77), top_k=3)
+    bank = LoopBank(comps, sched.K)
+    a, info_a = sample_values(bank, w, np.zeros(0), sched, 8, Rng(77))
+    b, info_b = sample_values(bank, w, np.zeros(0), sched, 8, Rng(77), top_k=3)
     np.testing.assert_array_equal(a, b)
     assert info_a.denoiser_evals == info_b.denoiser_evals == 3 * sched.K
 
@@ -214,7 +216,7 @@ def test_single_component_sampling_is_plain_ddpm_loop():
 
     sched = make_schedule(25)
     den = AnalyticGaussianDenoiser(sched, 0.4, 0.8)
-    got, _ = sample_values(ComponentBank([den], sched.K), np.array([1.0]), None, sched, 6, Rng(9))
+    got, _ = sample_values(LoopBank([den], sched.K), np.array([1.0]), np.zeros(0), sched, 6, Rng(9))
 
     rng = Rng(9)
     values = rng.gaussian(6)
@@ -230,7 +232,7 @@ def test_top_k_prunes_evaluations_and_renormalizes():
     sched = make_schedule(30)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0, 1, 2)]
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    _, info = sample_values(ComponentBank(comps, sched.K), w, None, sched, 4, Rng(5), top_k=2)
+    _, info = sample_values(LoopBank(comps, sched.K), w, np.zeros(0), sched, 4, Rng(5), top_k=2)
     np.testing.assert_array_equal(info.active, [0, 1])
     assert info.denoiser_evals == 2 * sched.K
     np.testing.assert_array_equal(info.weights, w)
@@ -241,8 +243,8 @@ def test_zero_weight_components_are_not_evaluated(top_k):
     sched = make_schedule(30)
     comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0, 1, 2)]
     w = np.array([0.0, 0.0, 1.0, 0.0])
-    bank = ComponentBank(comps, sched.K)
-    got, info = sample_values(bank, w, None, sched, 4, Rng(5), top_k=top_k)
+    bank = LoopBank(comps, sched.K)
+    got, info = sample_values(bank, w, np.zeros(0), sched, 4, Rng(5), top_k=top_k)
     np.testing.assert_array_equal(info.active, [2])
     assert info.denoiser_evals == sched.K
     # the reference evaluates every component, the zero-weight ones included
@@ -274,7 +276,7 @@ def test_single_component_joint_loss_reduces_to_component_loss():
     from fdp.diffusion import component_loss
 
     sched, _, _, bank = _tiny_setup(n_components=1)
-    encoder = FeedForwardNet([(np.eye(4), np.zeros(4), "identity")])
+    encoder = layered_net([(np.eye(4), np.zeros(4), "identity")])
     router = Router(FeedForwardNet.init([4, 1], ["identity"], Rng(3)))
     obs = Rng(4).gaussian(4)
     window = Rng(5).gaussian(6) * 0.3
@@ -298,11 +300,11 @@ def test_perfect_noise_echo_gives_zero_loss_for_any_weights():
             vshape, eshape = cache
             return np.zeros(0), np.zeros(vshape), np.zeros(eshape)
 
-    encoder = FeedForwardNet([(np.eye(3), np.zeros(3), "identity")])
+    encoder = layered_net([(np.eye(3), np.zeros(3), "identity")])
     router = Router(FeedForwardNet.init([3, 4, 2], ["tanh", "identity"], Rng(1)))
     windows = np.zeros((5, 6))  # a0 = 0 makes the echo exact
     obs = Rng(2).gaussian(15).reshape(5, 3)
-    bank = ComponentBank([EchoBatch(), EchoBatch()], sched.K)
+    bank = LoopBank([EchoBatch(), EchoBatch()], sched.K)
     loss, _ = joint_loss(bank, router, encoder, (windows, obs), sched, Rng(3))
     assert loss == pytest.approx(0.0, abs=1e-24)
 
@@ -742,14 +744,10 @@ def test_bank_rejects_other_architectures_naming_the_component():
     for other in others:
         with pytest.raises(CompositionError, match="component 2 "):
             ComponentBank([*comps, other], 5)
-    # a mixed list is evaluated one component at a time
-    sched = make_schedule(5)
-    mixed = [comps[0], AnalyticGaussianDenoiser(sched, 0.0, 1.0)]
-    bank = ComponentBank(mixed, sched.K)
-    values, emb = rng.child(8).gaussian(6), rng.child(9).gaussian(4)
-    for k in range(1, sched.K + 1):
-        preds, _ = component_predictions(mixed, values, emb, k)
-        np.testing.assert_array_equal(bank.forward(values, emb, k)[0], preds)
+    # so does any other component
+    analytic = AnalyticGaussianDenoiser(make_schedule(5), 0.0, 1.0)
+    with pytest.raises(CompositionError, match=r"component 1 \(AnalyticGaussianDenoiser\) is not"):
+        ComponentBank([comps[0], analytic], 5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -789,19 +787,20 @@ def test_bank_sampling_matches_loop_property(n, hidden, window_dim, top_k, clip,
 def test_sample_values_matches_the_fresh_array_loop(case):
     rng, sched = Rng(21), make_schedule(12)
     n = 1 if case == "n1" else 4
-    if case == "analytic":  # a bank of other components: values-only buffer
-        comps, emb = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0.5, 2, 0)], None
+    if case == "analytic":  # the bank double: one component at a time
+        comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0.5, 2, 0)]
+        emb = np.zeros(0)
     else:
         comps = [DenoiserComponent.init(6, 5, [9, 7], rng.child(i), step_dim=4) for i in range(n)]
         emb = rng.child(9).gaussian(5)
     w = np.eye(n)[2] if case == "one_hot" else softmax(rng.child(10).gaussian(n))
     top_k = 2 if case == "top_k" else None
     clip = None if case in ("no_clip", "analytic") else NORMALIZED_CLAMP
-    bank = ComponentBank(comps, sched.K)
+    bank = (LoopBank if case == "analytic" else ComponentBank)(comps, sched.K)
     for seed in (0, 1):
         got, info = sample_values(bank, w, emb, sched, 6, Rng(seed), top_k, clip)
         expected, idx = sample_loop(bank, w, emb, sched, 6, Rng(seed), top_k, clip)
-        if case == "analytic":  # other components: the same sums, bit for bit
+        if case == "analytic":  # the double: the same sums, bit for bit
             np.testing.assert_array_equal(got, expected)
         else:
             assert_chain_close(got, expected)

@@ -15,11 +15,11 @@ from fdp.diffusion import (
     reverse_mean,
 )
 from fdp.numerics import FeedForwardNet, Rng
-from fdp.policy import ComponentBank
 
 from .oracles import (
     AnalyticGaussianDenoiser,
     FixedOutputDenoiser,
+    LoopBank,
     PointMassDenoiser,
     central_diff,
     max_rel_err,
@@ -233,7 +233,8 @@ def test_reverse_with_analytic_standard_normal_score():
     sched = make_schedule(100, "cosine")
     den = AnalyticGaussianDenoiser(sched, mu=0.0, var=1.0)
     n = 10**4
-    a, _ = sample_values(ComponentBank([den], sched.K), np.array([1.0]), None, sched, n, Rng(404))
+    bank, no_emb = LoopBank([den], sched.K), np.zeros(0)
+    a, _ = sample_values(bank, np.array([1.0]), no_emb, sched, n, Rng(404))
     assert abs(a.mean()) < 0.05
     assert abs(a.var() - 1.0) < 0.03
 
@@ -243,15 +244,16 @@ def test_reverse_sigma_zero_point_mass_converges():
     quiet = dataclasses.replace(sched, sigma=np.zeros(sched.K))
     c = 0.7
     den = PointMassDenoiser(quiet, c)
-    a, _ = sample_values(ComponentBank([den], quiet.K), np.array([1.0]), None, quiet, 5, Rng(12))
+    bank, no_emb = LoopBank([den], quiet.K), np.zeros(0)
+    a, _ = sample_values(bank, np.array([1.0]), no_emb, quiet, 5, Rng(12))
     np.testing.assert_allclose(a, c, atol=1e-8)
 
 
 def test_last_reverse_step_is_noise_free():
     sched = make_schedule(10)
     rng = Rng(55)
-    bank = ComponentBank([FixedOutputDenoiser(dim=4)], sched.K)
-    sample_values(bank, np.array([1.0]), None, sched, 4, rng)
+    bank = LoopBank([FixedOutputDenoiser(dim=4)], sched.K)
+    sample_values(bank, np.array([1.0]), np.zeros(0), sched, 4, rng)
     # K rows: the initial draw plus one per step k > 1, none after step 1
     ref = Rng(55)
     ref.gaussian_rows(sched.K, 4)

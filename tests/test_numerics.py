@@ -25,8 +25,8 @@ from fdp.numerics import (
 )
 
 from .oracles import (
-    DictAdam, assert_layers_view_vector, central_diff, net_backward_loop, net_forward_loop,
-    permutation_loop,
+    DictAdam, assert_layers_view_vector, central_diff, layered_net, net_backward_loop,
+    net_forward_loop, permutation_loop,
 )
 
 
@@ -63,7 +63,7 @@ def rel_err(a, b):
 
 
 def test_identity_single_layer_passes_input_through():
-    net = FeedForwardNet([(np.eye(4), np.zeros(4), "identity")])
+    net = layered_net([(np.eye(4), np.zeros(4), "identity")])
     x = np.array([0.3, -1.2, 0.0, 2.5])
     y = net(x)
     np.testing.assert_array_equal(y, x)
@@ -71,7 +71,7 @@ def test_identity_single_layer_passes_input_through():
 
 def test_zero_weight_net_returns_bias():
     b = np.array([1.0, -2.0, 0.5])
-    net = FeedForwardNet([(np.zeros((5, 3)), b, "identity")])
+    net = layered_net([(np.zeros((5, 3)), b, "identity")])
     for x in (np.zeros(5), np.ones(5), Rng(3).gaussian(5)):
         np.testing.assert_array_equal(net(x), b)
 
@@ -81,7 +81,7 @@ def test_forward_matches_straight_line_reimplementation():
     rng = Rng(11)
     net = FeedForwardNet.init([6, 5, 4, 3], ["tanh", "identity", "identity"], rng)
     x = rng.gaussian(6)
-    (w0, b0, _), (w1, b1, _), (w2, b2, _) = net.layers
+    w0, b0, w1, b1, w2, b2 = net.params().values()
     a1 = np.tanh(x @ w0 + b0)
     a2 = a1 @ w1 + b1
     expected = a2 @ w2 + b2
@@ -103,19 +103,12 @@ def test_forward_dimension_mismatch_names_layer():
         net(np.zeros(5))
 
 
-def test_incompatible_layer_chain_rejected():
-    l0 = (np.zeros((3, 4)), np.zeros(4), "tanh")
-    l1 = (np.zeros((5, 2)), np.zeros(2), "identity")
-    with pytest.raises(DimensionMismatchError, match="layer 1"):
-        FeedForwardNet([l0, l1])
-
-
 @pytest.mark.parametrize("layer, name", [(0, "weight"), (0, "bias"), (1, "weight"), (1, "bias")])
 def test_constructor_rejects_a_non_finite_triple_naming_its_block(layer, name):
     layers = [(np.zeros((3, 4)), np.zeros(4), "tanh"), (np.ones((4, 2)), np.ones(2), "identity")]
     layers[layer][("weight", "bias").index(name)][-1] = np.nan
     with pytest.raises(NonFiniteError, match=f"'layer{layer}.{name}'"):
-        FeedForwardNet(layers)
+        layered_net(layers)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +120,7 @@ def test_linear_net_gradient_closed_form():
     # y = W x, upstream g  =>  dL/dW = x g^T (our layout: (fan_in, fan_out))
     rng = Rng(21)
     w = rng.gaussian(12).reshape(4, 3)
-    net = FeedForwardNet([(w, np.zeros(3), "identity")])
+    net = layered_net([(w, np.zeros(3), "identity")])
     x = rng.gaussian(4)
     g = rng.gaussian(3)
     _, cache = net.forward(x)
@@ -279,7 +272,7 @@ def adam_step(opt, net, grad):
 
 
 def test_adam_zero_gradient_keeps_params():
-    net = FeedForwardNet([(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
+    net = layered_net([(Rng(41).gaussian(6).reshape(2, 3), np.zeros(3), "tanh")])
     before = net.vector.copy()
     opt = Adam()
     adam_step(opt, net, np.zeros(net.param_count()))
@@ -289,7 +282,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_is_lr_times_sign():
     # from zero moments, bias correction makes |update| = lr exactly
-    net = FeedForwardNet([(np.array([[1.0]]), np.array([-2.0]), "identity")])
+    net = layered_net([(np.array([[1.0]]), np.array([-2.0]), "identity")])
     p = net.vector.copy()
     g = np.array([0.3, -7.0])
     opt = Adam(lr=1e-3)
@@ -308,7 +301,7 @@ def test_adam_constant_gradient_matches_scalar_simulation():
         v = b2 * v + (1 - b2) * g * g
         x_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
-    net = FeedForwardNet([(np.array([[1.5]]), np.array([1.5]), "identity")])
+    net = layered_net([(np.array([[1.5]]), np.array([1.5]), "identity")])
     opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
     for _ in range(50):
         adam_step(opt, net, np.array([g, g]))
@@ -436,21 +429,21 @@ def test_stale_cache_rejected_after_adam_step():
 )
 def test_from_vector_names_the_expected_and_the_given_counts(activations, size, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        FeedForwardNet.from_vector([2, 2], activations, np.arange(float(size)))
+        FeedForwardNet([2, 2], activations, np.arange(float(size)))
 
 
 def test_layers_share_memory_with_vector():
     net = FeedForwardNet.init([4, 5, 3], ["tanh", "identity"], Rng(7))
     copy = net.copy()
-    clone = FeedForwardNet.from_vector(net.widths, net.activations, net.vector)
-    identity = FeedForwardNet([(np.eye(3), np.zeros(3), "identity")])
+    clone = FeedForwardNet(net.widths, net.activations, net.vector)
+    identity = layered_net([(np.eye(3), np.zeros(3), "identity")])
     for n in (net, copy, clone, identity):
         assert_layers_view_vector(n)
         assert n.vector.flags.writeable
     assert not np.shares_memory(copy.vector, net.vector)
     assert not np.shares_memory(clone.vector, net.vector)
     # a write through a layer view is a write to the vector, and vice versa
-    (w0, _, _), (_, b1, _) = net.layers
+    w0, _, _, b1 = net.params().values()
     b1[0] = 9.0
     assert net.vector[-3] == 9.0
     net.vector[0] = -9.0
@@ -546,7 +539,7 @@ def test_backward_returns_a_fresh_vector_laid_out_like_the_parameters():
     np.testing.assert_array_equal(grad, again)
     assert_layers_view_vector(net, grad)
     # each block is the textbook product of its layer, in params() order
-    (w0, b0, _), (w1, _, _) = net.layers
+    w0, b0, w1, _ = net.params().values()
     z0 = x @ w0 + b0
     dz0 = (g @ w1.T) * (1.0 - np.tanh(z0) ** 2)
     expected = {

@@ -36,7 +36,7 @@ from fdp.policy import (
 
 from .oracles import (
     GroupAdam, assert_bank_serves, assert_layers_view_vector, denormalize_masked,
-    net_backward_loop, net_forward_loop,
+    layered_net, net_backward_loop, net_forward_loop,
 )
 
 
@@ -60,7 +60,7 @@ def small_policy(n=2, seed=0, obs_dim=3, action_dim=1, **over):
 
 def test_identity_encoder_embeds_stacked_state():
     policy = small_policy(obs_dim=3, obs_embed_dim=6)
-    policy.obs_encoder = FeedForwardNet([(np.eye(6), np.zeros(6), "identity")])
+    policy.obs_encoder = layered_net([(np.eye(6), np.zeros(6), "identity")])
     stacked = Rng(1).gaussian(6)
     np.testing.assert_array_equal(policy.encode_observation(stacked), stacked)
 
@@ -363,7 +363,8 @@ def test_bank_matches_the_textbook_layer_loop_per_component(activation, rows, ba
     policy = small_policy(n=3, seed=5)
     if activation == "identity":  # hidden layers with no tanh
         for comp in policy.components:
-            comp.net = FeedForwardNet([(w, b, "identity") for w, b, _ in comp.net.layers])
+            net = comp.net
+            comp.net = FeedForwardNet(net.widths, ["identity"] * len(net.activations), net.vector)
     bank, rng, d = policy.bank, Rng(6), policy.window_dim
     values = rng.gaussian(batch * d).reshape(batch, d)
     emb = rng.gaussian(batch * 12).reshape(batch, 12)
@@ -960,6 +961,37 @@ def _fields(node, path=()):
 
 
 EXTRA = object()  # a mutation that adds an entry: key 'extra' to an object, a 1 to a list
+MUTATIONS = ("x", None, True, 1.5, float("inf"), float("nan"), -1, 2**64, DELETE, EXTRA)
+
+
+def _mutated(text, path, value):
+    """The JSON text's object with the field at path set to value, deleted
+    (DELETE) or given an extra entry (EXTRA)."""
+    obj = json.loads(text)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is EXTRA:
+        node = parent[path[-1]] if path else obj
+        node.append(1) if isinstance(node, list) else node.update(extra=1)
+    elif value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+def _cases(text):
+    """Each field of the JSON text set to each of MUTATIONS, the root only
+    given an extra entry, and EXTRA only on an object or a list."""
+    return [
+        (path, value)
+        for path, node in _fields(json.loads(text))
+        for value in MUTATIONS
+        if (value is EXTRA and isinstance(node, (dict, list))) or (path and value is not EXTRA)
+    ]
+
+
 SMALL_CHECKPOINT = canonical_json(
     FactorizedPolicy(
         2, 1,
@@ -973,12 +1005,7 @@ SMALL_CHECKPOINT = canonical_json(
 )
 # each field set to a wrong type, None, a bool, a non-integral, non-finite,
 # negative or huge number, deleted, or given an extra entry
-ROUND_TRIP_CASES = [
-    (path, value)
-    for path, node in _fields(json.loads(SMALL_CHECKPOINT))
-    for value in ("x", None, True, 1.5, float("inf"), float("nan"), -1, 2**64, DELETE, EXTRA)
-    if (value is EXTRA and isinstance(node, (dict, list))) or (path and value is not EXTRA)
-]
+ROUND_TRIP_CASES = _cases(SMALL_CHECKPOINT)
 
 
 @settings(max_examples=len(ROUND_TRIP_CASES), derandomize=True, deadline=None)
@@ -987,17 +1014,7 @@ ROUND_TRIP_CASES = [
 @example(case=(("config", "diffusion_steps"), 2**64))
 def test_a_mutated_checkpoint_names_the_field_or_round_trips(case):
     path, value = case
-    obj = json.loads(SMALL_CHECKPOINT)
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is EXTRA:
-        node = parent[path[-1]] if path else obj
-        node.append(1) if isinstance(node, list) else node.update(extra=1)
-    elif value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    obj = _mutated(SMALL_CHECKPOINT, path, value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -1006,6 +1023,30 @@ def test_a_mutated_checkpoint_names_the_field_or_round_trips(case):
             assert (path[:1] or ("extra",))[0] in str(exc)
         else:
             assert canonical_json(back.to_json()) == canonical_json(obj)
+
+
+SMALL_LOG = canonical_json(TrainingLog(
+    [{"epoch": 0, "train_mse": 0.5, "val_mse": 0.25},
+     {"epoch": 1, "train_mse": 0.375, "val_mse": 0.125}],
+    n_train_windows=12, n_val_windows=3, trainable=("encoder", "router"),
+).to_json())
+LOG_CASES = _cases(SMALL_LOG)
+
+
+@settings(max_examples=len(LOG_CASES), derandomize=True, deadline=None)
+@given(case=st.sampled_from(LOG_CASES))
+def test_a_mutated_training_log_names_the_field_or_round_trips(case):
+    path, value = case
+    obj = _mutated(SMALL_LOG, path, value)
+    try:
+        back = TrainingLog.from_json(obj)
+    except ValueError as exc:
+        # the top-level field, its entry (entries[1], trainable[0]), and an entry's key
+        named = "".join(f"[{key}]" for key in path[1:2]) if len(path) > 1 else ""
+        assert f"{(path[:1] or ('extra',))[0]}{named}" in str(exc)
+        assert len(path) < 3 or path[2] in str(exc)
+    else:
+        assert canonical_json(back.to_json()) == canonical_json(obj)
 
 
 def test_bind_and_a_bank_run_no_finiteness_check(monkeypatch):
