@@ -6,7 +6,7 @@ bit of any artifact fails here and must re-record ``output_digests.json`` in
 the same commit, saying why.
 
 It runs a tiny CLI chain in the working directory of the test: ``gen-demos``
-(reach4 and pick-side), ``train``, ``eval --top-k 2``, ``adapt --strategy
+(every suite), ``train``, ``eval --top-k 2``, ``adapt --strategy
 new_module`` with ``--replay-demos``, and ``analyze`` (similarity, solo
 rollouts, convergence). Every file the chain writes is hashed with SHA-256,
 and so are the ``sample_window`` outputs of a fixed, untrained fixture
@@ -53,6 +53,8 @@ NET = [
 CHAIN = [
     ["gen-demos", "--suite", "reach4", "--per-task", "3", "--seed", "5", "--out", "reach.jsonl"],
     ["gen-demos", "--suite", "pick-side", "--per-task", "2", "--seed", "6", "--out", "pick.jsonl"],
+    *(["gen-demos", "--suite", suite, "--per-task", "2", "--seed", "7", "--out", f"{suite}.jsonl"]
+      for suite in ("drawer-line", "bimodal1d", "continual12")),
     ["train", "--demos", "reach.jsonl", *NET, "--epochs", "3", "--batch-size", "32",
      "--seed", "1", "--out-dir", "train"],
     ["eval", "--checkpoint", "train/checkpoint.json", "--suite", "reach4", "--episodes", "2",
