@@ -9,9 +9,9 @@ from .policy import ActionNormalizer, FactorizedPolicy, PolicyConfig, rollout
 from .bench import (
     EpisodeDataset,
     ExpertPolicy,
+    PointMassEnv,
     evaluate,
     generate_demos,
-    make_env,
     make_suite,
 )
 from .adaptation import AdaptationConfig, adapt, continual_adapt, upcycle_component
@@ -26,6 +26,7 @@ __all__ = [
     "FactorizedPolicy",
     "FeedForwardNet",
     "NoiseSchedule",
+    "PointMassEnv",
     "PolicyConfig",
     "Rng",
     "Router",
@@ -37,7 +38,6 @@ __all__ = [
     "evaluate",
     "generate_demos",
     "joint_loss",
-    "make_env",
     "make_schedule",
     "make_suite",
     "rollout",

@@ -15,6 +15,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,116 +41,73 @@ class DemoGenerationError(RuntimeError):
     """Scripted expert failed to produce enough successful episodes."""
 
 
+class Family(NamedTuple):
+    """Constants shared by every task of one dynamics family."""
+
+    state_dim: int
+    action_dim: int
+    max_steps: int
+    hold_steps: int
+    start_jitter: float  # scale of the Gaussian start position
+
+
+FAMILIES = {
+    "reach": Family(state_dim=6, action_dim=2, max_steps=45, hold_steps=3, start_jitter=0.05),
+    "pick_side": Family(state_dim=6, action_dim=2, max_steps=60, hold_steps=3, start_jitter=0.05),
+    "drawer": Family(state_dim=3, action_dim=1, max_steps=55, hold_steps=3, start_jitter=0.04),
+    "bimodal": Family(state_dim=3, action_dim=1, max_steps=30, hold_steps=2, start_jitter=0.03),
+}
+
+
 @dataclass(frozen=True)
 class EnvSpec:
-    """Static description of one task: dynamics family, layout, success rule."""
+    """Static description of one task: its dynamics family (whose constants
+    it reads through), success tolerance and layout."""
 
     suite: str
     task: str
     task_index: int
-    kind: str  # reach | pick_side | drawer | bimodal
-    state_dim: int
-    action_dim: int
-    max_steps: int
+    kind: str  # a key of FAMILIES
     success_tol: float
-    hold_steps: int
     layout: dict = field(default_factory=dict, hash=False)
 
+    def __post_init__(self):
+        if self.kind not in FAMILIES:
+            raise ValueError(f"unknown env kind '{self.kind}'; known: {', '.join(FAMILIES)}")
 
-def _reach_spec(suite, task, index, goal, max_steps=45):
-    return EnvSpec(
-        suite=suite,
-        task=task,
-        task_index=index,
-        kind="reach",
-        state_dim=6,
-        action_dim=2,
-        max_steps=max_steps,
-        success_tol=0.12,
-        hold_steps=3,
-        layout={"goal": list(goal), "object": list(goal), "start_jitter": 0.05},
-    )
+    state_dim = property(lambda self: FAMILIES[self.kind].state_dim)
+    action_dim = property(lambda self: FAMILIES[self.kind].action_dim)
+    max_steps = property(lambda self: FAMILIES[self.kind].max_steps)
+    hold_steps = property(lambda self: FAMILIES[self.kind].hold_steps)
 
 
 def make_suite(name: str) -> list[EnvSpec]:
     """Task specs for a named suite; raises UnknownSuiteError otherwise."""
-    if name == "reach4":
-        goals = [(0.8, 0.0), (0.0, 0.8), (-0.8, 0.0), (0.0, -0.8)]
-        return [
-            _reach_spec("reach4", f"reach-{d}", i, g)
-            for i, (d, g) in enumerate(zip("ENWS", goals))
+    if name in ("reach4", "continual12"):
+        if name == "reach4":
+            goals = zip((f"reach-{d}" for d in "ENWS"),
+                        [(0.8, 0.0), (0.0, 0.8), (-0.8, 0.0), (0.0, -0.8)])
+        else:
+            angles = [2.0 * np.pi * i / 12.0 for i in range(12)]
+            goals = [(f"reach-{i:02d}", (0.8 * np.cos(a), 0.8 * np.sin(a)))
+                     for i, a in enumerate(angles)]
+        tasks = [(task, "reach", 0.12, {"goal": list(g), "object": list(g)}) for task, g in goals]
+    elif name == "pick-side":
+        tasks = [
+            (f"pick-{label}", "pick_side", 0.12,
+             {"object": [0.55 * side, 0.0], "goal": [0.95 * side, 0.0], "detour": 0.38})
+            for label, side in (("right", 1.0), ("left", -1.0))
         ]
-    if name == "pick-side":
-        specs = []
-        for i, side in enumerate((1.0, -1.0)):
-            obj = (0.55 * side, 0.0)
-            goal = (0.95 * side, 0.0)
-            specs.append(
-                EnvSpec(
-                    suite="pick-side",
-                    task=f"pick-{'right' if side > 0 else 'left'}",
-                    task_index=i,
-                    kind="pick_side",
-                    state_dim=6,
-                    action_dim=2,
-                    max_steps=60,
-                    success_tol=0.12,
-                    hold_steps=3,
-                    layout={
-                        "object": list(obj),
-                        "goal": list(goal),
-                        "detour": 0.38,
-                        "start_jitter": 0.05,
-                    },
-                )
-            )
-        return specs
-    if name == "drawer-line":
-        specs = []
-        for i, (task, target) in enumerate((("drawer-push", 0.75), ("drawer-pull", -0.05))):
-            specs.append(
-                EnvSpec(
-                    suite="drawer-line",
-                    task=task,
-                    task_index=i,
-                    kind="drawer",
-                    state_dim=3,
-                    action_dim=1,
-                    max_steps=55,
-                    success_tol=0.08,
-                    hold_steps=3,
-                    layout={
-                        "drawer": 0.35,
-                        "target": target,
-                        "engage_dist": 0.05,
-                        "start_jitter": 0.04,
-                    },
-                )
-            )
-        return specs
-    if name == "bimodal1d":
-        return [
-            EnvSpec(
-                suite="bimodal1d",
-                task="bimodal",
-                task_index=0,
-                kind="bimodal",
-                state_dim=3,
-                action_dim=1,
-                max_steps=30,
-                success_tol=0.1,
-                hold_steps=2,
-                layout={"goals": [-0.6, 0.6], "start_jitter": 0.03},
-            )
+    elif name == "drawer-line":
+        tasks = [
+            (task, "drawer", 0.08, {"drawer": 0.35, "target": target, "engage_dist": 0.05})
+            for task, target in (("drawer-push", 0.75), ("drawer-pull", -0.05))
         ]
-    if name == "continual12":
-        specs = []
-        for i in range(12):
-            ang = 2.0 * np.pi * i / 12.0
-            goal = (0.8 * np.cos(ang), 0.8 * np.sin(ang))
-            specs.append(_reach_spec("continual12", f"reach-{i:02d}", i, goal))
-        return specs
-    raise UnknownSuiteError(name)
+    elif name == "bimodal1d":
+        tasks = [("bimodal", "bimodal", 0.1, {"goals": [-0.6, 0.6]})]
+    else:
+        raise UnknownSuiteError(name)
+    return [EnvSpec(name, task, i, *rest) for i, (task, *rest) in enumerate(tasks)]
 
 
 class PointMassEnv:
@@ -162,9 +120,14 @@ class PointMassEnv:
 
     def __init__(self, spec: EnvSpec):
         self.spec = spec
-        lay = spec.layout  # 2-d tasks' object and goal as arrays, once per env
+        family, lay = FAMILIES[spec.kind], spec.layout  # resolved once per env
+        self._action_dim, self._hold_steps = family.action_dim, family.hold_steps
+        self._start_jitter = family.start_jitter
         self._goal = np.asarray(lay.get("goal", ()), dtype=np.float64)
-        self._scene = np.concatenate([lay.get("object", ()), self._goal])
+        # what the observation holds after the position: the 2-d tasks'
+        # object and goal, bimodal's two goals, the drawer's target
+        self._scene = np.concatenate([lay.get("object", ()), self._goal, lay.get("goals", ())])
+        self._target, self._engage_dist = lay.get("target"), lay.get("engage_dist")
         self.pos = None
         self.drawer = None
         self.engaged = False
@@ -173,9 +136,7 @@ class PointMassEnv:
         self.steps = 0
 
     def reset(self, rng: Rng) -> np.ndarray:
-        d = 2 if self.spec.state_dim == 6 else 1
-        jitter = self.spec.layout.get("start_jitter", 0.0)
-        self.pos = rng.gaussian(d) * jitter
+        self.pos = rng.gaussian(self._action_dim) * self._start_jitter
         if self.spec.kind == "drawer":
             self.drawer = float(self.spec.layout["drawer"])
             self.engaged = False
@@ -185,35 +146,26 @@ class PointMassEnv:
         return self.observation()
 
     def observation(self) -> np.ndarray:
-        lay = self.spec.layout
-        if self.spec.kind in ("reach", "pick_side"):
-            return np.concatenate([self.pos, self._scene])
         if self.spec.kind == "drawer":
-            return np.array([self.pos[0], self.drawer, lay["target"]])
-        if self.spec.kind == "bimodal":
-            return np.array([self.pos[0], lay["goals"][0], lay["goals"][1]])
-        raise ValueError(f"unknown env kind '{self.spec.kind}'")
+            return np.array([self.pos[0], self.drawer, self._target])
+        return np.concatenate([self.pos, self._scene])
 
     def _target_error(self) -> float:
-        lay = self.spec.layout
-        if self.spec.kind in ("reach", "pick_side"):
+        kind = self.spec.kind
+        if kind in ("reach", "pick_side"):
             d = self.pos - self._goal
             return math.sqrt(d.dot(d))  # np.linalg.norm of a real vector, bit for bit
-        if self.spec.kind == "drawer":
-            return abs(self.drawer - lay["target"])
-        return min(abs(self.pos[0] - g) for g in lay["goals"])
+        if kind == "drawer":
+            return abs(self.drawer - self._target)
+        return min(abs(self.pos[0] - g) for g in self._scene)  # bimodal's goals
 
     def step(self, action) -> np.ndarray:
         action = np.minimum(np.maximum(as_f64(action, "action"), -1.0), 1.0)  # np.clip
-        if action.shape != (self.spec.action_dim,):
-            raise ValueError(
-                f"action shape {action.shape} != ({self.spec.action_dim},)"
-            )
+        if action.shape != (self._action_dim,):
+            raise ValueError(f"action shape {action.shape} != ({self._action_dim},)")
         self.pos = self.pos + action * VMAX * DT
         if self.spec.kind == "drawer":
-            if not self.engaged and abs(self.pos[0] - self.drawer) <= self.spec.layout[
-                "engage_dist"
-            ]:
+            if not self.engaged and abs(self.pos[0] - self.drawer) <= self._engage_dist:
                 self.engaged = True
             if self.engaged:
                 self.drawer = float(self.pos[0])
@@ -222,13 +174,9 @@ class PointMassEnv:
             self._hold += 1
         else:
             self._hold = 0
-        if self._hold >= self.spec.hold_steps:
+        if self._hold >= self._hold_steps:
             self.success = True  # latched
         return self.observation()
-
-
-def make_env(spec: EnvSpec) -> PointMassEnv:
-    return PointMassEnv(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +186,7 @@ def make_env(spec: EnvSpec) -> PointMassEnv:
 EXPERT_GAIN = 3.0
 
 
-def scripted_expert(spec: EnvSpec, state: np.ndarray, rng: Rng, latch: dict) -> np.ndarray:
+def scripted_expert(spec: EnvSpec, state: np.ndarray, latch: dict) -> np.ndarray:
     """Proportional control toward phase-dependent waypoints.
 
     latch carries per-episode mode decisions (created by expert_latch); it is
@@ -268,11 +216,9 @@ def scripted_expert(spec: EnvSpec, state: np.ndarray, rng: Rng, latch: dict) -> 
         else:
             latch["engaged"] = True
             err = np.array([target - agent])
-    elif spec.kind == "bimodal":
+    else:  # bimodal
         goal = spec.layout["goals"][latch["mode"]]
         err = np.array([goal - state[0]])
-    else:
-        raise ValueError(f"no expert for env kind '{spec.kind}'")
     return np.clip(EXPERT_GAIN * err, -1.0, 1.0)
 
 
@@ -297,10 +243,9 @@ class _ExpertController:
     def __init__(self, spec, rng):
         self.spec = spec
         self.latch = expert_latch(spec, rng)
-        self.rng = rng
 
     def action(self, obs):
-        return scripted_expert(self.spec, obs, self.rng, self.latch), None
+        return scripted_expert(self.spec, obs, self.latch), None
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +280,7 @@ class EpisodeDataset:
     action_dim: int
     seed: int
     episodes: list
-    normalizer_lo: np.ndarray
-    normalizer_hi: np.ndarray
+    normalizer: ActionNormalizer
 
     def episodes_by_task(self) -> dict[str, list]:
         out: dict[str, list] = {}
@@ -347,7 +291,7 @@ class EpisodeDataset:
     def save(self, path) -> None:
         """Line-delimited records: one header line, then one episode per line."""
         header = (DATASET_FORMAT, DATASET_VERSION, self.suite, self.state_dim, self.action_dim,
-                  self.seed, {"lo": self.normalizer_lo.tolist(), "hi": self.normalizer_hi.tolist()})
+                  self.seed, self.normalizer.to_json())
 
         def lines():
             yield canonical_json(dict(zip(HEADER_KEYS, header))) + "\n"
@@ -394,7 +338,7 @@ class EpisodeDataset:
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"dataset line {line_no}: {exc}: {path}") from exc
         fields = [header[key] for key in ("suite", "state_dim", "action_dim", "seed")]
-        return cls(*fields, episodes, norm.lo, norm.hi)
+        return cls(*fields, episodes, norm)
 
 
 def _rows(name: str, rows, dim: str, width: int) -> list:
@@ -418,8 +362,8 @@ def merge_datasets(a: EpisodeDataset, b: EpisodeDataset) -> EpisodeDataset:
         action_dim=a.action_dim,
         seed=a.seed,
         episodes=list(a.episodes) + list(b.episodes),
-        normalizer_lo=np.minimum(a.normalizer_lo, b.normalizer_lo),
-        normalizer_hi=np.maximum(a.normalizer_hi, b.normalizer_hi),
+        normalizer=ActionNormalizer(np.minimum(a.normalizer.lo, b.normalizer.lo),
+                                    np.maximum(a.normalizer.hi, b.normalizer.hi)),
     )
 
 
@@ -436,14 +380,13 @@ def sample_replay(dataset: EpisodeDataset, per_task: int, seed: int) -> EpisodeD
         action_dim=dataset.action_dim,
         seed=seed,
         episodes=kept,
-        normalizer_lo=dataset.normalizer_lo,
-        normalizer_hi=dataset.normalizer_hi,
+        normalizer=dataset.normalizer,
     )
 
 
 def run_expert_episode(spec: EnvSpec, rng: Rng) -> Episode:
     """One scripted-expert rollout recorded as (observation, action) pairs."""
-    result = rollout(ExpertPolicy(), make_env(spec), spec.max_steps, rng)
+    result = rollout(ExpertPolicy(), PointMassEnv(spec), spec.max_steps, rng)
     return Episode(
         task=spec.task,
         task_id=spec.task_index,
@@ -480,15 +423,13 @@ def generate_demos(specs, per_task: int, seed: int) -> EpisodeDataset:
                 f"'{spec.task}' after {10 * per_task} attempts"
             )
     all_actions = np.concatenate([ep.actions for ep in episodes], axis=0)
-    norm = ActionNormalizer.from_actions(all_actions)
     return EpisodeDataset(
         suite=specs[0].suite if len({s.suite for s in specs}) == 1 else "mixed",
         state_dim=specs[0].state_dim,
         action_dim=specs[0].action_dim,
         seed=seed,
         episodes=episodes,
-        normalizer_lo=norm.lo,
-        normalizer_hi=norm.hi,
+        normalizer=ActionNormalizer.from_actions(all_actions),
     )
 
 
@@ -550,7 +491,7 @@ def _eval_unit(args):
     hits = 0
     for ep_idx in range(episodes):
         rng = Rng(seed).child(0xE7A1, spec.task_index, ep_idx)
-        result = rollout(policy, make_env(spec), spec.max_steps, rng, top_k=top_k)
+        result = rollout(policy, PointMassEnv(spec), spec.max_steps, rng, top_k=top_k)
         hits += int(result.success)
     return hits / episodes
 

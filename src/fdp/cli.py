@@ -23,14 +23,7 @@ import click
 
 from .adaptation import STRATEGIES, AdaptationConfig, adapt, continual_adapt
 from .analysis import build_probe_set, convergence_report, score_similarity, solo_rollout
-from .bench import (
-    SUITES,
-    EpisodeDataset,
-    evaluate,
-    generate_demos,
-    make_env,
-    make_suite,
-)
+from .bench import SUITES, EpisodeDataset, PointMassEnv, evaluate, generate_demos, make_suite
 from .diffusion import SCHEDULE_KINDS
 from .numerics import Rng
 from .policy import FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, write_atomic
@@ -392,7 +385,7 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         spec = make_suite(suite)[0]
         solo = []
         for i in range(policy.n_components):
-            r = solo_rollout(policy, i, make_env(spec), Rng(seed).child(i))
+            r = solo_rollout(policy, i, PointMassEnv(spec), Rng(seed).child(i))
             solo.append(
                 {
                     "component": i,

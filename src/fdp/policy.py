@@ -654,7 +654,7 @@ class FactorizedPolicy:
             raise ValueError("dataset has no episodes")
         n_val = max(1, round(VALIDATION_FRACTION * len(episodes))) if len(episodes) > 1 else 0
         if self.normalizer is None:
-            self.normalizer = ActionNormalizer(dataset.normalizer_lo, dataset.normalizer_hi)
+            self.normalizer = dataset.normalizer
 
         rng = Rng(seed)
         order = rng.child(1).permutation(len(episodes))

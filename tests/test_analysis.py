@@ -14,7 +14,7 @@ from fdp.analysis import (
     score_similarity,
     solo_rollout,
 )
-from fdp.bench import generate_demos, make_env, make_suite
+from fdp.bench import PointMassEnv, generate_demos, make_suite
 from fdp.numerics import Rng
 from fdp.policy import FactorizedPolicy, PolicyConfig, TrainingLog, rollout
 
@@ -49,8 +49,8 @@ def test_solo_rollout_single_component_equals_normal_rollout():
     )
     policy.fit(ds, epochs=2, batch_size=32, seed=0)
     spec = make_suite("bimodal1d")[0]
-    a = solo_rollout(policy, 0, make_env(spec), Rng(7))
-    b = rollout(policy, make_env(spec), spec.max_steps, Rng(7))
+    a = solo_rollout(policy, 0, PointMassEnv(spec), Rng(7))
+    b = rollout(policy, PointMassEnv(spec), spec.max_steps, Rng(7))
     assert a.success == b.success
     assert len(a.trajectory) == len(b.trajectory)
     for (_, a1), (_, a2) in zip(a.trajectory, b.trajectory):
@@ -60,7 +60,7 @@ def test_solo_rollout_single_component_equals_normal_rollout():
 def test_solo_rollout_trace_is_constant_one_hot(trained_pick):
     policy, _ = trained_pick
     spec = make_suite("pick-side")[0]
-    result = solo_rollout(policy, 1, make_env(spec), Rng(3))
+    result = solo_rollout(policy, 1, PointMassEnv(spec), Rng(3))
     assert len(result.weight_trace) >= 1
     for w in result.weight_trace:
         np.testing.assert_array_equal(w, one_hot(1, 3))
@@ -69,7 +69,7 @@ def test_solo_rollout_trace_is_constant_one_hot(trained_pick):
 def test_solo_rollout_does_not_mutate_policy(trained_pick):
     policy, _ = trained_pick
     before = policy.group_checksums()
-    solo_rollout(policy, 2, make_env(make_suite("pick-side")[1]), Rng(4))
+    solo_rollout(policy, 2, PointMassEnv(make_suite("pick-side")[1]), Rng(4))
     assert policy.group_checksums() == before
 
 
@@ -78,7 +78,7 @@ def test_solo_rollout_components_differ_somewhere(trained_pick):
     spec = make_suite("pick-side")[0]
     trajs = []
     for i in range(3):
-        r = solo_rollout(policy, i, make_env(spec), Rng(11))
+        r = solo_rollout(policy, i, PointMassEnv(spec), Rng(11))
         trajs.append(np.concatenate([a for _, a in r.trajectory]))
     pairs = [(0, 1), (0, 2), (1, 2)]
     assert any(
@@ -90,7 +90,7 @@ def test_solo_rollout_components_differ_somewhere(trained_pick):
 def test_solo_rollout_bad_index(trained_pick):
     policy, _ = trained_pick
     with pytest.raises(IndexError):
-        solo_rollout(policy, 3, make_env(make_suite("pick-side")[0]), Rng(0))
+        solo_rollout(policy, 3, PointMassEnv(make_suite("pick-side")[0]), Rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,14 @@ def constant_action_dataset(n_episodes=8, length=12, value=0.3):
         action_dim=1,
         seed=0,
         episodes=episodes,
-        normalizer_lo=np.array([value]),
-        normalizer_hi=np.array([value]),
+        normalizer=ActionNormalizer([value], [value]),
     )
 
 
 def test_empty_trainable_mask_freezes_everything():
     ds = generate_demos("bimodal1d", per_task=4, seed=1)
     policy = small_policy()
-    policy.normalizer = ActionNormalizer(ds.normalizer_lo, ds.normalizer_hi)
+    policy.normalizer = ds.normalizer
     before = policy.group_checksums()
     policy.fit(ds, epochs=3, batch_size=16, seed=0, trainable=[])
     assert policy.group_checksums() == before
@@ -220,7 +219,7 @@ def test_fit_requires_episodes():
     policy = small_policy()
     empty = EpisodeDataset(
         suite="x", state_dim=3, action_dim=1, seed=0, episodes=[],
-        normalizer_lo=np.array([0.0]), normalizer_hi=np.array([1.0]),
+        normalizer=ActionNormalizer([0.0], [1.0]),
     )
     with pytest.raises(ValueError):
         policy.fit(empty, epochs=1, batch_size=8, seed=0)
