@@ -26,7 +26,9 @@ from .analysis import build_probe_set, convergence_report, score_similarity, sol
 from .bench import SUITES, EpisodeDataset, PointMassEnv, evaluate, generate_demos, make_suite
 from .diffusion import SCHEDULE_KINDS
 from .numerics import Rng
-from .policy import FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, write_atomic
+from .policy import (
+    FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, read_json, write_atomic,
+)
 
 
 def _fail(message: str) -> "SystemExit":
@@ -75,8 +77,9 @@ def _check_config_value(path, param, value) -> None:
 
 def load_config_defaults(ctx, param, value):
     """--config callback: JSON entries become defaults; explicit flags win.
-    A file that is no JSON object, an unknown key or a value of another type
-    than config.json holds for its flag is a usage error naming the file."""
+    A file that is no JSON object, an unknown key, or a value of another type
+    than config.json holds for its flag or that the flag refuses, is a usage
+    error naming the file (and the key)."""
     if value is None:
         return None
     try:
@@ -92,6 +95,10 @@ def load_config_defaults(ctx, param, value):
         raise click.BadParameter(f"{value}: keys that are not flags of this command: {unknown}")
     for key, entry in data.items():
         _check_config_value(value, params[key], entry)
+        try:  # the flag's type and callback, as if the entry had been typed
+            params[key].process_value(ctx, entry)
+        except click.BadParameter as exc:
+            raise click.BadParameter(f"{value}: key '{key}': {exc.message}") from exc
     ctx.default_map = {**(ctx.default_map or {}), **data}
     return value
 
@@ -129,6 +136,27 @@ def write_outputs(out_dir: Path, files: dict) -> None:
         write_atomic(out_dir / name, [content])
 
 
+def _ints(text: str) -> tuple:
+    """Comma-separated integers; empty items, and so empty text, give none."""
+    return tuple(int(w) for w in text.strip().split(",") if w)
+
+
+def comma_ints(least: int):
+    """Callback of a flag of comma-separated integers, at least `least` of
+    them. The text is kept as given, so config.json holds it in the form
+    --config reads back."""
+
+    def check(ctx, param, value: str) -> str:
+        try:
+            if len(_ints(value)) >= least:
+                return value
+        except ValueError:
+            pass
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of integers")
+
+    return check
+
+
 # Every PolicyConfig field is a flag with its default, in field order; two are
 # named apart from their field, and a tuple of widths is comma-separated text.
 FLAG = {"n_components": "components", "schedule_kind": "schedule"}
@@ -137,25 +165,21 @@ FLAG = {"n_components": "components", "schedule_kind": "schedule"}
 def policy_config_options(fn):
     for f in reversed(fields(PolicyConfig)):
         kind, default = type(f.default), f.default
+        check = None
         if kind is tuple:
-            kind, default = str, ",".join(str(w) for w in default)
+            kind, default, check = str, ",".join(str(w) for w in default), comma_ints(least=0)
         elif f.name == "schedule_kind":
             kind = click.Choice(SCHEDULE_KINDS)
         flag = "--" + FLAG.get(f.name, f.name).replace("_", "-")
-        fn = click.option(flag, type=kind, default=default, show_default=True)(fn)
+        fn = click.option(flag, type=kind, default=default, show_default=True, callback=check)(fn)
     return fn
-
-
-def _widths(text: str) -> tuple:
-    text = text.strip()
-    return tuple(int(w) for w in text.split(",") if w) if text else ()
 
 
 def build_policy_config(params: dict) -> PolicyConfig:
     values = {}
     for f in fields(PolicyConfig):
         value = params[FLAG.get(f.name, f.name)]
-        values[f.name] = _widths(value) if type(f.default) is tuple else value
+        values[f.name] = _ints(value) if type(f.default) is tuple else value
     return PolicyConfig(**values)
 
 
@@ -164,12 +188,19 @@ def cli():
     """Factorized diffusion policy: train, evaluate, adapt, analyze."""
 
 
+def check_file_name(ctx, param, value: str) -> str:
+    """--out callback: the path must name a file, which empty text does not."""
+    if not Path(value).name:
+        raise click.BadParameter(f"{value!r} names no file")
+    return value
+
+
 @cli.command("gen-demos")
 @config_option
 @click.option("--suite", type=SUITE, required=True, help="Benchmark suite name.")
 @click.option("--per-task", type=POSITIVE, default=25, show_default=True)
 @seed_option
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), required=True, callback=check_file_name)
 @runtime_errors_exit_3
 def cmd_gen_demos(suite, per_task, seed, out):
     """Generate scripted-expert demonstrations into a dataset file."""
@@ -208,27 +239,12 @@ def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
     )
 
 
-def _parse_seeds(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s != ""]
-
-
-def check_seeds(ctx, param, value: str) -> str:
-    """--seeds callback: at least one integer. The text is kept as given, so
-    config.json holds it in the form --config reads back."""
-    try:
-        if _parse_seeds(value):
-            return value
-    except ValueError:
-        pass
-    raise click.BadParameter(f"{value!r} is not a comma-separated list of integers")
-
-
 @cli.command("eval")
 @config_option
 @click.option("--checkpoint", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--suite", type=SUITE, required=True)
 @click.option("--episodes", type=POSITIVE, default=40, show_default=True)
-@click.option("--seeds", default="0,1,2,3,4", show_default=True, callback=check_seeds,
+@click.option("--seeds", default="0,1,2,3,4", show_default=True, callback=comma_ints(least=1),
               help="Comma-separated.")
 @click.option("--top-k", type=int, default=None)
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True)
@@ -243,7 +259,7 @@ def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
             f"{top_k} outside [1, {policy.n_components}]", param_hint="'--top-k'"
         )
     table = evaluate(
-        policy, specs, episodes_per_task=episodes, seeds=_parse_seeds(seeds),
+        policy, specs, episodes_per_task=episodes, seeds=_ints(seeds),
         top_k=top_k, jobs=jobs,
     )
     write_outputs(
@@ -398,13 +414,7 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         files["solo_rollouts.json"] = solo
         did_anything = True
     if logs:
-        loaded = []
-        for path in logs:
-            try:
-                with open(path) as f:
-                    loaded.append(TrainingLog.from_json(json.load(f)))
-            except ValueError as exc:  # malformed JSON too
-                raise ValueError(f"training log {path}: {exc}") from exc
+        loaded = [read_json(path, "training log", TrainingLog.from_json) for path in logs]
         labels = [Path(p).parent.name or f"run_{i}" for i, p in enumerate(logs)]
         if len(set(labels)) != len(labels):
             labels = [f"run_{i}" for i in range(len(logs))]

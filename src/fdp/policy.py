@@ -780,14 +780,8 @@ class FactorizedPolicy:
 
     @classmethod
     def load(cls, path) -> "FactorizedPolicy":
-        """``from_json`` of the file; text that is not UTF-8 JSON raises
-        ValueError naming the file."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-            except ValueError as exc:  # malformed JSON or text that is not UTF-8
-                raise ValueError(f"checkpoint {path}: {exc}") from exc
-        return cls.from_json(obj)
+        """``from_json`` of the file, through ``read_json``."""
+        return read_json(path, "checkpoint", cls.from_json)
 
 
 def _load_field(name: str, load, *args):
@@ -818,6 +812,16 @@ def write_atomic(path, chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_json(path, what: str, load):
+    """load(the file's JSON value); text that is not UTF-8 JSON, or a
+    ValueError that load raises, raises ValueError naming what and the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return load(json.load(f))
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8 too
+        raise ValueError(f"{what} {path}: {exc}") from exc
 
 
 class _PolicyController:

@@ -2,6 +2,8 @@
 
 import errno
 import json
+import shutil
+from pathlib import Path
 
 import click
 import pytest
@@ -155,8 +157,13 @@ def test_missing_checkpoint_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-# checkpoint bytes that are not UTF-8 JSON, and each command that loads one
-BAD_CHECKPOINTS = {"truncated": b'{"format": ', "not UTF-8": b'{"format": "\xff"}'}
+# checkpoint bytes that do not load (malformed, or a field that is wrong), and
+# each command that loads one
+BAD_CHECKPOINTS = {
+    "truncated": b'{"format": ',
+    "not UTF-8": b'{"format": "\xff"}',
+    "other version": b'{"format": "fdp-checkpoint", "version": 3}',
+}
 CHECKPOINT_COMMANDS = {
     "eval": ["eval", "--suite", "bimodal1d"],
     "adapt": ["adapt", "--demos", None],
@@ -437,11 +444,31 @@ BAD_CONFIGS = {
 }
 
 
+# each a --config value of the type config.json holds that its flag refuses
+REFUSED_CONFIGS = {
+    "widths text with a non-integer": (
+        "continual", '{"router_hidden": "16,x"}',
+        "key 'router_hidden': '16,x' is not a comma-separated list of integers",
+    ),
+    "int out of range": ("eval", '{"episodes": 0}', "key 'episodes': 0 is not in the range x>=1"),
+}
+
+
 @pytest.mark.parametrize("case", BAD_CONFIGS)
 def test_a_config_value_of_another_type_is_a_usage_error_naming_file_and_key(
     runner, tmp_path, case
 ):
-    command, text, names = BAD_CONFIGS[case]
+    _assert_config_usage_error(runner, tmp_path, *BAD_CONFIGS[case])
+
+
+@pytest.mark.parametrize("case", REFUSED_CONFIGS)
+def test_a_config_value_its_flag_refuses_is_a_usage_error_naming_file_and_key(
+    runner, tmp_path, case
+):
+    _assert_config_usage_error(runner, tmp_path, *REFUSED_CONFIGS[case])
+
+
+def _assert_config_usage_error(runner, tmp_path, command, text, names):
     cfg = tmp_path / "c.json"
     cfg.write_text(text)
     out = tmp_path / "o"
@@ -572,6 +599,9 @@ def test_rerun_from_config_json_reproduces_every_artifact(first_run, runner, tmp
         ("eval", "--jobs", "0"),
         ("eval", "--seeds", ""),
         ("eval", "--seeds", "0,x"),
+        ("train", "--denoiser-hidden", "16,x"),
+        ("train", "--router-hidden", "16;16"),
+        ("continual", "--denoiser-hidden", "1.5"),
         ("gen-demos", "--per-task", "0"),
         ("analyze", "--probes", "0"),
         ("adapt", "--replay-per-task", "-1"),
@@ -602,3 +632,51 @@ def test_bad_flag_value_is_usage_error_naming_the_flag(
     assert result.exit_code == 2, result.output
     assert f"'{flag}'" in result.output
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# property: a config.json with one key changed runs or names the key
+# ---------------------------------------------------------------------------
+
+
+# another JSON type, null, out-of-range ints, and text that is empty, no
+# choice, no path, and no comma-separated integers
+MUTANTS = (None, True, 0, -1, 1.5, [0], "", "x", "16,x", "1.5")
+
+
+def _mutated_config_breaks(runner, command, config):
+    """Run command in the working directory with config, each key set to each
+    of MUTANTS in turn. Returns the runs that do not end in one of three ways:
+    exit 0, writing back the config it read if it has --out-dir; exit 2
+    naming the file and key, or the flag when the command refuses the value
+    itself; exit 3 naming the key."""
+    out_dir = ["--out-dir", "out"] if command != "gen-demos" else []
+    broken = []
+    for key, value in ((k, v) for k in config for v in MUTANTS):
+        mutant = {**config, key: value}
+        Path("mutant.json").write_text(json.dumps(mutant))
+        result = runner.invoke(cli, [command, "--config", "mutant.json", *out_dir])
+        message = (result.output.strip().splitlines() or [""])[-1]
+        if result.exit_code == 0:
+            ok = not out_dir or json.loads(Path("out/config.json").read_text()) == mutant
+        elif result.exit_code == 2:
+            ok = f"mutant.json: key '{key}'" in message or "--" + key.replace("_", "-") in message
+        else:
+            ok = result.exit_code == 3 and key in message
+        if not ok:
+            broken.append((key, value, result.exit_code, message))
+        shutil.rmtree("out", ignore_errors=True)
+    return broken
+
+
+def test_a_mutated_config_json_runs_or_names_the_key(first_run, runner, tmp_path, monkeypatch):
+    command, out = first_run
+    config = json.loads((out / "config.json").read_text())
+    monkeypatch.chdir(tmp_path)  # a mutated path is looked for or written only here
+    assert _mutated_config_breaks(runner, command, config) == []
+
+
+def test_a_mutated_gen_demos_config_runs_or_names_the_key(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = {"suite": "bimodal1d", "per_task": 1, "seed": 0, "out": "demos.jsonl"}
+    assert _mutated_config_breaks(runner, "gen-demos", config) == []
