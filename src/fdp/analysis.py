@@ -66,25 +66,21 @@ def solo_rollout(
 ) -> RolloutResult:
     """Rollout with the router bypassed: weight 1 on one component."""
     w = one_hot(component_index, policy.n_components)
-    return rollout(
-        policy, env, env.spec.max_steps, rng, weights_override=w
-    )
+    return rollout(policy, env, rng, weights_override=w)
 
 
 def build_probe_set(
     policy: FactorizedPolicy, dataset, n: int = 256, seed: int = 0
 ) -> list:
-    """(stacked obs, noisy window, k) tuples from dataset episodes, k uniform."""
+    """(stacked obs, noisy window, k) tuples from dataset episodes, k uniform;
+    the n noise rows are one ``gaussian_rows`` block, as n ``gaussian`` calls."""
     windows, obs = policy.build_training_arrays(dataset.episodes)
     rng = Rng(seed)
     rows = rng.integers(0, len(windows), n)
     ks = rng.integers(1, policy.schedule.K + 1, n)
-    probes = []
-    for row, k in zip(rows, ks):
-        eps = rng.gaussian(windows.shape[1])
-        noisy = forward_noise(policy.schedule, windows[row], int(k), eps)
-        probes.append((obs[row], noisy, int(k)))
-    return probes
+    eps = rng.gaussian_rows(n, windows.shape[1])
+    noisy = forward_noise(policy.schedule, windows[rows], ks, eps)
+    return [(obs[row], x, int(k)) for row, x, k in zip(rows, noisy, ks)]
 
 
 def score_similarity(policy: FactorizedPolicy, probes) -> SimilarityMatrix:

@@ -386,7 +386,7 @@ def sample_replay(dataset: EpisodeDataset, per_task: int, seed: int) -> EpisodeD
 
 def run_expert_episode(spec: EnvSpec, rng: Rng) -> Episode:
     """One scripted-expert rollout recorded as (observation, action) pairs."""
-    result = rollout(ExpertPolicy(), PointMassEnv(spec), spec.max_steps, rng)
+    result = rollout(ExpertPolicy(), PointMassEnv(spec), rng)
     return Episode(
         task=spec.task,
         task_id=spec.task_index,
@@ -491,7 +491,7 @@ def _eval_unit(args):
     hits = 0
     for ep_idx in range(episodes):
         rng = Rng(seed).child(0xE7A1, spec.task_index, ep_idx)
-        result = rollout(policy, PointMassEnv(spec), spec.max_steps, rng, top_k=top_k)
+        result = rollout(policy, PointMassEnv(spec), rng, top_k=top_k)
         hits += int(result.success)
     return hits / episodes
 

@@ -43,9 +43,7 @@ def runtime_errors_exit_3(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except SystemExit:
+        except (click.ClickException, SystemExit):
             raise
         except Exception as exc:  # noqa: BLE001 - boundary of the CLI
             raise _fail(f"{type(exc).__name__}: {exc}") from exc
@@ -122,6 +120,19 @@ seed_option = click.option(
     "--seed", type=int, default=lambda: os.environ.get("FDP_SEED") or 0,
     show_default="FDP_SEED, else 0",
     help="Master seed (falls back to --config, then FDP_SEED).",
+)
+
+
+def check_dir_name(ctx, param, value: str) -> str:
+    """--out-dir callback: empty text, which would name the working
+    directory, is refused; '.' names it."""
+    if not value:
+        raise click.BadParameter("empty text names no directory")
+    return value
+
+
+out_dir_option = click.option(
+    "--out-dir", type=click.Path(file_okay=False), required=True, callback=check_dir_name
 )
 
 
@@ -216,7 +227,7 @@ def cmd_gen_demos(suite, per_task, seed, out):
 @click.option("--epochs", type=POSITIVE, default=150, show_default=True)
 @click.option("--batch-size", type=POSITIVE, default=96, show_default=True)
 @seed_option
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@out_dir_option
 @runtime_errors_exit_3
 def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
     """Train a policy on a demonstration dataset."""
@@ -248,7 +259,7 @@ def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
               help="Comma-separated.")
 @click.option("--top-k", type=int, default=None)
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@out_dir_option
 @runtime_errors_exit_3
 def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
     """Evaluate a checkpoint: success table over tasks x seeds."""
@@ -280,7 +291,7 @@ def cmd_eval(checkpoint, suite, episodes, seeds, top_k, jobs, out_dir):
 @click.option("--epochs", type=NON_NEGATIVE, default=60, show_default=True)
 @click.option("--batch-size", type=POSITIVE, default=64, show_default=True)
 @seed_option
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@out_dir_option
 @runtime_errors_exit_3
 def cmd_adapt(
     checkpoint, demos, replay_demos, strategy, replay_per_task, epochs, batch_size, seed, out_dir
@@ -317,7 +328,7 @@ def cmd_adapt(
 @click.option("--batch-size", type=POSITIVE, default=96, show_default=True)
 @click.option("--eval-episodes", type=POSITIVE, default=10, show_default=True)
 @seed_option
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@out_dir_option
 @runtime_errors_exit_3
 def cmd_continual(
     suite,
@@ -379,12 +390,11 @@ def cmd_continual(
 @click.option("--logs", multiple=True, type=click.Path(exists=True, dir_okay=False),
               help="training_log.json files for a convergence table (repeatable).")
 @seed_option
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@out_dir_option
 @runtime_errors_exit_3
 def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
     """Export similarity matrices, solo-rollout traces, and convergence tables."""
     files: dict = {}
-    did_anything = False
     for flag, given in (("--demos", demos), ("--suite", suite)):
         if given and not checkpoint:
             raise click.UsageError(f"{flag} needs --checkpoint")
@@ -396,7 +406,6 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         sim = score_similarity(policy, probe_set)
         files["similarity.json"] = sim.to_json()
         files["similarity.csv"] = sim.to_csv()
-        did_anything = True
     if suite:
         spec = make_suite(suite)[0]
         solo = []
@@ -412,7 +421,6 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
                 }
             )
         files["solo_rollouts.json"] = solo
-        did_anything = True
     if logs:
         loaded = [read_json(path, "training log", TrainingLog.from_json) for path in logs]
         labels = [Path(p).parent.name or f"run_{i}" for i, p in enumerate(logs)]
@@ -421,8 +429,7 @@ def cmd_analyze(checkpoint, demos, probes, suite, logs, seed, out_dir):
         table = convergence_report(loaded, labels=labels)
         files["convergence.json"] = table.to_json()
         files["convergence.csv"] = table.to_csv()
-        did_anything = True
-    if not did_anything:
+    if not files:
         raise click.UsageError("nothing to analyze: give --demos, --suite, or --logs")
     write_outputs(Path(out_dir), files)
     click.echo(f"wrote {', '.join(sorted(files))} to {out_dir}")

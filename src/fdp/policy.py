@@ -309,10 +309,12 @@ class PolicyConfig:
                 raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
+        if self.t_pred < 1:
+            raise ValueError(f"t_pred must be >= 1, got {self.t_pred}")
         if not 1 <= self.t_exec <= self.t_pred:
-            raise ValueError("t_exec must lie in [1, t_pred]")
+            raise ValueError(f"t_exec must lie in [1, t_pred {self.t_pred}], got {self.t_exec}")
         if self.h_obs < 1:
-            raise ValueError("h_obs must be >= 1")
+            raise ValueError(f"h_obs must be >= 1, got {self.h_obs}")
         if not 2 <= self.diffusion_steps <= MAX_DIFFUSION_STEPS:
             steps = self.diffusion_steps
             raise ValueError(f"diffusion_steps must lie in [2, {MAX_DIFFUSION_STEPS}], got {steps}")
@@ -549,12 +551,14 @@ class FactorizedPolicy:
         """Deterministic fixed-size embedding of a stacked observation."""
         return self.obs_encoder(self.validate_observation(obs))
 
-    def stack_history(self, history: list[np.ndarray]) -> np.ndarray:
-        """Stack the last h_obs raw observations (first frame repeated at the
-        start of an episode)."""
+    def stack_history(self, observations, steps) -> np.ndarray:
+        """One stacked observation per step t of ``steps``: the episode's
+        frames max(t - h_obs + 1 + j, 0) for j = 0..h_obs-1, so the first
+        frame repeats at the episode's start."""
         h = self.config.h_obs
-        frames = ([history[0]] * (h - len(history)) + list(history))[-h:]
-        return np.concatenate([as_f64(f, "observation frame") for f in frames])
+        frames = as_f64(observations, "observation frames")
+        idx = np.maximum(np.asarray(steps)[:, None] + np.arange(1 - h, 1), 0)
+        return frames[idx].reshape(len(idx), h * frames.shape[-1])
 
     def sample_window(
         self,
@@ -598,24 +602,17 @@ class FactorizedPolicy:
     # -- training --------------------------------------------------------------
 
     def build_training_arrays(self, episodes) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten episodes into (normalized windows, stacked observations)."""
+        """(normalized windows, stacked observations), a row per step t of
+        each episode of L steps: window j holds action min(t + j, L - 1)."""
         self._check_fitted()
-        t_pred = self.config.t_pred
         windows, stacked = [], []
         for ep in episodes:
-            obs = as_f64(ep.observations, "episode observations")
             acts = self.normalizer.normalize(as_f64(ep.actions, "episode actions"))
-            n = len(acts)
-            history: list[np.ndarray] = []
-            for t in range(n):
-                history.append(obs[t])
-                win = acts[t : t + t_pred]
-                if len(win) < t_pred:
-                    pad = np.repeat(win[-1:], t_pred - len(win), axis=0)
-                    win = np.concatenate([win, pad], axis=0)
-                windows.append(win.reshape(-1))
-                stacked.append(self.stack_history(history))
-        return np.asarray(windows), np.asarray(stacked)
+            steps = np.arange(len(acts))
+            idx = np.minimum(steps[:, None] + np.arange(self.config.t_pred), len(acts) - 1)
+            windows.append(acts[idx].reshape(len(acts), self.window_dim))
+            stacked.append(self.stack_history(ep.observations, steps))
+        return np.concatenate(windows), np.concatenate(stacked)
 
     def fit(
         self,
@@ -825,48 +822,46 @@ def read_json(path, what: str, load):
 
 
 class _PolicyController:
-    """Receding-horizon execution state for one episode."""
+    """Receding-horizon execution state for one episode: its observations and
+    the denormalized window being executed."""
 
     def __init__(self, policy, rng, top_k=None, weights_override=None):
         self.policy = policy
         self.rng = rng
         self.top_k = top_k
         self.weights_override = weights_override
-        self.history: list[np.ndarray] = []
-        self.pending: list[np.ndarray] = []
+        self.observations: list[np.ndarray] = []
+        self.window = None
 
     def action(self, obs: np.ndarray):
-        """Next env action; returns (action, SampleInfo) at re-inference steps
-        and (action, None) in between."""
-        self.history.append(np.asarray(obs, dtype=np.float64))
-        if len(self.history) > self.policy.config.h_obs:
-            self.history.pop(0)
+        """Action of step t (the observations so far): row t % t_exec of the
+        window inferred when t % t_exec == 0, with its SampleInfo, else None."""
+        t = len(self.observations)
+        t_exec = self.policy.config.t_exec
+        self.observations.append(obs)
         info = None
-        if not self.pending:
-            stacked = self.policy.stack_history(self.history)
+        if t % t_exec == 0:  # step t is frame min(t, h - 1) of the last h
+            h = self.policy.config.h_obs
+            stacked = self.policy.stack_history(self.observations[-h:], [min(t, h - 1)])[0]
             window, info = self.policy.sample_window(
                 stacked, self.rng, self.top_k, self.weights_override
             )
-            denorm = self.policy.normalizer.denormalize(window)
-            self.pending = [denorm[t] for t in range(self.policy.config.t_exec)]
-        return self.pending.pop(0), info
+            self.window = self.policy.normalizer.denormalize(window)
+        return self.window[t % t_exec], info
 
 
-def rollout(
-    policy, env, max_steps: int, rng: Rng, top_k: int | None = None, **controller_kw
-) -> RolloutResult:
+def rollout(policy, env, rng: Rng, top_k: int | None = None, **controller_kw) -> RolloutResult:
     """Run one episode under receding-horizon control.
 
     Re-infers every t_exec steps (on the fresh observation), executes the
     first t_exec actions of each predicted window, and stops on latched
-    success or after max_steps. The weight trace has one entry per inference.
+    success or after env.spec.max_steps steps. The weight trace has one
+    entry per inference.
     """
     obs = env.reset(rng.child(0))
-    act_rng = rng.child(1)
-    controller = policy.episode_controller(env, act_rng, top_k=top_k, **controller_kw)
+    controller = policy.episode_controller(env, rng.child(1), top_k=top_k, **controller_kw)
     trajectory, trace = [], []
-    steps = 0
-    while steps < max_steps and not env.success:
+    while len(trajectory) < env.spec.max_steps and not env.success:
         action, info = controller.action(obs)
         if info is not None:
             trace.append(info.weights)
@@ -874,6 +869,6 @@ def rollout(
         try:
             obs = env.step(action)
         except Exception as exc:
-            raise RuntimeError(f"environment step failed at step {steps}: {exc}") from exc
-        steps += 1
+            step = len(trajectory) - 1
+            raise RuntimeError(f"environment step failed at step {step}: {exc}") from exc
     return RolloutResult(bool(env.success), trajectory, trace)

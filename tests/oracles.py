@@ -8,7 +8,8 @@ composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
 moments, the per-array Adam and the per-group step a fit is checked
 against, the textbook Fisher-Yates shuffle, the masked-assignment
-denormalization, the step-by-step point-mass dynamics, a generic
+denormalization, the step-by-step point-mass dynamics, the per-step
+training arrays and the per-probe probe set, a generic
 central-finite-difference gradient checker, and the layout checks of a
 net's and a policy's parameter vectors. The one exception is ``sample_loop``: the reverse chain as
 a loop over fresh arrays, the reference for the sampler's in-place buffer.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fdp.composition import check_simplex, group_slices, select_top_k, weighted_sum
-from fdp.diffusion import reverse_mean
+from fdp.diffusion import forward_noise, reverse_mean
 from fdp.numerics import DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng
 
 
@@ -277,6 +278,41 @@ def joint_loss_loop(components, router, obs_encoder, batch, schedule, rng, train
     if trainable is not None:
         grads = {g: grads[g] for g in trainable}
     return float(np.mean(resid * resid)), grads
+
+
+def training_arrays_loop(policy, episodes):
+    """Reference ``build_training_arrays``, one step at a time: the window is
+    the step's next t_pred actions, padded by repeating the episode's last,
+    and the stacked observation is the last h_obs frames of a growing
+    history, its first frame repeated while it is shorter."""
+    t_pred, h = policy.config.t_pred, policy.config.h_obs
+    windows, stacked = [], []
+    for ep in episodes:
+        obs = np.asarray(ep.observations, dtype=np.float64)
+        acts = policy.normalizer.normalize(ep.actions)
+        history = []
+        for t in range(len(acts)):
+            history.append(obs[t])
+            win = acts[t : t + t_pred]
+            if len(win) < t_pred:
+                win = np.concatenate([win, np.repeat(win[-1:], t_pred - len(win), axis=0)])
+            windows.append(win.reshape(-1))
+            stacked.append(np.concatenate(([history[0]] * (h - len(history)) + history)[-h:]))
+    return np.asarray(windows), np.asarray(stacked)
+
+
+def probe_set_loop(policy, dataset, n, seed):
+    """Reference ``build_probe_set`` on ``training_arrays_loop``: one
+    ``gaussian`` draw and one ``forward_noise`` call per probe."""
+    windows, obs = training_arrays_loop(policy, dataset.episodes)
+    rng = Rng(seed)
+    rows = rng.integers(0, len(windows), n)
+    ks = rng.integers(1, policy.schedule.K + 1, n)
+    probes = []
+    for row, k in zip(rows, ks):
+        noisy = forward_noise(policy.schedule, windows[row], int(k), rng.gaussian(windows.shape[1]))
+        probes.append((obs[row], noisy, int(k)))
+    return probes
 
 
 def permutation_loop(rng, n):

@@ -18,6 +18,8 @@ from fdp.bench import PointMassEnv, generate_demos, make_suite
 from fdp.numerics import Rng
 from fdp.policy import FactorizedPolicy, PolicyConfig, TrainingLog, rollout
 
+from .oracles import probe_set_loop
+
 
 SMALL = dict(
     diffusion_steps=10,
@@ -50,7 +52,7 @@ def test_solo_rollout_single_component_equals_normal_rollout():
     policy.fit(ds, epochs=2, batch_size=32, seed=0)
     spec = make_suite("bimodal1d")[0]
     a = solo_rollout(policy, 0, PointMassEnv(spec), Rng(7))
-    b = rollout(policy, PointMassEnv(spec), spec.max_steps, Rng(7))
+    b = rollout(policy, PointMassEnv(spec), Rng(7))
     assert a.success == b.success
     assert len(a.trajectory) == len(b.trajectory)
     for (_, a1), (_, a2) in zip(a.trajectory, b.trajectory):
@@ -124,6 +126,17 @@ def test_orthogonal_constant_outputs_give_zero():
     probes = [(np.zeros(6), np.zeros(16), 3)] * 4
     sim = score_similarity(policy, probes)
     assert sim.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_probe_set_equals_the_per_probe_loop(trained_pick):
+    policy, ds = trained_pick
+    got = build_probe_set(policy, ds, n=20, seed=4)
+    want = probe_set_loop(policy, ds, n=20, seed=4)
+    assert len(got) == len(want) == 20
+    for (obs, noisy, k), (want_obs, want_noisy, want_k) in zip(got, want):
+        np.testing.assert_array_equal(obs, want_obs)
+        np.testing.assert_array_equal(noisy, want_noisy)
+        assert type(k) is int and k == want_k
 
 
 def test_similarity_invariants_on_trained_policy(trained_pick):

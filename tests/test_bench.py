@@ -417,17 +417,10 @@ def test_merge_datasets_concatenates():
 
 def test_expert_rollout_succeeds_and_traces_nothing():
     spec = make_suite("reach4")[1]
-    result = rollout(ExpertPolicy(), PointMassEnv(spec), spec.max_steps, Rng(5))
+    result = rollout(ExpertPolicy(), PointMassEnv(spec), Rng(5))
     assert result.success
     assert result.weight_trace == []
     assert len(result.trajectory) <= spec.max_steps
-
-
-def test_rollout_zero_steps_fails_with_empty_trace():
-    spec = make_suite("reach4")[0]
-    result = rollout(ExpertPolicy(), PointMassEnv(spec), 0, Rng(0))
-    assert not result.success
-    assert result.trajectory == [] and result.weight_trace == []
 
 
 def test_rollout_propagates_env_fault_with_step_index():
@@ -440,7 +433,7 @@ def test_rollout_propagates_env_fault_with_step_index():
             return super().step(action)
 
     with pytest.raises(RuntimeError, match="step 3"):
-        rollout(ExpertPolicy(), Flaky(spec), spec.max_steps, Rng(1))
+        rollout(ExpertPolicy(), Flaky(spec), Rng(1))
 
 
 def test_policy_rollout_trace_length_matches_inference_count():
@@ -459,7 +452,7 @@ def test_policy_rollout_trace_length_matches_inference_count():
         seed=0,
     )
     policy.fit(ds, epochs=1, batch_size=16, seed=0)
-    result = rollout(policy, PointMassEnv(spec), spec.max_steps, Rng(3))
+    result = rollout(policy, PointMassEnv(spec), Rng(3))
     steps = len(result.trajectory)
     assert len(result.weight_trace) == int(np.ceil(steps / policy.config.t_exec))
     for w in result.weight_trace:

@@ -634,6 +634,37 @@ def test_bad_flag_value_is_usage_error_naming_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "adapt", "continual", "analyze"])
+def test_an_empty_out_dir_is_a_usage_error_that_writes_nothing(
+    runner, demo_file, trained_dir, tmp_path, monkeypatch, command
+):
+    ckpt = str(trained_dir / "checkpoint.json")
+    args = {  # each runs, given an out dir
+        "train": ["--demos", str(demo_file), *FAST_NET, "--epochs", "1"],
+        "eval": ["--checkpoint", ckpt, "--suite", "bimodal1d", "--episodes", "1", "--seeds", "0"],
+        "adapt": ["--checkpoint", ckpt, "--demos", str(demo_file), "--epochs", "1"],
+        "continual": ["--pretrain-tasks", "10", "--demos-per-task", "1",
+                      "--adapt-demos-per-task", "1", *FAST_NET, "--epochs", "1",
+                      "--adapt-epochs", "1", "--eval-episodes", "1"],
+        "analyze": ["--logs", str(trained_dir / "training_log.json")],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(cli, [command, *args, "--out-dir", ""])
+    assert result.exit_code == 2, result.output
+    assert "'--out-dir'" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_dir_dot_writes_into_the_working_directory(runner, trained_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    log = str(trained_dir / "training_log.json")
+    result = runner.invoke(cli, ["analyze", "--logs", log, "--out-dir", "."])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "convergence.csv", "convergence.json",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # property: a config.json with one key changed runs or names the key
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fdp.policy import (
 
 from .oracles import (
     GroupAdam, assert_bank_serves, assert_layers_view_vector, denormalize_masked,
-    layered_net, net_backward_loop, net_forward_loop,
+    layered_net, net_backward_loop, net_forward_loop, training_arrays_loop,
 )
 
 
@@ -80,15 +80,57 @@ def test_observation_dimension_checked():
 
 
 def test_stack_history_repeats_first_frame():
-    policy = small_policy(obs_dim=3)
-    first = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(
-        policy.stack_history([first]), np.concatenate([first, first])
-    )
-    second = np.array([4.0, 5.0, 6.0])
-    np.testing.assert_array_equal(
-        policy.stack_history([first, second]), np.concatenate([first, second])
-    )
+    policy = small_policy(obs_dim=3, h_obs=3)
+    frames = np.arange(15.0).reshape(5, 3)
+    picks = [[0, 0, 0], [0, 0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4]]  # steps 0..4
+    want = np.array([np.concatenate(frames[p]) for p in picks])
+    np.testing.assert_array_equal(policy.stack_history(frames, range(5)), want)
+    np.testing.assert_array_equal(policy.stack_history(frames, [4, 1]), want[[4, 1]])
+    # the controller's form: the last h_obs frames, step t at min(t, h_obs - 1)
+    np.testing.assert_array_equal(policy.stack_history(frames[-3:], [2]), want[4:])
+    np.testing.assert_array_equal(policy.stack_history(frames[:2], [1]), want[1:2])
+
+
+def random_episodes(lengths, obs_dim, action_dim, seed):
+    rng, ends = Rng(seed), np.cumsum(lengths)[:-1]
+    obs = np.split(rng.gaussian_rows(sum(lengths), obs_dim), ends)
+    acts = np.split(rng.gaussian_rows(sum(lengths), action_dim), ends)
+    return [Episode("t", 0, o, a, True) for o, a in zip(obs, acts)]
+
+
+@pytest.mark.parametrize("h_obs", [1, 2, 3])
+# t_pred 4: episodes longer, empty, shorter and of one step
+@pytest.mark.parametrize("lengths", [[9, 0, 3, 1], [3], [1]])
+def test_training_arrays_equal_the_per_step_loop(h_obs, lengths):
+    policy = small_policy(obs_dim=3, action_dim=2, t_pred=4, t_exec=2, h_obs=h_obs)
+    episodes = random_episodes(lengths, 3, 2, seed=h_obs)
+    policy.normalizer = ActionNormalizer.from_actions(np.concatenate([e.actions for e in episodes]))
+    windows, stacked = policy.build_training_arrays(episodes)
+    want_windows, want_stacked = training_arrays_loop(policy, episodes)
+    assert windows.shape == (sum(lengths), 8) and stacked.shape == (sum(lengths), 3 * h_obs)
+    np.testing.assert_array_equal(windows, want_windows)
+    np.testing.assert_array_equal(stacked, want_stacked)
+
+
+def test_controller_infers_every_t_exec_steps_and_executes_leading_rows():
+    policy = small_policy(obs_dim=3, t_pred=5, t_exec=3, h_obs=2)
+    policy.normalizer = ActionNormalizer(np.array([-2.0]), np.array([2.0]))
+    controller = policy.episode_controller(None, Rng(4))
+    sample_window, inferred, windows = policy.sample_window, [], []
+
+    def spy(obs, *args):
+        inferred.append(len(controller.observations) - 1)  # the step being acted on
+        np.testing.assert_array_equal(obs, policy.stack_history(frames, [inferred[-1]])[0])
+        window, info = sample_window(obs, *args)
+        windows.append(policy.normalizer.denormalize(window))
+        return window, info
+
+    policy.sample_window = spy
+    frames = Rng(5).gaussian(10 * 3).reshape(10, 3)  # 10 steps: not a multiple of t_exec
+    executed, infos = zip(*(controller.action(obs) for obs in frames))
+    assert inferred == [0, 3, 6, 9]
+    assert [info is not None for info in infos] == [t % 3 == 0 for t in range(10)]
+    np.testing.assert_array_equal(executed, np.concatenate([w[:3] for w in windows])[:10])
 
 
 def test_step_embedding_shape_and_range():
@@ -1080,8 +1122,12 @@ def test_matched_hidden_width_parameter_parity():
 def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig(n_components=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("t_exec must lie in [1, t_pred 8], got 9")):
         PolicyConfig(t_pred=8, t_exec=9)
+    with pytest.raises(ValueError, match="t_pred must be >= 1, got 0"):
+        PolicyConfig(t_pred=0, t_exec=1)
+    with pytest.raises(ValueError, match="t_pred must be >= 1, got -1"):
+        PolicyConfig(t_pred=-1)
     with pytest.raises(ValueError):
         PolicyConfig(h_obs=0)
 
