@@ -4,7 +4,7 @@ with modular adaptation and analysis tooling on synthetic benchmarks."""
 
 from .numerics import Adam, FeedForwardNet, Rng
 from .diffusion import NoiseSchedule, make_schedule
-from .composition import Router, composed_score, joint_loss, sample_values
+from .composition import Router, joint_loss, sample_values
 from .policy import ActionNormalizer, FactorizedPolicy, PolicyConfig, rollout
 from .bench import (
     EpisodeDataset,
@@ -32,7 +32,6 @@ __all__ = [
     "Router",
     "adapt",
     "build_probe_set",
-    "composed_score",
     "continual_adapt",
     "convergence_report",
     "evaluate",

@@ -90,10 +90,14 @@ def upcycle_component(
     dataset: EpisodeDataset | None = None,
 ) -> int:
     """Append a parameter-exact copy of the source component (as resolved by
-    select_upcycle_source) and a zero-initialized router output; returns it."""
+    select_upcycle_source) and a zero-initialized router output; returns it.
+    Both are made before the policy is touched, so a failure leaves it as it
+    was."""
     src = select_upcycle_source(policy, source, dataset)
-    policy.components.append(policy.components[src].copy())
-    policy.router.net = extend_router_head(policy.router.net)
+    router_net = extend_router_head(policy.router.net)
+    component = policy.components[src].copy()
+    policy.router.net = router_net
+    policy.components.append(component)
     policy.config.n_components = policy.n_components
     return src
 
@@ -222,25 +226,23 @@ def continual_adapt(
     policy: FactorizedPolicy,
     pretrain_specs,
     stages,  # sequence of (EnvSpec, EpisodeDataset), one new task per stage
-    config: AdaptationConfig,
+    *,
+    epochs: int,
+    batch_size: int,
     seed: int = 0,
     evaluate_fn=None,
 ) -> AdaptationLog:
-    """Sequential adaptation: one upcycled component per new task.
+    """Sequential adaptation: one upcycled component per new task, each stage
+    an ``adapt`` under the new_module strategy without replay.
 
     After each stage the policy covers pretrain tasks plus every stage task so
     far; evaluate_fn(policy, specs_seen) is recorded per stage when given.
     Earlier components stay frozen throughout (transitively: each stage's
     frozen set contains all previous components).
     """
-    if config.strategy != "new_module":
-        raise AdaptationError("continual adaptation requires the new_module strategy")
-    if config.replay_per_task:
-        raise AdaptationError(
-            "continual stages run without replay; use adapt() for replay studies"
-        )
+    config = AdaptationConfig(epochs=epochs, batch_size=batch_size)
     log = AdaptationLog(
-        strategy="new_module",
+        strategy=config.strategy,
         trainable_groups=(),
         trainable_parameters=0,
         total_parameters=policy.n_parameters(),

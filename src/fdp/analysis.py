@@ -15,7 +15,7 @@ import numpy as np
 
 from .diffusion import forward_noise
 from .numerics import Rng, as_f64
-from .policy import FactorizedPolicy, RolloutResult, rollout
+from .policy import FactorizedPolicy, RolloutResult, csv_text, rollout
 
 
 @dataclass
@@ -44,13 +44,8 @@ class SimilarityMatrix:
         }
 
     def to_csv(self) -> str:
-        n = self.values.shape[0]
-        lines = ["," + ",".join(f"component_{j}" for j in range(n))]
-        for i in range(n):
-            lines.append(
-                f"component_{i}," + ",".join(repr(x) for x in self.values[i])
-            )
-        return "\n".join(lines) + "\n"
+        names = [f"component_{i}" for i in range(len(self.values))]
+        return csv_text(["", *names], ([name, *row] for name, row in zip(names, self.values)))
 
 
 def one_hot(index: int, n: int) -> np.ndarray:
@@ -74,6 +69,8 @@ def build_probe_set(
 ) -> list:
     """(stacked obs, noisy window, k) tuples from dataset episodes, k uniform;
     the n noise rows are one ``gaussian_rows`` block, as n ``gaussian`` calls."""
+    if n < 1:
+        raise ValueError(f"build_probe_set needs n >= 1 probes, got {n!r}")
     windows, obs = policy.build_training_arrays(dataset.episodes)
     rng = Rng(seed)
     rows = rng.integers(0, len(windows), n)
@@ -133,13 +130,8 @@ class ConvergenceTable:
         return {"labels": self.labels, "epochs": self.epochs, "val_mse": self.columns}
 
     def to_csv(self) -> str:
-        header = "epoch," + ",".join(self.labels)
-        lines = [header]
-        for i, ep in enumerate(self.epochs):
-            lines.append(
-                f"{ep}," + ",".join(repr(self.columns[l][i]) for l in self.labels)
-            )
-        return "\n".join(lines) + "\n"
+        columns = [self.columns[label] for label in self.labels]
+        return csv_text(["epoch", *self.labels], zip(self.epochs, *columns))
 
 
 def convergence_report(logs, labels=None) -> ConvergenceTable:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import Rng, as_f64, json_fields, typed_field
-from .policy import ActionNormalizer, canonical_json, rollout, write_atomic
+from .policy import ActionNormalizer, canonical_json, csv_text, rollout, write_atomic
 
 SUITES = ("reach4", "pick-side", "drawer-line", "bimodal1d", "continual12")
 DATASET_FORMAT = "fdp-episodes"
@@ -355,7 +355,10 @@ def _rows(name: str, rows, dim: str, width: int) -> list:
 
 def merge_datasets(a: EpisodeDataset, b: EpisodeDataset) -> EpisodeDataset:
     if (a.state_dim, a.action_dim) != (b.state_dim, b.action_dim):
-        raise ValueError("cannot merge datasets with different dimensions")
+        raise ValueError(
+            f"cannot merge datasets of (state_dim, action_dim) {(a.state_dim, a.action_dim)} "
+            f"and {(b.state_dim, b.action_dim)}"
+        )
     return EpisodeDataset(
         suite=f"{a.suite}+{b.suite}" if a.suite != b.suite else a.suite,
         state_dim=a.state_dim,
@@ -405,7 +408,7 @@ def generate_demos(specs, per_task: int, seed: int) -> EpisodeDataset:
     if isinstance(specs, str):
         specs = make_suite(specs)
     if per_task < 1:
-        raise ValueError("per_task must be >= 1")
+        raise ValueError(f"per_task must be >= 1, got {per_task}")
     root = Rng(seed)
     episodes = []
     for spec in specs:
@@ -479,11 +482,9 @@ class SuccessTable:
         }
 
     def to_csv(self) -> str:
-        lines = ["task,mean_success,stderr"]
-        for t in self.tasks:
-            lines.append(f"{t},{self.mean(t)!r},{self.stderr(t)!r}")
-        lines.append(f"average,{self.average()!r},{self.average_stderr()!r}")
-        return "\n".join(lines) + "\n"
+        rows = [(t, self.mean(t), self.stderr(t)) for t in self.tasks]
+        rows.append(("average", self.average(), self.average_stderr()))
+        return csv_text(("task", "mean_success", "stderr"), rows)
 
 
 def _eval_unit(args):

@@ -27,7 +27,7 @@ from .bench import SUITES, EpisodeDataset, PointMassEnv, evaluate, generate_demo
 from .diffusion import SCHEDULE_KINDS
 from .numerics import Rng
 from .policy import (
-    FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, read_json, write_atomic,
+    FactorizedPolicy, PolicyConfig, TrainingLog, canonical_json, csv_text, read_json, write_atomic,
 )
 
 
@@ -86,7 +86,9 @@ def load_config_defaults(ctx, param, value):
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise click.BadParameter(f"{value}: not a JSON file ({exc})") from exc
     if not isinstance(data, dict):
-        raise click.BadParameter(f"{value}: config file must hold a JSON object")
+        raise click.BadParameter(
+            f"{value}: config file must hold a JSON object, got {type(data).__name__}"
+        )
     params = {p.name: p for p in ctx.command.params if p.expose_value}
     unknown = sorted(set(data) - set(params))
     if unknown:
@@ -239,9 +241,8 @@ def cmd_train(demos, epochs, batch_size, seed, out_dir, **net_params):
     policy.fit(dataset, epochs=epochs, batch_size=batch_size, seed=seed)
     out = Path(out_dir)
     log = policy.training_log_
-    csv = "epoch,train_mse,val_mse\n" + "\n".join(
-        f"{e['epoch']},{e['train_mse']!r},{e['val_mse']!r}" for e in log.entries
-    ) + "\n"
+    columns = ("epoch", "train_mse", "val_mse")
+    csv = csv_text(columns, ([e[c] for c in columns] for e in log.entries))
     write_outputs(out, {"training_log.json": log.to_json(), "training_log.csv": csv})
     policy.save(out / "checkpoint.json")
     click.echo(
@@ -362,14 +363,14 @@ def cmd_continual(
         (spec, generate_demos([spec], adapt_demos_per_task, Rng(seed).child(100 + i).seed % (2**31)))
         for i, spec in enumerate(specs[pretrain_tasks:])
     ]
-    adapt_cfg = AdaptationConfig(
-        strategy="new_module", epochs=adapt_epochs, batch_size=batch_size
-    )
 
     def eval_fn(p, seen):
         return evaluate(p, seen, episodes_per_task=eval_episodes, seeds=(seed,)).to_json()
 
-    log = continual_adapt(policy, pre_specs, stages, adapt_cfg, seed=seed, evaluate_fn=eval_fn)
+    log = continual_adapt(
+        policy, pre_specs, stages, epochs=adapt_epochs, batch_size=batch_size, seed=seed,
+        evaluate_fn=eval_fn,
+    )
     out = Path(out_dir)
     write_outputs(out, {"continual_log.json": log.to_json()})
     policy.save(out / "checkpoint.json")

@@ -211,6 +211,8 @@ def sample_values(
     nonzero = w_used != 0.0
     idx, w_used = idx[nonzero], w_used[nonzero]
     bank = components.select(idx)
+    if obs_embedding is None:  # as_f64 would make it a NaN and blame the values
+        raise CompositionError("obs_embedding is None; a component without one takes np.zeros(0)")
     emb = as_f64(obs_embedding, "obs_embedding")
 
     # row 0 starts the chain; row i > 0 is the noise injected after step

@@ -1,6 +1,5 @@
 """Denoising diffusion math, written once: noise schedule, forward corruption,
-the per-component noise-prediction loss, and the reverse update (plain, or
-with the clean-sample estimate clipped).
+and the reverse update (plain, or with the clean-sample estimate clipped).
 
 Conventions (variance-preserving, K discrete steps, step index k in 1..K):
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, as_f64
+from .numerics import as_f64
 
 
 class ScheduleError(ValueError):
@@ -124,33 +123,6 @@ def forward_noise(schedule: NoiseSchedule, a0, k, eps) -> np.ndarray:
     if ks.ndim:
         ab = ab[:, None]
     return np.sqrt(ab) * a0 + np.sqrt(1.0 - ab) * eps
-
-
-@dataclass
-class ComponentLossGrads:
-    denoiser: np.ndarray  # laid out like the denoiser net's vector
-    obs_embedding: np.ndarray
-
-
-def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rng):
-    """Noise-prediction MSE for one component on one clean window.
-
-    Draws k uniform on [1, K] and eps ~ N(0, I), corrupts a0, and scores the
-    denoiser's prediction: loss = mean((eps - pred)^2). Returns the loss and
-    gradients for the denoiser parameters and the observation embedding.
-    """
-    dim = np.size(a0)
-    k = int(rng.integers(1, schedule.K + 1, 1)[0])
-    eps = rng.gaussian(dim)
-    noisy = forward_noise(schedule, a0, k, eps)
-    pred, cache = denoiser.predict(noisy, obs_embedding, k)
-    resid = pred - eps
-    loss = float(np.mean(resid * resid))
-    if not math.isfinite(loss):
-        raise ValueError("component loss is non-finite")
-    dpred = 2.0 * resid / dim
-    grad, _, demb = denoiser.backward(cache, dpred)
-    return loss, ComponentLossGrads(grad, demb)
 
 
 def reverse_mean(

@@ -212,7 +212,7 @@ class FeedForwardNet:
         expected and the given count; an unknown activation or a non-finite
         value raises naming the layer or block."""
         if len(widths) < 2:
-            raise ValueError("widths must list at least input and output sizes")
+            raise ValueError(f"widths must list at least input and output sizes, got {list(widths)}")
         if len(activations) != len(widths) - 1:
             raise ValueError(
                 f"widths {list(widths)} need {len(widths) - 1} activations, got {len(activations)}"

@@ -15,7 +15,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .composition import (
     CompositionError, Router, SampleInfo, check_simplex, composed_residual, group_slices,
     sample_values,
 )
-from .diffusion import SCHEDULE_KINDS, make_schedule
+from .diffusion import SCHEDULE_KINDS, ScheduleError, make_schedule
 from .numerics import Adam, DimensionMismatchError, FeedForwardNet, Rng, as_f64
 from .numerics import StaleCacheError, decode_f64, encode_f64, json_fields, stack_backward
 from .numerics import param_count, stack_forward, typed_field
@@ -46,7 +46,7 @@ def sinusoidal_step_embedding(k, dim: int = STEP_FEATURES) -> np.ndarray:
     10000^(-2j/dim). Accepts a scalar step or a batch of steps.
     """
     if dim % 2 != 0:
-        raise ValueError("step embedding dim must be even")
+        raise ValueError(f"step embedding dim must be even, got {dim}")
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
     ks = np.asarray(k, dtype=np.float64)
@@ -71,14 +71,6 @@ class DenoiserComponent:
         self.step_dim = step_dim
         self.emb_dim = net.in_dim - window_dim - step_dim
 
-    @classmethod
-    def init(
-        cls, window_dim: int, emb_dim: int, hidden: list[int], rng: Rng, step_dim=STEP_FEATURES,
-    ) -> "DenoiserComponent":
-        widths = [window_dim + emb_dim + step_dim, *hidden, window_dim]
-        acts = [ACTIVATION] * len(hidden) + ["identity"]
-        return cls(FeedForwardNet.init(widths, acts, rng), window_dim, step_dim)
-
     def predict(self, values, obs_embedding, k):
         """Noise estimate for a window (or batch of windows) at step(s) k."""
         values = as_f64(values, "values")
@@ -90,13 +82,6 @@ class DenoiserComponent:
             emb = np.broadcast_to(emb, (values.shape[0], self.emb_dim))
         x = np.concatenate([values, emb, step], axis=-1)
         return self.net.forward(x)
-
-    def backward(self, cache, grad_out):
-        """(parameter gradient vector, grad wrt window values, grad wrt obs
-        embedding)."""
-        grad, gx = self.net.backward(cache, grad_out)
-        d, e = self.window_dim, self.emb_dim
-        return grad, gx[..., :d], gx[..., d : d + e]
 
     def copy(self) -> "DenoiserComponent":
         return DenoiserComponent(self.net.copy(), self.window_dim, self.step_dim)
@@ -339,19 +324,6 @@ class PolicyConfig:
         return cls(**dict(zip(names, json_fields(obj, *names))))
 
 
-
-def matched_hidden_width(
-    n_components: int, base_hidden: int, in_dim: int, out_dim: int
-) -> int:
-    """Hidden width for a single two-hidden-layer net whose parameter count
-    matches n_components nets of width base_hidden (same in/out dims)."""
-
-    target = n_components * param_count([in_dim, base_hidden, base_hidden, out_dim])
-    b = in_dim + out_dim + 2
-    h = (-b + math.sqrt(b * b + 4.0 * (target - out_dim))) / 2.0
-    return max(1, round(h))
-
-
 @dataclass
 class TrainingLog:
     """Per-epoch train / held-out validation MSE plus run metadata."""
@@ -412,7 +384,7 @@ class FactorizedPolicy:
     ):
         self.obs_dim = int(obs_dim)
         self.action_dim = int(action_dim)
-        self.config = config or PolicyConfig()
+        self.config = replace(config or PolicyConfig())  # its own: upcycling writes into it
         self.normalizer = normalizer
         self.seed = int(seed)
         self.training_log_ = None
@@ -427,6 +399,13 @@ class FactorizedPolicy:
         hold ``vectors``, (group, vector) pairs in ``group_names()`` order,
         each vector of the derived size, else ValueError names the group."""
         cfg, emb, window = self.config, self.config.obs_embed_dim, self.window_dim
+        try:
+            self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
+        except ScheduleError as exc:
+            raise ScheduleError(
+                f"diffusion_steps {cfg.diffusion_steps} and schedule_kind "
+                f"{cfg.schedule_kind!r} give no valid schedule: {exc}"
+            ) from exc
 
         def arch(d_in, hidden, d_out, last):
             return [d_in, *hidden, d_out], [ACTIVATION] * len(hidden) + [last]
@@ -453,7 +432,6 @@ class FactorizedPolicy:
                 nets.append(_load_field(name, FeedForwardNet, widths, acts, vector))
             del vector  # vectors decode one at a time: free the last before the bank's copy
         self.obs_encoder, router_net, *component_nets = nets
-        self.schedule = make_schedule(cfg.diffusion_steps, cfg.schedule_kind)
         self.router = Router(router_net, cfg.router_temperature)
         self.components = [DenoiserComponent(c, window) for c in component_nets]
         self.bank  # binds the components, so views taken from now on are live
@@ -597,6 +575,7 @@ class FactorizedPolicy:
         return self.normalizer.denormalize(window)
 
     def episode_controller(self, env, rng: Rng, top_k=None, weights_override=None):
+        self._check_fitted()
         return _PolicyController(self, rng, top_k, weights_override)
 
     # -- training --------------------------------------------------------------
@@ -793,6 +772,16 @@ def _load_field(name: str, load, *args):
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON so identical state gives identical bytes."""
     return json.dumps(obj, **CANONICAL_JSON)
+
+
+def csv_text(header, rows) -> str:
+    """A header and rows as comma-separated lines; a float cell, a numpy one
+    too, is written as ``repr(float(x))``, which ``float()`` reads back."""
+
+    def cell(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def write_atomic(path, chunks) -> None:

@@ -3,7 +3,9 @@
 These deliberately avoid the package's own gradient, sampling and
 optimizer paths: analytic Gaussian scores and ``LoopBank``, which samples
 and trains on them one component at a time, the textbook dense forward and
-backward of one net, one 2-d layer at a time, the per-component loop for the
+backward of one net, one 2-d layer at a time, a denoiser component's
+initializer, backward and single-component noise-prediction loss, the
+matched-width baseline's hidden width, the per-component loop for the
 composed noise prediction and the per-step reverse sampler built on it, the
 per-component joint loss and its gradients, closed-form product-of-Gaussians
 moments, the per-array Adam and the per-group step a fit is checked
@@ -20,13 +22,15 @@ its windows and per-step predictions are compared with these references
 under one bound, ``assert_chain_close``; ``LoopBank`` chains compare exactly.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fdp.composition import check_simplex, group_slices, select_top_k, weighted_sum
-from fdp.diffusion import forward_noise, reverse_mean
-from fdp.numerics import DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng
+from fdp.diffusion import NoiseSchedule, forward_noise, reverse_mean
+from fdp.numerics import DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng, param_count
+from fdp.policy import ACTIVATION, STEP_FEATURES, DenoiserComponent
 
 
 class AnalyticGaussianDenoiser:
@@ -117,6 +121,65 @@ class LoopBank:
             if demb is not None:
                 demb += de
         return out
+
+
+def init_component(window_dim, emb_dim, hidden, rng, step_dim=STEP_FEATURES):
+    """A DenoiserComponent over [window | embedding | step features], hidden
+    layers of ACTIVATION and an identity output, drawn from rng."""
+    widths = [window_dim + emb_dim + step_dim, *hidden, window_dim]
+    acts = [ACTIVATION] * len(hidden) + ["identity"]
+    return DenoiserComponent(FeedForwardNet.init(widths, acts, rng), window_dim, step_dim)
+
+
+def component_backward(comp, cache, grad_out):
+    """(parameter gradient vector, grad wrt window values, grad wrt obs
+    embedding) of a component from its net's backward, split at window_dim
+    and emb_dim. A double above, which holds no net, answers through its own
+    ``backward``."""
+    if not hasattr(comp, "net"):
+        return comp.backward(cache, grad_out)
+    grad, gx = comp.net.backward(cache, grad_out)
+    d, e = comp.window_dim, comp.emb_dim
+    return grad, gx[..., :d], gx[..., d : d + e]
+
+
+@dataclass
+class ComponentLossGrads:
+    denoiser: np.ndarray  # laid out like the denoiser net's vector
+    obs_embedding: np.ndarray
+
+
+def component_loss(denoiser, schedule: NoiseSchedule, a0, obs_embedding, rng: Rng):
+    """Noise-prediction MSE for one component on one clean window.
+
+    Draws k uniform on [1, K] and eps ~ N(0, I), corrupts a0, and scores the
+    denoiser's prediction: loss = mean((eps - pred)^2). Returns the loss and
+    gradients for the denoiser parameters and the observation embedding.
+    """
+    dim = np.size(a0)
+    k = int(rng.integers(1, schedule.K + 1, 1)[0])
+    eps = rng.gaussian(dim)
+    noisy = forward_noise(schedule, a0, k, eps)
+    pred, cache = denoiser.predict(noisy, obs_embedding, k)
+    resid = pred - eps
+    loss = float(np.mean(resid * resid))
+    if not math.isfinite(loss):
+        raise ValueError("component loss is non-finite")
+    dpred = 2.0 * resid / dim
+    grad, _, demb = component_backward(denoiser, cache, dpred)
+    return loss, ComponentLossGrads(grad, demb)
+
+
+def matched_hidden_width(
+    n_components: int, base_hidden: int, in_dim: int, out_dim: int
+) -> int:
+    """Hidden width for a single two-hidden-layer net whose parameter count
+    matches n_components nets of width base_hidden (same in/out dims)."""
+
+    target = n_components * param_count([in_dim, base_hidden, base_hidden, out_dim])
+    b = in_dim + out_dim + 2
+    h = (-b + math.sqrt(b * b + 4.0 * (target - out_dim))) / 2.0
+    return max(1, round(h))
 
 
 # activation, and its derivative wrt the pre-activation z given a = act(z)
@@ -269,7 +332,7 @@ def joint_loss_loop(components, router, obs_encoder, batch, schedule, rng, train
     dagg = 2.0 * resid / resid.size
     grads, demb = {}, np.zeros_like(emb)
     for i, (comp, (_, cache)) in enumerate(zip(components, outs)):
-        grads[f"component:{i}"], _, de = comp.backward(cache, w[:, i : i + 1] * dagg)
+        grads[f"component:{i}"], _, de = component_backward(comp, cache, w[:, i : i + 1] * dagg)
         demb += de
     dw = np.stack([np.sum(dagg * pred, axis=1) for pred, _ in outs], axis=1)
     grads["router"], demb_router = router.backward(router_cache, dw)

@@ -22,18 +22,13 @@ from fdp.analysis import build_probe_set, score_similarity
 from fdp.bench import evaluate, generate_demos, make_suite, merge_datasets
 from fdp.cli import cli
 from fdp.composition import Router, group_slices, joint_loss, sample_values
-from fdp.diffusion import component_loss, make_schedule
+from fdp.diffusion import make_schedule
 from fdp.numerics import FeedForwardNet, Rng
-from fdp.policy import (
-    ComponentBank,
-    DenoiserComponent,
-    FactorizedPolicy,
-    PolicyConfig,
-    matched_hidden_width,
-)
+from fdp.policy import ComponentBank, FactorizedPolicy, PolicyConfig
 
 from .oracles import (
-    AnalyticGaussianDenoiser, LoopBank, central_diff, max_rel_err, product_of_gaussians,
+    AnalyticGaussianDenoiser, LoopBank, central_diff, component_loss, init_component,
+    matched_hidden_width, max_rel_err, product_of_gaussians,
 )
 
 
@@ -169,7 +164,7 @@ def test_criterion_01_gradient_oracle():
             )
         )
         comps = [
-            DenoiserComponent.init(window_dim, emb_dim, [5], trial_rng.child(2 + i), step_dim=4)
+            init_component(window_dim, emb_dim, [5], trial_rng.child(2 + i), step_dim=4)
             for i in range(n_comp)
         ]
         b = 2
@@ -477,7 +472,8 @@ def test_criterion_09_continual_structure():
         policy,
         pre_specs,
         stages,
-        AdaptationConfig(strategy="new_module", epochs=2, batch_size=48),
+        epochs=2,
+        batch_size=48,
         seed=7,
         evaluate_fn=eval_fn,
     )

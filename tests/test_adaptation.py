@@ -108,6 +108,32 @@ def test_upcycle_checkpoint_round_trip(tmp_path, reach_ds):
     assert back.group_checksums() == policy.group_checksums()
 
 
+def test_policies_built_from_one_config_keep_their_own(tmp_path, reach_ds):
+    cfg = PolicyConfig(n_components=2, **SMALL)
+    upcycled, other = (FactorizedPolicy(6, 2, cfg, reach_ds.normalizer, seed) for seed in (0, 1))
+    upcycle_component(upcycled, source=0)
+    assert (upcycled.config.n_components, other.config.n_components) == (3, 2)
+    assert cfg.n_components == 2
+    other.save(tmp_path / "other.json")
+    assert FactorizedPolicy.load(tmp_path / "other.json").n_components == 2
+    assert FactorizedPolicy(6, 2, cfg).n_components == 2
+
+
+def test_a_failed_upcycle_leaves_the_policy_untouched(monkeypatch):
+    policy = small_policy(n=2)
+    router_net, components, before = policy.router.net, list(policy.components), policy.vector.copy()
+
+    def fail(net):
+        raise MemoryError("no room for a wider head")
+
+    monkeypatch.setattr(fdp.adaptation, "extend_router_head", fail)
+    with pytest.raises(MemoryError):
+        upcycle_component(policy, source=0)
+    assert policy.router.net is router_net and policy.components == components
+    assert policy.config.n_components == 2
+    np.testing.assert_array_equal(policy.vector, before)
+
+
 def test_upcycle_source_validation(reach_ds):
     policy = small_policy(n=2)
     with pytest.raises(AdaptationError):
@@ -404,7 +430,8 @@ def test_continual_adds_one_component_per_stage(reach_ds):
         policy,
         pretrain_specs,
         stages,
-        AdaptationConfig(strategy="new_module", epochs=1, batch_size=32),
+        epochs=1,
+        batch_size=32,
         seed=9,
         evaluate_fn=lambda p, seen: {"n_tasks": len(seen)},
     )
@@ -415,12 +442,6 @@ def test_continual_adds_one_component_per_stage(reach_ds):
     # transitive freeze of the original components
     for i in range(4):
         assert policy.components[i].checksum() == checks0[i]
-
-
-def test_continual_requires_new_module():
-    policy = small_policy(n=2)
-    with pytest.raises(AdaptationError):
-        continual_adapt(policy, [], [], AdaptationConfig(strategy="router"))
 
 
 def test_config_validation():

@@ -1,5 +1,6 @@
 """CLI pipeline: subcommands, exit codes, determinism, config precedence."""
 
+import csv
 import errno
 import json
 import shutil
@@ -249,6 +250,18 @@ def test_train_rejects_bad_policy_widths_and_rates_exit_3(
     )
     assert result.exit_code == 3, result.output
     assert f"{field} " in result.output
+    assert not out.exists()
+
+
+def test_train_names_both_fields_of_a_schedule_that_fails_exit_3(runner, demo_file, tmp_path):
+    out = tmp_path / "t"
+    result = runner.invoke(
+        cli, ["train", "--demos", str(demo_file), *FAST_NET, "--diffusion-steps", "75000",
+              "--schedule", "linear", "--epochs", "1", "--out-dir", str(out)]
+    )
+    assert result.exit_code == 3, result.output
+    message = "diffusion_steps 75000 and schedule_kind 'linear' give no valid schedule"
+    assert f"error: ScheduleError: {message}" in result.output
     assert not out.exists()
 
 
@@ -568,6 +581,30 @@ def test_config_json_holds_exactly_the_flags_but_out_dir(first_run):
     declared = {p.name for p in cli.commands[command].params if p.expose_value}
     config = json.loads((out / "config.json").read_text())
     assert set(config) == declared - {"out_dir"}
+
+
+CSV_FILES = {
+    "train": ["training_log.csv"],
+    "eval": ["success_table.csv"],
+    "adapt": [],
+    "continual": [],
+    "analyze": ["convergence.csv", "similarity.csv"],
+}
+
+
+def test_every_csv_data_cell_is_a_number(first_run):
+    """Past the header and the label column (epoch, task or component),
+    every cell of every CSV file a command writes reads back with float()."""
+    command, out = first_run
+    paths = sorted(out.glob("*.csv"))
+    assert [p.name for p in paths] == CSV_FILES[command]
+    for path in paths:
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        assert rows and {len(row) for row in rows} == {len(header)}, path
+        for row in rows:
+            for cell in row[1:]:
+                float(cell)
 
 
 def test_rerun_from_config_json_reproduces_every_artifact(first_run, runner, tmp_path):

@@ -43,7 +43,9 @@ from .oracles import (
     assert_chain_close,
     central_diff,
     composed_prediction_loop,
+    component_loss,
     composed_residual_loop,
+    init_component,
     joint_loss_loop,
     layered_net,
     max_rel_err,
@@ -266,15 +268,13 @@ def _tiny_setup(n_components=3, window_dim=6, emb_dim=4, obs_dim=4, seed=0, hidd
         FeedForwardNet.init([emb_dim, 5, n_components], ["tanh", "identity"], rng.child(2))
     )
     comps = [
-        DenoiserComponent.init(window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4)
+        init_component(window_dim, emb_dim, list(hidden), rng.child(10 + i), step_dim=4)
         for i in range(n_components)
     ]
     return sched, encoder, router, ComponentBank(comps, sched.K)
 
 
 def test_single_component_joint_loss_reduces_to_component_loss():
-    from fdp.diffusion import component_loss
-
     sched, _, _, bank = _tiny_setup(n_components=1)
     encoder = layered_net([(np.eye(4), np.zeros(4), "identity")])
     router = Router(FeedForwardNet.init([4, 1], ["identity"], Rng(3)))
@@ -735,11 +735,11 @@ def test_bank_matches_component_predictions(fitted):
 
 def test_bank_rejects_other_architectures_naming_the_component():
     rng = Rng(4)
-    comps = [DenoiserComponent.init(6, 4, [7], rng.child(i), step_dim=4) for i in range(2)]
+    comps = [init_component(6, 4, [7], rng.child(i), step_dim=4) for i in range(2)]
     others = [
-        DenoiserComponent.init(6, 4, [8], rng.child(5), step_dim=4),
+        init_component(6, 4, [8], rng.child(5), step_dim=4),
         DenoiserComponent(FeedForwardNet.init([14, 7, 6], "identity", rng.child(6)), 6, 4),
-        DenoiserComponent.init(6, 2, [7], rng.child(7), step_dim=6),
+        init_component(6, 2, [7], rng.child(7), step_dim=6),
     ]
     for other in others:
         with pytest.raises(CompositionError, match="component 2 "):
@@ -763,7 +763,7 @@ def test_bank_sampling_matches_loop_property(n, hidden, window_dim, top_k, clip,
     rng = Rng(seed)
     emb_dim = 2
     comps = [
-        DenoiserComponent.init(window_dim, emb_dim, hidden, rng.child(i), step_dim=4)
+        init_component(window_dim, emb_dim, hidden, rng.child(i), step_dim=4)
         for i in range(n)
     ]
     sched = make_schedule(6)
@@ -791,7 +791,7 @@ def test_sample_values_matches_the_fresh_array_loop(case):
         comps = [AnalyticGaussianDenoiser(sched, m, 1.0) for m in (-1, 0.5, 2, 0)]
         emb = np.zeros(0)
     else:
-        comps = [DenoiserComponent.init(6, 5, [9, 7], rng.child(i), step_dim=4) for i in range(n)]
+        comps = [init_component(6, 5, [9, 7], rng.child(i), step_dim=4) for i in range(n)]
         emb = rng.child(9).gaussian(5)
     w = np.eye(n)[2] if case == "one_hot" else softmax(rng.child(10).gaussian(n))
     top_k = 2 if case == "top_k" else None
@@ -826,7 +826,7 @@ def test_chain_matches_the_per_component_oracle(case, top_k, monkeypatch):
     rng, sched = Rng(31), make_schedule(10)
     n, dim = (9, 1) if case == "one_wide" else (4, 6)
     hidden = {"identity_only": [], "one_hidden": [7]}.get(case, [7, 5])
-    comps = [DenoiserComponent.init(dim, 3, hidden, rng.child(i), step_dim=4) for i in range(n)]
+    comps = [init_component(dim, 3, hidden, rng.child(i), step_dim=4) for i in range(n)]
     emb, w = rng.child(20).gaussian(3), softmax(rng.child(21).gaussian(n))
     bank = ComponentBank(comps, sched.K)
     idx, w_used = select_top_k(w, top_k) if top_k else (np.arange(n), w)
@@ -873,7 +873,7 @@ def test_sampling_after_a_parameter_write_matches_a_fresh_load(fitted, write, we
 
 
 def test_sampling_rejects_a_bank_built_for_fewer_steps():
-    comps = [DenoiserComponent.init(4, 3, [5], Rng(0).child(i), step_dim=4) for i in range(2)]
+    comps = [init_component(4, 3, [5], Rng(0).child(i), step_dim=4) for i in range(2)]
     bank = ComponentBank(comps, 6)
     with pytest.raises(CompositionError, match=r"6 steps.* K=10"):
         sample_values(bank, np.array([0.5, 0.5]), Rng(1).gaussian(3), make_schedule(10), 4, Rng(2))

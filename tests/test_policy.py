@@ -17,6 +17,7 @@ import fdp.numerics
 from fdp.adaptation import AdaptationConfig, adapt, upcycle_component
 from fdp.bench import Episode, EpisodeDataset, generate_demos
 from fdp.composition import group_slices
+from fdp.diffusion import ScheduleError
 from fdp.numerics import (
     Adam, DimensionMismatchError, FeedForwardNet, NonFiniteError, Rng, StaleCacheError,
     decode_f64, encode_f64,
@@ -30,13 +31,13 @@ from fdp.policy import (
     PolicyConfig,
     TrainingLog,
     canonical_json,
-    matched_hidden_width,
     sinusoidal_step_embedding,
 )
 
 from .oracles import (
     GroupAdam, assert_bank_serves, assert_layers_view_vector, denormalize_masked,
-    layered_net, net_backward_loop, net_forward_loop, training_arrays_loop,
+    init_component, layered_net, matched_hidden_width, net_backward_loop, net_forward_loop,
+    training_arrays_loop,
 )
 
 
@@ -819,7 +820,7 @@ def test_checkpoint_rejects_components_of_other_architectures(trained_bimodal, c
     obj = trained_bimodal.to_json()
     cfg = trained_bimodal.config
     arch = {"hidden": list(cfg.denoiser_hidden), "step_dim": STEP_FEATURES, **change}
-    other = DenoiserComponent.init(
+    other = init_component(
         trained_bimodal.window_dim, cfg.obs_embed_dim, arch["hidden"], Rng(3), arch["step_dim"],
     )
     obj["parameters"]["component:1"] = encode_f64(other.net.vector)
@@ -876,6 +877,25 @@ def test_checkpoint_rejects_an_unknown_config_key(trained_bimodal):
     obj["config"]["bogus"] = 1
     with pytest.raises(ValueError, match="checkpoint field 'config': unknown key 'bogus'"):
         FactorizedPolicy.from_json(obj)
+
+
+# linear betas over 75,000 steps drive abar to 0, so it stops decreasing
+LONG_LINEAR = "diffusion_steps 75000 and schedule_kind 'linear' give no valid schedule"
+
+
+def test_a_config_whose_schedule_fails_is_named_at_construction():
+    cfg = PolicyConfig(n_components=1, diffusion_steps=75_000, schedule_kind="linear")
+    with pytest.raises(ScheduleError, match=LONG_LINEAR + ": abar must be strictly decreasing"):
+        FactorizedPolicy(obs_dim=3, action_dim=1, config=cfg)
+
+
+def test_a_checkpoint_whose_schedule_fails_is_named(tmp_path, trained_bimodal):
+    obj = trained_bimodal.to_json()
+    obj["config"].update(diffusion_steps=75_000, schedule_kind="linear")
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {LONG_LINEAR}")):
+        FactorizedPolicy.load(path)
 
 
 DELETE = object()  # a mutation that removes the field
