@@ -14,13 +14,12 @@ from .bench import (
     generate_demos,
     make_suite,
 )
-from .adaptation import AdaptationConfig, adapt, continual_adapt, upcycle_component
+from .adaptation import adapt, continual_adapt, upcycle_component
 from .analysis import build_probe_set, convergence_report, score_similarity, solo_rollout
 
 __all__ = [
     "ActionNormalizer",
     "Adam",
-    "AdaptationConfig",
     "EpisodeDataset",
     "ExpertPolicy",
     "FactorizedPolicy",

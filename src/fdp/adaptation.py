@@ -27,48 +27,10 @@ class AdaptationError(ValueError):
     pass
 
 
-@dataclass
-class AdaptationConfig:
-    """How to adapt a pretrained policy to a new task."""
-
-    strategy: str = "new_module"
-    replay_per_task: int = 0  # episodes kept per pretrain task; 0 disables replay
-    epochs: int = 60
-    batch_size: int = 64
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise AdaptationError(
-                f"unknown strategy '{self.strategy}'; expected one of {STRATEGIES}"
-            )
-        for name, low in (("replay_per_task", 0), ("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:  # a bool is not a count
-                raise AdaptationError(f"{name} must be an int >= {low}, got {value!r}")
-
-
 def mean_routing_weights(policy: FactorizedPolicy, dataset: EpisodeDataset) -> np.ndarray:
     """Router weights averaged over every step of a dataset."""
     _, obs = policy.build_training_arrays(dataset.episodes)
     return policy.router.route(policy.obs_encoder(obs)).mean(axis=0)
-
-
-def select_upcycle_source(
-    policy: FactorizedPolicy,
-    source: int | None = None,
-    dataset: EpisodeDataset | None = None,
-) -> int:
-    """Resolve the component to copy: index source, or for None the one of
-    highest mean routing weight on the adaptation demos (ties to the lowest)."""
-    n = policy.n_components
-    if source is not None:
-        if not 0 <= source < n:
-            raise AdaptationError(f"upcycle source index {source} outside [0, {n})")
-        return source
-    if dataset is None:
-        raise AdaptationError("highest-weight selection needs adaptation demos")
-    mean_w = mean_routing_weights(policy, dataset)
-    return int(np.argmax(mean_w))  # argmax returns the lowest index on ties
 
 
 def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
@@ -84,22 +46,18 @@ def extend_router_head(net: FeedForwardNet) -> FeedForwardNet:
     return wide
 
 
-def upcycle_component(
-    policy: FactorizedPolicy,
-    source: int | None = None,
-    dataset: EpisodeDataset | None = None,
-) -> int:
-    """Append a parameter-exact copy of the source component (as resolved by
-    select_upcycle_source) and a zero-initialized router output; returns it.
-    Both are made before the policy is touched, so a failure leaves it as it
-    was."""
-    src = select_upcycle_source(policy, source, dataset)
+def upcycle_component(policy: FactorizedPolicy, source: int) -> None:
+    """Append a parameter-exact copy of component ``source`` and a
+    zero-initialized router output. Both are made before the policy is
+    touched, so a failure leaves it as it was."""
+    n = policy.n_components
+    if not 0 <= source < n:
+        raise AdaptationError(f"upcycle source index {source} outside [0, {n})")
     router_net = extend_router_head(policy.router.net)
-    component = policy.components[src].copy()
+    component = policy.components[source].copy()
     policy.router.net = router_net
     policy.components.append(component)
     policy.config.n_components = policy.n_components
-    return src
 
 
 @dataclass
@@ -122,47 +80,39 @@ class AdaptationLog:
         return asdict(self)  # the training log too; a tuple is written as a JSON list
 
 
-def trainable_groups_for(
-    policy: FactorizedPolicy, config: AdaptationConfig, new_component: int | None
-) -> list[str]:
-    if config.strategy == "full":
-        return policy.group_names()
-    if config.strategy == "router":
-        return ["router"]
-    if config.strategy == "router+encoder":
-        return ["router", "encoder"]
-    return ["router", f"component:{new_component}"]
-
-
 def adapt(
     policy: FactorizedPolicy,
-    config: AdaptationConfig,
     new_dataset: EpisodeDataset,
+    *,
+    strategy: str,
+    epochs: int,
+    batch_size: int,
+    replay_per_task: int = 0,
     replay_dataset: EpisodeDataset | None = None,
     seed: int = 0,
 ) -> AdaptationLog:
-    """Adapt the policy in place to a new task under the configured strategy.
+    """Adapt the policy in place to a new task under the given strategy,
+    training ``epochs`` epochs of ``batch_size`` windows (``fit`` checks both).
     If upcycling or training raises, the policy is restored before the error
     propagates.
 
-    With replay_per_task > 0 a replay buffer is subsampled from replay_dataset
-    and globally shuffled into the training stream, so the mix is proportional
-    to dataset sizes in expectation.
+    new_module copies the component of highest mean routing weight on the
+    new demos (the lowest index on ties). With replay_per_task > 0, that many
+    episodes per task are subsampled from replay_dataset and globally
+    shuffled into the training stream, so the mix is proportional to dataset
+    sizes in expectation.
     """
-    if not new_dataset.episodes:
-        raise AdaptationError("adaptation dataset has no episodes")
-    if config.replay_per_task > 0 and replay_dataset is None:
+    if strategy not in STRATEGIES:
+        raise AdaptationError(f"unknown strategy '{strategy}'; expected one of {STRATEGIES}")
+    if type(replay_per_task) is not int or replay_per_task < 0:  # a bool is not a count
+        raise AdaptationError(f"replay_per_task must be an int >= 0, got {replay_per_task!r}")
+    if replay_per_task > 0 and replay_dataset is None:
         raise AdaptationError("replay_per_task > 0 requires a replay dataset")
-    if config.replay_per_task == 0 and replay_dataset is not None:
+    if replay_per_task == 0 and replay_dataset is not None:
         raise AdaptationError("replay dataset given but replay_per_task is 0")
-    widths = {"state_dim": policy.obs_dim, "action_dim": policy.action_dim}
-    for role, ds in (("adaptation", new_dataset), ("replay", replay_dataset)):
-        for name, width in widths.items():
-            if ds is not None and getattr(ds, name) != width:
-                raise AdaptationError(
-                    f"{role} dataset field '{name}' is {getattr(ds, name)}, "
-                    f"but the policy expects {width}"
-                )
+    policy.check_dataset(new_dataset, "adaptation")
+    if replay_per_task > 0:
+        policy.check_dataset(replay_dataset, "replay")
 
     # Upcycling adds a new component and swaps in a new router net, so
     # references to the pre-adapt objects undo it. fit() writes the trainable
@@ -173,13 +123,17 @@ def adapt(
     normalizer, training_log = policy.normalizer, policy.training_log_
     saved = {}
     try:
-        new_component = None
         source = None
-        if config.strategy == "new_module":
-            source = upcycle_component(policy, dataset=new_dataset)
-            new_component = policy.n_components - 1
+        if strategy == "new_module":
+            source = int(np.argmax(mean_routing_weights(policy, new_dataset)))
+            upcycle_component(policy, source)
 
-        groups = trainable_groups_for(policy, config, new_component)
+        groups = {
+            "full": policy.group_names(),
+            "router": ["router"],
+            "router+encoder": ["router", "encoder"],
+            "new_module": ["router", f"component:{policy.n_components - 1}"],
+        }[strategy]
         for g in groups:
             net = policy._group_net(g)
             if net in old_nets:
@@ -189,18 +143,12 @@ def adapt(
 
         train_ds = new_dataset
         replay_count = 0
-        if config.replay_per_task > 0:
-            buffer = sample_replay(replay_dataset, config.replay_per_task, seed)
+        if replay_per_task > 0:
+            buffer = sample_replay(replay_dataset, replay_per_task, seed)
             replay_count = len(buffer.episodes)
             train_ds = merge_datasets(new_dataset, buffer)
 
-        policy.fit(
-            train_ds,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            seed=seed,
-            trainable=groups,
-        )
+        policy.fit(train_ds, epochs=epochs, batch_size=batch_size, seed=seed, trainable=groups)
     except BaseException:
         policy.components, policy.router.net = components, router_net
         policy.config.n_components = len(components)
@@ -210,7 +158,7 @@ def adapt(
         raise
     after = policy.group_checksums(frozen)
     return AdaptationLog(
-        strategy=config.strategy,
+        strategy=strategy,
         trainable_groups=tuple(groups),
         trainable_parameters=policy.n_parameters(groups),
         total_parameters=policy.n_parameters(),
@@ -240,9 +188,8 @@ def continual_adapt(
     Earlier components stay frozen throughout (transitively: each stage's
     frozen set contains all previous components).
     """
-    config = AdaptationConfig(epochs=epochs, batch_size=batch_size)
     log = AdaptationLog(
-        strategy=config.strategy,
+        strategy="new_module",
         trainable_groups=(),
         trainable_parameters=0,
         total_parameters=policy.n_parameters(),
@@ -254,7 +201,10 @@ def continual_adapt(
     seen_specs = list(pretrain_specs)
     for stage_idx, (spec, dataset) in enumerate(stages):
         stage_seed = Rng(seed).child(stage_idx).seed % (2**31)
-        stage_log = adapt(policy, config, dataset, seed=stage_seed)
+        stage_log = adapt(
+            policy, dataset, strategy="new_module", epochs=epochs, batch_size=batch_size,
+            seed=stage_seed,
+        )
         seen_specs.append(spec)
         entry = {
             "stage": stage_idx,

@@ -71,6 +71,7 @@ def build_probe_set(
     the n noise rows are one ``gaussian_rows`` block, as n ``gaussian`` calls."""
     if n < 1:
         raise ValueError(f"build_probe_set needs n >= 1 probes, got {n!r}")
+    policy.check_dataset(dataset, "probe")
     windows, obs = policy.build_training_arrays(dataset.episodes)
     rng = Rng(seed)
     rows = rng.integers(0, len(windows), n)

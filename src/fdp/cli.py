@@ -21,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from .adaptation import STRATEGIES, AdaptationConfig, adapt, continual_adapt
+from .adaptation import STRATEGIES, adapt, continual_adapt
 from .analysis import build_probe_set, convergence_report, score_similarity, solo_rollout
 from .bench import SUITES, EpisodeDataset, PointMassEnv, evaluate, generate_demos, make_suite
 from .diffusion import SCHEDULE_KINDS
@@ -301,13 +301,10 @@ def cmd_adapt(
     policy = FactorizedPolicy.load(checkpoint)
     new_ds = EpisodeDataset.load(demos)
     replay_ds = EpisodeDataset.load(replay_demos) if replay_demos else None
-    config = AdaptationConfig(
-        strategy=strategy,
-        replay_per_task=replay_per_task,
-        epochs=epochs,
-        batch_size=batch_size,
+    log = adapt(
+        policy, new_ds, strategy=strategy, epochs=epochs, batch_size=batch_size,
+        replay_per_task=replay_per_task, replay_dataset=replay_ds, seed=seed,
     )
-    log = adapt(policy, config, new_ds, replay_dataset=replay_ds, seed=seed)
     out = Path(out_dir)
     write_outputs(out, {"adaptation_log.json": log.to_json()})
     policy.save(out / "checkpoint.json")

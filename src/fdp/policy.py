@@ -575,10 +575,31 @@ class FactorizedPolicy:
         return self.normalizer.denormalize(window)
 
     def episode_controller(self, env, rng: Rng, top_k=None, weights_override=None):
+        """The controller of one episode in ``env``, whose spec must have the
+        policy's widths."""
         self._check_fitted()
+        spec = env.spec
+        if (spec.state_dim, spec.action_dim) != (self.obs_dim, self.action_dim):
+            raise DimensionMismatchError(
+                f"suite '{spec.suite}' task '{spec.task}' has (state_dim, action_dim) "
+                f"({spec.state_dim}, {spec.action_dim}), but the policy has "
+                f"(obs_dim, action_dim) ({self.obs_dim}, {self.action_dim})"
+            )
         return _PolicyController(self, rng, top_k, weights_override)
 
     # -- training --------------------------------------------------------------
+
+    def check_dataset(self, dataset, role: str) -> None:
+        """Refuse a dataset of other widths than the policy's, or of no
+        episodes; ``role`` names it in the message."""
+        for name, width in (("state_dim", self.obs_dim), ("action_dim", self.action_dim)):
+            if getattr(dataset, name) != width:
+                raise ValueError(
+                    f"{role} dataset field '{name}' is {getattr(dataset, name)}, "
+                    f"but the policy expects {width}"
+                )
+        if not dataset.episodes:
+            raise ValueError(f"{role} dataset has no episodes")
 
     def build_training_arrays(self, episodes) -> tuple[np.ndarray, np.ndarray]:
         """(normalized windows, stacked observations), a row per step t of
@@ -605,29 +626,22 @@ class FactorizedPolicy:
 
         trainable selects parameter groups ('encoder', 'router', 'component:i'),
         each at most once; None means all groups, and only these get gradients.
+        epochs must be an int >= 0 and batch_size an int >= 1 (not a bool).
         Deterministic given the seed: data order, drawn steps, and noise all
         come from child streams of it.
         """
         from .composition import joint_loss
 
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {epochs}")
-        for name, width in (("state_dim", self.obs_dim), ("action_dim", self.action_dim)):
-            if getattr(dataset, name) != width:
-                raise ValueError(
-                    f"dataset field '{name}' is {getattr(dataset, name)}, "
-                    f"but the policy expects {width}"
-                )
+        for name, value, low in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+            if type(value) is not int or value < low:  # a bool is not a count
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        self.check_dataset(dataset, "training")
         groups = self.group_names() if trainable is None else sorted(trainable)
         for i, g in enumerate(groups):
             self._group_net(g)  # validates names early
             if i and g == groups[i - 1]:
                 raise ValueError(f"trainable group '{g}' is listed more than once")
         episodes = list(dataset.episodes)
-        if not episodes:
-            raise ValueError("dataset has no episodes")
         n_val = max(1, round(VALIDATION_FRACTION * len(episodes))) if len(episodes) > 1 else 0
         if self.normalizer is None:
             self.normalizer = dataset.normalizer

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fdp.adaptation import AdaptationConfig, adapt, continual_adapt
+from fdp.adaptation import adapt, continual_adapt
 from fdp.analysis import build_probe_set, score_similarity
 from fdp.bench import evaluate, generate_demos, make_suite, merge_datasets
 from fdp.cli import cli
@@ -332,12 +332,7 @@ def test_criterion_06_freeze_bit_exactness():
     policy = FactorizedPolicy(obs_dim=6, action_dim=2, config=cfg, seed=3)
     policy.fit(pretrain, epochs=5, batch_size=48, seed=3)
     before = [policy.components[i].checksum() for i in range(3)]
-    adapt(
-        policy,
-        AdaptationConfig(strategy="new_module", epochs=5, batch_size=48),
-        new_task,
-        seed=4,
-    )
+    adapt(policy, new_task, strategy="new_module", epochs=5, batch_size=48, seed=4)
     after = [policy.components[i].checksum() for i in range(3)]
     ok = before == after and policy.n_components == 4
     report(
@@ -364,23 +359,13 @@ def retention_run(seed, reach_specs, pretrain_ds, new_ds):
 
     replayed = copy.deepcopy(policy)
     adapt(
-        replayed,
-        AdaptationConfig(
-            strategy="new_module", replay_per_task=5, epochs=100, batch_size=64
-        ),
-        new_ds,
-        replay_dataset=pretrain_ds,
-        seed=seed,
+        replayed, new_ds, strategy="new_module", epochs=100, batch_size=64,
+        replay_per_task=5, replay_dataset=pretrain_ds, seed=seed,
     )
     with_buf = evaluate(replayed, reach_specs, EPISODES, seeds=(seed,)).average()
 
     bare = copy.deepcopy(policy)
-    adapt(
-        bare,
-        AdaptationConfig(strategy="new_module", epochs=100, batch_size=64),
-        new_ds,
-        seed=seed,
-    )
+    adapt(bare, new_ds, strategy="new_module", epochs=100, batch_size=64, seed=seed)
     without_buf = evaluate(bare, reach_specs, EPISODES, seeds=(seed,)).average()
     return pre, with_buf, without_buf
 

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 import fdp.adaptation
 import fdp.composition
 from fdp.adaptation import (
-    AdaptationConfig,
     AdaptationError,
     adapt,
     continual_adapt,
     extend_router_head,
     mean_routing_weights,
-    select_upcycle_source,
     upcycle_component,
 )
 from fdp.bench import evaluate, generate_demos, make_suite
@@ -69,8 +67,7 @@ def pick_ds():
 def test_upcycle_copies_source_bitwise(reach_ds):
     policy = small_policy(n=3)
     policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
-    src = upcycle_component(policy, source=1)
-    assert src == 1
+    upcycle_component(policy, source=1)
     assert policy.n_components == 4
     assert policy.components[3].checksum() == policy.components[1].checksum()
     assert policy.router.net.out_dim == 4
@@ -134,21 +131,23 @@ def test_a_failed_upcycle_leaves_the_policy_untouched(monkeypatch):
     np.testing.assert_array_equal(policy.vector, before)
 
 
-def test_upcycle_source_validation(reach_ds):
+def test_upcycle_source_validation():
     policy = small_policy(n=2)
-    with pytest.raises(AdaptationError):
-        select_upcycle_source(policy, 5)
-    with pytest.raises(AdaptationError):
-        select_upcycle_source(policy)  # highest weight, but no demos given
+    before = policy.group_checksums()
+    for source in (-1, 2, 5):
+        with pytest.raises(AdaptationError, match=rf"upcycle source index {source} outside \[0, 2\)"):
+            upcycle_component(policy, source)
+    assert policy.group_checksums() == before and policy.n_components == 2
 
 
 def test_highest_weight_selector_matches_mean_weights(reach_ds):
     policy = small_policy(n=3, seed=4)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=1)
-    mean_w = mean_routing_weights(policy, reach_ds)
-    assert select_upcycle_source(policy, None, reach_ds) == int(
-        np.argmax(mean_w)
-    )
+    source = int(np.argmax(mean_routing_weights(policy, reach_ds)))
+    copied = policy.components[source].checksum()
+    log = adapt(policy, reach_ds, strategy="new_module", epochs=0, batch_size=32)
+    assert log.upcycle_source == source
+    assert policy.components[3].checksum() == copied
 
 
 def test_extend_router_head_shapes():
@@ -187,7 +186,7 @@ def test_upcycling_and_a_rolled_back_adapt_rebuild_the_store(reach_ds, pick_ds, 
 
     monkeypatch.setattr(fdp.composition, "joint_loss", fail_on_second_batch)
     with pytest.raises(RuntimeError, match="injected"):
-        adapt(policy, AdaptationConfig(strategy="new_module", epochs=2, batch_size=32), pick_ds)
+        adapt(policy, pick_ds, strategy="new_module", epochs=2, batch_size=32)
     assert policy.n_components == 3
     assert {i: policy.components[i].checksum() for i in range(3)} == frozen
     assert_bank_serves(policy)
@@ -215,10 +214,13 @@ def test_adapt_rejects_demos_of_other_widths(reach_ds, case, message):
         "replay": (reach_ds, line),
         "action": (dataclasses.replace(reach_ds, action_dim=1), None),
     }[case]
-    config = AdaptationConfig(epochs=1, replay_per_task=int(replay_ds is not None))
+    replay_per_task = int(replay_ds is not None)
     before = policy.group_checksums()
-    with pytest.raises(AdaptationError, match=message):
-        adapt(policy, config, new_ds, replay_dataset=replay_ds)
+    with pytest.raises(ValueError, match=message):
+        adapt(
+            policy, new_ds, strategy="new_module", epochs=1, batch_size=64,
+            replay_per_task=replay_per_task, replay_dataset=replay_ds,
+        )
     assert policy.group_checksums() == before
     assert policy.n_components == 2
 
@@ -254,9 +256,8 @@ def test_adapt_failure_restores_the_policy(reach_ds, pick_ds, monkeypatch, strat
             return joint_loss(*args)
 
         monkeypatch.setattr(fdp.composition, "joint_loss", fail_on_second_batch)
-    config = AdaptationConfig(strategy=strategy, epochs=2, batch_size=32)
     with pytest.raises(RuntimeError, match="injected"):
-        adapt(policy, config, pick_ds)
+        adapt(policy, pick_ds, strategy=strategy, epochs=2, batch_size=32)
 
     if fail_in == "fit" and strategy != "new_module":
         # the first step wrote some of the pre-existing nets before the failure
@@ -274,12 +275,7 @@ def test_new_module_freezes_original_components(reach_ds, pick_ds):
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     before = {f"component:{i}": policy.components[i].checksum() for i in range(2)}
     before["encoder"] = policy.obs_encoder.checksum()
-    log = adapt(
-        policy,
-        AdaptationConfig(strategy="new_module", epochs=2, batch_size=32),
-        pick_ds,
-        seed=5,
-    )
+    log = adapt(policy, pick_ds, strategy="new_module", epochs=2, batch_size=32, seed=5)
     assert policy.n_components == 3
     for i in range(2):
         assert policy.components[i].checksum() == before[f"component:{i}"]
@@ -292,7 +288,7 @@ def test_new_module_keeps_every_frozen_groups_checkpoint_string(reach_ds, pick_d
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     before = policy.to_json()["parameters"]
-    adapt(policy, AdaptationConfig(strategy="new_module", epochs=2, batch_size=32), pick_ds, seed=5)
+    adapt(policy, pick_ds, strategy="new_module", epochs=2, batch_size=32, seed=5)
     after = policy.to_json()["parameters"]
     frozen = ["encoder", "component:0", "component:1"]
     assert {g: after[g] for g in frozen} == {g: before[g] for g in frozen}
@@ -303,12 +299,7 @@ def test_router_strategy_touches_router_only(reach_ds, pick_ds):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     sums = policy.group_checksums()
-    log = adapt(
-        policy,
-        AdaptationConfig(strategy="router", epochs=2, batch_size=32),
-        pick_ds,
-        seed=5,
-    )
+    log = adapt(policy, pick_ds, strategy="router", epochs=2, batch_size=32, seed=5)
     after = policy.group_checksums()
     assert after["router"] != sums["router"]
     for g in sums:
@@ -328,12 +319,7 @@ def test_full_strategy_updates_everything(reach_ds, pick_ds):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     sums = policy.group_checksums()
-    adapt(
-        policy,
-        AdaptationConfig(strategy="full", epochs=2, batch_size=32),
-        pick_ds,
-        seed=5,
-    )
+    adapt(policy, pick_ds, strategy="full", epochs=2, batch_size=32, seed=5)
     after = policy.group_checksums()
     assert all(after[g] != sums[g] for g in sums)
 
@@ -342,12 +328,7 @@ def test_router_encoder_strategy(reach_ds, pick_ds):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=2, batch_size=32, seed=0)
     sums = policy.group_checksums()
-    adapt(
-        policy,
-        AdaptationConfig(strategy="router+encoder", epochs=2, batch_size=32),
-        pick_ds,
-        seed=5,
-    )
+    adapt(policy, pick_ds, strategy="router+encoder", epochs=2, batch_size=32, seed=5)
     after = policy.group_checksums()
     assert after["router"] != sums["router"]
     assert after["encoder"] != sums["encoder"]
@@ -359,11 +340,8 @@ def test_replay_mixing_counts(reach_ds, pick_ds):
     policy = small_policy(n=2)
     policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
     log = adapt(
-        policy,
-        AdaptationConfig(strategy="new_module", replay_per_task=2, epochs=1, batch_size=32),
-        pick_ds,
-        replay_dataset=reach_ds,
-        seed=5,
+        policy, pick_ds, strategy="new_module", epochs=1, batch_size=32,
+        replay_per_task=2, replay_dataset=reach_ds, seed=5,
     )
     assert log.replay_episodes == 8  # 2 per task x 4 pretrain tasks
 
@@ -373,18 +351,13 @@ def test_replay_requirements_enforced(reach_ds, pick_ds):
     policy.fit(reach_ds, epochs=1, batch_size=32, seed=0)
     with pytest.raises(AdaptationError):
         adapt(
-            policy,
-            AdaptationConfig(strategy="new_module", replay_per_task=2, epochs=1),
-            pick_ds,
-            seed=0,
+            policy, pick_ds, strategy="new_module", epochs=1, batch_size=64,
+            replay_per_task=2, seed=0,
         )
     with pytest.raises(AdaptationError):
         adapt(
-            policy,
-            AdaptationConfig(strategy="new_module", replay_per_task=0, epochs=1),
-            pick_ds,
-            replay_dataset=reach_ds,
-            seed=0,
+            policy, pick_ds, strategy="new_module", epochs=1, batch_size=64,
+            replay_per_task=0, replay_dataset=reach_ds, seed=0,
         )
 
 
@@ -396,12 +369,7 @@ def test_restoring_cached_router_recovers_pretrain_behavior(reach_ds, pick_ds):
     specs = make_suite("reach4")[:2]
     table_before = evaluate(policy, specs, episodes_per_task=4, seeds=(0,))
     cached_router = policy.router.net.copy()
-    adapt(
-        policy,
-        AdaptationConfig(strategy="new_module", epochs=2, batch_size=32),
-        pick_ds,
-        seed=5,
-    )
+    adapt(policy, pick_ds, strategy="new_module", epochs=2, batch_size=32, seed=5)
     policy.components = policy.components[:2]
     policy.config.n_components = 2
     policy.router.net = cached_router
@@ -444,15 +412,21 @@ def test_continual_adds_one_component_per_stage(reach_ds):
         assert policy.components[i].checksum() == checks0[i]
 
 
-def test_config_validation():
-    with pytest.raises(AdaptationError):
-        AdaptationConfig(strategy="distill")
-    with pytest.raises(AdaptationError):
-        AdaptationConfig(replay_per_task=-1)
-    with pytest.raises(AdaptationError, match="replay_per_task"):  # a wrong type names its field
-        AdaptationConfig(replay_per_task=None)
+# every setting of adapt, with the others valid
+ADAPT_SETTINGS = {"strategy": "new_module", "epochs": 1, "batch_size": 16, "replay_per_task": 0}
 
 
+def test_config_validation(pretrained, reach_ds):
+    policy = copy.deepcopy(pretrained)
+    before = policy.group_checksums()
+    for name, value in (("strategy", "distill"), ("replay_per_task", -1),
+                        ("replay_per_task", None)):  # a wrong type names its argument too
+        with pytest.raises(AdaptationError, match=name):
+            adapt(policy, reach_ds, **{**ADAPT_SETTINGS, name: value})
+    assert policy.group_checksums() == before and policy.n_components == 2
+
+
+# refused by fit, after adapt has upcycled: the policy is restored
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -464,35 +438,54 @@ def test_config_validation():
         ("epochs", float("nan")),
     ],
 )
-def test_config_rejects_bad_batch_size_and_epochs(field, value):
-    with pytest.raises(AdaptationError, match=field):
-        AdaptationConfig(**{field: value})
+def test_config_rejects_bad_batch_size_and_epochs(field, value, pretrained, reach_ds):
+    policy = copy.deepcopy(pretrained)
+    before = policy.group_checksums()
+    with pytest.raises(ValueError, match=field):
+        adapt(policy, reach_ds, **{**ADAPT_SETTINGS, field: value})
+    assert policy.group_checksums() == before and policy.n_components == 2
 
 
-# each field set to a wrong type, None, a bool, zero, a non-integral,
+class Interrupted(Exception):
+    pass
+
+
+# each setting given a wrong type, None, a bool, zero, a non-integral,
 # non-finite, negative or huge number
 ADAPT_CASES = [
-    (f.name, value)
-    for f in dataclasses.fields(AdaptationConfig)
+    (name, value)
+    for name in ADAPT_SETTINGS
     for value in ("x", None, True, 0, 1.5, float("inf"), float("nan"), -1, 2**64)
 ]
 
 
 @settings(max_examples=len(ADAPT_CASES), derandomize=True, deadline=None)
 @given(case=st.sampled_from(ADAPT_CASES))
-def test_an_adaptation_config_field_is_named_or_accepted_and_then_adapts(
-    case, reach_ds, pretrained
-):
+def test_an_adapt_setting_is_named_or_accepted_and_then_adapts(case, reach_ds, pretrained):
+    """A refused value names its argument and leaves the policy as it was;
+    an accepted one adapts. An accepted epoch count too large to run (2**64)
+    is interrupted after 100 batches (an epoch here is 9), which rolls it
+    back."""
     name, value = case
-    with warnings.catch_warnings():
+    policy = copy.deepcopy(pretrained)
+    before = policy.group_checksums()
+    joint_loss, batches = fdp.composition.joint_loss, []
+
+    def bounded(*args):
+        batches.append(1)
+        if len(batches) > 100:
+            raise Interrupted
+        return joint_loss(*args)
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("error")
+        mp.setattr(fdp.composition, "joint_loss", bounded)
         try:
-            config = AdaptationConfig(**{"epochs": 1, "batch_size": 16, name: value})
-        except AdaptationError as exc:
-            assert name in str(exc)
+            log = adapt(policy, reach_ds, **{**ADAPT_SETTINGS, name: value}, seed=0)
+        except (ValueError, Interrupted) as exc:
+            endless = (name, value) == ("epochs", 2**64)
+            assert isinstance(exc, Interrupted) if endless else name in str(exc)
+            assert policy.group_checksums() == before and policy.n_components == 2
             return
-        if isinstance(value, (int, float)) and value <= 2:
-            policy = copy.deepcopy(pretrained)
-            log = adapt(policy, config, reach_ds, seed=0)
-            assert policy.n_components == 2 + (config.strategy == "new_module")
-            assert len(log.training.entries) == config.epochs
+    assert policy.n_components == 3
+    assert len(log.training.entries) == {"epochs": value}.get(name, 1)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import fdp.composition
 import fdp.numerics
-from fdp.adaptation import AdaptationConfig, adapt, upcycle_component
-from fdp.bench import Episode, EpisodeDataset, generate_demos
+from fdp.adaptation import adapt, upcycle_component
+from fdp.bench import Episode, EpisodeDataset, PointMassEnv, generate_demos, make_suite
 from fdp.composition import group_slices
 from fdp.diffusion import ScheduleError
 from fdp.numerics import (
@@ -116,7 +116,7 @@ def test_training_arrays_equal_the_per_step_loop(h_obs, lengths):
 def test_controller_infers_every_t_exec_steps_and_executes_leading_rows():
     policy = small_policy(obs_dim=3, t_pred=5, t_exec=3, h_obs=2)
     policy.normalizer = ActionNormalizer(np.array([-2.0]), np.array([2.0]))
-    controller = policy.episode_controller(None, Rng(4))
+    controller = policy.episode_controller(PointMassEnv(make_suite("drawer-line")[0]), Rng(4))
     sample_window, inferred, windows = policy.sample_window, [], []
 
     def spy(obs, *args):
@@ -268,13 +268,23 @@ def test_fit_requires_episodes():
         policy.fit(empty, epochs=1, batch_size=8, seed=0)
 
 
-@pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+# a count below its range, then values that are not an int
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("epochs", -1),
+        *((field, value) for field in ("epochs", "batch_size")
+          for value in (True, 1.5, "3", float("nan"), None)),
+    ],
+)
 def test_fit_rejects_bad_batch_size_and_epochs(field, value):
     ds = generate_demos("bimodal1d", per_task=3, seed=1)
     policy = small_policy()
     before = policy.group_checksums()
     kwargs = {"epochs": 1, "batch_size": 8, field: value}
-    with pytest.raises(ValueError, match=field):
+    message = re.escape(f"{field} must be an int >= ") + r"\d, got " + re.escape(repr(value))
+    with pytest.raises(ValueError, match=message):
         policy.fit(ds, seed=0, **kwargs)
     assert policy.group_checksums() == before
     assert policy.normalizer is None
@@ -724,7 +734,7 @@ def test_a_saved_policy_loads_without_a_draw_and_writes_back_its_bytes(
     if kind != "fresh":
         policy.fit(ds, epochs=1, batch_size=32, seed=0)
     if kind == "adapted":
-        adapt(policy, AdaptationConfig(strategy="new_module", epochs=1, batch_size=32), ds, seed=1)
+        adapt(policy, ds, strategy="new_module", epochs=1, batch_size=32, seed=1)
         assert policy.n_components == 5
     policy.save(tmp_path / "saved.json")
     draws = []
